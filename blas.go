@@ -3,7 +3,6 @@ package cake
 import (
 	"fmt"
 
-	"repro/internal/engine"
 	"repro/internal/matrix"
 )
 
@@ -49,13 +48,10 @@ func blasGemm[T Scalar](transA, transB bool, m, n, k int, alpha T, a []T, lda in
 	}); err != nil {
 		return fmt.Errorf("cake: gemm operands: %v", err)
 	}
-	// Route through the process-wide engine: tiny problems skip the CB
-	// machinery, and concurrent BLAS callers never share an executor.
-	e, err := DefaultEngine()
-	if err != nil {
-		return err
-	}
-	_, err = engine.GemmScaled(e, mc, ma, mb, transA, transB, alpha, beta)
+	// Route through the process-wide engine as a batch of one: tiny
+	// problems skip the CB machinery, and concurrent BLAS callers never
+	// share an executor.
+	_, err := GemmBatchScaled([]*Matrix[T]{mc}, []*Matrix[T]{ma}, []*Matrix[T]{mb}, transA, transB, alpha, beta)
 	return err
 }
 

@@ -189,12 +189,7 @@ func NewExecutor[T Scalar](cfg Config, opts ...ExecutorOption) (*Executor[T], er
 // safe to call from any number of goroutines.
 func Gemm[T Scalar](c, a, b *Matrix[T]) error {
 	matrix.CheckMul(c, a, b)
-	e, err := DefaultEngine()
-	if err != nil {
-		return err
-	}
-	_, err = engine.Gemm(e, c, a, b)
-	return err
+	return GemmT(c, a, b, false, false)
 }
 
 // GemmWithConfig computes C += A×B with an explicit CAKE configuration.
@@ -207,11 +202,7 @@ func GemmWithConfig[T Scalar](c, a, b *Matrix[T], cfg Config) (Stats, error) {
 // transB). Like Gemm it routes through the process-wide engine and is safe
 // for concurrent callers.
 func GemmT[T Scalar](c, a, b *Matrix[T], transA, transB bool) error {
-	e, err := DefaultEngine()
-	if err != nil {
-		return err
-	}
-	_, err = engine.GemmT(e, c, a, b, transA, transB)
+	_, err := GemmBatchScaled([]*Matrix[T]{c}, []*Matrix[T]{a}, []*Matrix[T]{b}, transA, transB, 1, 1)
 	return err
 }
 
@@ -292,7 +283,7 @@ var (
 	ErrOperandEvicted = engine.ErrOperandEvicted
 	// ErrOperandBudget: the operand cannot fit the resident byte budget.
 	ErrOperandBudget = engine.ErrOperandBudget
-	// ErrOperandType: EngineGemmResident with a scalar type different from
+	// ErrOperandType: a resident request with a scalar type different from
 	// the one the id was registered with.
 	ErrOperandType = engine.ErrOperandType
 )
@@ -301,21 +292,31 @@ var (
 // detects the host.
 func NewEngine(opts EngineOptions) (*Engine, error) { return engine.NewEngine(opts) }
 
+// EngineRequest is one engine request: C[i] = α·op(A[i])×op(B_i) + β·C[i]
+// for every call i, run under one admission-queue slot and one executor
+// lease with results bit-exact to issuing the calls one at a time. B is
+// either per-call matrices (B) or a resident operand id (Resident, see
+// EngineRegisterB), never both; a single GEMM is a request of one call.
+// Alpha and Beta are always applied: C += A×B is Alpha 1, Beta 1.
+type EngineRequest[T Scalar] = engine.Request[T]
+
+// EngineDo runs a request through an engine — the one GEMM entry point
+// every other engine function wraps. The request dispatches on the size
+// tier of its widest call; operands shared by consecutive calls (the same
+// *Matrix) are packed once, and a resident operand is pinned once for the
+// whole request so eviction can never split it.
+func EngineDo[T Scalar](e *Engine, r EngineRequest[T]) (Stats, error) { return engine.Do(e, r) }
+
 // EngineGemm computes C += A×B through an engine.
 func EngineGemm[T Scalar](e *Engine, c, a, b *Matrix[T]) (Stats, error) {
-	return engine.Gemm(e, c, a, b)
-}
-
-// EngineGemmScaled computes C = α·op(A)×op(B) + β·C through an engine.
-func EngineGemmScaled[T Scalar](e *Engine, c, a, b *Matrix[T], transA, transB bool, alpha, beta T) (Stats, error) {
-	return engine.GemmScaled(e, c, a, b, transA, transB, alpha, beta)
+	return engine.Do(e, EngineRequest[T]{C: []*Matrix[T]{c}, A: []*Matrix[T]{a}, B: []*Matrix[T]{b}, Alpha: 1, Beta: 1})
 }
 
 // StridedBatch describes a uniform batched GEMM whose operands sit at
 // constant element strides in flat backing slices (call i's A starts at
 // i·StrideA, and so on — the im2col / attention layout). A zero stride
 // shares that operand across the whole batch, which the batch path packs
-// exactly once.
+// exactly once. Its Matrices method yields an EngineRequest's C, A and B.
 type StridedBatch[T Scalar] = engine.StridedBatch[T]
 
 // ErrBatchShape: batch call slices empty or of mismatched lengths.
@@ -327,11 +328,7 @@ var ErrBatchShape = core.ErrBatchShape
 // (the same *Matrix pointer) are packed once. Results are bit-exact with
 // looping Gemm over the calls.
 func GemmBatch[T Scalar](cs, as, bs []*Matrix[T]) (Stats, error) {
-	e, err := DefaultEngine()
-	if err != nil {
-		return Stats{}, err
-	}
-	return engine.GemmBatch(e, cs, as, bs)
+	return GemmBatchScaled(cs, as, bs, false, false, 1, 1)
 }
 
 // GemmBatchScaled computes C[i] = α·op(A[i])×op(B[i]) + β·C[i] for every i
@@ -342,25 +339,7 @@ func GemmBatchScaled[T Scalar](cs, as, bs []*Matrix[T], transA, transB bool, alp
 	if err != nil {
 		return Stats{}, err
 	}
-	return engine.GemmBatchScaled(e, cs, as, bs, transA, transB, alpha, beta)
-}
-
-// EngineGemmBatch computes C[i] += A[i]×B[i] for every i through an engine
-// as one request (one admission, one lease, shared operands packed once).
-func EngineGemmBatch[T Scalar](e *Engine, cs, as, bs []*Matrix[T]) (Stats, error) {
-	return engine.GemmBatch(e, cs, as, bs)
-}
-
-// EngineGemmBatchScaled computes C[i] = α·op(A[i])×op(B[i]) + β·C[i] for
-// every i through an engine as one request.
-func EngineGemmBatchScaled[T Scalar](e *Engine, cs, as, bs []*Matrix[T], transA, transB bool, alpha, beta T) (Stats, error) {
-	return engine.GemmBatchScaled(e, cs, as, bs, transA, transB, alpha, beta)
-}
-
-// EngineGemmBatchStrided computes C[i] = α·A[i]×B[i] + β·C[i] over a strided
-// batch layout as one engine request (see StridedBatch).
-func EngineGemmBatchStrided[T Scalar](e *Engine, sb StridedBatch[T], alpha, beta T) (Stats, error) {
-	return engine.GemmBatchStrided(e, sb, alpha, beta)
+	return engine.Do(e, EngineRequest[T]{C: cs, A: as, B: bs, TransA: transA, TransB: transB, Alpha: alpha, Beta: beta})
 }
 
 // EngineGemmBatchResident computes C[i] += A[i]×B_id for every i against a
@@ -368,21 +347,15 @@ func EngineGemmBatchStrided[T Scalar](e *Engine, sb StridedBatch[T], alpha, beta
 // the first call and released after the last, so eviction can never split a
 // batch, and no call pays B packing.
 func EngineGemmBatchResident[T Scalar](e *Engine, cs, as []*Matrix[T], id string) (Stats, error) {
-	return engine.GemmBatchResident(e, cs, as, id)
-}
-
-// EngineGemmBatchResidentScaled computes C[i] = α·op(A[i])×B_id + β·C[i]
-// against a resident operand as one engine request.
-func EngineGemmBatchResidentScaled[T Scalar](e *Engine, cs, as []*Matrix[T], id string, transA bool, alpha, beta T) (Stats, error) {
-	return engine.GemmBatchResidentScaled(e, cs, as, id, transA, alpha, beta)
+	return engine.Do(e, EngineRequest[T]{C: cs, A: as, Resident: id, Alpha: 1, Beta: 1})
 }
 
 // EngineRegisterB packs the weight operand B (stored K×N) once into the
 // engine's per-tier CAKE panel layouts and keeps the panels resident across
 // requests under the engine's byte budget (EngineOptions.ResidentBudgetBytes,
-// strict LRU eviction of unpinned operands). Serving calls against the id
-// via EngineGemmResident skip B packing entirely — the weights-serving
-// pattern of the paper's DNN-inference motivation. A live id fails with
+// strict LRU eviction of unpinned operands). Requests naming the id as their
+// Resident B source skip B packing entirely — the weights-serving pattern of
+// the paper's DNN-inference motivation. A live id fails with
 // ErrOperandExists; EngineReleaseB first to replace it.
 func EngineRegisterB[T Scalar](e *Engine, id string, b *Matrix[T]) error {
 	return engine.RegisterB(e, id, b)
@@ -406,13 +379,7 @@ func EngineReleaseB(e *Engine, id string) error { return e.ReleaseB(id) }
 // re-packing B. A registered id that was evicted under budget pressure fails
 // with ErrOperandEvicted (re-register and retry).
 func EngineGemmResident[T Scalar](e *Engine, c, a *Matrix[T], id string) (Stats, error) {
-	return engine.GemmResident(e, c, a, id)
-}
-
-// EngineGemmResidentScaled computes C = α·op(A)×B_id + β·C against a
-// resident operand.
-func EngineGemmResidentScaled[T Scalar](e *Engine, c, a *Matrix[T], id string, transA bool, alpha, beta T) (Stats, error) {
-	return engine.GemmResidentScaled(e, c, a, id, transA, alpha, beta)
+	return engine.Do(e, EngineRequest[T]{C: []*Matrix[T]{c}, A: []*Matrix[T]{a}, Resident: id, Alpha: 1, Beta: 1})
 }
 
 func elemSize[T Scalar](v T) int {

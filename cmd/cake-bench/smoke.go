@@ -26,26 +26,26 @@ import (
 // recorder, tier histograms, and SLO windows all have real traffic.
 func smokeWorkload(e *engine.Engine) error {
 	rng := rand.New(rand.NewSource(11))
-	mk := func(m, k int) *matrix.Matrix[float32] {
+	mk := func(m, k int) []*matrix.Matrix[float32] {
 		x := matrix.New[float32](m, k)
 		x.Randomize(rng)
-		return x
+		return []*matrix.Matrix[float32]{x}
 	}
 	shapes := [][3]int{{16, 16, 16}, {64, 48, 80}, {220, 180, 240}, {500, 400, 500}}
 	for round := 0; round < 2; round++ {
 		for _, sh := range shapes {
 			m, k, n := sh[0], sh[1], sh[2]
-			c := matrix.New[float32](m, n)
-			if _, err := engine.GemmScaledFor(e, "smoke", c, mk(m, k), mk(k, n), false, false, 1, 0); err != nil {
+			r := engine.Request[float32]{Tenant: "smoke", C: mk(m, n), A: mk(m, k), B: mk(k, n), Alpha: 1}
+			if _, err := engine.Do(e, r); err != nil {
 				return err
 			}
 		}
 	}
 	const id = "smoke-weights"
-	if err := engine.RegisterB(e, id, mk(48, 56)); err != nil {
+	if err := engine.RegisterB(e, id, mk(48, 56)[0]); err != nil {
 		return err
 	}
-	if _, err := engine.GemmResidentScaledFor(e, "smoke", matrix.New[float32](32, 56), mk(32, 48), id, false, 1, 0); err != nil {
+	if _, err := engine.Do(e, engine.Request[float32]{Tenant: "smoke", C: mk(32, 56), A: mk(32, 48), Resident: id, Alpha: 1}); err != nil {
 		return err
 	}
 	return nil

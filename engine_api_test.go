@@ -49,14 +49,15 @@ func TestNewEnginePublicSurface(t *testing.T) {
 	a.Randomize(rng)
 	b.Randomize(rng)
 	c := NewMatrix[float64](20, 20)
-	if _, err := EngineGemmScaled(e, c, a, b, false, false, 2, 0); err != nil {
+	r := EngineRequest[float64]{C: []*Matrix[float64]{c}, A: []*Matrix[float64]{a}, B: []*Matrix[float64]{b}, Alpha: 2}
+	if _, err := EngineDo(e, r); err != nil {
 		t.Fatal(err)
 	}
 	want := NewMatrix[float64](20, 20)
 	NaiveGemm(want, a, b)
 	want.Scale(2)
 	if !c.AlmostEqual(want, 20, 1e-12) {
-		t.Fatal("EngineGemmScaled wrong")
+		t.Fatal("EngineDo α=2 β=0 wrong")
 	}
 	if tier := e.TierFor(8, 8, 8, 4); tier != TierTiny {
 		t.Fatalf("8³ = %v, want TierTiny", tier)

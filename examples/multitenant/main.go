@@ -178,8 +178,10 @@ func serveLive(pl *platform.Platform, plan tenant.Plan, addr string) error {
 			c := matrix.New[float32](m, n)
 			a.Randomize(rng)
 			b.Randomize(rng)
+			r := engine.Request[float32]{
+				C: []*matrix.Matrix[float32]{c}, A: []*matrix.Matrix[float32]{a}, B: []*matrix.Matrix[float32]{b}, Alpha: 1, Beta: 1}
 			for {
-				if _, err := engine.Gemm(eng, c, a, b); err != nil {
+				if _, err := engine.Do(eng, r); err != nil {
 					errCh <- err
 					return
 				}

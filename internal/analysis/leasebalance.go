@@ -19,7 +19,7 @@ import (
 // non-deferred release — any method call on the leased value — must be
 // released in a defer: GEMM work can panic (packing layout guards do), and
 // a panic between Get and Put drops the lease on the floor. The
-// ok-flag-plus-defer pattern in engine.GemmScaled is the blessed shape.
+// ok-flag-plus-defer pattern in engine.runPooled is the blessed shape.
 //
 // The analysis is intra-procedural over the AST with a conservative path
 // walk: branches merge with logical AND (released only if released on both

@@ -155,7 +155,7 @@ func (l *Layer[T]) Forward(in *Tensor[T], exec *core.Executor[T]) (*Tensor[T], c
 }
 
 // ForwardBatch runs the layer over a batch of images as ONE batched GEMM:
-// the im2col patch matrices become the B side of a GemmBatch whose A side is
+// the im2col patch matrices become the B side of a core.Batch whose A side is
 // the layer's weight matrix repeated — literally the same *Matrix for every
 // call — so the executor packs the weights once and serves every image from
 // the panel cache. Results are bit-exact with calling Forward per image.
@@ -178,7 +178,7 @@ func (l *Layer[T]) ForwardBatch(ins []*Tensor[T], exec *core.Executor[T]) ([]*Te
 		as[i] = l.Weights
 		bs[i] = patches
 	}
-	st, err := exec.GemmBatch(cs, as, bs, false, false)
+	st, err := exec.Do(core.Batch[T]{C: cs, A: as, B: bs, Alpha: 1, Beta: 1}, nil)
 	if err != nil {
 		return nil, st, err
 	}

@@ -1,15 +1,12 @@
-// Batched execution: one single-flight admission, N multiplications. The
+// Executor requests: one single-flight acquisition, N multiplications. The
 // paper's motivating workload (Section 5: DNN inference) multiplies many
 // activation matrices against few shared weight matrices; a per-call loop
 // pays the executor's fixed costs — single-flight acquisition, buffer
 // (re)growth, panel-key invalidation and, above this layer, engine admission
-// and leasing — once per multiplication. GemmBatchScaled acquires the
-// executor once, then streams the calls through run(). A B operand shared by
-// the entire batch (pointer equality) is packed ONCE into the resident panel
-// layout and every call is served from it; operands shared only by adjacent
-// calls carry their packed panel keys forward instead. GemmBatchResident is
-// the resident-store variant: the shared B side comes pre-packed, pinned for
-// the whole batch by the caller.
+// and leasing — once per multiplication. Every executor GEMM is therefore a
+// Batch run by Do (a single GEMM is a batch of one), which acquires the
+// executor once and streams the calls through run(), with B packed per
+// call, packed once for a batch sharing one B, or pre-packed and resident.
 package core
 
 import (
@@ -24,44 +21,95 @@ import (
 // length or the batch is empty.
 var ErrBatchShape = errors.New("core: batch call slices must be non-empty and of equal length")
 
-// GemmBatch computes C[i] += op(A[i])×op(B[i]) for every i under one
-// executor acquisition. See GemmBatchScaled.
-func (e *Executor[T]) GemmBatch(cs, as, bs []*matrix.Matrix[T], transA, transB bool) (Stats, error) {
-	return e.GemmBatchScaled(cs, as, bs, transA, transB, 1, 1)
+// Batch is one executor request: C[i] = α·op(A[i])×op(B[i]) + β·C[i] for
+// every i, executed in order. B holds one matrix per call, or is nil when a
+// resident operand passed to Do serves every call. Transposes and scalars
+// are batch-uniform.
+type Batch[T matrix.Scalar] struct {
+	C, A, B        []*matrix.Matrix[T]
+	TransA, TransB bool
+	Alpha, Beta    T
 }
 
-// GemmBatchScaled computes C[i] = α·op(A[i])×op(B[i]) + β·C[i] for every i.
-// The executor is acquired once for the whole batch (a concurrent caller
-// sees ErrInUse exactly as for one long call), every call's dimensions are
-// validated before any compute starts, and calls execute in order with
-// results bit-exact to the equivalent sequence of GemmScaled calls.
+// OpDims returns the logical extents of op(x): x's own, swapped when trans.
+func OpDims[T matrix.Scalar](x *matrix.Matrix[T], trans bool) (rows, cols int) {
+	if trans {
+		return x.Cols, x.Rows
+	}
+	return x.Rows, x.Cols
+}
+
+// CheckDims validates one multiplication C = op(A)×B′ against the logical
+// kb×n right operand B′ and returns its m and k. It is the dimension check
+// every GEMM path runs.
+func CheckDims[T matrix.Scalar](c, a *matrix.Matrix[T], transA bool, kb, n int) (m, k int, err error) {
+	m, k = OpDims(a, transA)
+	if k != kb || c.Rows != m || c.Cols != n {
+		return 0, 0, fmt.Errorf("invalid GEMM dims C[%dx%d] = op(A)[%dx%d] x op(B)[%dx%d]",
+			c.Rows, c.Cols, m, k, kb, n)
+	}
+	return m, k, nil
+}
+
+// CheckSources validates a batch's slice lengths and that its right operand
+// comes from exactly one source: the per-call bs, or a shared resident
+// operand (resident reports whether one is set).
+func CheckSources[T matrix.Scalar](cs, as, bs []*matrix.Matrix[T], resident, transB bool) error {
+	switch {
+	case len(cs) == 0 || len(as) != len(cs) || bs != nil && len(bs) != len(cs):
+		return fmt.Errorf("%w: len(C)=%d len(A)=%d len(B)=%d", ErrBatchShape, len(cs), len(as), len(bs))
+	case (bs == nil) == !resident:
+		return errors.New("core: batch needs exactly one B source: per-call B matrices or a resident operand")
+	case resident && transB:
+		return errors.New("core: TransB does not apply to a resident operand (its orientation is fixed when packed)")
+	}
+	return nil
+}
+
+// dims validates call i against its B source — b.B[i], or the resident
+// operand rb — and returns the call's logical extents.
+func (b *Batch[T]) dims(i int, rb *ResidentB[T]) (m, k, n int, err error) {
+	var kb int
+	if rb != nil {
+		kb, n = rb.Dims()
+	} else {
+		kb, n = OpDims(b.B[i], b.TransB)
+	}
+	if m, k, err = CheckDims(b.C[i], b.A[i], b.TransA, kb, n); err != nil {
+		return 0, 0, 0, fmt.Errorf("core: call %d: %w", i, err)
+	}
+	return m, k, n, nil
+}
+
+// Do runs every call of b under one single-flight acquisition: a concurrent
+// caller sees ErrInUse exactly as for one long call, every call is
+// validated before any C is touched, and results are bit-exact with running
+// the calls one at a time. B comes from b.B or, when rb is non-nil, from
+// that pre-packed resident operand: its orientation was fixed when it was
+// packed, so b.TransB must be false, and it must stay alive (pinned) until
+// Do returns. The resident operand is a separate argument so that Do keeps
+// nothing of b, whose slices a caller may hold on its stack.
 //
 // When every call reuses the same B matrix (the DNN shared-weights case),
 // the batch packs it once into the resident panel layout and serves all N
 // calls from it: Stats.PackedBElems carries the one pack, ReusedBElems the
-// N−1 elided ones, SharedBPacks the sharing calls. When an operand is shared
-// only between adjacent calls, its packed panel keys survive into the next
-// call instead (ReusedAElems/ReusedBElems count whatever the panel cache
-// could hold onto).
-func (e *Executor[T]) GemmBatchScaled(cs, as, bs []*matrix.Matrix[T], transA, transB bool, alpha, beta T) (Stats, error) {
-	if len(cs) == 0 || len(as) != len(cs) || len(bs) != len(cs) {
-		return Stats{}, fmt.Errorf("%w: len(C)=%d len(A)=%d len(B)=%d", ErrBatchShape, len(cs), len(as), len(bs))
+// N−1 elided ones. When an operand is shared only between adjacent calls,
+// its packed panel keys survive into the next call instead
+// (ReusedAElems/ReusedBElems count whatever the panel cache could hold
+// onto). A resident operand is never packed; its traffic is ResidentBElems.
+func (e *Executor[T]) Do(b Batch[T], rb *ResidentB[T]) (Stats, error) {
+	if err := CheckSources(b.C, b.A, b.B, rb != nil, b.TransB); err != nil {
+		return Stats{}, err
 	}
-	dims := make([][3]int, len(cs))
-	for i := range cs {
-		m, k := as[i].Rows, as[i].Cols
-		if transA {
-			m, k = k, m
+	if rb != nil {
+		if err := rb.CompatibleWith(e.cfg); err != nil {
+			return Stats{}, err
 		}
-		kb, n := bs[i].Rows, bs[i].Cols
-		if transB {
-			kb, n = n, kb
+	}
+	for i := range b.C {
+		if _, _, _, err := b.dims(i, rb); err != nil {
+			return Stats{}, err
 		}
-		if k != kb || cs[i].Rows != m || cs[i].Cols != n {
-			return Stats{}, fmt.Errorf("core: invalid GEMM dims in batch call %d: C[%dx%d] = op(A)[%dx%d] x op(B)[%dx%d]",
-				i, cs[i].Rows, cs[i].Cols, m, k, kb, n)
-		}
-		dims[i] = [3]int{m, k, n}
 	}
 	if !e.inUse.CompareAndSwap(false, true) {
 		return Stats{}, ErrInUse
@@ -74,104 +122,43 @@ func (e *Executor[T]) GemmBatchScaled(cs, as, bs []*matrix.Matrix[T], transA, tr
 	// resident layout — the same bytes the per-call pack would produce, so
 	// results stay bit-exact — and serve all N calls from it. (With α = 0
 	// the multiply never reads B; skip the pack.)
-	sharedB := len(cs) > 1 && alpha != 0
-	for i := 1; sharedB && i < len(bs); i++ {
-		sharedB = bs[i] == bs[0]
+	sharedB := rb == nil && len(b.C) > 1 && b.Alpha != 0
+	for i := 1; sharedB && i < len(b.B); i++ {
+		sharedB = b.B[i] == b.B[0]
 	}
+	var packNanos int64
 	if sharedB {
 		t0 := time.Now()
-		rb, err := PackResidentB(e.cfg, bs[0], transB)
-		if err != nil {
+		var err error
+		if rb, err = PackResidentB(e.cfg, b.B[0], b.TransB); err != nil {
 			return Stats{}, fmt.Errorf("core: batch shared-B pack: %w", err)
 		}
-		packNanos := time.Since(t0).Nanoseconds()
-		agg, err := e.batchResidentLoop(cs, as, rb, transA, alpha, beta)
-		agg.BatchCalls = len(cs)
-		agg.SharedBPacks = len(cs) - 1
+		packNanos = time.Since(t0).Nanoseconds()
+		b.B, b.TransB = nil, false
+	}
+
+	agg, err := e.loop(&b, rb)
+	agg.BatchCalls = len(b.C)
+	if rb != nil {
+		agg.SharedBPacks = len(b.C) - 1
+	}
+	if sharedB {
 		// Re-bucket the accounting to what physically happened: one real
 		// pack (charged to the batch), N−1 packs elided by batch-local
 		// reuse; "resident" stays reserved for cross-request residency.
-		perCall := agg.ResidentBElems / int64(len(cs))
+		perCall := agg.ResidentBElems / int64(len(b.C))
 		agg.PackedBElems += perCall
 		agg.ReusedBElems += agg.ResidentBElems - perCall
 		agg.ResidentBElems = 0
 		agg.PackNanos += packNanos
-		if err != nil {
-			return agg, err
-		}
-		return agg, nil
 	}
-
-	e.transA, e.transB, e.alpha = transA, transB, alpha
-	e.resB = nil
-	defer func() { e.keepA, e.keepB = false, false }()
-
-	var agg Stats
-	for i := range cs {
-		// Panel keys are only meaningful against one operand set; carry an
-		// operand's keys forward only when the next call reuses the *same*
-		// matrix (identical pointer ⇒ identical packed bytes for identical
-		// coordinates — transposes and α are batch-uniform).
-		e.keepA = i > 0 && as[i] == as[i-1]
-		e.keepB = i > 0 && bs[i] == bs[i-1]
-		if e.keepB {
-			agg.SharedBPacks++
-		}
-		st, err := e.run(cs[i], as[i], bs[i], dims[i][0], dims[i][1], dims[i][2], alpha, beta)
-		if err != nil {
-			return agg, fmt.Errorf("core: batch call %d: %w", i, err)
-		}
-		agg.Add(st)
-	}
-	agg.BatchCalls = len(cs)
-	return agg, nil
-}
-
-// GemmBatchResident computes C[i] = α·op(A[i])×B + β·C[i] for every i, with
-// the shared B side served from a pre-packed resident operand for the whole
-// batch — the batched form of GemmResident. rb must be compatible with the
-// executor's configuration and stay alive (pinned) until the call returns;
-// every call's k and n must match rb's dimensions.
-func (e *Executor[T]) GemmBatchResident(cs, as []*matrix.Matrix[T], rb *ResidentB[T], transA bool, alpha, beta T) (Stats, error) {
-	if len(cs) == 0 || len(as) != len(cs) {
-		return Stats{}, fmt.Errorf("%w: len(C)=%d len(A)=%d", ErrBatchShape, len(cs), len(as))
-	}
-	if rb == nil {
-		return Stats{}, fmt.Errorf("core: GemmBatchResident with nil resident operand")
-	}
-	if err := rb.CompatibleWith(e.cfg); err != nil {
-		return Stats{}, err
-	}
-	rk, rn := rb.Dims()
-	for i := range cs {
-		m, k := as[i].Rows, as[i].Cols
-		if transA {
-			m, k = k, m
-		}
-		if k != rk || cs[i].Rows != m || cs[i].Cols != rn {
-			return Stats{}, fmt.Errorf("core: invalid resident GEMM dims in batch call %d: C[%dx%d] = op(A)[%dx%d] x resident B[%dx%d]",
-				i, cs[i].Rows, cs[i].Cols, m, k, rk, rn)
-		}
-	}
-	if !e.inUse.CompareAndSwap(false, true) {
-		return Stats{}, ErrInUse
-	}
-	defer e.inUse.Store(false)
-
-	agg, err := e.batchResidentLoop(cs, as, rb, transA, alpha, beta)
-	agg.BatchCalls = len(cs)
-	agg.SharedBPacks = len(cs) - 1
 	return agg, err
 }
 
-// batchResidentLoop streams validated batch calls through run() with rb as
-// the B side. Callers hold the single-flight guard and have validated every
-// call's dimensions against rb.
-func (e *Executor[T]) batchResidentLoop(cs, as []*matrix.Matrix[T], rb *ResidentB[T], transA bool, alpha, beta T) (Stats, error) {
-	rk, rn := rb.Dims()
-	// The resident pack already applied any B transpose, so the loop runs
-	// with transB unset regardless of how the caller's B was oriented.
-	e.transA, e.transB, e.alpha = transA, false, alpha
+// loop streams a validated batch through run() under the single-flight
+// guard, with B from rb when set and from b.B otherwise.
+func (e *Executor[T]) loop(b *Batch[T], rb *ResidentB[T]) (Stats, error) {
+	e.transA, e.transB, e.alpha = b.TransA, b.TransB, b.Alpha
 	e.resB = rb
 	defer func() {
 		e.resB = nil
@@ -179,14 +166,25 @@ func (e *Executor[T]) batchResidentLoop(cs, as []*matrix.Matrix[T], rb *Resident
 	}()
 
 	var agg Stats
-	for i := range cs {
-		// The resident path holds no B slots at all, so only the A-side keys
-		// are worth carrying across calls (shared A is rare here but free to
-		// honour). B reuse is accounted as ResidentBElems by the run itself.
-		e.keepA = i > 0 && as[i] == as[i-1]
-		st, err := e.run(cs[i], as[i], nil, cs[i].Rows, rk, rn, alpha, beta)
+	for i := range b.C {
+		m, k, n, _ := b.dims(i, rb) // validated by Do
+		// Panel keys are only meaningful against one operand set; carry an
+		// operand's keys forward only when the next call reuses the *same*
+		// matrix (identical pointer ⇒ identical packed bytes for identical
+		// coordinates — transposes and α are batch-uniform). The resident
+		// path holds no B slots, so only its A keys are worth carrying.
+		e.keepA = i > 0 && b.A[i] == b.A[i-1]
+		var bi *matrix.Matrix[T]
+		if rb == nil {
+			bi = b.B[i]
+			e.keepB = i > 0 && bi == b.B[i-1]
+			if e.keepB {
+				agg.SharedBPacks++
+			}
+		}
+		st, err := e.run(b.C[i], b.A[i], bi, m, k, n, b.Alpha, b.Beta)
 		if err != nil {
-			return agg, fmt.Errorf("core: resident batch call %d: %w", i, err)
+			return agg, fmt.Errorf("core: batch call %d: %w", i, err)
 		}
 		agg.Add(st)
 	}

@@ -49,7 +49,7 @@ func TestExecutorGemmBatchBitExact(t *testing.T) {
 			cBatch[i].Randomize(rng)
 			cSeq[i] = cBatch[i].Clone()
 		}
-		st, err := e.GemmBatchScaled(cBatch, as, bs, false, false, 1.5, -0.5)
+		st, err := e.Do(Batch[float64]{C: cBatch, A: as, B: bs, Alpha: 1.5, Beta: -0.5}, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -73,7 +73,7 @@ func TestExecutorGemmBatchBitExact(t *testing.T) {
 }
 
 // TestExecutorGemmBatchResident: the core resident batch must match the
-// sequential GemmResident loop bit for bit and account every call's B side
+// sequential loop of resident batches of one bit for bit and account every call's B side
 // as resident traffic.
 func TestExecutorGemmBatchResident(t *testing.T) {
 	e := batchTestExec(t, true)
@@ -94,7 +94,7 @@ func TestExecutorGemmBatchResident(t *testing.T) {
 		cBatch[i] = matrix.New[float64](m, n)
 		cSeq[i] = matrix.New[float64](m, n)
 	}
-	st, err := e.GemmBatchResident(cBatch, as, rb, false, 1, 0)
+	st, err := e.Do(Batch[float64]{C: cBatch, A: as, Alpha: 1}, rb)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -102,7 +102,7 @@ func TestExecutorGemmBatchResident(t *testing.T) {
 		t.Fatalf("resident batch stats %+v", st)
 	}
 	for i := range as {
-		if _, err := e.GemmResident(cSeq[i], as[i], rb, false, 1, 0); err != nil {
+		if _, err := e.Do(Batch[float64]{C: cSeq[i : i+1], A: as[i : i+1], Alpha: 1}, rb); err != nil {
 			t.Fatal(err)
 		}
 		for j := range cBatch[i].Data {
@@ -125,10 +125,10 @@ func TestGemmBatchSingleFlight(t *testing.T) {
 	b.Randomize(rng)
 	c := matrix.New[float64](24, 24)
 
-	if _, err := e.GemmBatchScaled(nil, nil, nil, false, false, 1, 1); !errors.Is(err, ErrBatchShape) {
+	if _, err := e.Do(Batch[float64]{Alpha: 1, Beta: 1}, nil); !errors.Is(err, ErrBatchShape) {
 		t.Fatalf("empty batch: %v", err)
 	}
-	if _, err := e.GemmBatchResident(nil, nil, nil, false, 1, 1); !errors.Is(err, ErrBatchShape) {
+	if _, err := e.Do(Batch[float64]{Alpha: 1, Beta: 1}, new(ResidentB[float64])); !errors.Is(err, ErrBatchShape) {
 		t.Fatalf("empty resident batch: %v", err)
 	}
 
@@ -137,8 +137,8 @@ func TestGemmBatchSingleFlight(t *testing.T) {
 	if !e.inUse.CompareAndSwap(false, true) {
 		t.Fatal("executor unexpectedly busy")
 	}
-	_, err := e.GemmBatch(
-		[]*matrix.Matrix[float64]{c}, []*matrix.Matrix[float64]{a}, []*matrix.Matrix[float64]{b}, false, false)
+	_, err := e.Do(Batch[float64]{
+		C: []*matrix.Matrix[float64]{c}, A: []*matrix.Matrix[float64]{a}, B: []*matrix.Matrix[float64]{b}, Alpha: 1, Beta: 1}, nil)
 	if !errors.Is(err, ErrInUse) {
 		t.Fatalf("busy executor: %v, want ErrInUse", err)
 	}
@@ -149,7 +149,7 @@ func TestGemmBatchSingleFlight(t *testing.T) {
 	// single call against a fresh executor.
 	bs2 := []*matrix.Matrix[float64]{b, b}
 	cs2 := []*matrix.Matrix[float64]{matrix.New[float64](24, 24), matrix.New[float64](24, 24)}
-	if _, err := e.GemmBatch([]*matrix.Matrix[float64]{cs2[0], cs2[1]}, []*matrix.Matrix[float64]{a, a}, bs2, false, false); err != nil {
+	if _, err := e.Do(Batch[float64]{C: cs2, A: []*matrix.Matrix[float64]{a, a}, B: bs2, Alpha: 1, Beta: 1}, nil); err != nil {
 		t.Fatal(err)
 	}
 	a2 := matrix.New[float64](24, 24)
@@ -197,7 +197,7 @@ func TestGemmBatchConcurrentErrInUse(t *testing.T) {
 			for i := range cs {
 				cs[i] = matrix.New[float64](32, 32)
 			}
-			_, err := e.GemmBatch(cs, as, bs, false, false)
+			_, err := e.Do(Batch[float64]{C: cs, A: as, B: bs, Alpha: 1, Beta: 1}, nil)
 			mu.Lock()
 			defer mu.Unlock()
 			switch {

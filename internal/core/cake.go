@@ -27,7 +27,7 @@ type Stats struct {
 	ReusedAElems int64          // A elements served from an already-packed panel
 	ReusedBElems int64          // B elements served from an already-packed panel
 	// ResidentBElems counts B elements served from a pre-packed resident
-	// operand (GemmResident): pack traffic the resident store avoided, kept
+	// operand (see Executor.Do): pack traffic the resident store avoided, kept
 	// separate from ReusedBElems so per-call panel-cache hits and
 	// cross-request residency are attributable individually (§4.4).
 	ResidentBElems int64
@@ -39,8 +39,8 @@ type Stats struct {
 	ComputeNanos int64 // macro-kernel execution
 	OverlapNanos int64 // wall time pack jobs ran concurrently with compute
 
-	// Batch aggregation (GemmBatchScaled and friends): BatchCalls is how many
-	// GEMM calls were folded into this Stats (0 for single-call entry points);
+	// Batch aggregation: BatchCalls is how many GEMM calls were folded into
+	// this Stats (every executor request is a Batch, so a single GEMM is 1);
 	// SharedBPacks counts the calls after the first that were served against a
 	// B operand shared with their predecessor, i.e. calls whose B pack the
 	// batch-local panel reuse could skip. The elements actually skipped appear
@@ -162,31 +162,31 @@ type Executor[T matrix.Scalar] struct {
 	packCtx, computeCtx, moveCtx context.Context
 	curBlk                       obs.Block
 
-	// Per-call operand orientation and scaling (set by GemmScaled for the
-	// duration of one multiplication). The executor is single-flight: inUse
-	// guards the packing buffers and per-call fields, and a concurrent Gemm
-	// call fails fast with ErrInUse instead of silently corrupting them.
+	// Per-call operand orientation and scaling (set by Do for the duration
+	// of one request). The executor is single-flight: inUse guards the
+	// packing buffers and per-call fields, and a concurrent Gemm call fails
+	// fast with ErrInUse instead of silently corrupting them.
 	// Callers that need concurrency lease one executor per in-flight call
 	// (see internal/engine).
 	inUse          atomic.Bool
 	transA, transB bool
 	alpha          T
-	// keepA/keepB let a batch loop (GemmBatchScaled) carry an operand's
-	// panel keys across calls: when set, invalidateSlots preserves that
-	// operand's keys so panels packed for the previous call are reused. Only
+	// keepA/keepB let the batch loop (Do) carry an operand's panel keys
+	// across calls: when set, invalidateSlots preserves that operand's keys
+	// so panels packed for the previous call are reused. Only
 	// sound when the kept operand (pointer, transpose, and for A the α fold)
 	// is identical to the previous call's — the batch loop enforces that via
-	// pointer equality. Single-call entry points leave both false, restoring
-	// the per-call key scope.
+	// pointer equality. The first call of every batch leaves both false,
+	// restoring the per-call key scope.
 	keepA, keepB bool
 	// resB, when non-nil, feeds the B side of the in-flight call from
-	// pre-packed resident panels instead of packing (see GemmResident); the
-	// fresh-pack entry points leave it nil.
+	// pre-packed resident panels instead of packing (see Do); fresh-pack
+	// requests leave it nil.
 	resB *ResidentB[T]
 }
 
-// ErrInUse is returned by GemmScaled (and the entry points layered on it)
-// when a Gemm is started on an executor that is already running one.
+// ErrInUse is returned by Do (and the entry points layered on it) when a
+// Gemm is started on an executor that is already running one.
 // Executors are single-flight by design — packing buffers, panel keys and
 // per-call scaling state are owned by the in-flight call — so concurrent
 // callers must use separate executors (internal/engine leases them).
@@ -282,35 +282,19 @@ func (e *Executor[T]) GemmT(c, a, b *matrix.Matrix[T], transA, transB bool) (Sta
 	return e.GemmScaled(c, a, b, transA, transB, 1, 1)
 }
 
-// GemmScaled computes the full BLAS gemm update C = α·op(A)×op(B) + β·C.
-// β scales C once up front (β = 0 clears it without reading); α is folded
-// into the packed A panels, so the hot loops are untouched when α = 1.
+// GemmScaled computes the full BLAS gemm update C = α·op(A)×op(B) + β·C as
+// a batch of one (see Do). β scales C once up front (β = 0 clears it
+// without reading); α is folded into the packed A panels, so the hot loops
+// are untouched when α = 1.
 func (e *Executor[T]) GemmScaled(c, a, b *matrix.Matrix[T], transA, transB bool, alpha, beta T) (Stats, error) {
-	m, k := a.Rows, a.Cols
-	if transA {
-		m, k = k, m
-	}
-	kb, n := b.Rows, b.Cols
-	if transB {
-		kb, n = n, kb
-	}
-	if k != kb || c.Rows != m || c.Cols != n {
-		return Stats{}, fmt.Errorf("core: invalid GEMM dims C[%dx%d] = op(A)[%dx%d] x op(B)[%dx%d]",
-			c.Rows, c.Cols, m, k, kb, n)
-	}
-	if !e.inUse.CompareAndSwap(false, true) {
-		return Stats{}, ErrInUse
-	}
-	defer e.inUse.Store(false)
-	e.transA, e.transB, e.alpha = transA, transB, alpha
-	e.resB = nil
-	return e.run(c, a, b, m, k, n, alpha, beta)
+	return e.Do(Batch[T]{C: []*matrix.Matrix[T]{c}, A: []*matrix.Matrix[T]{a}, B: []*matrix.Matrix[T]{b},
+		TransA: transA, TransB: transB, Alpha: alpha, Beta: beta}, nil)
 }
 
 // run executes one admitted multiplication. Dimensions are pre-validated and
-// the per-call fields (transposes, α, resB) are set by the entry points;
-// b is nil on the resident path, where e.resB supplies every B panel and no
-// B packing code runs.
+// the per-call fields (transposes, α, resB) are set by Do's loop; b is nil
+// on the resident path, where e.resB supplies every B panel and no B
+// packing code runs.
 func (e *Executor[T]) run(c, a, b *matrix.Matrix[T], m, k, n int, alpha, beta T) (Stats, error) {
 	if e.rec != nil {
 		// Traced spans double as phase-latency histogram samples when the

@@ -24,7 +24,7 @@ import (
 )
 
 // panelKey identifies the logical sub-panel a packing-buffer slot holds
-// within one GemmScaled call. Operands, transposes and α are fixed for the
+// within one call of a batch. Operands, transposes and α are fixed for the
 // duration of a call and every key is invalidated when the next call
 // starts, so block coordinates fully determine packed content.
 type panelKey struct {

@@ -9,7 +9,6 @@
 package core
 
 import (
-	"errors"
 	"fmt"
 	"unsafe"
 
@@ -22,7 +21,7 @@ import (
 // a specific Config. Cells are immutable after PackResidentB returns and may
 // be read by any number of executors concurrently; lifetime (pinning,
 // eviction) is the caller's problem — the executor only borrows cells for
-// the duration of one GemmResident call.
+// the duration of one Do call.
 type ResidentB[T matrix.Scalar] struct {
 	layout packing.BGridLayout
 	dim    ComputeDim
@@ -107,35 +106,4 @@ func (e *Executor[T]) residentCell(coord obs.Block) []T {
 		return nil
 	}
 	return e.resB.cell(int(coord.K), int(coord.N))
-}
-
-// GemmResident computes C = α·op(A)×B + β·C against a pre-packed resident B,
-// skipping B packing entirely: blocks read panel cells straight out of rb.
-// Results are bit-exact with GemmScaled over the same operand — the strip
-// decomposition, offsets and accumulation order are unchanged, only the
-// bytes' provenance differs.
-func (e *Executor[T]) GemmResident(c, a *matrix.Matrix[T], rb *ResidentB[T], transA bool, alpha, beta T) (Stats, error) {
-	if rb == nil {
-		return Stats{}, errors.New("core: GemmResident requires a resident B operand")
-	}
-	if err := rb.CompatibleWith(e.cfg); err != nil {
-		return Stats{}, err
-	}
-	m, k := a.Rows, a.Cols
-	if transA {
-		m, k = k, m
-	}
-	bk, bn := rb.Dims()
-	if k != bk || c.Rows != m || c.Cols != bn {
-		return Stats{}, fmt.Errorf("core: invalid GEMM dims C[%dx%d] = op(A)[%dx%d] x residentB[%dx%d]",
-			c.Rows, c.Cols, m, k, bk, bn)
-	}
-	if !e.inUse.CompareAndSwap(false, true) {
-		return Stats{}, ErrInUse
-	}
-	defer e.inUse.Store(false)
-	e.transA, e.transB, e.alpha = transA, false, alpha
-	e.resB = rb
-	defer func() { e.resB = nil }()
-	return e.run(c, a, nil, m, k, bn, alpha, beta)
 }

@@ -19,6 +19,12 @@ func transpose[T matrix.Scalar](m *matrix.Matrix[T]) *matrix.Matrix[T] {
 	return t
 }
 
+// residentCall is the batch of one C += A×rb, with B left to the resident
+// operand passed to Do.
+func residentCall[T matrix.Scalar](c, a *matrix.Matrix[T]) Batch[T] {
+	return Batch[T]{C: []*matrix.Matrix[T]{c}, A: []*matrix.Matrix[T]{a}, Alpha: 1, Beta: 1}
+}
+
 // checkResidentBitExact runs the same problem through the fresh-pack path
 // and the resident path on identically configured executors and demands
 // bit-identical output — the strip decomposition and reduction order are
@@ -65,7 +71,7 @@ func checkResidentBitExact[T matrix.Scalar](t *testing.T, cfg Config, m, k, n in
 	if err != nil {
 		t.Fatalf("fresh: %v", err)
 	}
-	stRes, err := res.GemmResident(c1, a, rb, transA, alpha, beta)
+	stRes, err := res.Do(Batch[T]{C: []*matrix.Matrix[T]{c1}, A: []*matrix.Matrix[T]{a}, TransA: transA, Alpha: alpha, Beta: beta}, rb)
 	if err != nil {
 		t.Fatalf("resident: %v", err)
 	}
@@ -150,10 +156,10 @@ func TestGemmResidentRejectsMismatches(t *testing.T) {
 	defer e.Close()
 	a := matrix.New[float64](16, 32)
 	c := matrix.New[float64](16, 32)
-	if _, err := e.GemmResident(c, a, rb, false, 1, 1); err == nil {
+	if _, err := e.Do(residentCall(c, a), rb); err == nil {
 		t.Fatal("layout mismatch accepted")
 	}
-	if _, err := e.GemmResident(c, a, nil, false, 1, 1); err == nil {
+	if _, err := e.Do(residentCall(c, a), nil); err == nil {
 		t.Fatal("nil resident operand accepted")
 	}
 	eN, err := NewExecutor[float64](cfgN, nil)
@@ -162,7 +168,7 @@ func TestGemmResidentRejectsMismatches(t *testing.T) {
 	}
 	defer eN.Close()
 	bad := matrix.New[float64](16, 48) // wrong K for the operand
-	if _, err := eN.GemmResident(c, bad, rb, false, 1, 1); err == nil {
+	if _, err := eN.Do(residentCall(c, bad), rb); err == nil {
 		t.Fatal("dimension mismatch accepted")
 	}
 }
@@ -185,7 +191,7 @@ func TestGemmResidentSingleFlight(t *testing.T) {
 	}
 	a := matrix.New[float64](16, 16)
 	c := matrix.New[float64](16, 16)
-	if _, err := e.GemmResident(c, a, rb, false, 1, 1); !errors.Is(err, ErrInUse) {
+	if _, err := e.Do(residentCall(c, a), rb); !errors.Is(err, ErrInUse) {
 		t.Fatalf("err = %v, want ErrInUse", err)
 	}
 	e.inUse.Store(false)
@@ -211,7 +217,7 @@ func TestGemmResidentThenFresh(t *testing.T) {
 		t.Fatal(err)
 	}
 	c0, c1 := matrix.New[float64](m, n), matrix.New[float64](m, n)
-	if _, err := e.GemmResident(c0, a, rb, false, 1, 1); err != nil {
+	if _, err := e.Do(residentCall(c0, a), rb); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := e.Gemm(c1, a, b); err != nil {

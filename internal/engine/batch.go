@@ -1,99 +1,13 @@
-// Batched engine requests: one admission-queue slot, one executor lease, N
-// multiplications. The paper's serving workload (DNN inference, Section 5)
-// issues many uniform GEMMs against shared weights; dispatching them one by
-// one pays admission, leasing and packing per call. GemmBatch classifies the
-// whole batch once (by its widest call), admits it as a single request on
-// that tier's core slice, leases one executor (or direct scratch) for the
-// batch's lifetime, and streams the calls through core's batch loop, which
-// carries shared-operand packed panels across calls. The flight recorder
-// sees ONE record per batch, carrying the call count and the amortized
-// per-call latency.
+// Strided batches: the im2col / attention layout, where a batch's operands
+// sit at constant element strides in flat backing slices. Matrices turns one
+// into the per-call views a Request takes.
 package engine
 
 import (
 	"fmt"
-	"time"
-	"unsafe"
 
-	"repro/internal/core"
 	"repro/internal/matrix"
-	"repro/internal/obs/reqtrace"
 )
-
-// GemmBatch computes C[i] += A[i]×B[i] for every i as one engine request.
-func GemmBatch[T matrix.Scalar](e *Engine, cs, as, bs []*matrix.Matrix[T]) (core.Stats, error) {
-	return GemmBatchScaled(e, cs, as, bs, false, false, 1, 1)
-}
-
-// GemmBatchScaled computes C[i] = α·op(A[i])×op(B[i]) + β·C[i] for every i
-// as one engine request: one admission, one lease, calls executed in order
-// with results bit-exact to the equivalent sequence of GemmScaled calls.
-// Transposes and scalars are batch-uniform. The batch dispatches on the
-// tier of its widest call, so a ragged final batch never lands a too-large
-// call on a too-small tier.
-func GemmBatchScaled[T matrix.Scalar](e *Engine, cs, as, bs []*matrix.Matrix[T], transA, transB bool, alpha, beta T) (core.Stats, error) {
-	return GemmBatchScaledFor(e, "", cs, as, bs, transA, transB, alpha, beta)
-}
-
-// GemmBatchScaledFor is GemmBatchScaled with a tenant label (see
-// GemmScaledFor). The one-per-batch request record carries the label, the
-// first call's dimensions, the call count and the amortized per-call
-// latency.
-func GemmBatchScaledFor[T matrix.Scalar](e *Engine, tenantLabel string, cs, as, bs []*matrix.Matrix[T], transA, transB bool, alpha, beta T) (core.Stats, error) {
-	start := time.Now()
-	rec := reqtrace.Record{
-		ID:      e.trace.NextID(),
-		StartNs: start.UnixNano(),
-		Tenant:  tenantLabel,
-		Outcome: reqtrace.OutcomeUnset,
-	}
-	st, err := gemmBatch(e, &rec, cs, as, bs, transA, transB, alpha, beta)
-	e.finishRecord(&rec, start, st, err)
-	return st, err
-}
-
-func gemmBatch[T matrix.Scalar](e *Engine, rec *reqtrace.Record, cs, as, bs []*matrix.Matrix[T], transA, transB bool, alpha, beta T) (core.Stats, error) {
-	if len(cs) == 0 || len(as) != len(cs) || len(bs) != len(cs) {
-		return core.Stats{}, fmt.Errorf("%w: len(C)=%d len(A)=%d len(B)=%d", core.ErrBatchShape, len(cs), len(as), len(bs))
-	}
-	rec.BatchCalls = int32(len(cs))
-	elemBytes := int(unsafe.Sizeof(*new(T)))
-	t := TierTiny
-	for i := range cs {
-		m, k := as[i].Rows, as[i].Cols
-		if transA {
-			m, k = k, m
-		}
-		kb, n := bs[i].Rows, bs[i].Cols
-		if transB {
-			kb, n = n, kb
-		}
-		if k != kb || cs[i].Rows != m || cs[i].Cols != n {
-			return core.Stats{}, fmt.Errorf("engine: invalid GEMM dims in batch call %d: C[%dx%d] = op(A)[%dx%d] x op(B)[%dx%d]",
-				i, cs[i].Rows, cs[i].Cols, m, k, kb, n)
-		}
-		if i == 0 {
-			rec.M, rec.K, rec.N = int32(m), int32(k), int32(n)
-		}
-		// The batch holds its admission slot and lease for every call, so
-		// dispatch must satisfy the *widest* call's cache arithmetic: tiers
-		// are ordered by footprint and TierFor is monotone in it.
-		if ct := e.TierFor(m, k, n, elemBytes); ct > t {
-			t = ct
-		}
-	}
-	rec.Tier = t.String()
-	e.tierHits[t].Add(1)
-
-	if t == TierTiny {
-		return runDirect(e, rec, func(d *DirectScratch[T]) (core.Stats, error) {
-			return d.GemmBatchScaled(cs, as, bs, transA, transB, alpha, beta)
-		})
-	}
-	return runPooled(e, t, rec, func(ex *core.Executor[T]) (core.Stats, error) {
-		return ex.GemmBatchScaled(cs, as, bs, transA, transB, alpha, beta)
-	})
-}
 
 // StridedBatch describes a uniform batch whose operands sit at constant
 // element strides in flat backing slices — the im2col / attention layout
@@ -109,9 +23,9 @@ type StridedBatch[T matrix.Scalar] struct {
 	StrideC, StrideA, StrideB int // elements between consecutive calls; 0 shares the operand
 }
 
-// Matrices materializes the batch as per-call matrix views suitable for
-// GemmBatchScaled. Shared (stride-0) operands come back as one *Matrix
-// repeated Count times — the pointer identity the batch pack reuse keys on.
+// Matrices materializes the batch as per-call matrix views for a Request's
+// C, A and B. Shared (stride-0) operands come back as one *Matrix repeated
+// Count times — the pointer identity the batch pack reuse keys on.
 func (sb StridedBatch[T]) Matrices() (cs, as, bs []*matrix.Matrix[T], err error) {
 	if sb.Count <= 0 || sb.M <= 0 || sb.K <= 0 || sb.N <= 0 {
 		return nil, nil, nil, fmt.Errorf("engine: strided batch needs positive count and dims, got count=%d M=%d K=%d N=%d",
@@ -158,125 +72,4 @@ func stridedViews[T matrix.Scalar](data []T, rows, cols, stride, count int, name
 		views[i] = matrix.FromSlice(rows, cols, data[off:off+size])
 	}
 	return views, nil
-}
-
-// GemmBatchStrided computes C[i] = α·A[i]×B[i] + β·C[i] over a strided
-// batch layout as one engine request (see StridedBatch and GemmBatchScaled).
-func GemmBatchStrided[T matrix.Scalar](e *Engine, sb StridedBatch[T], alpha, beta T) (core.Stats, error) {
-	return GemmBatchStridedFor(e, "", sb, alpha, beta)
-}
-
-// GemmBatchStridedFor is GemmBatchStrided with a tenant label.
-func GemmBatchStridedFor[T matrix.Scalar](e *Engine, tenantLabel string, sb StridedBatch[T], alpha, beta T) (core.Stats, error) {
-	cs, as, bs, err := sb.Matrices()
-	if err != nil {
-		return core.Stats{}, err
-	}
-	return GemmBatchScaledFor(e, tenantLabel, cs, as, bs, false, false, alpha, beta)
-}
-
-// GemmBatchResident computes C[i] += op(A[i])×B_id for every i against the
-// resident operand registered under id, as one engine request with the
-// operand pinned once for the whole batch.
-func GemmBatchResident[T matrix.Scalar](e *Engine, cs, as []*matrix.Matrix[T], id string) (core.Stats, error) {
-	return GemmBatchResidentScaled(e, cs, as, id, false, 1, 1)
-}
-
-// GemmBatchResidentScaled is the full resident batch entry point:
-// C[i] = α·op(A[i])×B_id + β·C[i]. The operand is pinned before the first
-// call and released after the last — eviction cannot split a batch — and
-// every call is served from the tier's pre-packed panels with no B packing.
-func GemmBatchResidentScaled[T matrix.Scalar](e *Engine, cs, as []*matrix.Matrix[T], id string, transA bool, alpha, beta T) (core.Stats, error) {
-	return GemmBatchResidentScaledFor(e, "", cs, as, id, transA, alpha, beta)
-}
-
-// GemmBatchResidentScaledFor is GemmBatchResidentScaled with a tenant label.
-func GemmBatchResidentScaledFor[T matrix.Scalar](e *Engine, tenantLabel string, cs, as []*matrix.Matrix[T], id string, transA bool, alpha, beta T) (core.Stats, error) {
-	start := time.Now()
-	rec := reqtrace.Record{
-		ID:         e.trace.NextID(),
-		StartNs:    start.UnixNano(),
-		Tenant:     tenantLabel,
-		ResidentID: id,
-		Outcome:    reqtrace.OutcomeUnset,
-	}
-	st, err := gemmBatchResident(e, &rec, cs, as, id, transA, alpha, beta)
-	e.finishRecord(&rec, start, st, err)
-	return st, err
-}
-
-func gemmBatchResident[T matrix.Scalar](e *Engine, rec *reqtrace.Record, cs, as []*matrix.Matrix[T], id string, transA bool, alpha, beta T) (core.Stats, error) {
-	if e.closedFast.Load() {
-		return core.Stats{}, ErrClosed
-	}
-	if len(cs) == 0 || len(as) != len(cs) {
-		return core.Stats{}, fmt.Errorf("%w: len(C)=%d len(A)=%d", core.ErrBatchShape, len(cs), len(as))
-	}
-	rec.BatchCalls = int32(len(cs))
-	h, err := acquireOperand[T](e, id)
-	if err != nil {
-		rec.Resident = reqtrace.ResidentMiss
-		return core.Stats{}, err
-	}
-	rec.Resident = reqtrace.ResidentHit
-	defer h.Release()
-	op := h.op
-
-	elemBytes := int(unsafe.Sizeof(*new(T)))
-	t := TierTiny
-	for i := range cs {
-		m, k := as[i].Rows, as[i].Cols
-		if transA {
-			m, k = k, m
-		}
-		if k != op.k || cs[i].Rows != m || cs[i].Cols != op.n {
-			return core.Stats{}, fmt.Errorf("engine: invalid GEMM dims in resident batch call %d: C[%dx%d] = op(A)[%dx%d] x residentB[%dx%d] (%q)",
-				i, cs[i].Rows, cs[i].Cols, m, k, op.k, op.n, id)
-		}
-		if i == 0 {
-			rec.M, rec.K, rec.N = int32(m), int32(k), int32(op.n)
-		}
-		if ct := e.TierFor(m, k, op.n, elemBytes); ct > t {
-			t = ct
-		}
-	}
-	// Same layout fall-through as the single-call resident path.
-	if t == TierTiny && op.tiny == nil {
-		t = TierSmall
-	}
-	if t == TierSmall && op.small == nil {
-		t = TierLarge
-	}
-	rec.Tier = t.String()
-	e.tierHits[t].Add(1)
-
-	var st core.Stats
-	if t == TierTiny {
-		st, err = runDirect(e, rec, func(d *DirectScratch[T]) (core.Stats, error) {
-			var agg core.Stats
-			for i := range cs {
-				cst, cerr := d.GemmResident(cs[i], as[i], op.tiny, op.k, op.n, transA, alpha, beta)
-				if cerr != nil {
-					return agg, fmt.Errorf("engine: resident batch call %d: %w", i, cerr)
-				}
-				agg.Add(cst)
-			}
-			agg.BatchCalls = len(cs)
-			agg.SharedBPacks = len(cs) - 1
-			return agg, nil
-		})
-	} else {
-		rb := op.large
-		if t == TierSmall {
-			rb = op.small
-		}
-		st, err = runPooled(e, t, rec, func(ex *core.Executor[T]) (core.Stats, error) {
-			return ex.GemmBatchResident(cs, as, rb, transA, alpha, beta)
-		})
-	}
-	if err != nil {
-		return st, err
-	}
-	e.resident.AccountAvoided(st.ResidentBElems * int64(elemBytes))
-	return st, nil
 }

@@ -13,8 +13,8 @@ import (
 )
 
 // batchOracle builds a batch of problems (optionally all sharing one B),
-// runs it through GemmBatchScaled, and demands bit-equality against the
-// sequential GemmScaled loop over the same calls on the same engine.
+// runs it through one Request, and demands bit-equality against the
+// sequential loop of single-call requests on the same engine.
 func batchOracle[T matrix.Scalar](t *testing.T, e *Engine, shapes [][3]int, sharedB, transA, transB bool, alpha, beta T, seed int64) core.Stats {
 	t.Helper()
 	rng := rand.New(rand.NewSource(seed))
@@ -44,7 +44,7 @@ func batchOracle[T matrix.Scalar](t *testing.T, e *Engine, shapes [][3]int, shar
 		cBatch[i].Randomize(rng)
 		cSeq[i] = cBatch[i].Clone()
 	}
-	st, err := GemmBatchScaled(e, cBatch, as, bs, transA, transB, alpha, beta)
+	st, err := Do(e, Request[T]{C: cBatch, A: as, B: bs, TransA: transA, TransB: transB, Alpha: alpha, Beta: beta})
 	if err != nil {
 		t.Fatalf("batch: %v", err)
 	}
@@ -52,7 +52,8 @@ func batchOracle[T matrix.Scalar](t *testing.T, e *Engine, shapes [][3]int, shar
 		t.Fatalf("BatchCalls = %d, want %d", st.BatchCalls, n)
 	}
 	for i := range shapes {
-		if _, err := GemmScaled(e, cSeq[i], as[i], bs[i], transA, transB, alpha, beta); err != nil {
+		r := Request[T]{C: mats(cSeq[i]), A: mats(as[i]), B: mats(bs[i]), TransA: transA, TransB: transB, Alpha: alpha, Beta: beta}
+		if _, err := Do(e, r); err != nil {
 			t.Fatalf("sequential call %d: %v", i, err)
 		}
 	}
@@ -156,7 +157,7 @@ func TestGemmBatchMixedTierDispatch(t *testing.T) {
 		bs[i].Randomize(rng)
 	}
 	large0 := e.Counters().TierLarge
-	if _, err := GemmBatch(e, cs, as, bs); err != nil {
+	if _, err := Do(e, Request[float32]{C: cs, A: as, B: bs, Alpha: 1, Beta: 1}); err != nil {
 		t.Fatal(err)
 	}
 	if got := e.Counters().TierLarge - large0; got != 1 {
@@ -171,8 +172,8 @@ func TestGemmBatchMixedTierDispatch(t *testing.T) {
 	}
 }
 
-// TestGemmBatchSizeOne: the degenerate batch must behave exactly like the
-// single-call entry point (and still stamp BatchCalls = 1).
+// TestGemmBatchSizeOne: the degenerate batch is a single GEMM; it must
+// still stamp BatchCalls = 1 and report no shared-B packs.
 func TestGemmBatchSizeOne(t *testing.T) {
 	e := newTestEngine(t, 2, Options{})
 	st := batchOracle[float64](t, e, uniformShapes(64, 48, 80, 1), false, false, false, 1, 1, 990)
@@ -188,11 +189,10 @@ func TestGemmBatchErrors(t *testing.T) {
 	a := matrix.New[float64](16, 16)
 	b := matrix.New[float64](16, 16)
 	c := matrix.New[float64](16, 16)
-	if _, err := GemmBatch[float64](e, nil, nil, nil); !errors.Is(err, core.ErrBatchShape) {
+	if _, err := Do(e, Request[float64]{Alpha: 1, Beta: 1}); !errors.Is(err, core.ErrBatchShape) {
 		t.Fatalf("empty batch: %v, want ErrBatchShape", err)
 	}
-	if _, err := GemmBatch(e,
-		[]*matrix.Matrix[float64]{c}, []*matrix.Matrix[float64]{a, a}, []*matrix.Matrix[float64]{b}); !errors.Is(err, core.ErrBatchShape) {
+	if _, err := Do(e, Request[float64]{C: mats(c), A: mats(a, a), B: mats(b), Alpha: 1, Beta: 1}); !errors.Is(err, core.ErrBatchShape) {
 		t.Fatalf("mismatched lengths: %v, want ErrBatchShape", err)
 	}
 	// Second call has bad dims: the whole batch must be rejected with every
@@ -201,10 +201,7 @@ func TestGemmBatchErrors(t *testing.T) {
 	c0.Randomize(rand.New(rand.NewSource(7)))
 	keep := c0.Clone()
 	badC := matrix.New[float64](8, 8)
-	_, err := GemmBatch(e,
-		[]*matrix.Matrix[float64]{c0, badC},
-		[]*matrix.Matrix[float64]{a, a},
-		[]*matrix.Matrix[float64]{b, b})
+	_, err := Do(e, Request[float64]{C: mats(c0, badC), A: mats(a, a), B: mats(b, b), Alpha: 1, Beta: 1})
 	if err == nil {
 		t.Fatal("bad dims in call 1 accepted")
 	}
@@ -233,7 +230,11 @@ func TestGemmBatchStrided(t *testing.T) {
 	for i := range sb.B {
 		sb.B[i] = rng.Float32()
 	}
-	st, err := GemmBatchStrided(e, sb, 1, 0)
+	cs, as, bs, err := sb.Matrices()
+	if err != nil {
+		t.Fatal(err)
+	}
+	st, err := Do(e, Request[float32]{C: cs, A: as, B: bs, Alpha: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -244,7 +245,7 @@ func TestGemmBatchStrided(t *testing.T) {
 	for i := 0; i < count; i++ {
 		a := matrix.FromSlice(m, k, sb.A[i*m*k:(i+1)*m*k])
 		want := matrix.New[float32](m, n)
-		if _, err := GemmScaled(e, want, a, b, false, false, 1, 0); err != nil {
+		if _, err := Do(e, Request[float32]{C: mats(want), A: mats(a), B: mats(b), Alpha: 1}); err != nil {
 			t.Fatal(err)
 		}
 		got := sb.C[i*m*n : (i+1)*m*n]
@@ -257,7 +258,6 @@ func TestGemmBatchStrided(t *testing.T) {
 }
 
 func TestStridedBatchValidation(t *testing.T) {
-	e := newTestEngine(t, 2, Options{})
 	base := StridedBatch[float64]{
 		Count: 2, M: 4, K: 4, N: 4,
 		C: make([]float64, 32), StrideC: 16,
@@ -278,9 +278,6 @@ func TestStridedBatchValidation(t *testing.T) {
 		tc.mutate(&sb)
 		if _, _, _, err := sb.Matrices(); err == nil {
 			t.Fatalf("%s accepted", tc.name)
-		}
-		if _, err := GemmBatchStrided(e, sb, 1.0, 0.0); err == nil {
-			t.Fatalf("%s accepted by GemmBatchStrided", tc.name)
 		}
 	}
 	if _, _, _, err := base.Matrices(); err != nil {
@@ -316,7 +313,7 @@ func TestGemmBatchResidentOracle(t *testing.T) {
 			cSeq[i] = matrix.New[float32](m, n)
 		}
 		hits0 := e.ResidentStats().Hits
-		st, err := GemmBatchResident(e, cBatch, as, id)
+		st, err := Do(e, Request[float32]{C: cBatch, A: as, Resident: id, Alpha: 1, Beta: 1})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -327,7 +324,7 @@ func TestGemmBatchResidentOracle(t *testing.T) {
 			t.Fatalf("%v: resident batch stats %+v", sh, st)
 		}
 		for i := range as {
-			if _, err := GemmResident(e, cSeq[i], as[i], id); err != nil {
+			if _, err := Do(e, Request[float32]{C: mats(cSeq[i]), A: mats(as[i]), Resident: id, Alpha: 1, Beta: 1}); err != nil {
 				t.Fatal(err)
 			}
 			for j := range cBatch[i].Data {
@@ -394,7 +391,7 @@ func TestGemmBatchConcurrentStress(t *testing.T) {
 		as[i] = matrix.New[float64](m, k)
 		as[i].Randomize(rng)
 		want[i] = matrix.New[float64](m, n)
-		if _, err := GemmScaled(e, want[i], as[i], b, false, false, 1, 0); err != nil {
+		if _, err := Do(e, Request[float64]{C: mats(want[i]), A: mats(as[i]), B: mats(b), Alpha: 1}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -416,9 +413,9 @@ func TestGemmBatchConcurrentStress(t *testing.T) {
 			for i := 0; i < iters; i++ {
 				var err error
 				if (w+i)%2 == 0 {
-					_, err = GemmBatchScaled(e, cs, as, bs, false, false, 1, 0)
+					_, err = Do(e, Request[float64]{C: cs, A: as, B: bs, Alpha: 1})
 				} else {
-					_, err = GemmBatchResidentScaled(e, cs, as, "stress", false, 1, 0)
+					_, err = Do(e, Request[float64]{C: cs, A: as, Resident: "stress", Alpha: 1})
 				}
 				switch {
 				case err == nil:

@@ -1,7 +1,6 @@
 package engine
 
 import (
-	"fmt"
 	"time"
 
 	"repro/internal/kernel"
@@ -43,192 +42,97 @@ func NewDirectScratch[T matrix.Scalar](mr, nr int) *DirectScratch[T] {
 // Kernel returns the register tile the scratch packs for.
 func (d *DirectScratch[T]) Kernel() kernel.Kernel[T] { return d.kern }
 
-// GemmScaled computes C = α·op(A)×op(B) + β·C without blocking or worker
-// dispatch: pack A (α folded) and B whole, zero a local accumulator, run one
-// macro-kernel sweep with kc = k, add back into C.
-func (d *DirectScratch[T]) GemmScaled(c, a, b *matrix.Matrix[T], transA, transB bool, alpha, beta T) (core.Stats, error) {
-	m, k := a.Rows, a.Cols
-	if transA {
-		m, k = k, m
-	}
-	kb, n := b.Rows, b.Cols
-	if transB {
-		kb, n = n, kb
-	}
-	if k != kb || c.Rows != m || c.Cols != n {
-		return core.Stats{}, fmt.Errorf("engine: invalid GEMM dims C[%dx%d] = op(A)[%dx%d] x op(B)[%dx%d]",
-			c.Rows, c.Cols, m, k, kb, n)
-	}
-	if beta == 0 {
-		c.Zero()
-	} else if beta != 1 {
-		c.Scale(beta)
-	}
-	if alpha == 0 {
-		return core.Stats{}, nil
-	}
-
-	t0 := time.Now()
-	needA := packing.PackedASize(m, k, d.kern.MR)
-	needB := packing.PackedBSize(k, n, d.kern.NR)
-	needC := m * n
-	if cap(d.packA) < needA {
-		d.packA = make([]T, needA)
-	}
-	if cap(d.packB) < needB {
-		d.packB = make([]T, needB)
-	}
-	if cap(d.bufC) < needC {
-		d.bufC = make([]T, needC)
-	}
-	var ap, bp []T
-	if transA {
-		ap = packing.PackAT(d.packA[:needA], a, d.kern.MR, alpha)
-	} else {
-		ap = packing.PackA(d.packA[:needA], a, d.kern.MR, alpha)
-	}
-	if transB {
-		bp = packing.PackBT(d.packB[:needB], b, d.kern.NR)
-	} else {
-		bp = packing.PackB(d.packB[:needB], b, d.kern.NR)
-	}
-	cBlock := matrix.FromSlice(m, n, d.bufC[:needC])
-	cBlock.Zero()
-	packNs := time.Since(t0).Nanoseconds()
-
-	t0 = time.Now()
-	packing.Macro(d.kern, k, ap, bp, cBlock, d.scratch)
-	computeNs := time.Since(t0).Nanoseconds()
-
-	t0 = time.Now()
-	packing.AddInto(c, cBlock)
-	packNs += time.Since(t0).Nanoseconds()
-
-	return core.Stats{
-		Grid:         schedule.Dims{Mb: 1, Nb: 1, Kb: 1},
-		Blocks:       1,
-		PackedAElems: int64(m) * int64(k),
-		PackedBElems: int64(k) * int64(n),
-		UnpackCElems: int64(m) * int64(n),
-		PackNanos:    packNs,
-		ComputeNanos: computeNs,
-	}, nil
-}
-
-// GemmBatchScaled computes C[i] = α·op(A[i])×op(B[i]) + β·C[i] for every i
-// on the calling goroutine — the tiny tier's batch loop. All dimensions are
-// validated before any call mutates its C. When consecutive calls share a B
-// operand (pointer equality) the panel packed for the predecessor is served
-// straight from d.packB via the resident entry point, skipping the repack;
-// the skipped traffic is re-bucketed into ReusedBElems (batch-local panel
-// reuse, not cross-request residency) and counted in SharedBPacks. Results
-// are bit-exact with the equivalent sequence of GemmScaled calls: the packed
+// Do computes every call of r on the calling goroutine — the tiny tier's
+// loop: per call, pack A (α folded) and B whole, zero a local accumulator,
+// run one macro-kernel sweep with kc = k, and add back into C. B comes from
+// r.B, or — for a resident request — from op, the pinned operand's
+// whole-kernel-panel layout (nil otherwise). Every call is validated before
+// any C is touched. A call whose B is the same *Matrix as its predecessor's
+// is served from the panel packed for the predecessor, skipping the repack:
+// the skipped traffic lands in ReusedBElems (batch-local panel reuse, not
+// cross-request residency) and SharedBPacks counts the call. Results are
+// bit-exact with the equivalent sequence of single-call requests: the packed
 // panel bytes are identical, and the tile sweep is shared code.
-func (d *DirectScratch[T]) GemmBatchScaled(cs, as, bs []*matrix.Matrix[T], transA, transB bool, alpha, beta T) (core.Stats, error) {
-	if len(cs) == 0 || len(as) != len(cs) || len(bs) != len(cs) {
-		return core.Stats{}, fmt.Errorf("%w: len(C)=%d len(A)=%d len(B)=%d", core.ErrBatchShape, len(cs), len(as), len(bs))
+func (d *DirectScratch[T]) Do(r Request[T], op *residentOperand[T]) (core.Stats, error) {
+	if err := core.CheckSources(r.C, r.A, r.B, op != nil, r.TransB); err != nil {
+		return core.Stats{}, err
 	}
-	type bDims struct{ k, n int }
-	dims := make([]bDims, len(cs))
-	for i := range cs {
-		m, k := as[i].Rows, as[i].Cols
-		if transA {
-			m, k = k, m
+	for i := range r.C {
+		if _, _, _, err := r.callDims(i, op); err != nil {
+			return core.Stats{}, err
 		}
-		kb, n := bs[i].Rows, bs[i].Cols
-		if transB {
-			kb, n = n, kb
-		}
-		if k != kb || cs[i].Rows != m || cs[i].Cols != n {
-			return core.Stats{}, fmt.Errorf("engine: invalid GEMM dims in batch call %d: C[%dx%d] = op(A)[%dx%d] x op(B)[%dx%d]",
-				i, cs[i].Rows, cs[i].Cols, m, k, kb, n)
-		}
-		dims[i] = bDims{k, n}
 	}
-	var agg core.Stats
-	packedB := false // d.packB holds call i−1's packed B panel
-	for i := range cs {
-		var st core.Stats
-		var err error
-		if i > 0 && bs[i] == bs[i-1] && packedB {
-			need := packing.PackedBSize(dims[i].k, dims[i].n, d.kern.NR)
-			st, err = d.GemmResident(cs[i], as[i], d.packB[:need], dims[i].k, dims[i].n, transA, alpha, beta)
-			st.ReusedBElems += st.ResidentBElems
-			st.ResidentBElems = 0
+
+	agg := core.Stats{BatchCalls: len(r.C)}
+	for i, c := range r.C {
+		m, k, n, _ := r.callDims(i, op) // validated above
+		if r.Beta == 0 {
+			c.Zero()
+		} else if r.Beta != 1 {
+			c.Scale(r.Beta)
+		}
+		if r.Alpha == 0 {
+			continue // α = 0 reads neither A nor B
+		}
+
+		t0 := time.Now()
+		st := core.Stats{
+			Grid:         schedule.Dims{Mb: 1, Nb: 1, Kb: 1},
+			Blocks:       1,
+			PackedAElems: int64(m) * int64(k),
+			UnpackCElems: int64(m) * int64(n),
+		}
+		bElems := int64(k) * int64(n)
+		var bp []T
+		switch {
+		case op != nil:
+			bp, st.ResidentBElems = op.tiny, bElems
+		case i > 0 && r.B[i] == r.B[i-1]:
+			// d.packB still holds the predecessor's panel: the same matrix
+			// under the same (request-uniform) transpose.
+			bp, st.ReusedBElems = d.packB, bElems
 			agg.SharedBPacks++
+		default:
+			d.packB = grow(d.packB, packing.PackedBSize(k, n, d.kern.NR))
+			if r.TransB {
+				bp = packing.PackBT(d.packB, r.B[i], d.kern.NR)
+			} else {
+				bp = packing.PackB(d.packB, r.B[i], d.kern.NR)
+			}
+			st.PackedBElems = bElems
+		}
+		d.packA = grow(d.packA, packing.PackedASize(m, k, d.kern.MR))
+		var ap []T
+		if r.TransA {
+			ap = packing.PackAT(d.packA, r.A[i], d.kern.MR, r.Alpha)
 		} else {
-			st, err = d.GemmScaled(cs[i], as[i], bs[i], transA, transB, alpha, beta)
-			packedB = err == nil && alpha != 0 // α = 0 returns before packing
+			ap = packing.PackA(d.packA, r.A[i], d.kern.MR, r.Alpha)
 		}
-		if err != nil {
-			return agg, fmt.Errorf("engine: batch call %d: %w", i, err)
-		}
+		d.bufC = grow(d.bufC, m*n)
+		cBlock := matrix.FromSlice(m, n, d.bufC)
+		cBlock.Zero()
+		st.PackNanos = time.Since(t0).Nanoseconds()
+
+		t0 = time.Now()
+		packing.Macro(d.kern, k, ap, bp, cBlock, d.scratch)
+		st.ComputeNanos = time.Since(t0).Nanoseconds()
+
+		t0 = time.Now()
+		packing.AddInto(c, cBlock)
+		st.PackNanos += time.Since(t0).Nanoseconds()
 		agg.Add(st)
 	}
-	agg.BatchCalls = len(cs)
+	if op != nil {
+		agg.SharedBPacks = len(r.C) - 1
+	}
 	return agg, nil
 }
 
-// GemmResident computes C = α·op(A)×B + β·C where bp holds the whole k×n B
-// operand already packed in d.Kernel().NR-column panels — the tiny tier's
-// resident layout (see engine.RegisterB). The B pack is skipped entirely;
-// everything else matches GemmScaled, so results are bit-exact with the
-// fresh-pack path.
-func (d *DirectScratch[T]) GemmResident(c, a *matrix.Matrix[T], bp []T, k, n int, transA bool, alpha, beta T) (core.Stats, error) {
-	m, ka := a.Rows, a.Cols
-	if transA {
-		m, ka = ka, m
+// grow returns buf resliced to n elements, reallocating only when its
+// capacity is short.
+func grow[T matrix.Scalar](buf []T, n int) []T {
+	if cap(buf) < n {
+		return make([]T, n)
 	}
-	if ka != k || c.Rows != m || c.Cols != n {
-		return core.Stats{}, fmt.Errorf("engine: invalid GEMM dims C[%dx%d] = op(A)[%dx%d] x residentB[%dx%d]",
-			c.Rows, c.Cols, m, ka, k, n)
-	}
-	if need := packing.PackedBSize(k, n, d.kern.NR); len(bp) < need {
-		return core.Stats{}, fmt.Errorf("engine: resident B panel has %d elements, %dx%d needs %d", len(bp), k, n, need)
-	}
-	if beta == 0 {
-		c.Zero()
-	} else if beta != 1 {
-		c.Scale(beta)
-	}
-	if alpha == 0 {
-		return core.Stats{}, nil
-	}
-
-	t0 := time.Now()
-	needA := packing.PackedASize(m, k, d.kern.MR)
-	needC := m * n
-	if cap(d.packA) < needA {
-		d.packA = make([]T, needA)
-	}
-	if cap(d.bufC) < needC {
-		d.bufC = make([]T, needC)
-	}
-	var ap []T
-	if transA {
-		ap = packing.PackAT(d.packA[:needA], a, d.kern.MR, alpha)
-	} else {
-		ap = packing.PackA(d.packA[:needA], a, d.kern.MR, alpha)
-	}
-	cBlock := matrix.FromSlice(m, n, d.bufC[:needC])
-	cBlock.Zero()
-	packNs := time.Since(t0).Nanoseconds()
-
-	t0 = time.Now()
-	packing.Macro(d.kern, k, ap, bp, cBlock, d.scratch)
-	computeNs := time.Since(t0).Nanoseconds()
-
-	t0 = time.Now()
-	packing.AddInto(c, cBlock)
-	packNs += time.Since(t0).Nanoseconds()
-
-	return core.Stats{
-		Grid:           schedule.Dims{Mb: 1, Nb: 1, Kb: 1},
-		Blocks:         1,
-		PackedAElems:   int64(m) * int64(k),
-		ResidentBElems: int64(k) * int64(n),
-		UnpackCElems:   int64(m) * int64(n),
-		PackNanos:      packNs,
-		ComputeNanos:   computeNs,
-	}, nil
+	return buf[:n]
 }

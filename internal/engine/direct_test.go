@@ -63,7 +63,7 @@ func TestDirectGemmBitExactVsCore(t *testing.T) {
 				cDir.Randomize(rng)
 				cRef.CopyFrom(cDir)
 
-				if _, err := d.GemmScaled(cDir, a, b, false, false, 1, 1); err != nil {
+				if _, err := d.Do(Request[float32]{C: mats(cDir), A: mats(a), B: mats(b), Alpha: 1, Beta: 1}, nil); err != nil {
 					t.Fatal(err)
 				}
 				if _, err := core.Gemm(cRef, a, b, directOracleConfig(mr, nr, k)); err != nil {
@@ -92,7 +92,8 @@ func TestDirectGemmScaledTransposedBitExact(t *testing.T) {
 			cDir, cRef := matrix.New[float64](m, n), matrix.New[float64](m, n)
 			cDir.Randomize(rng)
 			cRef.CopyFrom(cDir)
-			if _, err := d.GemmScaled(cDir, at, bt, true, true, alpha, beta); err != nil {
+			r := Request[float64]{C: mats(cDir), A: mats(at), B: mats(bt), TransA: true, TransB: true, Alpha: alpha, Beta: beta}
+			if _, err := d.Do(r, nil); err != nil {
 				t.Fatal(err)
 			}
 			e, err := core.NewExecutor[float64](directOracleConfig(mr, nr, k), nil)
@@ -113,8 +114,9 @@ func TestDirectGemmScaledTransposedBitExact(t *testing.T) {
 
 func TestDirectGemmDimMismatch(t *testing.T) {
 	d := NewDirectScratch[float32](8, 8)
-	_, err := d.GemmScaled(matrix.New[float32](2, 2), matrix.New[float32](2, 3), matrix.New[float32](4, 2),
-		false, false, 1, 1)
+	_, err := d.Do(Request[float32]{
+		C: mats(matrix.New[float32](2, 2)), A: mats(matrix.New[float32](2, 3)), B: mats(matrix.New[float32](4, 2)),
+		Alpha: 1, Beta: 1}, nil)
 	if err == nil {
 		t.Fatal("dimension mismatch not reported")
 	}
@@ -129,7 +131,7 @@ func TestDirectGemmBufferReuseAcrossSizes(t *testing.T) {
 		a.Randomize(rng)
 		b.Randomize(rng)
 		c := matrix.New[float32](s, s)
-		if _, err := d.GemmScaled(c, a, b, false, false, 1, 0); err != nil {
+		if _, err := d.Do(Request[float32]{C: mats(c), A: mats(a), B: mats(b), Alpha: 1}, nil); err != nil {
 			t.Fatal(err)
 		}
 		want := matrix.New[float32](s, s)

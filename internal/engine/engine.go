@@ -140,13 +140,15 @@ type Engine struct {
 	panelSlots int             // large-tier panel cache (core.WithPanelCache), set once at construction
 	resident   *resident.Store // cross-request pre-packed operands (RegisterB)
 	trace      *reqtrace.Tracer
+	labels     labels // request labels the records keep
 
 	mu       sync.Mutex
 	free     int
 	waiters  []*waiter
 	maxQueue int
 	closed   bool
-	// closedFast mirrors closed for paths that never take mu (tiny tier).
+	// closedFast mirrors closed for paths that never take mu (the request
+	// path's early-out, resident registration).
 	closedFast atomic.Bool
 
 	f32 typedCaches[float32]
@@ -421,69 +423,6 @@ func leaseExecutor[T matrix.Scalar](e *Engine, t Tier) (ex *core.Executor[T], re
 	return ex, false, err
 }
 
-// Gemm computes C += A×B through the engine.
-func Gemm[T matrix.Scalar](e *Engine, c, a, b *matrix.Matrix[T]) (core.Stats, error) {
-	return GemmScaled(e, c, a, b, false, false, 1, 1)
-}
-
-// GemmT computes C += op(A)×op(B) with per-operand transposes.
-func GemmT[T matrix.Scalar](e *Engine, c, a, b *matrix.Matrix[T], transA, transB bool) (core.Stats, error) {
-	return GemmScaled(e, c, a, b, transA, transB, 1, 1)
-}
-
-// GemmScaled is the engine's full entry point: classify the problem, admit
-// it against the core partition, run it down its tier's path on leased
-// state. Safe for any number of concurrent callers.
-func GemmScaled[T matrix.Scalar](e *Engine, c, a, b *matrix.Matrix[T], transA, transB bool, alpha, beta T) (core.Stats, error) {
-	return GemmScaledFor(e, "", c, a, b, transA, transB, alpha, beta)
-}
-
-// GemmScaledFor is GemmScaled with a tenant label: the label rides on the
-// request record and routes the request into any per-tenant SLO objectives
-// declared in Options.Trace. An empty label is the anonymous tenant.
-func GemmScaledFor[T matrix.Scalar](e *Engine, tenantLabel string, c, a, b *matrix.Matrix[T], transA, transB bool, alpha, beta T) (core.Stats, error) {
-	start := time.Now()
-	rec := reqtrace.Record{
-		ID:      e.trace.NextID(),
-		StartNs: start.UnixNano(),
-		Tenant:  tenantLabel,
-		Outcome: reqtrace.OutcomeUnset,
-	}
-	m, k := a.Rows, a.Cols
-	if transA {
-		m, k = k, m
-	}
-	kb, n := b.Rows, b.Cols
-	if transB {
-		kb, n = n, kb
-	}
-	if k != kb || c.Rows != m || c.Cols != n {
-		err := fmt.Errorf("engine: invalid GEMM dims C[%dx%d] = op(A)[%dx%d] x op(B)[%dx%d]",
-			c.Rows, c.Cols, m, k, kb, n)
-		e.finishRecord(&rec, start, core.Stats{}, err)
-		return core.Stats{}, err
-	}
-	rec.M, rec.K, rec.N = int32(m), int32(k), int32(n)
-	elemBytes := int(unsafe.Sizeof(*new(T)))
-	t := e.TierFor(m, k, n, elemBytes)
-	rec.Tier = t.String()
-	e.tierHits[t].Add(1)
-
-	var st core.Stats
-	var err error
-	if t == TierTiny {
-		st, err = runDirect(e, &rec, func(d *DirectScratch[T]) (core.Stats, error) {
-			return d.GemmScaled(c, a, b, transA, transB, alpha, beta)
-		})
-	} else {
-		st, err = runPooled(e, t, &rec, func(ex *core.Executor[T]) (core.Stats, error) {
-			return ex.GemmScaled(c, a, b, transA, transB, alpha, beta)
-		})
-	}
-	e.finishRecord(&rec, start, st, err)
-	return st, err
-}
-
 // outcomeOf maps an engine error onto the record's outcome class.
 func outcomeOf(err error) reqtrace.Outcome {
 	switch {
@@ -507,7 +446,7 @@ func (e *Engine) finishRecord(rec *reqtrace.Record, start time.Time, st core.Sta
 	rec.DurNs = time.Since(start).Nanoseconds()
 	rec.PackNs = st.PackNanos
 	rec.ComputeNs = st.ComputeNanos
-	if st.BatchCalls > 0 {
+	if st.BatchCalls > 1 {
 		rec.BatchCalls = int32(st.BatchCalls)
 		rec.AmortNs = rec.DurNs / int64(st.BatchCalls)
 	}
@@ -530,9 +469,6 @@ const directTileDim = 8
 // defeat the tier. rec picks up the lease provenance; admission fields stay
 // zero (the tier never queues).
 func runDirect[T matrix.Scalar](e *Engine, rec *reqtrace.Record, fn func(d *DirectScratch[T]) (core.Stats, error)) (core.Stats, error) {
-	if e.closedFast.Load() {
-		return core.Stats{}, ErrClosed
-	}
 	e.inFlight.Add(1)
 	defer e.inFlight.Add(-1)
 	tc := cachesOf[T](e)

@@ -33,6 +33,9 @@ func testPlatform(cores int) *platform.Platform {
 	}
 }
 
+// mats lists matrices as one of a Request's per-call slices.
+func mats[T matrix.Scalar](ms ...*matrix.Matrix[T]) []*matrix.Matrix[T] { return ms }
+
 func newTestEngine(t *testing.T, cores int, opts Options) *Engine {
 	t.Helper()
 	if opts.Platform == nil {
@@ -82,7 +85,7 @@ func TestEngineOracleAllTiers(t *testing.T) {
 		a.Randomize(rng)
 		b.Randomize(rng)
 		c := matrix.New[float32](m, n)
-		if _, err := Gemm(e, c, a, b); err != nil {
+		if _, err := Do(e, Request[float32]{C: mats(c), A: mats(a), B: mats(b), Alpha: 1, Beta: 1}); err != nil {
 			t.Fatalf("%v: %v", sh, err)
 		}
 		want := matrix.New[float32](m, n)
@@ -115,7 +118,7 @@ func TestEngineConcurrentBitExact(t *testing.T) {
 		tier := e.TierFor(m, k, n, 4)
 		if tier == TierTiny {
 			d := NewDirectScratch[float32](8, 8)
-			if _, err := d.GemmScaled(p.want, p.a, p.b, false, false, 1, 1); err != nil {
+			if _, err := d.Do(Request[float32]{C: mats(p.want), A: mats(p.a), B: mats(p.b), Alpha: 1, Beta: 1}, nil); err != nil {
 				t.Fatal(err)
 			}
 		} else {
@@ -136,7 +139,7 @@ func TestEngineConcurrentBitExact(t *testing.T) {
 			for i := 0; i < iters; i++ {
 				p := probs[(g+i)%len(probs)]
 				c := matrix.New[float32](p.want.Rows, p.want.Cols)
-				if _, err := Gemm(e, c, p.a, p.b); err != nil {
+				if _, err := Do(e, Request[float32]{C: mats(c), A: mats(p.a), B: mats(p.b), Alpha: 1, Beta: 1}); err != nil {
 					errs <- err
 					return
 				}
@@ -169,7 +172,7 @@ func TestEngineLeaseReuse(t *testing.T) {
 	b.Randomize(rng)
 	for i := 0; i < 8; i++ {
 		c := matrix.New[float32](64, 64)
-		if _, err := Gemm(e, c, a, b); err != nil {
+		if _, err := Do(e, Request[float32]{C: mats(c), A: mats(a), B: mats(b), Alpha: 1, Beta: 1}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -285,14 +288,16 @@ func TestEngineCloseDrainsWaiters(t *testing.T) {
 	rng := rand.New(rand.NewSource(13))
 	a := matrix.New[float32](8, 8)
 	a.Randomize(rng)
-	if _, err := Gemm(e, matrix.New[float32](8, 8), a, a); !errors.Is(err, ErrClosed) {
+	if _, err := Do(e, Request[float32]{C: mats(matrix.New[float32](8, 8)), A: mats(a), B: mats(a), Alpha: 1, Beta: 1}); !errors.Is(err, ErrClosed) {
 		t.Fatalf("post-close Gemm = %v, want ErrClosed", err)
 	}
 }
 
 func TestEngineDimMismatch(t *testing.T) {
 	e := newTestEngine(t, 1, Options{})
-	_, err := Gemm(e, matrix.New[float32](2, 2), matrix.New[float32](2, 3), matrix.New[float32](4, 2))
+	_, err := Do(e, Request[float32]{
+		C: mats(matrix.New[float32](2, 2)), A: mats(matrix.New[float32](2, 3)), B: mats(matrix.New[float32](4, 2)),
+		Alpha: 1, Beta: 1})
 	if err == nil {
 		t.Fatal("dimension mismatch not reported")
 	}
@@ -308,12 +313,12 @@ func TestEngineFloat64(t *testing.T) {
 	a.Randomize(rng)
 	b.Randomize(rng)
 	c := matrix.New[float64](48, 56)
-	if _, err := GemmT(e, c, a.Transpose(), b, true, false); err != nil {
+	if _, err := Do(e, Request[float64]{C: mats(c), A: mats(a.Transpose()), B: mats(b), TransA: true, Alpha: 1, Beta: 1}); err != nil {
 		t.Fatal(err)
 	}
 	want := matrix.New[float64](48, 56)
 	matrix.NaiveGemm(want, a, b)
 	if !c.AlmostEqual(want, 32, 1e-12) {
-		t.Fatal("float64 engine GemmT wrong")
+		t.Fatal("float64 engine transposed-A request wrong")
 	}
 }

@@ -55,7 +55,7 @@ func TestRequestLifecycleEndToEnd(t *testing.T) {
 			m, k, n := sh[0], sh[1], sh[2]
 			a, b := mk(m, k), mk(k, n)
 			c := matrix.New[float32](m, n)
-			if _, err := GemmScaledFor(e, "acme", c, a, b, false, false, 1, 0); err != nil {
+			if _, err := Do(e, Request[float32]{Tenant: "acme", C: mats(c), A: mats(a), B: mats(b), Alpha: 1}); err != nil {
 				t.Fatalf("round %d %s: %v", round, wantTiers[i], err)
 			}
 		}
@@ -65,7 +65,8 @@ func TestRequestLifecycleEndToEnd(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer e.ReleaseB(residentID)
-	if _, err := GemmResidentScaledFor(e, "acme", matrix.New[float32](32, 56), mk(32, 48), residentID, false, 1, 0); err != nil {
+	r := Request[float32]{Tenant: "acme", C: mats(matrix.New[float32](32, 56)), A: mats(mk(32, 48)), Resident: residentID, Alpha: 1}
+	if _, err := Do(e, r); err != nil {
 		t.Fatal(err)
 	}
 
@@ -145,7 +146,7 @@ func TestRequestLifecycleEndToEnd(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			c := matrix.New[float32](200, 220)
-			_, err := GemmScaledFor(e, "acme", c, la, lb, false, false, 1, 0)
+			_, err := Do(e, Request[float32]{Tenant: "acme", C: mats(c), A: mats(la), B: mats(lb), Alpha: 1})
 			satErrs <- err
 		}()
 	}
@@ -260,7 +261,7 @@ func TestEngineObjectivesTrackOutcomes(t *testing.T) {
 	a := matrix.New[float32](16, 16)
 	a.Randomize(rng)
 	for i := 0; i < 4; i++ {
-		if _, err := Gemm(e, matrix.New[float32](16, 16), a, a); err != nil {
+		if _, err := Do(e, Request[float32]{C: mats(matrix.New[float32](16, 16)), A: mats(a), B: mats(a), Alpha: 1, Beta: 1}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -285,7 +286,7 @@ func TestEngineTraceDisabled(t *testing.T) {
 	a.Randomize(rng)
 	b.Randomize(rng)
 	c := matrix.New[float32](64, 56)
-	if _, err := Gemm(e, c, a, b); err != nil {
+	if _, err := Do(e, Request[float32]{C: mats(c), A: mats(a), B: mats(b), Alpha: 1, Beta: 1}); err != nil {
 		t.Fatal(err)
 	}
 	want := matrix.New[float32](64, 56)

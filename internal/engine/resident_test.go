@@ -10,6 +10,11 @@ import (
 	"repro/internal/matrix"
 )
 
+// residentReq is the single-call resident request C += A×B_id.
+func residentReq[T matrix.Scalar](c, a *matrix.Matrix[T], id string) Request[T] {
+	return Request[T]{C: mats(c), A: mats(a), Resident: id, Alpha: 1, Beta: 1}
+}
+
 // residentOracle registers B (optionally transposed) and demands the
 // resident path reproduce the fresh-pack engine path bit-for-bit on the
 // given shape — same tier arithmetic, same strip decomposition, so any
@@ -37,10 +42,10 @@ func residentOracle[T matrix.Scalar](t *testing.T, e *Engine, m, k, n int, trans
 	}
 	defer e.ReleaseB(id)
 
-	if _, err := GemmScaled(e, c0, a, b, transA, transB, alpha, beta); err != nil {
+	if _, err := Do(e, Request[T]{C: mats(c0), A: mats(a), B: mats(b), TransA: transA, TransB: transB, Alpha: alpha, Beta: beta}); err != nil {
 		t.Fatalf("fresh: %v", err)
 	}
-	st, err := GemmResidentScaled(e, c1, a, id, transA, alpha, beta)
+	st, err := Do(e, Request[T]{C: mats(c1), A: mats(a), Resident: id, TransA: transA, Alpha: alpha, Beta: beta})
 	if err != nil {
 		t.Fatalf("resident: %v", err)
 	}
@@ -106,14 +111,14 @@ func TestEngineRegisterLifecycle(t *testing.T) {
 
 	a := matrix.New[float64](8, 64)
 	c := matrix.New[float64](8, 64)
-	if _, err := GemmResident(e, c, a, "nope"); !errors.Is(err, ErrOperandNotRegistered) {
+	if _, err := Do(e, residentReq(c, a, "nope")); !errors.Is(err, ErrOperandNotRegistered) {
 		t.Fatalf("unknown id: %v, want ErrOperandNotRegistered", err)
 	}
 	// Serving with the wrong scalar type is a typed failure, and must not
 	// leave the operand pinned.
 	a32 := matrix.New[float32](8, 64)
 	c32 := matrix.New[float32](8, 64)
-	if _, err := GemmResident(e, c32, a32, "w"); !errors.Is(err, ErrOperandType) {
+	if _, err := Do(e, residentReq(c32, a32, "w")); !errors.Is(err, ErrOperandType) {
 		t.Fatalf("wrong type: %v, want ErrOperandType", err)
 	}
 	if st := e.ResidentStats(); st.Pinned != 0 {
@@ -121,7 +126,7 @@ func TestEngineRegisterLifecycle(t *testing.T) {
 	}
 	// Dimension mismatch likewise.
 	bad := matrix.New[float64](8, 32)
-	if _, err := GemmResident(e, c, bad, "w"); err == nil {
+	if _, err := Do(e, residentReq(c, bad, "w")); err == nil {
 		t.Fatal("dimension mismatch accepted")
 	}
 	if st := e.ResidentStats(); st.Pinned != 0 {
@@ -141,10 +146,10 @@ func TestEngineResidentEviction(t *testing.T) {
 	}
 	a := matrix.New[float64](8, 64)
 	c := matrix.New[float64](8, 64)
-	if _, err := GemmResident(e, c, a, "w0"); !errors.Is(err, ErrOperandEvicted) {
+	if _, err := Do(e, residentReq(c, a, "w0")); !errors.Is(err, ErrOperandEvicted) {
 		t.Fatalf("LRU victim: %v, want ErrOperandEvicted", err)
 	}
-	if _, err := GemmResident(e, c, a, "w1"); err != nil {
+	if _, err := Do(e, residentReq(c, a, "w1")); err != nil {
 		t.Fatalf("survivor: %v", err)
 	}
 	if st := e.ResidentStats(); st.Evictions == 0 || st.Misses == 0 {
@@ -178,7 +183,7 @@ func TestEngineCloseDrainsResident(t *testing.T) {
 	}
 	a := matrix.New[float64](8, 64)
 	c := matrix.New[float64](8, 64)
-	if _, err := GemmResident(e, c, a, "w"); !errors.Is(err, ErrClosed) {
+	if _, err := Do(e, residentReq(c, a, "w")); !errors.Is(err, ErrClosed) {
 		t.Fatalf("serve after close: %v, want ErrClosed", err)
 	}
 }
@@ -208,7 +213,7 @@ func TestEngineResidentStress(t *testing.T) {
 		bs[i] = matrix.New[float64](k, n)
 		bs[i].Randomize(rng)
 		want[i] = matrix.New[float64](m, n)
-		if _, err := GemmScaled(e, want[i], a, bs[i], false, false, 1, 0); err != nil {
+		if _, err := Do(e, Request[float64]{C: mats(want[i]), A: mats(a), B: mats(bs[i]), Alpha: 1}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -231,7 +236,7 @@ func TestEngineResidentStress(t *testing.T) {
 						return
 					}
 				case 1:
-					_, err := GemmResidentScaled(e, c, a, name, false, 1, 0)
+					_, err := Do(e, Request[float64]{C: mats(c), A: mats(a), Resident: name, Alpha: 1})
 					switch {
 					case err == nil:
 						for j := range c.Data {

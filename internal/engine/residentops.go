@@ -1,8 +1,8 @@
 // Resident-operand serving: RegisterB packs a weight matrix once into every
 // tier layout the dispatcher might pick, parks the panels in the engine's
-// refcounted LRU store (internal/engine/resident), and GemmResident serves
-// activations against them with the pack bypass — the paper's DNN-inference
-// motivation turned into an API. Registration pays the pack (including the
+// refcounted LRU store (internal/engine/resident), and a Request naming the
+// operand as its Resident B source serves activations against them with the
+// pack bypass — the paper's DNN-inference motivation turned into an API. Registration pays the pack (including the
 // strided PackBT gather for transposed weights) exactly once; every serve
 // call afterwards skips B packing on whichever tier it lands on.
 package engine
@@ -10,7 +10,6 @@ package engine
 import (
 	"errors"
 	"fmt"
-	"time"
 	"unsafe"
 
 	"repro/internal/core"
@@ -18,7 +17,6 @@ import (
 	"repro/internal/kernel"
 	"repro/internal/matrix"
 	"repro/internal/obs"
-	"repro/internal/obs/reqtrace"
 	"repro/internal/packing"
 )
 
@@ -35,8 +33,8 @@ var (
 	// ErrOperandBudget rejects RegisterB of an operand that cannot fit the
 	// byte budget even after evicting everything unpinned.
 	ErrOperandBudget = resident.ErrBudget
-	// ErrOperandType reports a GemmResident whose scalar type differs from
-	// the one the id was registered with.
+	// ErrOperandType reports a resident request whose scalar type differs
+	// from the one the id was registered with.
 	ErrOperandType = errors.New("engine: resident operand registered with a different scalar type")
 )
 
@@ -112,7 +110,7 @@ func RegisterBT[T matrix.Scalar](e *Engine, id string, b *matrix.Matrix[T], tran
 }
 
 // ReleaseB deregisters a resident operand. Panels pinned by in-flight
-// GemmResident calls stay readable until those calls finish; the id is
+// requests stay readable until those requests finish; the id is
 // immediately re-registrable either way.
 func (e *Engine) ReleaseB(id string) error {
 	if e.closedFast.Load() {
@@ -164,92 +162,4 @@ func acquireOperand[T matrix.Scalar](e *Engine, id string) (*residentHandle[T], 
 		return nil, fmt.Errorf("%w: %q", ErrOperandType, id)
 	}
 	return &residentHandle[T]{h: h, op: op}, nil
-}
-
-// GemmResident computes C += op(A)×B_id against the resident operand
-// registered under id, skipping B packing on every tier.
-func GemmResident[T matrix.Scalar](e *Engine, c, a *matrix.Matrix[T], id string) (core.Stats, error) {
-	return GemmResidentScaled(e, c, a, id, false, 1, 1)
-}
-
-// GemmResidentScaled is the full resident entry point:
-// C = α·op(A)×B_id + β·C. The operand is pinned for the duration of the call
-// (it cannot be evicted or freed mid-run), classified by the same tier
-// arithmetic as GemmScaled, and served from the tier's pre-packed panels.
-func GemmResidentScaled[T matrix.Scalar](e *Engine, c, a *matrix.Matrix[T], id string, transA bool, alpha, beta T) (core.Stats, error) {
-	return GemmResidentScaledFor(e, "", c, a, id, transA, alpha, beta)
-}
-
-// GemmResidentScaledFor is GemmResidentScaled with a tenant label (see
-// GemmScaledFor). The request record additionally carries the resident
-// operand id and whether the panel pin hit or missed.
-func GemmResidentScaledFor[T matrix.Scalar](e *Engine, tenantLabel string, c, a *matrix.Matrix[T], id string, transA bool, alpha, beta T) (core.Stats, error) {
-	start := time.Now()
-	rec := reqtrace.Record{
-		ID:         e.trace.NextID(),
-		StartNs:    start.UnixNano(),
-		Tenant:     tenantLabel,
-		ResidentID: id,
-		Outcome:    reqtrace.OutcomeUnset,
-	}
-	st, err := gemmResident(e, &rec, c, a, id, transA, alpha, beta)
-	e.finishRecord(&rec, start, st, err)
-	return st, err
-}
-
-func gemmResident[T matrix.Scalar](e *Engine, rec *reqtrace.Record, c, a *matrix.Matrix[T], id string, transA bool, alpha, beta T) (core.Stats, error) {
-	if e.closedFast.Load() {
-		return core.Stats{}, ErrClosed
-	}
-	h, err := acquireOperand[T](e, id)
-	if err != nil {
-		rec.Resident = reqtrace.ResidentMiss
-		return core.Stats{}, err
-	}
-	rec.Resident = reqtrace.ResidentHit
-	defer h.Release()
-	op := h.op
-
-	m, k := a.Rows, a.Cols
-	if transA {
-		m, k = k, m
-	}
-	if k != op.k || c.Rows != m || c.Cols != op.n {
-		return core.Stats{}, fmt.Errorf("engine: invalid GEMM dims C[%dx%d] = op(A)[%dx%d] x residentB[%dx%d] (%q)",
-			c.Rows, c.Cols, m, k, op.k, op.n, id)
-	}
-	rec.M, rec.K, rec.N = int32(m), int32(k), int32(op.n)
-	elemBytes := int(unsafe.Sizeof(*new(T)))
-	t := e.TierFor(m, k, op.n, elemBytes)
-	// TierFor's arithmetic guarantees the tier's layout was packed (see
-	// residentOperand); fall through to the next tier up if a pathological
-	// platform geometry ever breaks that.
-	if t == TierTiny && op.tiny == nil {
-		t = TierSmall
-	}
-	if t == TierSmall && op.small == nil {
-		t = TierLarge
-	}
-	rec.Tier = t.String()
-	e.tierHits[t].Add(1)
-
-	var st core.Stats
-	if t == TierTiny {
-		st, err = runDirect(e, rec, func(d *DirectScratch[T]) (core.Stats, error) {
-			return d.GemmResident(c, a, op.tiny, op.k, op.n, transA, alpha, beta)
-		})
-	} else {
-		rb := op.large
-		if t == TierSmall {
-			rb = op.small
-		}
-		st, err = runPooled(e, t, rec, func(ex *core.Executor[T]) (core.Stats, error) {
-			return ex.GemmResident(c, a, rb, transA, alpha, beta)
-		})
-	}
-	if err != nil {
-		return st, err
-	}
-	e.resident.AccountAvoided(st.ResidentBElems * int64(elemBytes))
-	return st, nil
 }

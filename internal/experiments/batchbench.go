@@ -14,7 +14,7 @@ import (
 // BatchBenchRow is one (shape, batch size) point's looped-vs-batched
 // measurement: the same N uniform GEMMs against a shared weight operand
 // issued as N independent engine requests (admission + lease + B pack per
-// call) and as one GemmBatch request (one admission, one lease, B packed
+// call) and as one batch request (one admission, one lease, B packed
 // once and served to every call).
 type BatchBenchRow struct {
 	Shape             string  `json:"shape"`
@@ -82,7 +82,7 @@ func batchShape[T matrix.Scalar](e *engine.Engine, name, dtype string, m, k, n, 
 
 	looped := func() error {
 		for i := range cs {
-			if _, err := engine.GemmScaled(e, cs[i], as[i], b, false, false, 1, 0); err != nil {
+			if _, err := engine.Do(e, engine.Request[T]{C: cs[i : i+1], A: as[i : i+1], B: bs[i : i+1], Alpha: 1}); err != nil {
 				return err
 			}
 		}
@@ -90,7 +90,7 @@ func batchShape[T matrix.Scalar](e *engine.Engine, name, dtype string, m, k, n, 
 	}
 	var batchCalls, sharedPacks int64
 	batched := func() error {
-		st, err := engine.GemmBatchScaled(e, cs, as, bs, false, false, 1, 0)
+		st, err := engine.Do(e, engine.Request[T]{C: cs, A: as, B: bs, Alpha: 1})
 		if err != nil {
 			return err
 		}
@@ -135,7 +135,7 @@ func batchShape[T matrix.Scalar](e *engine.Engine, name, dtype string, m, k, n, 
 
 // BatchBench measures the batched-dispatch win: for each (shape, batch size)
 // point, N uniform shared-weight GEMMs issued as N engine requests vs one
-// GemmBatch request. Tier thresholds come from the fixed serve-bench
+// batch request. Tier thresholds come from the fixed serve-bench
 // platform model so the dispatch is host-independent; only the measured
 // times follow the machine.
 func BatchBench(cores int, quick bool) (*BatchBenchResult, error) {

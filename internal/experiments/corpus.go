@@ -227,36 +227,72 @@ func RunCorpus(opt CorpusOptions) (*CorpusEpoch, error) {
 		byScenario[spec.scenario] = append(byScenario[spec.scenario], spec)
 	}
 	for _, scenario := range order {
-		profs, err := startScenarioProfiles(opt.ProfileDir, scenario)
+		cells, files, err := corpusScenario(e, byScenario[scenario], opt, rng)
 		if err != nil {
 			return nil, err
 		}
-		for _, spec := range byScenario[scenario] {
-			var cell CorpusCell
-			switch spec.dtype {
-			case "f64":
-				cell, err = corpusCell[float64](e, spec, opt.Runs, opt.Cores, rng)
-			default:
-				cell, err = corpusCell[float32](e, spec, opt.Runs, opt.Cores, rng)
-			}
-			if err != nil {
-				profs.abort()
-				return nil, fmt.Errorf("experiments: corpus cell %s/%s/%s: %w",
-					spec.shape.name, spec.scenario, spec.dtype, err)
-			}
-			epoch.Cells = append(epoch.Cells, cell)
-		}
-		files, err := profs.finish()
-		if err != nil {
-			return nil, err
-		}
+		epoch.Cells = append(epoch.Cells, cells...)
 		epoch.Profiles = append(epoch.Profiles, files...)
 	}
 	return epoch, nil
 }
 
-// corpusCell measures one grid point under the worst-of-N protocol.
-func corpusCell[T matrix.Scalar](e *engine.Engine, spec corpusCellSpec, runs, cores int, rng *rand.Rand) (CorpusCell, error) {
+// corpusScenario measures one scenario's cells. Every cell's operands are
+// built (randomized, registered) before the scenario's profile starts, so
+// the captured CPU profile holds the measured GEMMs and not their setup.
+func corpusScenario(e *engine.Engine, specs []corpusCellSpec, opt CorpusOptions, rng *rand.Rand) ([]CorpusCell, []string, error) {
+	prepared := make([]*corpusUnit, 0, len(specs))
+	defer func() {
+		for _, u := range prepared {
+			u.release()
+		}
+	}()
+	for _, spec := range specs {
+		var u *corpusUnit
+		var err error
+		switch spec.dtype {
+		case "f64":
+			u, err = prepareCorpusCell[float64](e, spec, opt.Cores, rng)
+		default:
+			u, err = prepareCorpusCell[float32](e, spec, opt.Cores, rng)
+		}
+		if err != nil {
+			return nil, nil, fmt.Errorf("experiments: corpus cell %s/%s/%s: %w",
+				spec.shape.name, spec.scenario, spec.dtype, err)
+		}
+		prepared = append(prepared, u)
+	}
+
+	profs, err := startScenarioProfiles(opt.ProfileDir, specs[0].scenario)
+	if err != nil {
+		return nil, nil, err
+	}
+	cells := make([]CorpusCell, 0, len(prepared))
+	for _, u := range prepared {
+		cell, err := u.measure(opt.Runs)
+		if err != nil {
+			profs.abort()
+			return nil, nil, fmt.Errorf("experiments: corpus cell %s: %w", cell.Key(), err)
+		}
+		cells = append(cells, cell)
+	}
+	files, err := profs.finish()
+	return cells, files, err
+}
+
+// corpusUnit is one grid point ready to measure: its operands are built and
+// do runs one timed unit of gemms GEMMs.
+type corpusUnit struct {
+	cell    CorpusCell
+	flops   float64 // per GEMM
+	gemms   int
+	do      func() error
+	release func() // drops what preparation registered; never nil
+}
+
+// prepareCorpusCell builds one grid point's operands and binds its timed
+// unit. Nothing here runs a GEMM.
+func prepareCorpusCell[T matrix.Scalar](e *engine.Engine, spec corpusCellSpec, cores int, rng *rand.Rand) (*corpusUnit, error) {
 	sh := spec.shape
 	var zero T
 	elem := int(unsafe.Sizeof(zero))
@@ -264,54 +300,45 @@ func corpusCell[T matrix.Scalar](e *engine.Engine, spec corpusCellSpec, runs, co
 		Shape: sh.name, Scenario: spec.scenario, Dtype: spec.dtype,
 		M: sh.m, K: sh.k, N: sh.n,
 		Tier: e.TierFor(sh.m, sh.k, sh.n, elem).String(),
-		Reps: sh.reps, Runs: runs,
+		Reps: sh.reps,
 	}
 	a := matrix.New[T](sh.m, sh.k)
 	b := matrix.New[T](sh.k, sh.n)
 	a.Randomize(rng)
 	b.Randomize(rng)
-	flops := matrix.GemmFlops(sh.m, sh.n, sh.k)
-
-	var do func() error // one timed unit; gemms() GEMMs per unit
-	gemms := sh.reps
-	switch spec.scenario {
-	case "fresh":
-		c := matrix.New[T](sh.m, sh.n)
-		do = func() error {
+	one := engine.Request[T]{C: []*matrix.Matrix[T]{matrix.New[T](sh.m, sh.n)}, A: []*matrix.Matrix[T]{a}, Alpha: 1, Beta: 1}
+	repeat := func(r engine.Request[T]) func() error {
+		return func() error {
 			for i := 0; i < sh.reps; i++ {
-				if _, err := engine.Gemm(e, c, a, b); err != nil {
+				if _, err := engine.Do(e, r); err != nil {
 					return err
 				}
 			}
 			return nil
 		}
+	}
+
+	u := &corpusUnit{cell: cell, flops: matrix.GemmFlops(sh.m, sh.n, sh.k), gemms: sh.reps, release: func() {}}
+	switch spec.scenario {
+	case "fresh":
+		one.B = []*matrix.Matrix[T]{b}
+		u.do = repeat(one)
 	case "resident":
 		id := fmt.Sprintf("corpus-%s", cell.Key())
 		if err := engine.RegisterB(e, id, b); err != nil {
-			return cell, err
+			return nil, err
 		}
-		defer e.ReleaseB(id)
-		c := matrix.New[T](sh.m, sh.n)
-		do = func() error {
-			for i := 0; i < sh.reps; i++ {
-				if _, err := engine.GemmResident(e, c, a, id); err != nil {
-					return err
-				}
-			}
-			return nil
-		}
+		u.release = func() { e.ReleaseB(id) }
+		one.Resident = id
+		u.do = repeat(one)
 	case "batch":
-		// One GemmBatch per group: distinct activations against one shared
+		// One batch request per group: distinct activations against one shared
 		// weight matrix (the same *Matrix repeated, so the batch path packs
 		// it once and serves every call from the packed panels).
 		batch := spec.batch
-		cell.Batch = batch
-		groups := sh.reps / batch
-		if groups < 1 {
-			groups = 1
-		}
-		gemms = groups * batch
-		cell.Reps = gemms
+		groups := max(sh.reps/batch, 1)
+		u.gemms = groups * batch
+		u.cell.Batch, u.cell.Reps = batch, u.gemms
 		as := make([]*matrix.Matrix[T], batch)
 		bs := make([]*matrix.Matrix[T], batch)
 		cs := make([]*matrix.Matrix[T], batch)
@@ -321,9 +348,10 @@ func corpusCell[T matrix.Scalar](e *engine.Engine, spec corpusCellSpec, runs, co
 			bs[i] = b
 			cs[i] = matrix.New[T](sh.m, sh.n)
 		}
-		do = func() error {
+		r := engine.Request[T]{C: cs, A: as, B: bs, Alpha: 1, Beta: 1}
+		u.do = func() error {
 			for g := 0; g < groups; g++ {
-				if _, err := engine.GemmBatch(e, cs, as, bs); err != nil {
+				if _, err := engine.Do(e, r); err != nil {
 					return err
 				}
 			}
@@ -337,24 +365,17 @@ func corpusCell[T matrix.Scalar](e *engine.Engine, spec corpusCellSpec, runs, co
 		if workers > 4 {
 			workers = 4
 		}
-		cell.Workers = workers
-		gemms = sh.reps * workers
-		outs := make([]*matrix.Matrix[T], workers)
-		for i := range outs {
-			outs[i] = matrix.New[T](sh.m, sh.n)
+		u.cell.Workers = workers
+		u.gemms = sh.reps * workers
+		streams := make([]func() error, workers)
+		for i := range streams {
+			streams[i] = repeat(engine.Request[T]{Tenant: "corpus",
+				C: []*matrix.Matrix[T]{matrix.New[T](sh.m, sh.n)}, A: one.A, B: []*matrix.Matrix[T]{b}, Alpha: 1})
 		}
-		do = func() error {
+		u.do = func() error {
 			errCh := make(chan error, workers)
-			for wk := 0; wk < workers; wk++ {
-				go func(c *matrix.Matrix[T]) {
-					for i := 0; i < sh.reps; i++ {
-						if _, err := engine.GemmScaledFor(e, "corpus", c, a, b, false, false, 1, 0); err != nil {
-							errCh <- err
-							return
-						}
-					}
-					errCh <- nil
-				}(outs[wk])
+			for _, stream := range streams {
+				go func() { errCh <- stream() }()
 			}
 			for wk := 0; wk < workers; wk++ {
 				if err := <-errCh; err != nil {
@@ -364,21 +385,27 @@ func corpusCell[T matrix.Scalar](e *engine.Engine, spec corpusCellSpec, runs, co
 			return nil
 		}
 	default:
-		return cell, fmt.Errorf("unknown scenario %q", spec.scenario)
+		return nil, fmt.Errorf("unknown scenario %q", spec.scenario)
 	}
+	return u, nil
+}
 
-	if err := do(); err != nil { // warm operands, lease pools, resident panels
+// measure runs the unit under the worst-of-N protocol.
+func (u *corpusUnit) measure(runs int) (CorpusCell, error) {
+	cell := u.cell
+	cell.Runs = runs
+	if err := u.do(); err != nil { // warm operands, lease pools, resident panels
 		return cell, err
 	}
 	samples := make([]float64, 0, runs)
 	worstElapsed := time.Duration(0)
 	for r := 0; r < runs; r++ {
 		t0 := time.Now()
-		if err := do(); err != nil {
+		if err := u.do(); err != nil {
 			return cell, err
 		}
 		el := time.Since(t0)
-		samples = append(samples, flops*float64(gemms)/float64(el.Nanoseconds()))
+		samples = append(samples, u.flops*float64(u.gemms)/float64(el.Nanoseconds()))
 		if el > worstElapsed {
 			worstElapsed = el
 		}
@@ -388,7 +415,7 @@ func corpusCell[T matrix.Scalar](e *engine.Engine, spec corpusCellSpec, runs, co
 	cell.MedianGFLOPS = medianF(samples)
 	cell.CoV = covF(samples)
 	if worstElapsed > 0 {
-		cell.GemmsPerSec = float64(gemms) / worstElapsed.Seconds()
+		cell.GemmsPerSec = float64(u.gemms) / worstElapsed.Seconds()
 	}
 	return cell, nil
 }

@@ -43,7 +43,8 @@ type ObsBenchResult struct {
 func obsSide(e *engine.Engine, pools map[engine.Tier][]serveWorkItem, clients int, dur time.Duration) (float64, error) {
 	agg, elapsed, err := runServeSide(pools, clients, dur,
 		func(it *serveWorkItem, c *matrix.Matrix[float32]) error {
-			_, err := engine.GemmScaledFor(e, "obs-bench", c, it.a, it.b, false, false, 1, 0)
+			_, err := engine.Do(e, engine.Request[float32]{Tenant: "obs-bench",
+				C: []*matrix.Matrix[float32]{c}, A: []*matrix.Matrix[float32]{it.a}, B: []*matrix.Matrix[float32]{it.b}, Alpha: 1})
 			return err
 		})
 	if err != nil {

@@ -13,8 +13,9 @@ import (
 
 // ResidentBenchRow is one weight shape's fresh-vs-resident serving
 // measurement: the same activation GEMM served by re-packing the weights
-// every call (GemmScaled with transB — DNN weights ship transposed) and by
-// the resident path (RegisterBT once, GemmResident per call).
+// every call (a request with per-call B and TransB — DNN weights ship
+// transposed) and by the resident path (RegisterBT once, then a request
+// naming the operand as its Resident B source per call).
 type ResidentBenchRow struct {
 	Shape               string  `json:"shape"`
 	Dtype               string  `json:"dtype"`
@@ -67,7 +68,7 @@ func residentShape[T matrix.Scalar](e *engine.Engine, name, dtype string, m, k, 
 	bt := matrix.New[T](n, k) // weights stored transposed
 	a.Randomize(rng)
 	bt.Randomize(rng)
-	c := matrix.New[T](m, n)
+	cs, as := []*matrix.Matrix[T]{matrix.New[T](m, n)}, []*matrix.Matrix[T]{a}
 
 	id := "bench-" + row.Shape
 	// Registered operands stay resident for the whole run (Engine.Close
@@ -75,13 +76,15 @@ func residentShape[T matrix.Scalar](e *engine.Engine, name, dtype string, m, k, 
 	if err := engine.RegisterBT(e, id, bt, true); err != nil {
 		return row, fmt.Errorf("experiments: resident register %s: %w", row.Shape, err)
 	}
+	freshReq := engine.Request[T]{C: cs, A: as, B: []*matrix.Matrix[T]{bt}, TransB: true, Alpha: 1}
+	residentReq := engine.Request[T]{C: cs, A: as, Resident: id, Alpha: 1}
 
 	fresh := func() error {
-		_, err := engine.GemmScaled(e, c, a, bt, false, true, 1, 0)
+		_, err := engine.Do(e, freshReq)
 		return err
 	}
 	resident := func() error {
-		_, err := engine.GemmResidentScaled(e, c, a, id, false, 1, 0)
+		_, err := engine.Do(e, residentReq)
 		return err
 	}
 	for i := 0; i < 2; i++ { // warm both paths (buffers, lease pool)

@@ -259,7 +259,8 @@ func ServeBench(cores, clients int, dur time.Duration, quick bool) (*ServeBenchR
 
 	engAgg, engElapsed, err := runServeSide(pools, clients, dur,
 		func(it *serveWorkItem, c *matrix.Matrix[float32]) error {
-			_, err := engine.Gemm(eng, c, it.a, it.b)
+			_, err := engine.Do(eng, engine.Request[float32]{
+				C: []*matrix.Matrix[float32]{c}, A: []*matrix.Matrix[float32]{it.a}, B: []*matrix.Matrix[float32]{it.b}, Alpha: 1, Beta: 1})
 			return err
 		})
 	if err != nil {
@@ -354,8 +355,9 @@ func tinyDispatchAB(tiny []serveWorkItem, cakeCfg core.Config, reps int) (direct
 		for i := range tiny {
 			it := &tiny[i]
 			c := matrix.New[float32](it.m, it.n)
+			req := engine.Request[float32]{C: []*matrix.Matrix[float32]{c}, A: []*matrix.Matrix[float32]{it.a}, B: []*matrix.Matrix[float32]{it.b}, Alpha: 1, Beta: 1}
 			t0 := time.Now()
-			if _, err := d.GemmScaled(c, it.a, it.b, false, false, 1, 1); err != nil {
+			if _, err := d.Do(req, nil); err != nil {
 				return 0, 0, err
 			}
 			directLat = append(directLat, time.Since(t0))

@@ -201,11 +201,11 @@ type Record struct {
 	PackNs    int64 `json:"pack_ns"`
 	ComputeNs int64 `json:"compute_ns"`
 
-	// Batched requests: a GemmBatch produces ONE record for the whole batch
-	// (one admission, one lease), with BatchCalls carrying how many GEMMs it
-	// folded and AmortNs the amortized per-call latency DurNs/BatchCalls.
-	// Both are zero for single-call requests, keeping their records
-	// byte-compatible with pre-batch history.
+	// Batched requests: a request of several calls produces ONE record for
+	// the whole batch (one admission, one lease), with BatchCalls carrying
+	// how many GEMMs it folded and AmortNs the amortized per-call latency
+	// DurNs/BatchCalls. Both are zero for single-call requests, keeping
+	// their records byte-compatible with pre-batch history.
 	BatchCalls int32 `json:"batch_calls,omitempty"`
 	AmortNs    int64 `json:"amort_ns,omitempty"`
 

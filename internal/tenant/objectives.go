@@ -9,7 +9,7 @@ import (
 // Objectives derives per-tenant SLO objectives from the plan: one objective
 // per assignment, keyed on the job name as the tenant label, ready to drop
 // into engine.Options.Trace.Objectives. Requests tagged with the tenant
-// label (engine.GemmScaledFor / GemmResidentScaledFor) route into them.
+// label (engine.Request.Tenant) route into them.
 // target and goal apply uniformly — a plan partitions resources, it does
 // not rank tenants — and an empty windows list takes the reqtrace
 // multi-window defaults.

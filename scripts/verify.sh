@@ -45,6 +45,12 @@ rm -rf "$VET_TMP"
 echo "== go test ./..."
 go test ./...
 
+# The benchmark is its own Go module (perfbench/go.mod replaces repro with
+# this checkout), so ./... above never builds it: without this step a facade
+# change that breaks the benchmark would still pass.
+echo "== perfbench: go vet ./... && go test ./..."
+(cd perfbench && export GOWORK=off GOPROXY=off && go vet ./... && go test ./...)
+
 # Race gate, two layers: every package runs under -race in -short mode
 # (wall-clock-sensitive tests skip themselves there rather than being
 # silently omitted), then the concurrency-critical packages run their full
