@@ -29,6 +29,12 @@ type Batch[T matrix.Scalar] struct {
 	C, A, B        []*matrix.Matrix[T]
 	TransA, TransB bool
 	Alpha, Beta    T
+	// Width is how many pool workers the batch may occupy at once — the
+	// cores its caller holds. 0, or anything above Config.Cores, means
+	// Config.Cores. Width decides only which worker runs a strip: the
+	// block grid, the strips and the K-first order are the config's, so
+	// results are bit-identical at any width.
+	Width int
 }
 
 // OpDims returns the logical extents of op(x): x's own, swapped when trans.
@@ -159,6 +165,10 @@ func (e *Executor[T]) Do(b Batch[T], rb *ResidentB[T]) (Stats, error) {
 // guard, with B from rb when set and from b.B otherwise.
 func (e *Executor[T]) loop(b *Batch[T], rb *ResidentB[T]) (Stats, error) {
 	e.transA, e.transB, e.alpha = b.TransA, b.TransB, b.Alpha
+	e.width = b.Width
+	if e.width < 1 || e.width > e.cfg.Cores {
+		e.width = e.cfg.Cores
+	}
 	e.resB = rb
 	defer func() {
 		e.resB = nil

@@ -149,7 +149,7 @@ type Executor[T matrix.Scalar] struct {
 	clock        int64
 
 	bufC     []T
-	partials [][]T // DimK: per-core private partial-C surfaces
+	partials [][]T // DimK: per-strip private partial-C surfaces
 
 	// Observability: rec is nil unless WithTrace attached a recorder; the
 	// label contexts are prebuilt per phase so pool jobs are tagged without
@@ -171,6 +171,10 @@ type Executor[T matrix.Scalar] struct {
 	inUse          atomic.Bool
 	transA, transB bool
 	alpha          T
+	// width bounds every pool fan-out of the in-flight call (Batch.Width
+	// resolved against cfg.Cores). It decides only which worker runs a
+	// strip, never the strips themselves.
+	width int
 	// keepA/keepB let the batch loop (Do) carry an operand's panel keys
 	// across calls: when set, invalidateSlots preserves that operand's keys
 	// so panels packed for the previous call are reused. Only
@@ -303,8 +307,8 @@ func (e *Executor[T]) run(c, a, b *matrix.Matrix[T], m, k, n int, alpha, beta T)
 	}
 
 	if beta != 1 {
-		chunks := min(e.cfg.Cores, max(1, m))
-		e.pool.ForStatic(chunks, func(_, s int) {
+		chunks := e.rowChunks(m)
+		e.forStatic(nil, chunks, func(_, s int) {
 			r0, rows := chunkSpan(s, chunks, m)
 			cv := c.View(r0, 0, rows, n)
 			if beta == 0 {
@@ -485,7 +489,7 @@ func (e *Executor[T]) packBSlice(dst []T, b *matrix.Matrix[T], k0, depth, n0, co
 // spans are recorded — only the pprof label marks the time.
 func (e *Executor[T]) zeroBlock(cBlock *matrix.Matrix[T]) {
 	chunks := e.rowChunks(cBlock.Rows)
-	e.pool.ForStaticLabeled(e.moveCtx, chunks, func(_, s int) {
+	e.forStatic(e.moveCtx, chunks, func(_, s int) {
 		r0, rows := chunkSpan(s, chunks, cBlock.Rows)
 		cBlock.View(r0, 0, rows, cBlock.Cols).Zero()
 	})
@@ -496,7 +500,7 @@ func (e *Executor[T]) zeroBlock(cBlock *matrix.Matrix[T]) {
 // spans carrying 2× the chunk's bytes.
 func (e *Executor[T]) unpack(dst, cBlock *matrix.Matrix[T]) {
 	chunks := e.rowChunks(cBlock.Rows)
-	e.pool.ForStaticLabeled(e.moveCtx, chunks, func(core, s int) {
+	e.forStatic(e.moveCtx, chunks, func(core, s int) {
 		u0 := e.now()
 		r0, rows := chunkSpan(s, chunks, cBlock.Rows)
 		packing.AddInto(dst.View(r0, 0, rows, dst.Cols), cBlock.View(r0, 0, rows, cBlock.Cols))
@@ -506,6 +510,13 @@ func (e *Executor[T]) unpack(dst, cBlock *matrix.Matrix[T]) {
 
 func (e *Executor[T]) rowChunks(rows int) int {
 	return min(e.cfg.Cores, max(1, rows))
+}
+
+// forStatic runs a static job on at most the call's width of workers (see
+// Batch.Width). Item counts come from the config, so the work split — and
+// with it every result bit — is the same at any width.
+func (e *Executor[T]) forStatic(ctx context.Context, n int, f func(core, item int)) {
+	e.pool.ForStaticLabeled(ctx, e.width, n, f)
 }
 
 // chunkSpan splits rows into nearly equal contiguous chunks.
@@ -521,15 +532,16 @@ func chunkSpan(idx, chunks, rows int) (off, cnt int) {
 
 // blockDimN executes one CB block with cores advancing along N (Figure 6):
 // core s owns the A strip of rows [s·mc, (s+1)·mc), the packed B panel is
-// shared, and each core computes its strip of the resident C block.
+// shared, and each core computes its strip of the resident C block. A
+// partial block spreads its rows evenly over the cores (see stripRows).
 func (e *Executor[T]) blockDimN(a, b, cBlock *matrix.Matrix[T], st *Stats, m0, mEff, k0, kEff, n0, nEff int) {
-	mc := e.cfg.MC
+	mc := e.cfg.stripRows(mEff)
 	strips := ceilDiv(mEff, mc)
 
 	// Pack per-core A sub-blocks in parallel; strip s's panels start at
-	// s·mc·kEff because mc is a multiple of mr.
+	// s·mc·kEff because the strip height is a multiple of mr.
 	t0 := time.Now()
-	e.pool.ForStaticLabeled(e.packCtx, strips, func(core, s int) {
+	e.forStatic(e.packCtx, strips, func(core, s int) {
 		u0 := e.now()
 		r0 := s * mc
 		rows := min(mc, mEff-r0)
@@ -545,7 +557,7 @@ func (e *Executor[T]) blockDimN(a, b, cBlock *matrix.Matrix[T], st *Stats, m0, m
 
 	t0 = time.Now()
 	bp = bp[:packing.PackedBSize(kEff, nEff, e.cfg.NR)]
-	e.pool.ForStaticLabeled(e.computeCtx, strips, func(core, s int) {
+	e.forStatic(e.computeCtx, strips, func(core, s int) {
 		u0 := e.now()
 		r0 := s * mc
 		rows := min(mc, mEff-r0)
@@ -567,7 +579,7 @@ func (e *Executor[T]) blockDimM(a, b, cBlock *matrix.Matrix[T], st *Stats, m0, m
 	e.packAShared(a, m0, mEff, k0, kEff)
 	bSrc := e.residentCell(e.curBlk)
 	if bSrc == nil {
-		e.pool.ForStaticLabeled(e.packCtx, strips, func(core, s int) {
+		e.forStatic(e.packCtx, strips, func(core, s int) {
 			u0 := e.now()
 			c0 := s * nc
 			cols := min(nc, nEff-c0)
@@ -580,7 +592,7 @@ func (e *Executor[T]) blockDimM(a, b, cBlock *matrix.Matrix[T], st *Stats, m0, m
 
 	t0 = time.Now()
 	ap := e.packA[0][:packing.PackedASize(mEff, kEff, e.cfg.MR)]
-	e.pool.ForStaticLabeled(e.computeCtx, strips, func(core, s int) {
+	e.forStatic(e.computeCtx, strips, func(core, s int) {
 		u0 := e.now()
 		c0 := s * nc
 		cols := min(nc, nEff-c0)
@@ -603,7 +615,7 @@ func (e *Executor[T]) blockDimK(a, b, cBlock *matrix.Matrix[T], st *Stats, m0, m
 
 	t0 := time.Now()
 	rbp := e.residentCell(e.curBlk)
-	e.pool.ForStaticLabeled(e.computeCtx, strips, func(core, s int) {
+	e.forStatic(e.computeCtx, strips, func(core, s int) {
 		u0 := e.now()
 		kk0 := s * kc
 		depth := min(kc, kEff-kk0)
@@ -618,18 +630,18 @@ func (e *Executor[T]) blockDimK(a, b, cBlock *matrix.Matrix[T], st *Stats, m0, m
 		}
 		e.span(core, obs.PhasePack, e.curBlk, u0, packed*e.elemBytes)
 		u0 = e.now()
-		part := matrix.FromSlice(mEff, nEff, e.partials[core][:mEff*nEff])
+		part := matrix.FromSlice(mEff, nEff, e.partials[s][:mEff*nEff])
 		part.Zero()
 		packing.Macro(e.kern, depth, ap, bp, part, e.scratch[core])
 		e.span(core, obs.PhaseCompute, e.curBlk, u0, 0)
 	})
 	st.ComputeNanos += time.Since(t0).Nanoseconds()
 
-	// Reduce private partials into the resident C block. ForStatic maps
-	// strip s to core s (strips <= cores), so partials[s] holds slice s.
+	// Reduce the strips' private partials into the resident C block, in
+	// strip order whichever worker computed each.
 	t0 = time.Now()
 	chunks := e.rowChunks(mEff)
-	e.pool.ForStatic(chunks, func(_, ch int) {
+	e.forStatic(nil, chunks, func(_, ch int) {
 		r0, rows := chunkSpan(ch, chunks, mEff)
 		for s := 0; s < strips; s++ {
 			src := matrix.FromSlice(mEff, nEff, e.partials[s][:mEff*nEff])
@@ -646,7 +658,7 @@ func (e *Executor[T]) packBShared(b *matrix.Matrix[T], k0, kEff, n0, nEff int) {
 	panels := ceilDiv(nEff, nr)
 	chunks := min(e.cfg.Cores, panels)
 	perChunk := ceilDiv(panels, chunks)
-	e.pool.ForStaticLabeled(e.packCtx, chunks, func(core, ch int) {
+	e.forStatic(e.packCtx, chunks, func(core, ch int) {
 		p0 := ch * perChunk
 		pn := min(perChunk, panels-p0)
 		if pn <= 0 {
@@ -667,7 +679,7 @@ func (e *Executor[T]) packAShared(a *matrix.Matrix[T], m0, mEff, k0, kEff int) {
 	panels := ceilDiv(mEff, mr)
 	chunks := min(e.cfg.Cores, panels)
 	perChunk := ceilDiv(panels, chunks)
-	e.pool.ForStaticLabeled(e.packCtx, chunks, func(core, ch int) {
+	e.forStatic(e.packCtx, chunks, func(core, ch int) {
 		p0 := ch * perChunk
 		pn := min(perChunk, panels-p0)
 		if pn <= 0 {

@@ -108,6 +108,16 @@ func (c Config) BlockDims() (bm, bk, bn int) {
 	}
 }
 
+// stripRows is the height of each DimN core strip of an mEff-row block:
+// the rows spread evenly over the config's cores, rounded up to whole mr
+// panels and capped at mc. A full block gets mc-row strips; a partial block
+// row gets balanced ones instead of leaving most cores idle (160 rows
+// against mc = 176 on two cores run as two 80-row strips, not one of 160).
+// Strips stay mr-aligned, so the packed-A layout is the same either way.
+func (c Config) stripRows(mEff int) int {
+	return min(c.MC, roundUpMultiple(ceilDiv(mEff, c.Cores), c.MR))
+}
+
 // GridFor returns the CB block grid covering an M×K×N computation space.
 func (c Config) GridFor(m, k, n int) schedule.Dims {
 	bm, bk, bn := c.BlockDims()

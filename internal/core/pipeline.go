@@ -163,7 +163,7 @@ func (e *Executor[T]) submitPack(a, b *matrix.Matrix[T], blk blockSpan, busyA, b
 	if s.bSlot >= 0 {
 		bBuf = e.packB[s.bSlot]
 	}
-	s.handle = e.pool.SubmitLabeled(e.packCtx, total, func(worker, u int) {
+	s.handle = e.pool.SubmitLabeled(e.packCtx, e.width, total, func(worker, u int) {
 		u0 := e.now()
 		s.startNs.CompareAndSwap(0, time.Now().UnixNano())
 		var elems int64
@@ -184,7 +184,7 @@ func (e *Executor[T]) submitPack(a, b *matrix.Matrix[T], blk blockSpan, busyA, b
 func (e *Executor[T]) packAUnits(blk blockSpan) int {
 	switch e.cfg.Dim {
 	case DimN:
-		return ceilDiv(blk.mEff, e.cfg.MC) // one unit per core strip
+		return ceilDiv(blk.mEff, e.cfg.stripRows(blk.mEff)) // one unit per core strip
 	case DimM:
 		return min(e.cfg.Cores, ceilDiv(blk.mEff, e.cfg.MR)) // shared panel, chunked
 	default: // DimK
@@ -199,8 +199,9 @@ func (e *Executor[T]) packAUnits(blk blockSpan) int {
 func (e *Executor[T]) packAUnit(dst []T, a *matrix.Matrix[T], blk blockSpan, u int) int64 {
 	switch e.cfg.Dim {
 	case DimN:
-		r0 := u * e.cfg.MC
-		rows := min(e.cfg.MC, blk.mEff-r0)
+		mc := e.cfg.stripRows(blk.mEff)
+		r0 := u * mc
+		rows := min(mc, blk.mEff-r0)
 		e.packASlice(dst[r0*blk.kEff:], a, blk.m0+r0, rows, blk.k0, blk.kEff)
 		return int64(rows) * int64(blk.kEff)
 	case DimM:
@@ -283,10 +284,10 @@ func (e *Executor[T]) computeStage(s *pipeStage, cBlock *matrix.Matrix[T]) {
 	}
 	switch e.cfg.Dim {
 	case DimN:
-		mc := e.cfg.MC
+		mc := e.cfg.stripRows(blk.mEff)
 		strips := ceilDiv(blk.mEff, mc)
 		bp := bBuf[:packing.PackedBSize(blk.kEff, blk.nEff, e.cfg.NR)]
-		e.pool.ForStaticLabeled(e.computeCtx, strips, func(core, si int) {
+		e.forStatic(e.computeCtx, strips, func(core, si int) {
 			u0 := e.now()
 			r0 := si * mc
 			rows := min(mc, blk.mEff-r0)
@@ -298,7 +299,7 @@ func (e *Executor[T]) computeStage(s *pipeStage, cBlock *matrix.Matrix[T]) {
 		nc := e.cfg.MC // square per-core block: nc = mc
 		strips := ceilDiv(blk.nEff, nc)
 		ap := aBuf[:packing.PackedASize(blk.mEff, blk.kEff, e.cfg.MR)]
-		e.pool.ForStaticLabeled(e.computeCtx, strips, func(core, si int) {
+		e.forStatic(e.computeCtx, strips, func(core, si int) {
 			u0 := e.now()
 			c0 := si * nc
 			cols := min(nc, blk.nEff-c0)
@@ -311,22 +312,22 @@ func (e *Executor[T]) computeStage(s *pipeStage, cBlock *matrix.Matrix[T]) {
 		strips := ceilDiv(blk.kEff, kc)
 		aSlice := packing.PackedASize(blk.mEff, kc, e.cfg.MR)
 		bSlice := packing.PackedBSize(kc, blk.nEff, e.cfg.NR)
-		e.pool.ForStaticLabeled(e.computeCtx, strips, func(core, si int) {
+		e.forStatic(e.computeCtx, strips, func(core, si int) {
 			u0 := e.now()
 			kk0 := si * kc
 			depth := min(kc, blk.kEff-kk0)
 			ap := aBuf[si*aSlice : si*aSlice+packing.PackedASize(blk.mEff, depth, e.cfg.MR)]
 			bp := bBuf[si*bSlice : si*bSlice+packing.PackedBSize(depth, blk.nEff, e.cfg.NR)]
-			part := matrix.FromSlice(blk.mEff, blk.nEff, e.partials[core][:blk.mEff*blk.nEff])
+			part := matrix.FromSlice(blk.mEff, blk.nEff, e.partials[si][:blk.mEff*blk.nEff])
 			part.Zero()
 			packing.Macro(e.kern, depth, ap, bp, part, e.scratch[core])
 			e.span(core, obs.PhaseCompute, blk.coord, u0, 0)
 		})
 		// Reduce private partials into the resident C block in the same
-		// strip order as the synchronous path (partials[si] holds slice si
-		// because ForStatic pins strip si to core si, strips <= cores).
+		// strip order as the synchronous path (partials[si] holds slice si,
+		// whichever worker computed it).
 		chunks := e.rowChunks(blk.mEff)
-		e.pool.ForStatic(chunks, func(_, ch int) {
+		e.forStatic(nil, chunks, func(_, ch int) {
 			r0, rows := chunkSpan(ch, chunks, blk.mEff)
 			for si := 0; si < strips; si++ {
 				src := matrix.FromSlice(blk.mEff, blk.nEff, e.partials[si][:blk.mEff*blk.nEff])

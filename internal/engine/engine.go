@@ -13,11 +13,19 @@
 //     request from a per-tier sync.Pool cache. Leased executors share the
 //     engine's one worker pool and own no goroutines, so the GC can drop
 //     cold cache entries freely.
-//   - Core partitioning with admission queueing. Each pool-using tier
-//     (small, large) demands a core slice computed by tenant.SplitCores
-//     over the tier work weights — the §4.3 static partition — and a
-//     weighted FIFO semaphore admits requests while demand fits the
-//     machine, queueing (or rejecting, past MaxQueue) the rest. Tiny
+//   - Elastic core admission. Each pool-using tier (small, large) is
+//     guaranteed a core slice computed by tenant.SplitCores over the tier
+//     work weights — the §4.3 partition — and a weighted FIFO semaphore
+//     admits requests, queueing (or rejecting, past MaxQueue) the rest.
+//     The small tier is admitted at exactly its slice. The large tier is
+//     planned once for the whole machine (p = every core, the whole LLC)
+//     and takes every free core up to p once its slice is free, so a lone
+//     large GEMM runs at full width and one arriving beside other work
+//     runs at its slice. The width is only the worker count: the block
+//     grid, strips and K-first order are the full-machine config's, so a
+//     large result is bit-identical at any width. The trade-off is that a
+//     request arriving while a lone large GEMM holds every core waits for
+//     it, where a static partition would have kept its slice free. Tiny
 //     requests run on their caller's goroutine, hold no pool cores and
 //     skip admission.
 package engine
@@ -107,13 +115,15 @@ type Options struct {
 	Trace reqtrace.Options
 }
 
-// tierSpec is one tier's static slice of the machine: its core demand and
-// the CAKE configs planned for that slice (per scalar type, since element
-// size changes the cache arithmetic).
+// tierSpec is one tier's share of the machine: the cores it is admitted
+// with — at least its §4.3 slice, at most maxCores — and the CAKE configs
+// it runs (per scalar type, since element size changes the cache
+// arithmetic).
 type tierSpec struct {
-	cores int
-	cfg32 core.Config
-	cfg64 core.Config
+	cores    int
+	maxCores int
+	cfg32    core.Config
+	cfg64    core.Config
 }
 
 // typedCaches holds the per-scalar-type executor leases. Direct scratches
@@ -124,11 +134,13 @@ type typedCaches[T matrix.Scalar] struct {
 	direct sync.Pool            // of *DirectScratch[T]
 }
 
-// waiter is one queued admission request.
+// waiter is one queued admission request for between lo and hi cores;
+// granted is set before ready closes.
 type waiter struct {
-	cores int
-	ready chan struct{}
-	err   error
+	lo, hi  int
+	granted int
+	ready   chan struct{}
+	err     error
 }
 
 // Engine serves concurrent GEMMs over one shared worker pool.
@@ -163,9 +175,10 @@ type Engine struct {
 	leaseReused atomic.Int64
 }
 
-// NewEngine builds an engine for the platform: plans per-tier configs on
-// proportional platform slices, starts the shared pool, and publishes the
-// engine's counters under the obs "cake_engine" expvar.
+// NewEngine builds an engine for the platform: plans the small tier on its
+// proportional platform slice and the large tier on the whole machine,
+// starts the shared pool, and publishes the engine's counters under the obs
+// "cake_engine" expvar.
 func NewEngine(opts Options) (*Engine, error) {
 	pl := opts.Platform
 	if pl == nil {
@@ -194,18 +207,25 @@ func NewEngine(opts Options) (*Engine, error) {
 	demands := [tierCount]int{TierTiny: 0, TierSmall: split[0], TierLarge: split[1]}
 	for t := Tier(0); t < tierCount; t++ {
 		cores := min(demands[t], pl.Cores)
-		spec := tierSpec{cores: cores}
+		spec := tierSpec{cores: cores, maxCores: cores}
 		if t == TierTiny {
 			// No executor config: the direct path has no CB geometry.
 			e.tiers[t] = spec
 			continue
 		}
-		// Plan against the tier's slice of the machine: its cores and a
-		// proportional LLC share, so each slice runs CAKE at its own
-		// constant bandwidth (Section 4.3).
+		// The small tier plans against its slice of the machine: its cores
+		// and a proportional LLC share, so it runs CAKE at its own constant
+		// bandwidth beside other work (Section 4.3). The large tier plans
+		// once for the whole machine and is admitted at any width from its
+		// slice up to every core; the width only decides how many workers
+		// share the full-machine geometry's strips (see runPooled).
 		slice := *pl
-		slice.Cores = cores
-		slice.LLCBytes = max(pl.LLCBytes*int64(cores)/int64(pl.Cores), 64<<10)
+		if t == TierLarge {
+			spec.maxCores = pl.Cores
+		} else {
+			slice.Cores = cores
+			slice.LLCBytes = max(pl.LLCBytes*int64(cores)/int64(pl.Cores), 64<<10)
+		}
 		m, k, n := tierPlanShape(t, &slice)
 		var err error
 		if spec.cfg32, err = core.Plan(&slice, m, k, n, 4); err != nil {
@@ -240,7 +260,8 @@ func NewEngine(opts Options) (*Engine, error) {
 	})
 	reqtrace.L().Info("engine started",
 		"engine", name, "cores", pl.Cores,
-		"small_cores", e.tiers[TierSmall].cores, "large_cores", e.tiers[TierLarge].cores,
+		"small_cores", e.tiers[TierSmall].cores,
+		"large_cores", e.tiers[TierLarge].cores, "large_max_cores", e.tiers[TierLarge].maxCores,
 		"max_queue", opts.MaxQueue, "trace", e.trace != nil)
 	return e, nil
 }
@@ -298,7 +319,8 @@ func (e *Engine) TierConfig(t Tier, elemBytes int) core.Config {
 	return e.tiers[t].cfg32
 }
 
-// TierCores returns the §4.3 core slice a tier's requests are admitted with.
+// TierCores returns a tier's §4.3 core slice: the fewest cores its requests
+// are admitted with (a large-tier request takes more when they are free).
 func (e *Engine) TierCores(t Tier) int { return e.tiers[t].cores }
 
 // Counters snapshots the engine's serving counters.
@@ -316,46 +338,50 @@ func (e *Engine) Counters() obs.EngineStats {
 	}
 }
 
-// acquire admits a request demanding n cores: immediate when the cores are
-// free and nobody is queued ahead (FIFO — no starvation of wide requests by
-// narrow ones), otherwise the caller waits its turn.
-func (e *Engine) acquire(n int) error {
+// acquire admits a request for between lo and hi cores and returns how
+// many it was granted: min(free, hi), as soon as at least lo cores are free
+// and nobody is queued ahead (FIFO — no starvation of wide requests by
+// narrow ones); otherwise the caller waits its turn. The caller returns
+// exactly the granted count to release.
+func (e *Engine) acquire(lo, hi int) (granted int, err error) {
 	e.mu.Lock()
 	if e.closed {
 		e.mu.Unlock()
-		return ErrClosed
+		return 0, ErrClosed
 	}
-	if len(e.waiters) == 0 && e.free >= n {
-		e.free -= n
+	if len(e.waiters) == 0 && e.free >= lo {
+		granted = min(e.free, hi)
+		e.free -= granted
 		e.mu.Unlock()
-		return nil
+		return granted, nil
 	}
 	if e.maxQueue > 0 && len(e.waiters) >= e.maxQueue {
 		e.mu.Unlock()
 		e.rejected.Add(1)
-		return ErrSaturated
+		return 0, ErrSaturated
 	}
-	w := &waiter{cores: n, ready: make(chan struct{})}
+	w := &waiter{lo: lo, hi: hi, ready: make(chan struct{})}
 	e.waiters = append(e.waiters, w)
 	e.queued.Store(int64(len(e.waiters)))
 	e.queuedTotal.Add(1)
 	e.mu.Unlock()
 	<-w.ready
-	return w.err
+	return w.granted, w.err
 }
 
-// release returns n cores and grants queued waiters in FIFO order while
-// they fit. Granting stops at the first waiter that does not fit, which is
-// what keeps wide (large-tier) requests from starving behind a stream of
-// narrow ones.
+// release returns n cores and grants queued waiters in FIFO order, each
+// min(free, hi), while the head's lo fits. Granting stops at the first
+// waiter whose lo does not fit, which is what keeps wide (large-tier)
+// requests from starving behind a stream of narrow ones.
 func (e *Engine) release(n int) {
 	e.mu.Lock()
 	e.free += n
 	var grant []*waiter
-	for len(e.waiters) > 0 && e.free >= e.waiters[0].cores {
+	for len(e.waiters) > 0 && e.free >= e.waiters[0].lo {
 		w := e.waiters[0]
 		e.waiters = e.waiters[1:]
-		e.free -= w.cores
+		w.granted = min(e.free, w.hi)
+		e.free -= w.granted
 		grant = append(grant, w)
 	}
 	e.queued.Store(int64(len(e.waiters)))
@@ -500,21 +526,23 @@ func runDirect[T matrix.Scalar](e *Engine, rec *reqtrace.Record, fn func(d *Dire
 	return st, nil
 }
 
-// runPooled admits a request on tier t's core slice and runs fn on a leased
-// executor. rec picks up the admission evidence (queue depth at entry, wait
-// time) and the lease provenance.
-func runPooled[T matrix.Scalar](e *Engine, t Tier, rec *reqtrace.Record, fn func(ex *core.Executor[T]) (core.Stats, error)) (core.Stats, error) {
+// runPooled admits a request on tier t — at least its core slice, at most
+// its maxCores — and runs fn on a leased executor with the granted width.
+// rec picks up the admission evidence (queue depth at entry, wait time,
+// granted cores) and the lease provenance.
+func runPooled[T matrix.Scalar](e *Engine, t Tier, rec *reqtrace.Record, fn func(ex *core.Executor[T], width int) (core.Stats, error)) (core.Stats, error) {
 	rec.QueueDepth = int32(e.queued.Load())
 	admitStart := time.Now()
-	err := e.acquire(e.tiers[t].cores)
+	width, err := e.acquire(e.tiers[t].cores, e.tiers[t].maxCores)
 	rec.AdmitWaitNs = time.Since(admitStart).Nanoseconds()
 	if err != nil {
 		return core.Stats{}, err
 	}
+	rec.Cores = int32(width)
 	e.inFlight.Add(1)
 	defer func() {
 		e.inFlight.Add(-1)
-		e.release(e.tiers[t].cores)
+		e.release(width)
 	}()
 
 	ex, reused, err := leaseExecutor[T](e, t)
@@ -538,7 +566,7 @@ func runPooled[T matrix.Scalar](e *Engine, t Tier, rec *reqtrace.Record, fn func
 			ex.Close()
 		}
 	}()
-	st, err := fn(ex)
+	st, err := fn(ex, width)
 	if err != nil {
 		return st, err
 	}

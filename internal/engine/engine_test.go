@@ -189,8 +189,8 @@ func TestEngineAdmissionFIFOAndCounts(t *testing.T) {
 	e := newTestEngine(t, 2, Options{})
 	// Take the whole machine, then queue two waiters; they must be granted
 	// in submission order when capacity frees up.
-	if err := e.acquire(2); err != nil {
-		t.Fatal(err)
+	if n, err := e.acquire(2, 2); err != nil || n != 2 {
+		t.Fatalf("acquire(2, 2) = %d, %v", n, err)
 	}
 	order := make(chan int, 2)
 	var wg sync.WaitGroup
@@ -198,8 +198,8 @@ func TestEngineAdmissionFIFOAndCounts(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			if err := e.acquire(1); err != nil {
-				t.Errorf("waiter %d: %v", i, err)
+			if n, err := e.acquire(1, 1); err != nil || n != 1 {
+				t.Errorf("waiter %d: granted %d, %v", i, n, err)
 				return
 			}
 			order <- i
@@ -238,11 +238,14 @@ func TestEngineAdmissionFIFOAndCounts(t *testing.T) {
 
 func TestEngineMaxQueueSaturation(t *testing.T) {
 	e := newTestEngine(t, 1, Options{MaxQueue: 1})
-	if err := e.acquire(1); err != nil {
+	if _, err := e.acquire(1, 1); err != nil {
 		t.Fatal(err)
 	}
 	done := make(chan error, 1)
-	go func() { done <- e.acquire(1) }()
+	go func() {
+		_, err := e.acquire(1, 1)
+		done <- err
+	}()
 	for {
 		e.mu.Lock()
 		n := len(e.waiters)
@@ -252,8 +255,8 @@ func TestEngineMaxQueueSaturation(t *testing.T) {
 		}
 		time.Sleep(time.Millisecond)
 	}
-	if err := e.acquire(1); !errors.Is(err, ErrSaturated) {
-		t.Fatalf("over-queue acquire = %v, want ErrSaturated", err)
+	if n, err := e.acquire(1, 1); !errors.Is(err, ErrSaturated) || n != 0 {
+		t.Fatalf("over-queue acquire = %d, %v, want 0, ErrSaturated", n, err)
 	}
 	if got := e.Counters().Rejected; got != 1 {
 		t.Fatalf("rejected = %d, want 1", got)
@@ -267,11 +270,14 @@ func TestEngineMaxQueueSaturation(t *testing.T) {
 
 func TestEngineCloseDrainsWaiters(t *testing.T) {
 	e := newTestEngine(t, 1, Options{})
-	if err := e.acquire(1); err != nil {
+	if _, err := e.acquire(1, 1); err != nil {
 		t.Fatal(err)
 	}
 	done := make(chan error, 1)
-	go func() { done <- e.acquire(1) }()
+	go func() {
+		_, err := e.acquire(1, 1)
+		done <- err
+	}()
 	for {
 		e.mu.Lock()
 		n := len(e.waiters)

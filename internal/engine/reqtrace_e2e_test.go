@@ -133,7 +133,7 @@ func TestRequestLifecycleEndToEnd(t *testing.T) {
 	// Injected saturation burst: hold the whole machine, fill the one queue
 	// slot, then throw concurrent large GEMMs at the wall. With MaxQueue=1
 	// everything past the first waiter must reject with ErrSaturated.
-	if err := e.acquire(2); err != nil {
+	if _, err := e.acquire(2, 2); err != nil {
 		t.Fatal(err)
 	}
 
@@ -247,6 +247,50 @@ func TestRequestLifecycleEndToEnd(t *testing.T) {
 	if err := json.Unmarshal(body, &sloPage); err != nil {
 		t.Fatalf("slo page invalid JSON: %v\n%s", err, body)
 	}
+}
+
+// TestRecordCarriesGrantedCores: a request's record names the pool cores it
+// ran on, so its speed is explained. The large tier gets the whole idle
+// machine and its slice beside other work; the small tier gets its slice;
+// the tiny tier holds no pool cores.
+func TestRecordCarriesGrantedCores(t *testing.T) {
+	e := newTestEngine(t, 2, Options{Trace: reqtrace.Options{Ring: 16}})
+	rng := rand.New(rand.NewSource(43))
+	mk := func(m, k int) *matrix.Matrix[float32] {
+		x := matrix.New[float32](m, k)
+		x.Randomize(rng)
+		return x
+	}
+	last := func(m, k, n int) reqtrace.Record {
+		t.Helper()
+		r := Request[float32]{C: mats(matrix.New[float32](m, n)), A: mats(mk(m, k)), B: mats(mk(k, n)), Alpha: 1}
+		if _, err := Do(e, r); err != nil {
+			t.Fatal(err)
+		}
+		recs := e.Tracer().Recent()
+		return recs[len(recs)-1]
+	}
+	for _, tc := range []struct {
+		m, k, n int
+		tier    string
+		cores   int32
+	}{
+		{16, 16, 16, "tiny", 0},
+		{64, 48, 80, "small", 1},
+		{200, 160, 220, "large", 2},
+	} {
+		if r := last(tc.m, tc.k, tc.n); r.Tier != tc.tier || r.Cores != tc.cores {
+			t.Fatalf("%s request on an idle engine: record tier %q cores %d, want %d", tc.tier, r.Tier, r.Cores, tc.cores)
+		}
+	}
+	held, err := e.acquire(1, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if r := last(200, 160, 220); r.Tier != "large" || r.Cores != 1 {
+		t.Fatalf("large request beside a held core: record tier %q cores %d, want 1", r.Tier, r.Cores)
+	}
+	e.release(held)
 }
 
 // TestEngineObjectivesTrackOutcomes proves engine traffic reaches the SLO

@@ -63,8 +63,8 @@ func (r *Request[T]) callDims(i int, op *residentOperand[T]) (m, k, n int, err e
 
 // Do runs a request through the engine: pin the resident operand if there
 // is one, validate every call, classify the request by its widest call,
-// admit it against that tier's core slice and run it on leased state. Safe
-// for any number of concurrent callers.
+// admit it on that tier's cores and run it on leased state. Safe for any
+// number of concurrent callers.
 func Do[T matrix.Scalar](e *Engine, r Request[T]) (core.Stats, error) {
 	start := time.Now()
 	rec := reqtrace.Record{
@@ -151,7 +151,8 @@ func dispatch[T matrix.Scalar](e *Engine, rec *reqtrace.Record, r *Request[T], o
 				rb = op.small
 			}
 		}
-		st, err = runPooled(e, t, rec, func(ex *core.Executor[T]) (core.Stats, error) {
+		st, err = runPooled(e, t, rec, func(ex *core.Executor[T], width int) (core.Stats, error) {
+			b.Width = width
 			return ex.Do(b, rb)
 		})
 	}

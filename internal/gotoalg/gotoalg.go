@@ -273,7 +273,7 @@ func (e *Executor[T]) packB(b *matrix.Matrix[T], pc, kcEff, jc, ncEff int) {
 	panels := ceilDiv(ncEff, nr)
 	chunks := min(e.cfg.Cores, panels)
 	perChunk := ceilDiv(panels, chunks)
-	e.pool.ForStaticLabeled(e.packCtx, chunks, func(core, ch int) {
+	e.pool.ForStaticLabeled(e.packCtx, 0, chunks, func(core, ch int) {
 		p0 := ch * perChunk
 		pn := min(perChunk, panels-p0)
 		if pn <= 0 {

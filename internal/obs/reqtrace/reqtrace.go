@@ -187,8 +187,9 @@ type Record struct {
 	Tier   string `json:"tier"`             // "tiny" | "small" | "large"; "" when dispatch never happened
 	Tenant string `json:"tenant,omitempty"` // caller-supplied serving label
 
-	AdmitWaitNs int64 `json:"admit_wait_ns"` // time from entry to holding cores
-	QueueDepth  int32 `json:"queue_depth"`   // admission waiters ahead at entry
+	AdmitWaitNs int64 `json:"admit_wait_ns"`   // time from entry to holding cores
+	QueueDepth  int32 `json:"queue_depth"`     // admission waiters ahead at entry
+	Cores       int32 `json:"cores,omitempty"` // pool cores the request was granted; 0 on the tiny tier or before admission
 
 	M int32 `json:"m"`
 	K int32 `json:"k"`

@@ -30,7 +30,7 @@ func TestForStaticLabeledMapping(t *testing.T) {
 	defer p.Close()
 	var bad atomic.Int32
 	ran := make([]atomic.Int32, 7)
-	p.ForStaticLabeled(labelCtx(), 7, func(core, i int) {
+	p.ForStaticLabeled(labelCtx(), 0, 7, func(core, i int) {
 		if i < 0 || i >= 7 {
 			bad.Add(1)
 			return
@@ -51,7 +51,7 @@ func TestSubmitLabeledCompletes(t *testing.T) {
 	p := New(2)
 	defer p.Close()
 	var n atomic.Int32
-	h := p.SubmitLabeled(labelCtx(), 64, func(_, _ int) { n.Add(1) })
+	h := p.SubmitLabeled(labelCtx(), 0, 64, func(_, _ int) { n.Add(1) })
 	h.Wait()
 	if n.Load() != 64 {
 		t.Fatalf("ran %d of 64 items", n.Load())
@@ -64,8 +64,8 @@ func TestLabeledNilContext(t *testing.T) {
 	defer p.Close()
 	var n atomic.Int32
 	p.ForLabeled(nil, 32, func(_, _ int) { n.Add(1) })
-	p.ForStaticLabeled(nil, 32, func(_, _ int) { n.Add(1) })
-	p.SubmitLabeled(nil, 32, func(_, _ int) { n.Add(1) }).Wait()
+	p.ForStaticLabeled(nil, 0, 32, func(_, _ int) { n.Add(1) })
+	p.SubmitLabeled(nil, 0, 32, func(_, _ int) { n.Add(1) }).Wait()
 	if n.Load() != 96 {
 		t.Fatalf("ran %d of 96 items", n.Load())
 	}

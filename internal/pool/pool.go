@@ -163,12 +163,15 @@ func (p *Pool) runInline(ctx context.Context, n int, f func(worker, item int)) {
 // with anything the caller does next. The returned Handle's Wait blocks until
 // all items finish. Every Handle must be waited before the pool is Closed.
 func (p *Pool) Submit(n int, f func(worker, item int)) *Handle {
-	return p.SubmitLabeled(nil, n, f)
+	return p.SubmitLabeled(nil, 0, n, f)
 }
 
 // SubmitLabeled is Submit with pprof labels applied to the worker
-// goroutines for the duration of the job (nil ctx is exactly Submit).
-func (p *Pool) SubmitLabeled(ctx context.Context, n int, f func(worker, item int)) *Handle {
+// goroutines for the duration of the job (nil ctx and width 0 is exactly
+// Submit). At most width workers claim the job's items — how a caller
+// holding a share of a shared pool keeps its fan-out inside that share;
+// width outside [1, Workers()] means Workers().
+func (p *Pool) SubmitLabeled(ctx context.Context, width, n int, f func(worker, item int)) *Handle {
 	if n <= 0 {
 		return &Handle{}
 	}
@@ -176,18 +179,27 @@ func (p *Pool) SubmitLabeled(ctx context.Context, n int, f func(worker, item int
 		panic("pool: Submit on closed pool")
 	}
 	j := &job{f: f, n: int64(n), ctx: ctx}
-	p.enqueue(j, min(n, p.workers), true)
+	p.enqueue(j, min(n, p.width(width)), true)
 	return &Handle{j: j}
 }
 
+// width clamps a caller's requested fan-out to the pool.
+func (p *Pool) width(w int) int {
+	if w < 1 || w > p.workers {
+		return p.workers
+	}
+	return w
+}
+
 // staticJob builds the virtual-core job ForStatic and ForStaticAsync share:
-// each of the min(n, workers) virtual cores processes its own strided slice
-// of [0, n), and exactly one goroutine claims each virtual core.
-func (p *Pool) staticJob(n int, f func(core, item int)) (*job, int) {
-	fan := min(n, p.workers)
+// each of the fan = min(n, width) virtual cores processes its own strided
+// slice of [0, n) — items core, core+fan, … — and exactly one goroutine
+// claims each virtual core.
+func (p *Pool) staticJob(n, width int, f func(core, item int)) (*job, int) {
+	fan := min(n, p.width(width))
 	j := &job{n: int64(fan)}
 	j.f = func(_, core int) {
-		for i := core; i < n; i += p.workers {
+		for i := core; i < n; i += fan {
 			f(core, i)
 		}
 	}
@@ -200,25 +212,29 @@ func (p *Pool) staticJob(n int, f func(core, item int)) (*job, int) {
 // strip i of every CB block), so per-core scratch indexed by the core
 // argument is never shared.
 func (p *Pool) ForStatic(n int, f func(core, item int)) {
-	p.ForStaticLabeled(nil, n, f)
+	p.ForStaticLabeled(nil, 0, n, f)
 }
 
 // ForStaticLabeled is ForStatic with pprof labels applied to the worker
-// goroutines for the duration of the job (nil ctx is exactly ForStatic).
-func (p *Pool) ForStaticLabeled(ctx context.Context, n int, f func(core, item int)) {
+// goroutines for the duration of the job (nil ctx and width 0 is exactly
+// ForStatic), on at most width virtual cores: item i runs under virtual
+// core i%min(n, width), so a caller holding a share of a shared pool keeps
+// its fan-out inside that share while per-core scratch indexed by the core
+// argument stays unshared. width outside [1, Workers()] means Workers().
+func (p *Pool) ForStaticLabeled(ctx context.Context, width, n int, f func(core, item int)) {
 	if n <= 0 {
 		return
 	}
 	if p.closed.Load() {
 		panic("pool: ForStatic on closed pool")
 	}
-	if p.workers == 1 || n == 1 {
-		// Fast path: run inline; item i of a single-item job maps to virtual
+	if min(n, p.width(width)) == 1 {
+		// Fast path: run inline; with one virtual core every item maps to
 		// core 0 either way, so the static contract is preserved.
 		p.runInline(ctx, n, f)
 		return
 	}
-	j, fan := p.staticJob(n, f)
+	j, fan := p.staticJob(n, width, f)
 	j.ctx = ctx
 	p.enqueue(j, fan, false)
 	j.wg.Wait()
@@ -234,7 +250,7 @@ func (p *Pool) ForStaticAsync(n int, f func(core, item int)) *Handle {
 	if p.closed.Load() {
 		panic("pool: ForStaticAsync on closed pool")
 	}
-	j, fan := p.staticJob(n, f)
+	j, fan := p.staticJob(n, p.workers, f)
 	p.enqueue(j, fan, true)
 	return &Handle{j: j}
 }

@@ -308,3 +308,34 @@ func TestDoubleClosePanics(t *testing.T) {
 	}()
 	p.Close()
 }
+
+// TestWidthBoundsFanOut: a width below the pool size caps how many workers
+// serve a job — static jobs map item i to virtual core i%width, dynamic
+// jobs are claimed by at most width distinct workers — and every item still
+// runs exactly once.
+func TestWidthBoundsFanOut(t *testing.T) {
+	p := New(4)
+	defer p.Close()
+	const n = 10
+	for _, width := range []int{1, 2, 3} {
+		cores := make([]int, n)
+		p.ForStaticLabeled(nil, width, n, func(core, i int) { cores[i] = core })
+		for i, c := range cores {
+			if c != i%width {
+				t.Fatalf("width %d: item %d on core %d, want %d", width, i, c, i%width)
+			}
+		}
+		var mu sync.Mutex
+		workers := map[int]bool{}
+		ran := 0
+		p.SubmitLabeled(nil, width, n, func(w, _ int) {
+			mu.Lock()
+			workers[w] = true
+			ran++
+			mu.Unlock()
+		}).Wait()
+		if ran != n || len(workers) > width {
+			t.Fatalf("width %d: %d items on %d workers", width, ran, len(workers))
+		}
+	}
+}

@@ -51,6 +51,24 @@ go test ./...
 echo "== perfbench: go vet ./... && go test ./..."
 (cd perfbench && export GOWORK=off GOPROXY=off && go vet ./... && go test ./...)
 
+# Benchmark correctness smoke: one second of each gated workload, end to end
+# through run.sh. The benchmark checks its tier mix against the engine's
+# counters and every op class against NaiveGemm; a mismatch shows only in
+# its result line ("correct":false, or failed ops), never in its unit tests,
+# so the last line is the gate.
+for WL in gemm-large serve-resident; do
+	echo "== perfbench smoke: $WL (1 s)"
+	LAST=$(bash perfbench/run.sh --workload "$WL" --seed 1 --seconds 1 --trace 0 | tail -n 1)
+	case "$LAST" in
+	*'"correct":true,'*'"failed":0,'*) ;;
+	*)
+		echo "verify: perfbench $WL smoke did not report correct with 0 failed:" >&2
+		echo "$LAST" >&2
+		exit 1
+		;;
+	esac
+done
+
 # Race gate, two layers: every package runs under -race in -short mode
 # (wall-clock-sensitive tests skip themselves there rather than being
 # silently omitted), then the concurrency-critical packages run their full
