@@ -1,7 +1,6 @@
 package main
 
 import (
-	"encoding/json"
 	"flag"
 	"fmt"
 	"io"
@@ -15,8 +14,8 @@ import (
 )
 
 // runCorpus is the `cake-bench corpus` subcommand: it measures the declarative
-// shape×scenario×dtype grid under the worst-of-N protocol, writes the unified
-// BENCH_corpus.json envelope at -out, and appends the epoch to the
+// shape×scenario×dtype grid under the worst-of-N protocol and the grid's
+// contrasts as -runs interleaved pairs, and appends the epoch to the
 // append-only history store at -store (results/corpus by default) as
 // NNNN-<rev>.json. With -profile it captures CPU/heap pprof profiles per
 // scenario into the epoch's directory; with -report it renders the trend
@@ -25,10 +24,9 @@ import (
 func runCorpus(args []string, w io.Writer) error {
 	fs := flag.NewFlagSet("corpus", flag.ContinueOnError)
 	quick := fs.Bool("quick", false, "scale problem sizes down for fast runs")
-	grid := fs.String("grid", "full", "grid to run: full | micro (4-cell CI smoke)")
-	runs := fs.Int("runs", 3, "runs per cell in the worst-of-N protocol")
+	grid := fs.String("grid", "full", "grid to run: full | micro (4 cells, 2 contrasts)")
+	runs := fs.Int("runs", 3, "runs per cell in the worst-of-N protocol, and pairs per contrast")
 	store := fs.String("store", filepath.Join("results", "corpus"), "append-only epoch store directory")
-	out := fs.String("out", "BENCH_corpus.json", "unified envelope output path")
 	report := fs.Bool("report", false, "render the trajectory report to <store>/REPORT.md")
 	profile := fs.Bool("profile", false, "capture CPU/heap pprof profiles per scenario into the epoch directory")
 	if err := fs.Parse(args); err != nil {
@@ -49,7 +47,7 @@ func runCorpus(args []string, w io.Writer) error {
 		}
 		opt.ProfileDir = dir
 	}
-	fmt.Fprintf(w, "== corpus: %s grid, worst-of-%d per cell (quick=%v) ==\n", *grid, opt.Runs, *quick)
+	fmt.Fprintf(w, "== corpus: %s grid, worst-of-%d per cell, %d pairs per contrast (quick=%v) ==\n", *grid, opt.Runs, opt.Runs, *quick)
 	epoch, err := experiments.RunCorpus(opt)
 	if err != nil {
 		return err
@@ -61,15 +59,6 @@ func runCorpus(args []string, w io.Writer) error {
 	renderCorpus(w, epoch)
 	fmt.Fprintf(w, "appended epoch %04d -> %s\n", epoch.Seq, path)
 
-	data, err := json.MarshalIndent(epoch, "", "  ")
-	if err != nil {
-		return err
-	}
-	if err := os.WriteFile(*out, append(data, '\n'), 0o644); err != nil {
-		return err
-	}
-	fmt.Fprintf(w, "wrote %s\n", *out)
-
 	if *report {
 		if err := writeCorpusReport(st, *store, w); err != nil {
 			return err
@@ -78,13 +67,18 @@ func runCorpus(args []string, w io.Writer) error {
 	return nil
 }
 
-// renderCorpus prints the epoch's cells as an aligned table.
+// renderCorpus prints the epoch's cells and contrasts as aligned tables.
 func renderCorpus(w io.Writer, e *experiments.CorpusEpoch) {
 	fmt.Fprintf(w, "%-28s %-7s %5s %5s  %9s %9s %9s %7s\n",
 		"cell", "tier", "reps", "runs", "worst GF", "best GF", "median", "CoV")
 	for _, c := range e.Cells {
 		fmt.Fprintf(w, "%-28s %-7s %5d %5d  %9.3f %9.3f %9.3f %7.3f\n",
 			c.Key(), c.Tier, c.Reps, c.Runs, c.GFLOPS, c.BestGFLOPS, c.MedianGFLOPS, c.CoV)
+	}
+	fmt.Fprintf(w, "%-28s %-22s %5s  %9s %9s  %s\n", "contrast", "claim vs other", "pairs", "ratio", "floor", "verdict")
+	for _, c := range e.Contrasts {
+		fmt.Fprintf(w, "%-28s %-22s %5d  %9.3f %9.3f  %s\n",
+			c.Name, c.Claim+" vs "+c.Other, len(c.Pairs), c.Ratio, c.Floor, c.Verdict)
 	}
 	if len(e.Profiles) > 0 {
 		fmt.Fprintf(w, "profiles: %s\n", strings.Join(e.Profiles, ", "))

@@ -15,8 +15,7 @@ import (
 
 func TestRunCorpusMicroAppendsEpochs(t *testing.T) {
 	store := filepath.Join(t.TempDir(), "corpus")
-	out := filepath.Join(t.TempDir(), "BENCH_corpus.json")
-	args := []string{"-quick", "-grid", "micro", "-runs", "1", "-store", store, "-out", out}
+	args := []string{"-quick", "-grid", "micro", "-runs", "1", "-store", store}
 
 	var buf bytes.Buffer
 	if err := runCorpus(args, &buf); err != nil {
@@ -25,12 +24,17 @@ func TestRunCorpusMicroAppendsEpochs(t *testing.T) {
 	if !strings.Contains(buf.String(), "appended epoch 0001") {
 		t.Fatalf("missing append line:\n%s", buf.String())
 	}
-	epoch, err := experiments.LoadCorpusEpoch(out)
-	if err != nil {
-		t.Fatalf("BENCH_corpus.json unreadable: %v", err)
+	for _, want := range []string{"resident-vs-fresh", "batch-vs-looped"} {
+		if !strings.Contains(buf.String(), want) {
+			t.Fatalf("contrast table missing %q:\n%s", want, buf.String())
+		}
 	}
-	if epoch.Seq != 1 || len(epoch.Cells) != 4 || epoch.Artifact != "corpus" {
-		t.Fatalf("epoch = seq %d, %d cells, artifact %q", epoch.Seq, len(epoch.Cells), epoch.Artifact)
+	first, err := experiments.OpenCorpusStore(store).Latest()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if first.Seq != 1 || len(first.Cells) != 4 || len(first.Contrasts) != 2 || first.Artifact != "corpus" {
+		t.Fatalf("epoch = seq %d, %d cells, %d contrasts, artifact %q", first.Seq, len(first.Cells), len(first.Contrasts), first.Artifact)
 	}
 
 	// Second run appends seq 2 and -report renders the trajectory.
@@ -83,13 +87,11 @@ func writeTrendStore(t *testing.T, dir string, latest float64) {
 }
 
 func TestRunCheckJSONCarriesTrend(t *testing.T) {
-	artifacts := t.TempDir()
-	writeGateArtifacts(t, artifacts, gateGemmJSON, gateTimelineJSON)
 	store := filepath.Join(t.TempDir(), "corpus")
 	writeTrendStore(t, store, 100) // flat history: trend OK
 
 	var buf bytes.Buffer
-	err := runCheck([]string{"-baseline", artifacts, "-candidate", artifacts, "-corpus", store, "-json"}, &buf)
+	err := runCheck([]string{"-corpus", store, "-json"}, &buf)
 	if err != nil {
 		t.Fatalf("check: %v\n%s", err, buf.String())
 	}
@@ -109,13 +111,11 @@ func TestRunCheckJSONCarriesTrend(t *testing.T) {
 }
 
 func TestRunCheckTrendRegressionGates(t *testing.T) {
-	artifacts := t.TempDir()
-	writeGateArtifacts(t, artifacts, gateGemmJSON, gateTimelineJSON)
 	store := filepath.Join(t.TempDir(), "corpus")
 	writeTrendStore(t, store, 60) // 40% cliff in the history
 
 	var buf bytes.Buffer
-	err := runCheck([]string{"-baseline", artifacts, "-candidate", artifacts, "-corpus", store, "-json"}, &buf)
+	err := runCheck([]string{"-corpus", store, "-json"}, &buf)
 	if err == nil {
 		t.Fatalf("trend regression passed the gate:\n%s", buf.String())
 	}
@@ -132,14 +132,11 @@ func TestRunCheckTrendRegressionGates(t *testing.T) {
 }
 
 func TestRunCheckTrendAdvisoryReportsWithoutGating(t *testing.T) {
-	artifacts := t.TempDir()
-	writeGateArtifacts(t, artifacts, gateGemmJSON, gateTimelineJSON)
 	store := filepath.Join(t.TempDir(), "corpus")
 	writeTrendStore(t, store, 60) // 40% cliff in the history
 
 	var buf bytes.Buffer
-	err := runCheck([]string{"-baseline", artifacts, "-candidate", artifacts,
-		"-corpus", store, "-trend-advisory", "-json"}, &buf)
+	err := runCheck([]string{"-corpus", store, "-advisory", "-json"}, &buf)
 	if err != nil {
 		t.Fatalf("advisory trend regression failed the gate: %v\n%s", err, buf.String())
 	}
@@ -170,11 +167,8 @@ func TestRunCheckTrendAdvisoryReportsWithoutGating(t *testing.T) {
 }
 
 func TestRunCheckSkipsAbsentCorpusStore(t *testing.T) {
-	artifacts := t.TempDir()
-	writeGateArtifacts(t, artifacts, gateGemmJSON, gateTimelineJSON)
 	var buf bytes.Buffer
-	err := runCheck([]string{"-baseline", artifacts, "-candidate", artifacts,
-		"-corpus", filepath.Join(t.TempDir(), "nowhere"), "-json"}, &buf)
+	err := runCheck([]string{"-corpus", filepath.Join(t.TempDir(), "nowhere"), "-json"}, &buf)
 	if err != nil {
 		t.Fatalf("absent store must not fail the gate: %v", err)
 	}

@@ -4,48 +4,25 @@
 //
 // Usage:
 //
-//	cake-bench [flags] table2|fig4|fig7|fig8|fig9|fig10|fig11|fig12|packshare|gemm|trace|tenant|serve|resident|batch|obs|all
+//	cake-bench [flags] table2|fig4|fig7|fig8|fig9|fig10|fig11|fig12|packshare|trace|tenant|smoke|all
+//	cake-bench corpus [-quick] [-grid full|micro] [-runs N] [-store DIR] [-report] [-profile]
+//	cake-bench check [-corpus DIR] [-advisory] [-json]
 //
 // Flags:
 //
 //	-quick       scale problem sizes down (~10x faster, same curve shapes)
 //	-csv DIR     also write each panel as CSV under DIR
-//	-clients N   serve: concurrent client streams (default max(8, GOMAXPROCS))
-//	-dur D       serve: measurement window per serving mode (default 8s, 2s with -quick)
 //
-// The gemm target compares the synchronous and pipelined executors on real
-// host GEMMs and writes machine-readable BENCH_gemm.json. The trace target
-// runs CAKE and GOTO on a matched skewed shape with span recorders
-// attached and writes trace.json (Chrome Trace Event Format — open in
-// https://ui.perfetto.dev) plus BENCH_bwtimeline.json (the bucketed
-// bandwidth timelines whose coefficients of variation test the paper's
-// constant-bandwidth claim).
+// The trace target runs CAKE and GOTO on a matched skewed shape with span
+// recorders attached and writes trace.json (Chrome Trace Event Format —
+// open in https://ui.perfetto.dev).
 //
-// The serve target measures concurrent serving throughput: mixed-size
-// client streams through the tiered engine vs a mutex-serialized single
-// executor, writing BENCH_serve.json (per-tier GEMMs/s and latency
-// percentiles, aggregate speedup, tiny dispatch A/B).
-//
-// The resident target measures the resident-operand store's serving win:
-// activation GEMMs against registered weights served from pre-packed
-// panels vs per-call weight packing, writing BENCH_resident.json (per-
-// shape GEMMs/s, latency percentiles, and the resident-vs-fresh speedup
-// the gate floors).
-//
-// The batch target measures the batched-dispatch win: N uniform GEMMs
-// against a shared weight operand issued as N independent engine requests
-// vs one GemmBatch request (one admission, one lease, one B pack), writing
-// BENCH_batch.json (per-(shape, batch size) GEMMs/s, latency percentiles,
-// and the batched-vs-looped speedup the gate floors).
-//
-// The obs target measures the request-observability overhead: the same
-// serve-mix through an engine with the flight recorder + SLO layer on vs an
-// engine with Trace.Disable, writing BENCH_obs.json (per-side GEMMs/s and
-// the overhead fraction the gate caps at 2%).
-//
-// The check subcommand is a noise-aware regression gate: it diffs fresh
-// (or -candidate directory) benchmark artifacts against the committed
-// baseline in results/baseline and exits non-zero on regression.
+// Every host-measured performance claim lives in the corpus: the corpus
+// subcommand measures a shape × scenario × dtype grid of cells plus the
+// grid's contrasts (interleaved A/B pairs judged against declared floors)
+// and appends the epoch to the history store. The check subcommand is the
+// one gate over that store: trend verdicts per cell and contrast verdicts
+// for the newest epoch, exiting non-zero on a regression.
 package main
 
 import (
@@ -57,11 +34,9 @@ import (
 	"path/filepath"
 	"runtime"
 	"strings"
-	"time"
 
 	"repro/internal/benchgate"
 	"repro/internal/experiments"
-	"repro/internal/obs"
 	"repro/internal/platform"
 	"repro/internal/tenant"
 )
@@ -83,8 +58,6 @@ func main() {
 	}
 	quick := flag.Bool("quick", false, "scale problem sizes down for fast runs")
 	csvDir := flag.String("csv", "", "directory to write CSV files into")
-	flag.IntVar(&serveClients, "clients", 0, "serve: concurrent client streams (0 = max(8, GOMAXPROCS))")
-	flag.DurationVar(&serveDur, "dur", 0, "serve: measurement window per mode (0 = 8s, 2s with -quick)")
 	flag.Usage = usage
 	flag.Parse()
 	if flag.NArg() != 1 {
@@ -98,240 +71,48 @@ func main() {
 }
 
 func usage() {
-	fmt.Fprintln(os.Stderr, "usage: cake-bench [-quick] [-csv DIR] [-clients N] [-dur D] table2|fig4|fig7|fig8|fig9|fig10|fig11|fig12|packshare|gemm|trace|tenant|serve|resident|batch|obs|all")
-	fmt.Fprintln(os.Stderr, "       cake-bench check [-baseline DIR] [-candidate DIR] [-corpus DIR] [-runs N] [-threshold F] [-quick] [-trend-advisory] [-json]")
-	fmt.Fprintln(os.Stderr, "       cake-bench corpus [-quick] [-grid full|micro] [-runs N] [-store DIR] [-out FILE] [-report] [-profile]")
+	fmt.Fprintln(os.Stderr, "usage: cake-bench [-quick] [-csv DIR] table2|fig4|fig7|fig8|fig9|fig10|fig11|fig12|packshare|trace|tenant|smoke|all")
+	fmt.Fprintln(os.Stderr, "       cake-bench corpus [-quick] [-grid full|micro] [-runs N] [-store DIR] [-report] [-profile]")
+	fmt.Fprintln(os.Stderr, "       cake-bench check [-corpus DIR] [-advisory] [-json]")
 }
 
-// runCheck is the benchmark regression gate. With -candidate it compares
-// committed artifact directories deterministically (the CI self-check);
-// without it, it measures this host fresh — best of -runs runs — and
-// judges the result against the baseline with noise-aware thresholds. A
-// regression renders its findings and returns an error (exit 1). -update
-// instead writes the best-of-runs fresh measurement as the new
-// baseline, so baseline and candidate always get the same noise
-// treatment.
+// runCheck is the benchmark regression gate: it judges the corpus history
+// store — trend verdicts for every cell of the newest epoch, contrast
+// verdicts for the newest epoch — renders the findings, and returns an
+// error (exit 1) on a regression. An absent or empty store has nothing to
+// judge and passes.
 func runCheck(args []string, w io.Writer) error {
 	fs := flag.NewFlagSet("check", flag.ContinueOnError)
-	opt := benchgate.DefaultOptions()
-	baseline := fs.String("baseline", filepath.Join("results", "baseline"), "baseline artifact directory")
-	candidate := fs.String("candidate", "", "candidate artifact directory (default: measure fresh)")
-	corpusDir := fs.String("corpus", filepath.Join("results", "corpus"), "corpus history store for trend verdicts (empty/missing = skip)")
-	runs := fs.Int("runs", opt.MinRuns, "fresh benchmark runs to take the best of")
-	threshold := fs.Float64("threshold", opt.Threshold, "allowed relative GFLOPS drop")
-	quick := fs.Bool("quick", true, "scale fresh problem sizes down")
-	update := fs.Bool("update", false, "measure fresh and overwrite the baseline instead of judging")
-	trendAdvisory := fs.Bool("trend-advisory", false, "report corpus trend verdicts without gating on them (for deterministic self-checks: the trend re-judges the committed history under whatever measurement weather captured it, not the code under test)")
+	corpusDir := fs.String("corpus", filepath.Join("results", "corpus"), "corpus history store to judge")
+	advisory := fs.Bool("advisory", false, "report the verdicts that describe the capture host — regressed trend cells and contrast ratios below their floor — without gating on them")
 	asJSON := fs.Bool("json", false, "write the machine-readable verdict summary to stdout (human text moves to stderr)")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	opt.Threshold = *threshold
-	opt.MinRuns = *runs
-
-	if *update {
-		return updateBaseline(*baseline, *quick, opt.MinRuns, w)
+	history, err := experiments.OpenCorpusStore(*corpusDir).Load()
+	if err != nil {
+		return err
 	}
-	// With -json, w carries only the JSON document; progress and the human
-	// rendering go to stderr so scripts can parse stdout directly.
+	sum, err := benchgate.Check(history, *advisory)
+	if err != nil {
+		return err
+	}
+	// With -json, w carries only the JSON document; the human rendering
+	// goes to stderr so scripts can parse stdout directly.
 	human := w
 	if *asJSON {
 		human = os.Stderr
-	}
-	var res benchgate.Result
-	if *candidate != "" {
-		r, err := benchgate.CompareDirs(*baseline, *candidate, opt)
-		if err != nil {
-			return err
-		}
-		res = r
-	} else {
-		baseGemm, err := benchgate.LoadGemm(filepath.Join(*baseline, "BENCH_gemm.json"))
-		if err != nil {
-			return err
-		}
-		baseTL, err := benchgate.LoadTimeline(filepath.Join(*baseline, "BENCH_bwtimeline.json"))
-		if err != nil {
-			return err
-		}
-		cores := runtime.GOMAXPROCS(0)
-		fmt.Fprintf(human, "measuring candidate: %d runs on %d cores (quick=%v)\n", opt.MinRuns, cores, *quick)
-		candGemm, err := benchgate.FreshGemm(cores, *quick, opt.MinRuns)
-		if err != nil {
-			return err
-		}
-		candTL, err := benchgate.FreshTimeline(cores, *quick, opt.MinRuns)
-		if err != nil {
-			return err
-		}
-		res = benchgate.Result{Findings: benchgate.CompareGemm(baseGemm, candGemm, opt)}
-		res.Findings = append(res.Findings, benchgate.CompareTimeline(baseTL, candTL, opt)...)
-		// Serve joined the artifact set later: gate it only when the
-		// baseline directory carries one.
-		if _, statErr := os.Stat(filepath.Join(*baseline, "BENCH_serve.json")); statErr == nil {
-			baseServe, err := benchgate.LoadServe(filepath.Join(*baseline, "BENCH_serve.json"))
-			if err != nil {
-				return err
-			}
-			candServe, err := benchgate.FreshServe(cores, baseServe.Clients, *quick, opt.MinRuns)
-			if err != nil {
-				return err
-			}
-			res.Findings = append(res.Findings, benchgate.CompareServe(baseServe, candServe, opt)...)
-		}
-		if _, statErr := os.Stat(filepath.Join(*baseline, "BENCH_resident.json")); statErr == nil {
-			baseRes, err := benchgate.LoadResident(filepath.Join(*baseline, "BENCH_resident.json"))
-			if err != nil {
-				return err
-			}
-			candRes, err := benchgate.FreshResident(cores, *quick, opt.MinRuns)
-			if err != nil {
-				return err
-			}
-			res.Findings = append(res.Findings, benchgate.CompareResident(baseRes, candRes, opt)...)
-		}
-		if _, statErr := os.Stat(filepath.Join(*baseline, "BENCH_batch.json")); statErr == nil {
-			baseBatch, err := benchgate.LoadBatch(filepath.Join(*baseline, "BENCH_batch.json"))
-			if err != nil {
-				return err
-			}
-			candBatch, err := benchgate.FreshBatch(cores, *quick, opt.MinRuns)
-			if err != nil {
-				return err
-			}
-			res.Findings = append(res.Findings, benchgate.CompareBatch(baseBatch, candBatch, opt)...)
-		}
-		if _, statErr := os.Stat(filepath.Join(*baseline, "BENCH_obs.json")); statErr == nil {
-			baseObs, err := benchgate.LoadObs(filepath.Join(*baseline, "BENCH_obs.json"))
-			if err != nil {
-				return err
-			}
-			candObs, err := benchgate.FreshObs(cores, baseObs.Clients, *quick, opt.MinRuns)
-			if err != nil {
-				return err
-			}
-			res.Findings = append(res.Findings, benchgate.CompareObs(baseObs, candObs, opt)...)
-		}
-	}
-	// Trend verdicts over the corpus history store: regressions are judged
-	// against the curve, not one committed file. An empty or absent store
-	// skips the analysis (the trajectory has to start somewhere).
-	trend, err := checkTrend(*corpusDir)
-	if err != nil {
-		return err
-	}
-	if trend != nil {
-		tf := trend.Findings()
-		if *trendAdvisory {
-			for i := range tf {
-				if tf[i].Regression {
-					tf[i].Regression = false
-					tf[i].Detail = "advisory: " + tf[i].Detail
-				}
-			}
-		}
-		res.Findings = append(res.Findings, tf...)
-	}
-	res.Render(human)
-	if *asJSON {
 		enc := json.NewEncoder(w)
 		enc.SetIndent("", "  ")
-		if err := enc.Encode(benchgate.Summary{
-			OK:          res.OK(),
-			Regressions: len(res.Regressions()),
-			Findings:    res.Findings,
-			Trend:       trend,
-		}); err != nil {
+		if err := enc.Encode(sum); err != nil {
 			return err
 		}
 	}
-	if !res.OK() {
-		return fmt.Errorf("%d regression(s) against %s", len(res.Regressions()), *baseline)
+	benchgate.Result{Findings: sum.Findings}.Render(human)
+	if !sum.OK {
+		return fmt.Errorf("%d regression(s) in %s", sum.Regressions, *corpusDir)
 	}
 	fmt.Fprintln(human, "benchmark gate: OK")
-	return nil
-}
-
-// checkTrend loads the corpus history and analyzes the trend, returning nil
-// (not an error) when the store is absent or empty so checkouts without a
-// corpus keep gating on the pairwise artifacts alone.
-func checkTrend(dir string) (*benchgate.TrendReport, error) {
-	if dir == "" {
-		return nil, nil
-	}
-	history, err := experiments.OpenCorpusStore(dir).Load()
-	if err != nil {
-		return nil, err
-	}
-	if len(history) == 0 {
-		return nil, nil
-	}
-	rep, err := benchgate.AnalyzeTrend(history, benchgate.DefaultTrendOptions())
-	if err != nil {
-		return nil, err
-	}
-	return &rep, nil
-}
-
-// updateBaseline measures this host and writes the conservative bounds —
-// worst GFLOPS and highest CoV across runs — into dir: the committed
-// reference is a floor every healthy future run can beat, so the gate
-// fires only when a candidate's best run falls below even that.
-func updateBaseline(dir string, quick bool, runs int, w io.Writer) error {
-	cores := runtime.GOMAXPROCS(0)
-	fmt.Fprintf(w, "measuring baseline: %d runs on %d cores (quick=%v)\n", runs, cores, quick)
-	gemm, err := benchgate.BaselineGemm(cores, quick, runs)
-	if err != nil {
-		return err
-	}
-	tl, err := benchgate.BaselineTimeline(cores, quick, runs)
-	if err != nil {
-		return err
-	}
-	clients := cores
-	if clients < 8 {
-		clients = 8
-	}
-	serve, err := benchgate.BaselineServe(cores, clients, quick, runs)
-	if err != nil {
-		return err
-	}
-	resident, err := benchgate.BaselineResident(cores, quick, runs)
-	if err != nil {
-		return err
-	}
-	batch, err := benchgate.BaselineBatch(cores, quick, runs)
-	if err != nil {
-		return err
-	}
-	obsRes, err := benchgate.BaselineObs(cores, clients, quick, runs)
-	if err != nil {
-		return err
-	}
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		return err
-	}
-	for _, art := range []struct {
-		name string
-		v    any
-	}{
-		{"BENCH_gemm.json", gemm},
-		{"BENCH_bwtimeline.json", tl},
-		{"BENCH_serve.json", serve},
-		{"BENCH_resident.json", resident},
-		{"BENCH_batch.json", batch},
-		{"BENCH_obs.json", obsRes},
-	} {
-		data, err := json.MarshalIndent(art.v, "", "  ")
-		if err != nil {
-			return err
-		}
-		path := filepath.Join(dir, art.name)
-		if err := os.WriteFile(path, append(data, '\n'), 0o644); err != nil {
-			return err
-		}
-		fmt.Fprintln(w, "wrote", path)
-	}
 	return nil
 }
 
@@ -340,13 +121,8 @@ func run(target string, quick bool, csvDir string, w io.Writer) error {
 		"table2":    table2,
 		"fig4":      fig4,
 		"packshare": packshare,
-		"gemm":      gemmBench,
 		"trace":     traceBench,
 		"tenant":    tenants,
-		"serve":     serveBench,
-		"resident":  residentBench,
-		"batch":     batchBench,
-		"obs":       obsBench,
 		"smoke":     smoke,
 		"fig7":      fig7,
 		"fig8":      fig8,
@@ -356,7 +132,7 @@ func run(target string, quick bool, csvDir string, w io.Writer) error {
 		"fig12":     func(q bool, d string, w io.Writer) error { return trio(platform.AMDRyzen9(), "fig12", q, d, w) },
 	}
 	if target == "all" {
-		for _, name := range []string{"table2", "fig4", "fig7", "fig8", "fig9", "fig10", "fig11", "fig12", "packshare", "gemm", "trace", "tenant"} {
+		for _, name := range []string{"table2", "fig4", "fig7", "fig8", "fig9", "fig10", "fig11", "fig12", "packshare", "trace", "tenant"} {
 			if err := targets[name](quick, csvDir, w); err != nil {
 				return fmt.Errorf("%s: %w", name, err)
 			}
@@ -387,47 +163,10 @@ func packshare(_ bool, _ string, w io.Writer) error {
 	return nil
 }
 
-// gemmBench compares the synchronous and pipelined executors on real host
-// GEMMs (square and skewed small-M shape classes) and writes the rows as
-// machine-readable BENCH_gemm.json — into csvDir when given, else the
-// current directory.
-func gemmBench(quick bool, csvDir string, w io.Writer) error {
-	rows, err := experiments.GemmBench(runtime.GOMAXPROCS(0), quick)
-	if err != nil {
-		return err
-	}
-	fmt.Fprintln(w, "== gemm: sync vs pipelined executor on this host ==")
-	fmt.Fprintf(w, "%-16s %-16s %-9s %-7s %-12s %-12s %-10s %-8s\n",
-		"shape", "mode", "GFLOP/s", "pack%", "reused A", "reused B", "overlap", "vs sync")
-	for _, r := range rows {
-		fmt.Fprintf(w, "%-16s %-16s %-9.2f %-7.1f %-12d %-12d %-10s %.2fx\n",
-			r.Shape, r.Mode, r.GFLOPS, 100*r.PackShare, r.ReusedAElems, r.ReusedBElems,
-			time.Duration(r.OverlapNanos).Round(time.Microsecond), r.SpeedupVsSync)
-	}
-	fmt.Fprintln(w)
-	path := "BENCH_gemm.json"
-	if csvDir != "" {
-		if err := os.MkdirAll(csvDir, 0o755); err != nil {
-			return err
-		}
-		path = filepath.Join(csvDir, path)
-	}
-	data, err := json.MarshalIndent(benchgate.GemmFile{
-		Envelope: experiments.NewEnvelope("gemm"),
-		Cores:    runtime.GOMAXPROCS(0),
-		Rows:     rows,
-	}, "", "  ")
-	if err != nil {
-		return err
-	}
-	return os.WriteFile(path, append(data, '\n'), 0o644)
-}
-
 // traceBench runs CAKE and GOTO on the same skewed shape with tracing
-// enabled and writes trace.json (Perfetto-viewable per-worker lanes) and
-// BENCH_bwtimeline.json (bucketed DRAM-bandwidth series with
-// mean/peak/CoV per executor) — into csvDir when given, else the current
-// directory.
+// enabled, prints each executor's bandwidth summary, and writes trace.json
+// (Perfetto-viewable per-worker lanes) into csvDir when given, else the
+// current directory.
 func traceBench(quick bool, csvDir string, w io.Writer) error {
 	res, err := experiments.TraceBench(runtime.GOMAXPROCS(0), quick)
 	if err != nil {
@@ -450,206 +189,20 @@ func traceBench(quick bool, csvDir string, w io.Writer) error {
 		}
 		dir = csvDir
 	}
-	tf, err := os.Create(filepath.Join(dir, "trace.json"))
+	path := filepath.Join(dir, "trace.json")
+	tf, err := os.Create(path)
 	if err != nil {
 		return err
 	}
-	werr := obs.WriteChromeTrace(tf,
-		obs.Process{Name: "cake", Rec: res.CakeRec},
-		obs.Process{Name: "goto", Rec: res.GotoRec})
+	werr := res.WriteChromeTrace(tf)
 	if cerr := tf.Close(); werr == nil {
 		werr = cerr
 	}
 	if werr != nil {
 		return werr
 	}
-	data, err := json.MarshalIndent(res, "", "  ")
-	if err != nil {
-		return err
-	}
-	if err := os.WriteFile(filepath.Join(dir, "BENCH_bwtimeline.json"), append(data, '\n'), 0o644); err != nil {
-		return err
-	}
-	fmt.Fprintf(w, "wrote %s and %s (open trace.json in https://ui.perfetto.dev)\n\n",
-		filepath.Join(dir, "trace.json"), filepath.Join(dir, "BENCH_bwtimeline.json"))
+	fmt.Fprintf(w, "wrote %s (open it in https://ui.perfetto.dev)\n\n", path)
 	return nil
-}
-
-// serveClients/serveDur are the serve target's knobs, bound to flags in
-// main(); their zero values mean "pick a sensible default".
-var (
-	serveClients int
-	serveDur     time.Duration
-)
-
-// serveBench measures concurrent serving throughput — mixed-size client
-// streams through the tiered engine vs the mutex-serialized baseline — and
-// writes machine-readable BENCH_serve.json into csvDir (or the current
-// directory).
-func serveBench(quick bool, csvDir string, w io.Writer) error {
-	clients := serveClients
-	if clients <= 0 {
-		clients = runtime.GOMAXPROCS(0)
-		if clients < 8 {
-			clients = 8
-		}
-	}
-	dur := serveDur
-	if dur <= 0 {
-		dur = 8 * time.Second
-		if quick {
-			dur = 2 * time.Second
-		}
-	}
-	res, err := experiments.ServeBench(runtime.GOMAXPROCS(0), clients, dur, quick)
-	if err != nil {
-		return err
-	}
-	fmt.Fprintf(w, "== serve: engine vs serialized executor, %d clients (%s), %s per mode ==\n",
-		res.Clients, res.ClientMix, dur)
-	fmt.Fprintf(w, "%-12s %-7s %10s %12s %12s %12s %12s %9s\n",
-		"mode", "tier", "requests", "GEMMs/s", "p50 µs", "p95 µs", "p99 µs", "GFLOP/s")
-	for _, row := range res.Tiers {
-		fmt.Fprintf(w, "%-12s %-7s %10d %12.1f %12.1f %12.1f %12.1f %9.3f\n",
-			row.Mode, row.Tier, row.Requests, row.GemmsPerSec,
-			row.P50Micros, row.P95Micros, row.P99Micros, row.GFLOPS)
-	}
-	fmt.Fprintf(w, "engine %.1f GEMMs/s (%.2f GFLOP/s) vs serialized %.1f GEMMs/s (%.2f GFLOP/s): %.1fx\n",
-		res.EngineGemmsPer, res.EngineGFLOPS, res.SerializedGemms, res.SerializedGFLOPS, res.Speedup)
-	fmt.Fprintf(w, "tiny dispatch A/B: direct %.1fµs vs full-CAKE %.1fµs p50; leases %d new / %d reused, %d queued\n\n",
-		res.TinyDirectP50Micros, res.TinyCakeP50Micros, res.LeaseNew, res.LeaseReused, res.QueuedTotal)
-
-	path := "BENCH_serve.json"
-	if csvDir != "" {
-		if err := os.MkdirAll(csvDir, 0o755); err != nil {
-			return err
-		}
-		path = filepath.Join(csvDir, path)
-	}
-	data, err := json.MarshalIndent(res, "", "  ")
-	if err != nil {
-		return err
-	}
-	return os.WriteFile(path, append(data, '\n'), 0o644)
-}
-
-// residentBench measures fresh-vs-resident serving per weight shape and
-// writes machine-readable BENCH_resident.json into csvDir (or the current
-// directory).
-func residentBench(quick bool, csvDir string, w io.Writer) error {
-	res, err := experiments.ResidentBench(runtime.GOMAXPROCS(0), quick)
-	if err != nil {
-		return err
-	}
-	fmt.Fprintln(w, "== resident: pre-packed weight panels vs per-call packing ==")
-	fmt.Fprintf(w, "%-22s %-7s %12s %12s %9s %12s %12s\n",
-		"shape", "tier", "fresh/s", "resident/s", "speedup", "fresh p50µs", "res p50µs")
-	for _, row := range res.Rows {
-		mark := " "
-		if row.Gate {
-			mark = "*"
-		}
-		fmt.Fprintf(w, "%-22s %-7s %12.1f %12.1f %8.2fx%s %12.1f %12.1f\n",
-			row.Shape, row.Tier, row.FreshGemmsPerSec, row.ResidentGemmsPerSec,
-			row.Speedup, mark, row.FreshP50Micros, row.ResidentP50Micros)
-	}
-	fmt.Fprintf(w, "store: %d hits, %d evictions, %.1f MiB resident, %.1f MiB pack traffic avoided (* = gated shape)\n\n",
-		res.Hits, res.Evictions, float64(res.ResidentBytes)/(1<<20), float64(res.AvoidedPackBytes)/(1<<20))
-
-	path := "BENCH_resident.json"
-	if csvDir != "" {
-		if err := os.MkdirAll(csvDir, 0o755); err != nil {
-			return err
-		}
-		path = filepath.Join(csvDir, path)
-	}
-	data, err := json.MarshalIndent(res, "", "  ")
-	if err != nil {
-		return err
-	}
-	return os.WriteFile(path, append(data, '\n'), 0o644)
-}
-
-// batchBench measures the batched-dispatch win — N shared-weight GEMMs as N
-// engine requests vs one GemmBatch — and writes machine-readable
-// BENCH_batch.json into csvDir (or the current directory).
-func batchBench(quick bool, csvDir string, w io.Writer) error {
-	res, err := experiments.BatchBench(runtime.GOMAXPROCS(0), quick)
-	if err != nil {
-		return err
-	}
-	fmt.Fprintln(w, "== batch: one-lease batched dispatch vs per-call requests ==")
-	fmt.Fprintf(w, "%-24s %-7s %12s %12s %9s %12s %12s\n",
-		"shape", "tier", "looped/s", "batched/s", "speedup", "loop p50µs", "batch p50µs")
-	for _, row := range res.Rows {
-		mark := " "
-		if row.Gate {
-			mark = "*"
-		}
-		fmt.Fprintf(w, "%-24s %-7s %12.1f %12.1f %8.2fx%s %12.1f %12.1f\n",
-			row.Shape, row.Tier, row.LoopedGemmsPerSec, row.BatchGemmsPerSec,
-			row.Speedup, mark, row.LoopedP50Micros, row.BatchP50Micros)
-	}
-	fmt.Fprintf(w, "batched calls: %d, shared-B packs elided: %d (* = gated row)\n\n",
-		res.BatchCalls, res.SharedBPacks)
-
-	path := "BENCH_batch.json"
-	if csvDir != "" {
-		if err := os.MkdirAll(csvDir, 0o755); err != nil {
-			return err
-		}
-		path = filepath.Join(csvDir, path)
-	}
-	data, err := json.MarshalIndent(res, "", "  ")
-	if err != nil {
-		return err
-	}
-	return os.WriteFile(path, append(data, '\n'), 0o644)
-}
-
-// obsBench measures the request-observability overhead A/B — flight
-// recorder + SLO layer on vs off on the same serve-mix — and writes
-// machine-readable BENCH_obs.json into csvDir (or the current directory).
-func obsBench(quick bool, csvDir string, w io.Writer) error {
-	clients := serveClients
-	if clients <= 0 {
-		clients = runtime.GOMAXPROCS(0)
-		if clients < 8 {
-			clients = 8
-		}
-	}
-	dur := serveDur
-	rounds := 3
-	if dur <= 0 {
-		dur = 2 * time.Second
-		if quick {
-			dur, rounds = time.Second, 2
-		}
-	}
-	res, err := experiments.ObsBench(runtime.GOMAXPROCS(0), clients, dur, rounds)
-	if err != nil {
-		return err
-	}
-	fmt.Fprintf(w, "== obs: request-observability overhead, %d clients (%s), %s per side x%d rounds ==\n",
-		res.Clients, res.ClientMix, dur, res.Rounds)
-	fmt.Fprintf(w, "recorder on  %12.1f GEMMs/s (%d records committed)\n",
-		res.RecorderOnGemmsPerSec, res.RecorderRecords)
-	fmt.Fprintf(w, "recorder off %12.1f GEMMs/s\n", res.RecorderOffGemmsPerSec)
-	fmt.Fprintf(w, "overhead %.2f%% (gate ceiling %.0f%%)\n\n",
-		100*res.OverheadFrac, 100*benchgate.MaxObsOverhead)
-
-	path := "BENCH_obs.json"
-	if csvDir != "" {
-		if err := os.MkdirAll(csvDir, 0o755); err != nil {
-			return err
-		}
-		path = filepath.Join(csvDir, path)
-	}
-	data, err := json.MarshalIndent(res, "", "  ")
-	if err != nil {
-		return err
-	}
-	return os.WriteFile(path, append(data, '\n'), 0o644)
 }
 
 // tenants runs the Section 6.1 multi-tenant partition on the Intel model.

@@ -6,7 +6,9 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
-	"time"
+
+	"repro/internal/experiments"
+	"repro/internal/platform"
 )
 
 func TestRunTable2AndFig4(t *testing.T) {
@@ -22,58 +24,12 @@ func TestRunTable2AndFig4(t *testing.T) {
 	}
 }
 
-func TestRunGemmWritesJSON(t *testing.T) {
-	dir := t.TempDir()
-	var buf bytes.Buffer
-	if err := run("gemm", true, dir, &buf); err != nil {
-		t.Fatal(err)
-	}
-	out := buf.String()
-	for _, want := range []string{"sync", "pipelined", "pipelined+cache", "skewed-small-M", "vs sync"} {
-		if !strings.Contains(out, want) {
-			t.Fatalf("gemm table missing %q in %q", want, out)
-		}
-	}
-	data, err := os.ReadFile(filepath.Join(dir, "BENCH_gemm.json"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, want := range []string{`"gflops"`, `"pack_share"`, `"reused_a_elems"`, `"speedup_vs_sync"`} {
-		if !strings.Contains(string(data), want) {
-			t.Fatalf("BENCH_gemm.json missing %s", want)
-		}
-	}
-}
-
-func TestRunServeWritesJSON(t *testing.T) {
-	dir := t.TempDir()
-	oldDur, oldClients := serveDur, serveClients
-	serveDur, serveClients = 300*time.Millisecond, 4
-	defer func() { serveDur, serveClients = oldDur, oldClients }()
-	var buf bytes.Buffer
-	if err := run("serve", true, dir, &buf); err != nil {
-		t.Fatal(err)
-	}
-	out := buf.String()
-	for _, want := range []string{"engine", "serialized", "tiny", "GEMMs/s", "dispatch A/B"} {
-		if !strings.Contains(out, want) {
-			t.Fatalf("serve table missing %q in %q", want, out)
-		}
-	}
-	data, err := os.ReadFile(filepath.Join(dir, "BENCH_serve.json"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, want := range []string{`"speedup"`, `"gemms_per_sec"`, `"tiny_direct_p50_micros"`, `"client_mix"`} {
-		if !strings.Contains(string(data), want) {
-			t.Fatalf("BENCH_serve.json missing %s", want)
-		}
-	}
-}
-
 func TestRunUnknownTarget(t *testing.T) {
-	if err := run("fig99", true, "", &bytes.Buffer{}); err == nil {
-		t.Fatal("unknown target accepted")
+	// The bespoke bench targets are gone: their claims are corpus contrasts.
+	for _, target := range []string{"fig99", "gemm", "serve", "resident", "batch", "obs"} {
+		if err := run(target, true, "", &bytes.Buffer{}); err == nil {
+			t.Fatalf("target %q accepted", target)
+		}
 	}
 }
 
@@ -121,61 +77,66 @@ func TestShortName(t *testing.T) {
 	}
 }
 
-func writeGateArtifacts(t *testing.T, dir, gemm, timeline string) {
+// writeContrastStore appends two synthetic micro epochs to a store; the
+// newest carries resident-vs-fresh at the given pairs.
+func writeContrastStore(t *testing.T, dir string, residentPairs ...float64) {
 	t.Helper()
-	if err := os.WriteFile(filepath.Join(dir, "BENCH_gemm.json"), []byte(gemm), 0o644); err != nil {
+	st := experiments.OpenCorpusStore(dir)
+	declared, err := experiments.DeclaredContrasts("micro")
+	if err != nil {
 		t.Fatal(err)
 	}
-	if err := os.WriteFile(filepath.Join(dir, "BENCH_bwtimeline.json"), []byte(timeline), 0o644); err != nil {
-		t.Fatal(err)
+	for seq := 1; seq <= 2; seq++ {
+		e := &experiments.CorpusEpoch{
+			Envelope: experiments.Envelope{SchemaVersion: experiments.BenchSchemaVersion, Artifact: "corpus",
+				Host: platform.Fingerprint{Hostname: "synthetic", OS: "linux", Arch: "amd64", Cores: 4}},
+			Grid: "micro",
+			Cells: []experiments.CorpusCell{{Shape: "small", Scenario: "fresh", Dtype: "f32",
+				M: 8, K: 320, N: 320, Tier: "small", Reps: 60, Runs: 3, GFLOPS: 100, BestGFLOPS: 100, MedianGFLOPS: 100, CoV: 0.01}},
+		}
+		for _, d := range declared {
+			pairs := []float64{2 * d.Floor}
+			if d.Name == "resident-vs-fresh" && seq == 2 {
+				pairs = residentPairs
+			}
+			e.Contrasts = append(e.Contrasts, experiments.ContrastResult{Contrast: d, Pairs: pairs})
+		}
+		if _, err := st.Append(e); err != nil {
+			t.Fatal(err)
+		}
 	}
 }
 
-const gateGemmJSON = `{"cores":2,"rows":[
-  {"shape":"square-480","mode":"sync","gflops":10},
-  {"shape":"square-480","mode":"pipelined","gflops":12}
-]}`
-
-const gateTimelineJSON = `{"m":32,"k":512,"n":256,"cores":2,
-  "cake":{"executor":"cake","gflops":6,"cov":0.4},
-  "goto":{"executor":"goto","gflops":5,"cov":1.5}}`
-
 func TestRunCheckCandidateSelfComparePasses(t *testing.T) {
-	dir := t.TempDir()
-	writeGateArtifacts(t, dir, gateGemmJSON, gateTimelineJSON)
+	store := filepath.Join(t.TempDir(), "corpus")
+	writeContrastStore(t, store, 1.6, 1.7, 1.55)
 	var buf bytes.Buffer
-	if err := runCheck([]string{"-baseline", dir, "-candidate", dir}, &buf); err != nil {
-		t.Fatalf("self-compare failed: %v\n%s", err, buf.String())
+	if err := runCheck([]string{"-corpus", store}, &buf); err != nil {
+		t.Fatalf("healthy store failed: %v\n%s", err, buf.String())
 	}
-	if !strings.Contains(buf.String(), "benchmark gate: OK") {
-		t.Fatalf("missing OK verdict:\n%s", buf.String())
+	out := buf.String()
+	if !strings.Contains(out, "benchmark gate: OK") || !strings.Contains(out, "resident-vs-fresh") {
+		t.Fatalf("missing OK verdict or contrast row:\n%s", out)
 	}
 }
 
 func TestRunCheckCandidateRegressionFails(t *testing.T) {
-	baseDir, candDir := t.TempDir(), t.TempDir()
-	writeGateArtifacts(t, baseDir, gateGemmJSON, gateTimelineJSON)
-	regressed := strings.Replace(gateGemmJSON, `"mode":"pipelined","gflops":12`, `"mode":"pipelined","gflops":6`, 1)
-	writeGateArtifacts(t, candDir, regressed, gateTimelineJSON)
+	store := filepath.Join(t.TempDir(), "corpus")
+	writeContrastStore(t, store, 1.2, 1.3, 1.1) // below the 1.5 floor
 	var buf bytes.Buffer
-	err := runCheck([]string{"-baseline", baseDir, "-candidate", candDir}, &buf)
+	err := runCheck([]string{"-corpus", store}, &buf)
 	if err == nil {
-		t.Fatalf("halved throughput passed:\n%s", buf.String())
+		t.Fatalf("contrast below its floor passed:\n%s", buf.String())
 	}
 	if !strings.Contains(err.Error(), "regression") || !strings.Contains(buf.String(), "REGRESSION") {
 		t.Fatalf("err = %v, output:\n%s", err, buf.String())
 	}
 }
 
-func TestRunCheckMissingBaselineErrors(t *testing.T) {
-	if err := runCheck([]string{"-baseline", t.TempDir(), "-candidate", t.TempDir()}, &bytes.Buffer{}); err == nil {
-		t.Fatal("empty baseline dir accepted")
-	}
-}
-
 func TestRunCheckBadFlagErrors(t *testing.T) {
-	var buf bytes.Buffer
-	if err := runCheck([]string{"-no-such-flag"}, &buf); err == nil {
-		t.Fatal("unknown flag accepted")
+	for _, flag := range []string{"-no-such-flag", "-candidate", "-baseline", "-trend-advisory"} {
+		if err := runCheck([]string{flag}, &bytes.Buffer{}); err == nil {
+			t.Fatalf("flag %s accepted", flag)
+		}
 	}
 }

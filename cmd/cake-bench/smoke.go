@@ -83,9 +83,9 @@ func smokeConformance(pl *platform.Platform, cores int) error {
 	return nil
 }
 
-// smokeCorpus measures the 2-cell micro grid in-process and publishes the
-// epoch with its trend verdicts, so /debug/corpus.json serves a real
-// document and the cake_corpus metric families are exported. The committed
+// smokeCorpus measures the micro grid (cells and contrasts) in-process and
+// publishes the epoch with its trend verdicts, so /debug/corpus.json serves
+// a real document and the cake_corpus metric families are exported. The committed
 // store (results/corpus) provides history when present; the fresh epoch is
 // judged in memory and NOT appended — the smoke run must leave the
 // append-only trajectory untouched.

@@ -1,55 +1,29 @@
-// Package benchgate is a noise-aware regression gate over the repo's
-// machine-readable benchmark artifacts: it diffs a candidate
-// BENCH_gemm.json / BENCH_bwtimeline.json against a committed baseline
-// using relative thresholds (benchmarks on shared machines jitter; absolute
-// numbers do not transfer) and flags only drops large enough to mean a real
-// regression. Fresh measurements take the best of several runs before
-// judging: scheduler and throttling noise on shared machines is one-sided
-// (it only slows runs down), so max GFLOPS / min CoV across runs estimates
-// the machine's capability far more stably than a median does.
+// Package benchgate is the one regression gate over the corpus history
+// store: trend verdicts judge every cell of the newest epoch against the
+// curve of its own same-host past, and contrast verdicts judge the newest
+// epoch's declared relative claims against their floors.
 package benchgate
 
 import (
-	"encoding/json"
 	"fmt"
 	"io"
-	"os"
-	"path/filepath"
-	"slices"
 
 	"repro/internal/experiments"
 )
 
-// Options tunes the gate's noise allowances.
-type Options struct {
-	// Threshold is the relative GFLOPS drop that counts as a regression
-	// (0.20 = candidate below 80% of baseline fails).
-	Threshold float64
-	// CoVSlack is the allowed relative growth of CAKE's bandwidth-timeline
-	// coefficient of variation — the constant-bandwidth property regressing.
-	CoVSlack float64
-	// CoVFloor is an absolute CoV allowance added on top of CoVSlack, so a
-	// near-zero baseline CoV does not turn jitter into failures.
-	CoVFloor float64
-	// MinRuns is how many fresh benchmark runs feed the best-of-N pick.
-	MinRuns int
-}
-
-// DefaultOptions returns the gate's default noise allowances.
-func DefaultOptions() Options {
-	return Options{Threshold: 0.20, CoVSlack: 0.50, CoVFloor: 0.10, MinRuns: 5}
-}
-
 // Finding is one compared metric.
 type Finding struct {
-	File       string  `json:"file"`   // which artifact the metric came from
-	Key        string  `json:"key"`    // row identity, e.g. "square-480/pipelined" or "cake"
-	Metric     string  `json:"metric"` // "gflops" or "cov"
+	File       string  `json:"file"`   // verdict kind: corpus-history (trend) or corpus-contrast
+	Key        string  `json:"key"`    // cell key or contrast name
+	Metric     string  `json:"metric"` // "gflops-trend" or "ratio"
 	Base       float64 `json:"base"`
 	Candidate  float64 `json:"candidate"`
 	Limit      float64 `json:"limit"` // the threshold the candidate was judged against
 	Regression bool    `json:"regression"`
 	Detail     string  `json:"detail"`
+	// hostState marks a verdict that describes the capture host rather
+	// than the code under test; Check's advisory mode does not gate on it.
+	hostState bool
 }
 
 // Result is a full gate evaluation.
@@ -58,13 +32,50 @@ type Result struct {
 }
 
 // Summary is the machine-readable document `cake-bench check -json` writes:
-// the overall verdict, every finding (pairwise gates and trend cells), and
-// the full trend report when a corpus history was available.
+// the overall verdict, every finding (trend cells and contrasts), the full
+// trend report, and the newest epoch's contrast verdicts.
 type Summary struct {
-	OK          bool         `json:"ok"`
-	Regressions int          `json:"regressions"`
-	Findings    []Finding    `json:"findings"`
-	Trend       *TrendReport `json:"trend,omitempty"`
+	OK          bool              `json:"ok"`
+	Regressions int               `json:"regressions"`
+	Findings    []Finding         `json:"findings"`
+	Trend       *TrendReport      `json:"trend,omitempty"`
+	Contrasts   []ContrastVerdict `json:"contrasts,omitempty"`
+}
+
+// Check judges a corpus history (store order, oldest first): trend verdicts
+// for every cell of the newest epoch, and contrast verdicts for the newest
+// epoch. An empty history has nothing to judge and passes.
+//
+// With advisory, the verdicts that describe the capture host rather than
+// the code under test — regressed trend cells and contrast ratios below
+// their floor — are reported with an "advisory:" prefix and do not gate. A
+// declared contrast the epoch lacks, or one whose pairs cannot be judged,
+// still gates: that is the code not producing its measurement.
+func Check(history []*experiments.CorpusEpoch, advisory bool) (Summary, error) {
+	var sum Summary
+	if len(history) > 0 {
+		rep, err := AnalyzeTrend(history, DefaultTrendOptions())
+		if err != nil {
+			return sum, err
+		}
+		sum.Trend = &rep
+		sum.Contrasts, err = JudgeContrasts(history[len(history)-1])
+		if err != nil {
+			return sum, err
+		}
+		sum.Findings = append(rep.Findings(), contrastFindings(sum.Contrasts)...)
+	}
+	for i := range sum.Findings {
+		f := &sum.Findings[i]
+		if advisory && f.Regression && f.hostState {
+			f.Regression = false
+			f.Detail = "advisory: " + f.Detail
+		}
+	}
+	res := Result{Findings: sum.Findings}
+	sum.OK = res.OK()
+	sum.Regressions = len(res.Regressions())
+	return sum, nil
 }
 
 // OK reports whether no finding is a regression.
@@ -91,7 +102,7 @@ func (r Result) Regressions() []Finding {
 // Render writes a human-readable summary.
 func (r Result) Render(w io.Writer) {
 	fmt.Fprintf(w, "%-24s %-28s %-8s %10s %10s %10s  %s\n",
-		"file", "key", "metric", "base", "candidate", "limit", "verdict")
+		"kind", "key", "metric", "base", "candidate", "limit", "verdict")
 	for _, f := range r.Findings {
 		verdict := "ok"
 		if f.Regression {
@@ -103,300 +114,4 @@ func (r Result) Render(w io.Writer) {
 			fmt.Fprintf(w, "    %s\n", f.Detail)
 		}
 	}
-}
-
-// GemmFile is the BENCH_gemm.json artifact cake-bench writes: the unified
-// schema envelope plus the measurement rows. Baselines committed before the
-// envelope existed unmarshal with a zero envelope and keep gating.
-type GemmFile struct {
-	experiments.Envelope
-	Cores int                        `json:"cores"`
-	Rows  []experiments.GemmBenchRow `json:"rows"`
-}
-
-// LoadGemm reads a BENCH_gemm.json.
-func LoadGemm(path string) (GemmFile, error) {
-	var f GemmFile
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return f, err
-	}
-	if err := json.Unmarshal(data, &f); err != nil {
-		return f, fmt.Errorf("benchgate: %s: %w", path, err)
-	}
-	if len(f.Rows) == 0 {
-		return f, fmt.Errorf("benchgate: %s has no rows", path)
-	}
-	return f, nil
-}
-
-// LoadTimeline reads a BENCH_bwtimeline.json.
-func LoadTimeline(path string) (experiments.TraceBenchResult, error) {
-	var r experiments.TraceBenchResult
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return r, err
-	}
-	if err := json.Unmarshal(data, &r); err != nil {
-		return r, fmt.Errorf("benchgate: %s: %w", path, err)
-	}
-	if r.Cake.Executor == "" || r.Goto.Executor == "" {
-		return r, fmt.Errorf("benchgate: %s missing executor timelines", path)
-	}
-	return r, nil
-}
-
-func gemmKey(r experiments.GemmBenchRow) string { return r.Shape + "/" + r.Mode }
-
-// CompareGemm judges candidate GEMM throughput rows against the baseline.
-// Every baseline row must be present in the candidate (a vanished
-// configuration is itself a regression) and within the relative threshold.
-func CompareGemm(base, cand GemmFile, opt Options) []Finding {
-	candBy := map[string]experiments.GemmBenchRow{}
-	for _, r := range cand.Rows {
-		candBy[gemmKey(r)] = r
-	}
-	var out []Finding
-	for _, b := range base.Rows {
-		key := gemmKey(b)
-		limit := b.GFLOPS * (1 - opt.Threshold)
-		c, ok := candBy[key]
-		if !ok {
-			out = append(out, Finding{
-				File: "BENCH_gemm.json", Key: key, Metric: "gflops",
-				Base: b.GFLOPS, Candidate: 0, Limit: limit, Regression: true,
-				Detail: "row missing from candidate",
-			})
-			continue
-		}
-		out = append(out, Finding{
-			File: "BENCH_gemm.json", Key: key, Metric: "gflops",
-			Base: b.GFLOPS, Candidate: c.GFLOPS, Limit: limit,
-			Regression: c.GFLOPS < limit,
-			Detail:     fmt.Sprintf("allowed drop %.0f%%", 100*opt.Threshold),
-		})
-	}
-	return out
-}
-
-// CompareTimeline judges the trace benchmark: throughput for both
-// executors, and CAKE's bandwidth CoV — the constant-bandwidth property is
-// the claim under test, so only CAKE's flatness gates. GOTO's CoV is
-// reported informationally (its spikes are the paper's contrast, not a
-// regression).
-func CompareTimeline(base, cand experiments.TraceBenchResult, opt Options) []Finding {
-	var out []Finding
-	pairs := []struct {
-		key     string
-		b, c    experiments.ExecTimeline
-		gateCoV bool
-	}{
-		{"cake", base.Cake, cand.Cake, true},
-		{"goto", base.Goto, cand.Goto, false},
-	}
-	for _, p := range pairs {
-		limit := p.b.GFLOPS * (1 - opt.Threshold)
-		out = append(out, Finding{
-			File: "BENCH_bwtimeline.json", Key: p.key, Metric: "gflops",
-			Base: p.b.GFLOPS, Candidate: p.c.GFLOPS, Limit: limit,
-			Regression: p.c.GFLOPS < limit,
-			Detail:     fmt.Sprintf("allowed drop %.0f%%", 100*opt.Threshold),
-		})
-		covLimit := p.b.CoV*(1+opt.CoVSlack) + opt.CoVFloor
-		out = append(out, Finding{
-			File: "BENCH_bwtimeline.json", Key: p.key, Metric: "cov",
-			Base: p.b.CoV, Candidate: p.c.CoV, Limit: covLimit,
-			Regression: p.gateCoV && p.c.CoV > covLimit,
-			Detail:     "bandwidth-timeline coefficient of variation",
-		})
-	}
-	return out
-}
-
-// CompareDirs gates candidate artifacts in candDir against the committed
-// baseline in baseDir — the deterministic file-vs-file mode (a directory
-// compared against itself always passes, which scripts use as a
-// self-check).
-func CompareDirs(baseDir, candDir string, opt Options) (Result, error) {
-	bg, err := LoadGemm(filepath.Join(baseDir, "BENCH_gemm.json"))
-	if err != nil {
-		return Result{}, err
-	}
-	cg, err := LoadGemm(filepath.Join(candDir, "BENCH_gemm.json"))
-	if err != nil {
-		return Result{}, err
-	}
-	bt, err := LoadTimeline(filepath.Join(baseDir, "BENCH_bwtimeline.json"))
-	if err != nil {
-		return Result{}, err
-	}
-	ct, err := LoadTimeline(filepath.Join(candDir, "BENCH_bwtimeline.json"))
-	if err != nil {
-		return Result{}, err
-	}
-	res := Result{Findings: CompareGemm(bg, cg, opt)}
-	res.Findings = append(res.Findings, CompareTimeline(bt, ct, opt)...)
-	// The serve artifact arrived later than the other two; gate it only when
-	// the baseline directory has one, so older checkouts still compare.
-	if _, err := os.Stat(filepath.Join(baseDir, "BENCH_serve.json")); err == nil {
-		bs, err := LoadServe(filepath.Join(baseDir, "BENCH_serve.json"))
-		if err != nil {
-			return Result{}, err
-		}
-		cs, err := LoadServe(filepath.Join(candDir, "BENCH_serve.json"))
-		if err != nil {
-			return Result{}, err
-		}
-		res.Findings = append(res.Findings, CompareServe(bs, cs, opt)...)
-	}
-	// Resident likewise: gate only against baselines that carry the artifact.
-	if _, err := os.Stat(filepath.Join(baseDir, "BENCH_resident.json")); err == nil {
-		br, err := LoadResident(filepath.Join(baseDir, "BENCH_resident.json"))
-		if err != nil {
-			return Result{}, err
-		}
-		cr, err := LoadResident(filepath.Join(candDir, "BENCH_resident.json"))
-		if err != nil {
-			return Result{}, err
-		}
-		res.Findings = append(res.Findings, CompareResident(br, cr, opt)...)
-	}
-	// Batch (one-lease batched dispatch) likewise.
-	if _, err := os.Stat(filepath.Join(baseDir, "BENCH_batch.json")); err == nil {
-		bb, err := LoadBatch(filepath.Join(baseDir, "BENCH_batch.json"))
-		if err != nil {
-			return Result{}, err
-		}
-		cb, err := LoadBatch(filepath.Join(candDir, "BENCH_batch.json"))
-		if err != nil {
-			return Result{}, err
-		}
-		res.Findings = append(res.Findings, CompareBatch(bb, cb, opt)...)
-	}
-	// Obs (request-observability overhead) likewise.
-	if _, err := os.Stat(filepath.Join(baseDir, "BENCH_obs.json")); err == nil {
-		bo, err := LoadObs(filepath.Join(baseDir, "BENCH_obs.json"))
-		if err != nil {
-			return Result{}, err
-		}
-		co, err := LoadObs(filepath.Join(candDir, "BENCH_obs.json"))
-		if err != nil {
-			return Result{}, err
-		}
-		res.Findings = append(res.Findings, CompareObs(bo, co, opt)...)
-	}
-	return res, nil
-}
-
-// best returns the most favourable sample (max — GFLOPS-style metrics);
-// floor the most conservative one (min). Candidates are summarised with
-// best, baselines with floor: the gate then fails only when the candidate's
-// best run cannot reach the threshold below the baseline's worst run —
-// i.e. when the two noise bands no longer overlap. On quiet machines the
-// bands are tight and this degrades to a plain relative check; on noisy
-// shared hosts (where some modes are bimodal) it avoids flagging the
-// machine's own jitter as a code regression. Empty input returns 0.
-func best(vals []float64) float64 {
-	if len(vals) == 0 {
-		return 0
-	}
-	return slices.Max(vals)
-}
-
-func floor(vals []float64) float64 {
-	if len(vals) == 0 {
-		return 0
-	}
-	return slices.Min(vals)
-}
-
-// sampleGemm runs the GEMM benchmark `runs` times, collecting per-(shape,
-// mode) GFLOPS samples; the first run's rows carry the non-GFLOPS columns.
-func sampleGemm(cores int, quick bool, runs int) ([]experiments.GemmBenchRow, map[string][]float64, error) {
-	if runs < 1 {
-		runs = 1
-	}
-	var first []experiments.GemmBenchRow
-	samples := map[string][]float64{}
-	for i := 0; i < runs; i++ {
-		rows, err := experiments.GemmBench(cores, quick)
-		if err != nil {
-			return nil, nil, err
-		}
-		if i == 0 {
-			first = rows
-		}
-		for _, r := range rows {
-			samples[gemmKey(r)] = append(samples[gemmKey(r)], r.GFLOPS)
-		}
-	}
-	return first, samples, nil
-}
-
-// FreshGemm measures the candidate side: per-row best GFLOPS across runs.
-func FreshGemm(cores int, quick bool, runs int) (GemmFile, error) {
-	return pickGemm(cores, quick, runs, best)
-}
-
-// BaselineGemm measures the baseline side: per-row floor (worst) GFLOPS, so
-// the committed reference is a bound every healthy run can beat.
-func BaselineGemm(cores int, quick bool, runs int) (GemmFile, error) {
-	return pickGemm(cores, quick, runs, floor)
-}
-
-func pickGemm(cores int, quick bool, runs int, pick func([]float64) float64) (GemmFile, error) {
-	first, samples, err := sampleGemm(cores, quick, runs)
-	if err != nil {
-		return GemmFile{}, err
-	}
-	for i := range first {
-		first[i].GFLOPS = pick(samples[gemmKey(first[i])])
-	}
-	return GemmFile{Envelope: experiments.NewEnvelope("gemm"), Cores: cores, Rows: first}, nil
-}
-
-// sampleTimeline runs the trace benchmark `runs` times, collecting GFLOPS
-// and CoV samples per executor.
-func sampleTimeline(cores int, quick bool, runs int) (*experiments.TraceBenchResult, map[string][]float64, error) {
-	if runs < 1 {
-		runs = 1
-	}
-	var first *experiments.TraceBenchResult
-	samples := map[string][]float64{}
-	for i := 0; i < runs; i++ {
-		res, err := experiments.TraceBench(cores, quick)
-		if err != nil {
-			return nil, nil, err
-		}
-		if i == 0 {
-			first = res
-		}
-		samples["cake/gflops"] = append(samples["cake/gflops"], res.Cake.GFLOPS)
-		samples["cake/cov"] = append(samples["cake/cov"], res.Cake.CoV)
-		samples["goto/gflops"] = append(samples["goto/gflops"], res.Goto.GFLOPS)
-		samples["goto/cov"] = append(samples["goto/cov"], res.Goto.CoV)
-	}
-	return first, samples, nil
-}
-
-// FreshTimeline measures the candidate side: best GFLOPS (max) and best CoV
-// (min — flatter is better) per executor.
-func FreshTimeline(cores int, quick bool, runs int) (experiments.TraceBenchResult, error) {
-	return pickTimeline(cores, quick, runs, best, floor)
-}
-
-// BaselineTimeline measures the baseline side: floor GFLOPS and ceiling CoV
-// per executor — the conservative bounds candidates are judged against.
-func BaselineTimeline(cores int, quick bool, runs int) (experiments.TraceBenchResult, error) {
-	return pickTimeline(cores, quick, runs, floor, best)
-}
-
-func pickTimeline(cores int, quick bool, runs int, pickGF, pickCoV func([]float64) float64) (experiments.TraceBenchResult, error) {
-	first, samples, err := sampleTimeline(cores, quick, runs)
-	if err != nil {
-		return experiments.TraceBenchResult{}, err
-	}
-	first.Cake.GFLOPS, first.Cake.CoV = pickGF(samples["cake/gflops"]), pickCoV(samples["cake/cov"])
-	first.Goto.GFLOPS, first.Goto.CoV = pickGF(samples["goto/gflops"]), pickCoV(samples["goto/cov"])
-	return *first, nil
 }

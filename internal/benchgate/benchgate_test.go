@@ -1,8 +1,6 @@
 package benchgate
 
 import (
-	"encoding/json"
-	"os"
 	"path/filepath"
 	"strings"
 	"testing"
@@ -10,167 +8,159 @@ import (
 	"repro/internal/experiments"
 )
 
-func baselineGemm() GemmFile {
-	return GemmFile{Cores: 4, Rows: []experiments.GemmBenchRow{
-		{Shape: "square-480", Mode: "sync", GFLOPS: 10},
-		{Shape: "square-480", Mode: "pipelined", GFLOPS: 12},
-		{Shape: "skew-small-m", Mode: "pipelined", GFLOPS: 8},
-	}}
-}
-
-func baselineTimeline() experiments.TraceBenchResult {
-	return experiments.TraceBenchResult{
-		M: 32, K: 512, N: 256, Cores: 4,
-		Cake: experiments.ExecTimeline{Executor: "cake", GFLOPS: 6, CoV: 0.4},
-		Goto: experiments.ExecTimeline{Executor: "goto", GFLOPS: 5, CoV: 1.5},
+// contrastEpoch builds a synthetic schema-3 epoch of a grid: the one-cell
+// trend history of epochWith plus every declared contrast with three pairs
+// at 1.2× its floor, except those in pairs (nil omits the contrast).
+func contrastEpoch(t *testing.T, seq int, grid string, pairs map[string][]float64) *experiments.CorpusEpoch {
+	t.Helper()
+	e := epochWith(seq, trendHost("a"), 100, 0.01)
+	e.Grid = grid
+	declared, err := experiments.DeclaredContrasts(grid)
+	if err != nil {
+		t.Fatal(err)
 	}
+	for _, d := range declared {
+		p, ok := pairs[d.Name]
+		if !ok {
+			p = []float64{1.2 * d.Floor, 1.2 * d.Floor, 1.2 * d.Floor}
+		} else if p == nil {
+			continue
+		}
+		e.Contrasts = append(e.Contrasts, experiments.ContrastResult{Contrast: d, Pairs: p, Ratio: median(p)})
+	}
+	return e
 }
 
+// verdicts maps contrast names to their verdicts.
+func verdicts(vs []ContrastVerdict) map[string]string {
+	out := map[string]string{}
+	for _, v := range vs {
+		out[v.Contrast] = v.Verdict
+	}
+	return out
+}
+
+func check(t *testing.T, history []*experiments.CorpusEpoch, advisory bool) Summary {
+	t.Helper()
+	sum, err := Check(history, advisory)
+	if err != nil {
+		t.Fatalf("Check: %v", err)
+	}
+	return sum
+}
+
+// TestCompareGemmIdenticalPasses: a history of identical epochs passes both
+// verdict kinds — a flat trend and every micro contrast above its floor.
 func TestCompareGemmIdenticalPasses(t *testing.T) {
-	res := Result{Findings: CompareGemm(baselineGemm(), baselineGemm(), DefaultOptions())}
-	if !res.OK() {
-		t.Fatalf("self-compare regressed: %+v", res.Regressions())
+	hist := []*experiments.CorpusEpoch{contrastEpoch(t, 1, "micro", nil), contrastEpoch(t, 2, "micro", nil), contrastEpoch(t, 3, "micro", nil)}
+	sum := check(t, hist, false)
+	if !sum.OK || sum.Regressions != 0 {
+		t.Fatalf("identical history regressed: %+v", sum.Findings)
 	}
-	if len(res.Findings) != 3 {
-		t.Fatalf("findings = %d, want one per baseline row", len(res.Findings))
+	if len(sum.Findings) != 3 || sum.Trend.Cells[0].Verdict != VerdictOK {
+		t.Fatalf("findings = %+v, want one trend cell and two contrasts", sum.Findings)
+	}
+	if v := verdicts(sum.Contrasts); v["resident-vs-fresh"] != "pass" || v["batch-vs-looped"] != "pass" {
+		t.Fatalf("contrast verdicts = %v", v)
 	}
 }
 
+// TestCompareGemmFlagsLargeDropOnly: the contrast is judged on the median
+// pair, so one pair hit by a host hiccup does not trip it, while a median
+// below the floor does.
 func TestCompareGemmFlagsLargeDropOnly(t *testing.T) {
-	opt := DefaultOptions()
-	cand := baselineGemm()
-	cand.Rows[1].GFLOPS = 12 * 0.85 // 15% drop: inside the 20% allowance
-	res := Result{Findings: CompareGemm(baselineGemm(), cand, opt)}
-	if !res.OK() {
-		t.Fatalf("15%% drop flagged: %+v", res.Regressions())
+	one := contrastEpoch(t, 1, "micro", map[string][]float64{"resident-vs-fresh": {1.6, 0.5, 1.7}})
+	if sum := check(t, []*experiments.CorpusEpoch{one}, false); !sum.OK {
+		t.Fatalf("one bad pair tripped the gate: %+v", sum.Findings)
 	}
-
-	cand.Rows[1].GFLOPS = 12 * 0.70 // 30% drop: regression
-	res = Result{Findings: CompareGemm(baselineGemm(), cand, opt)}
-	regs := res.Regressions()
-	if len(regs) != 1 || regs[0].Key != "square-480/pipelined" {
-		t.Fatalf("regressions = %+v, want the pipelined square row", regs)
+	most := contrastEpoch(t, 1, "micro", map[string][]float64{"resident-vs-fresh": {1.6, 1.4, 1.45}})
+	sum := check(t, []*experiments.CorpusEpoch{most}, false)
+	regs := Result{Findings: sum.Findings}.Regressions()
+	if len(regs) != 1 || regs[0].Key != "resident-vs-fresh" || regs[0].Candidate != 1.45 {
+		t.Fatalf("regressions = %+v, want resident-vs-fresh at median 1.45", regs)
 	}
 }
 
+// TestCompareGemmMissingRowIsRegression: a contrast the grid declares but
+// the newest epoch lacks is a regression, and advisory mode does not soften
+// it — the code did not produce the measurement.
 func TestCompareGemmMissingRowIsRegression(t *testing.T) {
-	cand := baselineGemm()
-	cand.Rows = cand.Rows[:2] // skew row vanished
-	res := Result{Findings: CompareGemm(baselineGemm(), cand, DefaultOptions())}
-	regs := res.Regressions()
-	if len(regs) != 1 || !strings.Contains(regs[0].Detail, "missing") {
-		t.Fatalf("regressions = %+v, want a missing-row finding", regs)
+	e := contrastEpoch(t, 1, "micro", map[string][]float64{"batch-vs-looped": nil})
+	for _, advisory := range []bool{false, true} {
+		sum := check(t, []*experiments.CorpusEpoch{e}, advisory)
+		if v := verdicts(sum.Contrasts)["batch-vs-looped"]; v != ContrastMissing {
+			t.Fatalf("advisory=%v: verdict %q, want missing", advisory, v)
+		}
+		regs := Result{Findings: sum.Findings}.Regressions()
+		if sum.OK || len(regs) != 1 || !strings.Contains(regs[0].Detail, "missing") {
+			t.Fatalf("advisory=%v: regressions = %+v, want the missing contrast", advisory, regs)
+		}
 	}
 }
 
+// TestCompareTimelineCoVGatesCakeOnly: the constant-bandwidth contrast is
+// strict — GOTO's bandwidth CoV must exceed CAKE's, so a ratio of exactly 1
+// trips it.
 func TestCompareTimelineCoVGatesCakeOnly(t *testing.T) {
-	opt := DefaultOptions()
-	cand := baselineTimeline()
-	// CAKE CoV beyond base·1.5 + 0.1 = 0.7 regresses the CB property.
-	cand.Cake.CoV = 0.9
-	res := Result{Findings: CompareTimeline(baselineTimeline(), cand, opt)}
-	regs := res.Regressions()
-	if len(regs) != 1 || regs[0].Key != "cake" || regs[0].Metric != "cov" {
-		t.Fatalf("regressions = %+v, want cake cov only", regs)
-	}
-
-	// GOTO's CoV exploding is informational, not a failure.
-	cand = baselineTimeline()
-	cand.Goto.CoV = 50
-	res = Result{Findings: CompareTimeline(baselineTimeline(), cand, opt)}
-	if !res.OK() {
-		t.Fatalf("goto CoV growth failed the gate: %+v", res.Regressions())
+	const name = "cake-vs-goto-bandwidth-cov"
+	for _, tc := range []struct {
+		ratio float64
+		want  string
+	}{{1.001, "pass"}, {1, "miss"}, {0.999, "miss"}, {3, "pass"}} {
+		e := contrastEpoch(t, 1, "full", map[string][]float64{name: {tc.ratio}})
+		sum := check(t, []*experiments.CorpusEpoch{e}, false)
+		if got := verdicts(sum.Contrasts)[name]; got != tc.want {
+			t.Fatalf("ratio %v: verdict %q, want %q", tc.ratio, got, tc.want)
+		}
+		if sum.OK != (tc.want == "pass") {
+			t.Fatalf("ratio %v: ok = %v", tc.ratio, sum.OK)
+		}
 	}
 }
 
+// TestCompareDirsSelfCheckAndSyntheticRegression judges a store on disk:
+// the history as written passes; a synthetic newest epoch with every
+// contrast halved fails on exactly those contrasts, and advisory mode
+// reports them without gating.
 func TestCompareDirsSelfCheckAndSyntheticRegression(t *testing.T) {
-	writeArtifacts := func(t *testing.T, dir string, gemm GemmFile, tl experiments.TraceBenchResult) {
-		t.Helper()
-		gd, _ := json.Marshal(gemm)
-		td, _ := json.Marshal(tl)
-		if err := os.WriteFile(filepath.Join(dir, "BENCH_gemm.json"), gd, 0o644); err != nil {
-			t.Fatal(err)
-		}
-		if err := os.WriteFile(filepath.Join(dir, "BENCH_bwtimeline.json"), td, 0o644); err != nil {
+	st := experiments.OpenCorpusStore(filepath.Join(t.TempDir(), "corpus"))
+	for seq := 1; seq <= 2; seq++ {
+		if _, err := st.Append(contrastEpoch(t, seq, "micro", nil)); err != nil {
 			t.Fatal(err)
 		}
 	}
+	load := func() []*experiments.CorpusEpoch {
+		h, err := st.Load()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return h
+	}
+	if sum := check(t, load(), false); !sum.OK {
+		t.Fatalf("committed store regressed: %+v", sum.Findings)
+	}
 
-	baseDir, candDir := t.TempDir(), t.TempDir()
-	writeArtifacts(t, baseDir, baselineGemm(), baselineTimeline())
-	writeArtifacts(t, candDir, baselineGemm(), baselineTimeline())
-
-	// A directory against itself (and an identical copy) always passes.
-	res, err := CompareDirs(baseDir, baseDir, DefaultOptions())
-	if err != nil {
+	bad := contrastEpoch(t, 3, "micro", map[string][]float64{
+		"resident-vs-fresh": {0.75, 0.75, 0.75}, "batch-vs-looped": {0.65, 0.65, 0.65}})
+	if _, err := st.Append(bad); err != nil {
 		t.Fatal(err)
 	}
-	if !res.OK() {
-		t.Fatalf("self-compare regressed: %+v", res.Regressions())
+	sum := check(t, load(), false)
+	if sum.OK || sum.Regressions != 2 {
+		t.Fatalf("halved contrasts: ok=%v regressions=%d, want 2", sum.OK, sum.Regressions)
 	}
-
-	// Synthetically regress the candidate: throughput halved.
-	bad := baselineGemm()
-	for i := range bad.Rows {
-		bad.Rows[i].GFLOPS /= 2
-	}
-	writeArtifacts(t, candDir, bad, baselineTimeline())
-	res, err = CompareDirs(baseDir, candDir, DefaultOptions())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.OK() {
-		t.Fatal("halved throughput passed the gate")
-	}
-	if len(res.Regressions()) != 3 {
-		t.Fatalf("regressions = %+v, want all three gemm rows", res.Regressions())
-	}
-
-	// Missing artifacts are an error, not a silent pass.
-	if _, err := CompareDirs(baseDir, t.TempDir(), DefaultOptions()); err == nil {
-		t.Fatal("empty candidate dir did not error")
-	}
-}
-
-func TestBest(t *testing.T) {
-	for _, tc := range []struct {
-		vals []float64
-		want float64
-	}{
-		{nil, 0},
-		{[]float64{5}, 5},
-		{[]float64{3, 1, 2}, 3},
-		{[]float64{4, 1, 3, 2}, 4},
-	} {
-		if got := best(append([]float64{}, tc.vals...)); got != tc.want {
-			t.Errorf("best(%v) = %g, want %g", tc.vals, got, tc.want)
-		}
-	}
-}
-
-func TestFloor(t *testing.T) {
-	for _, tc := range []struct {
-		vals []float64
-		want float64
-	}{
-		{nil, 0},
-		{[]float64{5}, 5},
-		{[]float64{3, 1, 2}, 1},
-	} {
-		if got := floor(append([]float64{}, tc.vals...)); got != tc.want {
-			t.Errorf("floor(%v) = %g, want %g", tc.vals, got, tc.want)
-		}
+	if sum := check(t, load(), true); !sum.OK || len(sum.Contrasts) != 2 {
+		t.Fatalf("advisory: ok=%v contrasts=%d, want ok with both verdicts kept", sum.OK, len(sum.Contrasts))
 	}
 }
 
 func TestRenderListsVerdicts(t *testing.T) {
-	cand := baselineGemm()
-	cand.Rows[0].GFLOPS = 1
-	res := Result{Findings: CompareGemm(baselineGemm(), cand, DefaultOptions())}
+	e := contrastEpoch(t, 1, "micro", map[string][]float64{"batch-vs-looped": {1.0}})
+	sum := check(t, []*experiments.CorpusEpoch{e}, false)
 	var sb strings.Builder
-	res.Render(&sb)
+	Result{Findings: sum.Findings}.Render(&sb)
 	out := sb.String()
-	if !strings.Contains(out, "REGRESSION") || !strings.Contains(out, "square-480/sync") {
+	if !strings.Contains(out, "REGRESSION") || !strings.Contains(out, "batch-vs-looped") || !strings.Contains(out, "corpus-contrast") {
 		t.Fatalf("render output missing verdicts:\n%s", out)
 	}
 }

@@ -1,166 +1,123 @@
 package benchgate
 
 import (
-	"encoding/json"
-	"os"
 	"path/filepath"
-	"strings"
 	"testing"
 
 	"repro/internal/experiments"
 )
 
-// baselineServe is a deterministic serve artifact shaped like a healthy
-// run: huge tiny throughput through the engine, convoyed tiny throughput
-// under the mutex, and a direct tiny path faster than full-CAKE dispatch.
-func baselineServe() experiments.ServeBenchResult {
-	return experiments.ServeBenchResult{
-		Cores: 1, Clients: 8, ClientMix: experiments.ServeClientMix, DurationSecs: 4,
-		Tiers: []experiments.ServeTierRow{
-			{Mode: "engine", Tier: "tiny", Requests: 4000, GemmsPerSec: 1000, P50Micros: 8},
-			{Mode: "engine", Tier: "small", Requests: 160, GemmsPerSec: 40, P50Micros: 50000},
-			{Mode: "engine", Tier: "large", Requests: 80, GemmsPerSec: 20, P50Micros: 52000},
-			{Mode: "serialized", Tier: "tiny", Requests: 220, GemmsPerSec: 55, P50Micros: 76000},
-			{Mode: "serialized", Tier: "small", Requests: 200, GemmsPerSec: 50, P50Micros: 5000},
-			{Mode: "serialized", Tier: "large", Requests: 80, GemmsPerSec: 20, P50Micros: 47000},
-		},
-		EngineGemmsPer: 1060, SerializedGemms: 125, Speedup: 8.48,
-		TinyDirectP50Micros: 8, TinyCakeP50Micros: 10.5,
-	}
-}
-
+// TestCompareServeIdenticalPasses: the full grid carries all six contrasts,
+// and a healthy full epoch passes every one.
 func TestCompareServeIdenticalPasses(t *testing.T) {
-	res := Result{Findings: CompareServe(baselineServe(), baselineServe(), DefaultOptions())}
-	if !res.OK() {
-		t.Fatalf("self-compare regressed: %+v", res.Regressions())
+	sum := check(t, []*experiments.CorpusEpoch{contrastEpoch(t, 1, "full", nil)}, false)
+	if !sum.OK || len(sum.Contrasts) != 6 {
+		t.Fatalf("ok=%v contrasts=%d, want 6 passing", sum.OK, len(sum.Contrasts))
 	}
-	// total + three engine tiers + speedup + tiny A/B.
-	if len(res.Findings) != 6 {
-		t.Fatalf("findings = %d, want 6", len(res.Findings))
+	for _, v := range sum.Contrasts {
+		if v.Verdict != "pass" {
+			t.Fatalf("%s: %s", v.Contrast, v.Verdict)
+		}
 	}
 }
 
+// TestCompareServeGatesEngineThroughput: the one judge still gates cell
+// throughput through the trend while every contrast passes; advisory mode
+// reports the trend regression without gating.
 func TestCompareServeGatesEngineThroughput(t *testing.T) {
-	opt := DefaultOptions()
-	cand := baselineServe()
-	cand.EngineGemmsPer = 1060 * 0.85 // 15% drop: inside the 20% allowance
-	res := Result{Findings: CompareServe(baselineServe(), cand, opt)}
-	if !res.OK() {
-		t.Fatalf("15%% drop flagged: %+v", res.Regressions())
+	hist := []*experiments.CorpusEpoch{contrastEpoch(t, 1, "full", nil), contrastEpoch(t, 2, "full", nil)}
+	hist[1].Cells[0].GFLOPS = 60 // a 40% cliff
+	sum := check(t, hist, false)
+	regs := Result{Findings: sum.Findings}.Regressions()
+	if len(regs) != 1 || regs[0].File != "corpus-history" {
+		t.Fatalf("regressions = %+v, want the trend cell only", regs)
 	}
-
-	cand.EngineGemmsPer = 1060 * 0.5
-	res = Result{Findings: CompareServe(baselineServe(), cand, opt)}
-	regs := res.Regressions()
-	if len(regs) != 1 || regs[0].Key != "engine/total" {
-		t.Fatalf("regressions = %+v, want engine/total only", regs)
+	if sum := check(t, hist, true); !sum.OK || sum.Trend.Cells[0].Verdict != VerdictRegressed {
+		t.Fatalf("advisory: ok=%v verdict=%s", sum.OK, sum.Trend.Cells[0].Verdict)
 	}
 }
 
+// TestCompareServeSpeedupFloorIsAbsolute: engine-vs-serialized passes at
+// exactly its 2× floor and trips just below it.
 func TestCompareServeSpeedupFloorIsAbsolute(t *testing.T) {
-	cand := baselineServe()
-	cand.Speedup = 1.4 // below the 2× floor even though baseline was 8.5×
-	res := Result{Findings: CompareServe(baselineServe(), cand, DefaultOptions())}
-	regs := res.Regressions()
-	if len(regs) != 1 || regs[0].Metric != "speedup" {
-		t.Fatalf("regressions = %+v, want the speedup floor", regs)
+	const name = "engine-vs-serialized"
+	if got := judgeOne(t, name, 2.0); got != "pass" {
+		t.Fatalf("2.0: %s", got)
 	}
-	if regs[0].Limit != MinServeSpeedup {
-		t.Fatalf("speedup limit = %g, want the absolute floor %g", regs[0].Limit, MinServeSpeedup)
+	if got := judgeOne(t, name, 1.99); got != "miss" {
+		t.Fatalf("1.99: %s", got)
 	}
 }
 
+// TestCompareServeTinyABGate: the direct tiny path may be at most 10%
+// slower than full-CAKE dispatch — a full-CAKE over direct ratio of 1/1.10.
 func TestCompareServeTinyABGate(t *testing.T) {
-	cand := baselineServe()
-	cand.TinyDirectP50Micros = 15 // direct dispatch slower than full-CAKE's 10.5µs
-	res := Result{Findings: CompareServe(baselineServe(), cand, DefaultOptions())}
-	regs := res.Regressions()
-	if len(regs) != 1 || regs[0].Key != "tiny-ab/direct-vs-cake" {
-		t.Fatalf("regressions = %+v, want the tiny A/B gate", regs)
+	const name = "tiny-direct-vs-cake"
+	if got := judgeOne(t, name, 0.91); got != "pass" {
+		t.Fatalf("direct 9.9%% slower: %s", got)
+	}
+	if got := judgeOne(t, name, 0.90); got != "miss" {
+		t.Fatalf("direct 11%% slower: %s", got)
 	}
 }
 
+// TestCompareServeMissingEngineTierRow: the gate judges the declared floor
+// and recomputes the ratio from the pairs; the floor, ratio and verdict an
+// epoch recorded are never trusted.
 func TestCompareServeMissingEngineTierRow(t *testing.T) {
-	cand := baselineServe()
-	cand.Tiers = cand.Tiers[1:] // engine/tiny row vanished
-	res := Result{Findings: CompareServe(baselineServe(), cand, DefaultOptions())}
-	regs := res.Regressions()
-	if len(regs) != 1 || !strings.Contains(regs[0].Detail, "missing") {
-		t.Fatalf("regressions = %+v, want a missing-row finding", regs)
+	const name = "engine-vs-serialized"
+	e := contrastEpoch(t, 1, "full", map[string][]float64{name: {1.2, 1.3, 1.1}})
+	for i := range e.Contrasts {
+		if e.Contrasts[i].Name == name {
+			e.Contrasts[i].Floor, e.Contrasts[i].Ratio, e.Contrasts[i].Verdict = 0.5, 9, experiments.ContrastPass
+		}
+	}
+	vs, err := JudgeContrasts(e)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, v := range vs {
+		if v.Contrast == name && (v.Verdict != "miss" || v.Floor != 2 || v.Ratio != 1.2) {
+			t.Fatalf("verdict = %+v, want miss at median 1.2 against floor 2", v)
+		}
 	}
 }
 
+// TestCompareServeSerializedRowsInformational: a contrast the epoch's grid
+// does not declare is carried along but never judged.
 func TestCompareServeSerializedRowsInformational(t *testing.T) {
-	cand := baselineServe()
-	// The serialized side collapsing is not a regression of our code — it
-	// only makes the speedup larger.
-	for i := range cand.Tiers {
-		if cand.Tiers[i].Mode == "serialized" {
-			cand.Tiers[i].GemmsPerSec /= 10
-		}
-	}
-	cand.SerializedGemms /= 10
-	cand.Speedup *= 10
-	res := Result{Findings: CompareServe(baselineServe(), cand, DefaultOptions())}
-	if !res.OK() {
-		t.Fatalf("serialized-side drop flagged: %+v", res.Regressions())
+	e := contrastEpoch(t, 1, "micro", nil)
+	e.Contrasts = append(e.Contrasts, experiments.ContrastResult{
+		Contrast: experiments.Contrast{Name: "retired", Floor: 10}, Pairs: []float64{1}, Ratio: 1})
+	sum := check(t, []*experiments.CorpusEpoch{e}, false)
+	if !sum.OK || len(sum.Contrasts) != 2 {
+		t.Fatalf("ok=%v verdicts=%+v, want the two declared contrasts only", sum.OK, sum.Contrasts)
 	}
 }
 
+// TestCompareDirsIncludesServeWhenBaselineHasIt: contrast verdicts exist only
+// for epochs written by a corpus that declares contrasts. The committed
+// epochs 0001–0004 predate them: they load and yield none.
 func TestCompareDirsIncludesServeWhenBaselineHasIt(t *testing.T) {
-	writeJSON := func(t *testing.T, dir, name string, v any) {
-		t.Helper()
-		data, err := json.Marshal(v)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := os.WriteFile(filepath.Join(dir, name), data, 0o644); err != nil {
-			t.Fatal(err)
-		}
-	}
-	baseDir, candDir := t.TempDir(), t.TempDir()
-	for _, dir := range []string{baseDir, candDir} {
-		writeJSON(t, dir, "BENCH_gemm.json", baselineGemm())
-		writeJSON(t, dir, "BENCH_bwtimeline.json", baselineTimeline())
-	}
-
-	// Without a serve baseline the gate skips serve rows (back-compat).
-	res, err := CompareDirs(baseDir, candDir, DefaultOptions())
+	history, err := experiments.OpenCorpusStore(filepath.Join("..", "..", "results", "corpus")).Load()
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, f := range res.Findings {
-		if f.File == "BENCH_serve.json" {
-			t.Fatalf("serve finding without a serve baseline: %+v", f)
+	pre := 0
+	for _, e := range history {
+		if e.Seq > 4 {
+			continue
+		}
+		pre++
+		vs, err := JudgeContrasts(e)
+		if err != nil || vs != nil {
+			t.Fatalf("epoch %04d: verdicts %+v err %v, want none", e.Seq, vs, err)
+		}
+		if sum := check(t, history[:pre], false); len(sum.Contrasts) != 0 {
+			t.Fatalf("history through %04d judged contrasts: %+v", e.Seq, sum.Contrasts)
 		}
 	}
-
-	// With one, serve rows join the gate, and the self-check still passes.
-	writeJSON(t, baseDir, "BENCH_serve.json", baselineServe())
-	writeJSON(t, candDir, "BENCH_serve.json", baselineServe())
-	res, err = CompareDirs(baseDir, candDir, DefaultOptions())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !res.OK() {
-		t.Fatalf("serve self-compare regressed: %+v", res.Regressions())
-	}
-	var serve int
-	for _, f := range res.Findings {
-		if f.File == "BENCH_serve.json" {
-			serve++
-		}
-	}
-	if serve != 6 {
-		t.Fatalf("serve findings = %d, want 6", serve)
-	}
-
-	// A candidate missing the serve artifact while the baseline has one is
-	// an error, not a silent pass.
-	if err := os.Remove(filepath.Join(candDir, "BENCH_serve.json")); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := CompareDirs(baseDir, candDir, DefaultOptions()); err == nil {
-		t.Fatal("missing candidate serve artifact did not error")
+	if pre != 4 {
+		t.Fatalf("found %d pre-contrast epochs, want 4", pre)
 	}
 }

@@ -129,8 +129,8 @@ func (r TrendReport) Counts() map[Verdict]int {
 func (r TrendReport) OK() bool { return r.Counts()[VerdictRegressed] == 0 }
 
 // Findings converts the report to gate findings: one per cell, regressed
-// cells failing. This is how `cake-bench check` folds the curve into the
-// same verdict stream as the pairwise artifact gates.
+// cells failing. This is how Check folds the curve into the same verdict
+// stream as the contrasts.
 func (r TrendReport) Findings() []Finding {
 	out := make([]Finding, 0, len(r.Cells))
 	for _, c := range r.Cells {
@@ -144,6 +144,7 @@ func (r TrendReport) Findings() []Finding {
 			Limit:      c.Baseline * (1 - c.Band),
 			Regression: c.Verdict == VerdictRegressed,
 			Detail:     fmt.Sprintf("%s (%s)", c.Verdict, detail),
+			hostState:  true,
 		})
 	}
 	return out

@@ -17,20 +17,20 @@ import (
 )
 
 // The performance-trajectory corpus: a declarative shape × scenario × dtype
-// grid run under one schema-versioned envelope, emitted as BENCH_corpus.json
-// and appended as an epoch to the append-only history store
+// grid plus a set of contrasts, run under one schema-versioned envelope and
+// appended as an epoch to the append-only history store
 // (results/corpus/NNNN-<rev>.json). GEMMbench (PAPERS.md) argues GEMM
 // performance claims are only meaningful as a reproducible corpus over such
-// a grid; the trend analyzer in internal/benchgate reads the epoch sequence
-// this package writes.
+// a grid; internal/benchgate judges the epoch sequence this package writes.
 
-// CorpusProtocol documents the worst-of-N noise discipline every epoch
-// records in its metadata: scheduler and thermal noise on shared machines is
-// one-sided (it only slows runs down), so the committed per-cell GFLOP/s is
-// the MINIMUM across N runs — a capability floor any healthy future run can
-// beat — while best/median/CoV across the same runs are kept as the cell's
-// noise statistics for the trend analyzer's bands.
-const CorpusProtocol = "worst-of-N: gflops is the minimum across runs (one-sided noise floor); best/median/cov across runs recorded per cell"
+// CorpusProtocol documents the noise discipline every epoch records in its
+// metadata. Scheduler and thermal noise on shared machines is one-sided (it
+// only slows runs down), so the committed per-cell GFLOP/s is the MINIMUM
+// across N runs — a capability floor any healthy future run can beat —
+// while best/median/CoV across the same runs are kept as the cell's noise
+// statistics for the trend analyzer's bands. Contrasts are relative: N
+// interleaved pairs, judged on the median pair ratio.
+const CorpusProtocol = "worst-of-N: gflops is the minimum across runs (one-sided noise floor); best/median/cov across runs recorded per cell; contrasts: median of N interleaved AB/BA pair ratios"
 
 // CorpusCell is one grid point's measurement.
 type CorpusCell struct {
@@ -66,6 +66,8 @@ type CorpusEpoch struct {
 	Quick    bool         `json:"quick"`
 	Protocol string       `json:"protocol"`
 	Cells    []CorpusCell `json:"cells"`
+	// Contrasts are the grid's relative claims (schema version 3 on).
+	Contrasts []ContrastResult `json:"contrasts,omitempty"`
 	// Profiles lists pprof files captured next to this epoch (paths relative
 	// to the epoch's profile directory in the store), when profiling was on.
 	Profiles []string `json:"profiles,omitempty"`
@@ -81,11 +83,15 @@ func (e *CorpusEpoch) CellByKey(key string) (CorpusCell, bool) {
 	return CorpusCell{}, false
 }
 
+// HasContrasts reports whether the epoch was written by a corpus that
+// declares contrasts; older epochs carry none by construction.
+func (e *CorpusEpoch) HasContrasts() bool { return e.SchemaVersion >= 3 }
+
 // CorpusOptions configures a corpus run.
 type CorpusOptions struct {
 	Cores int
-	Runs  int    // worst-of-N runs per cell (default 3)
-	Grid  string // "full" (default) or "micro" — the 2-cell CI smoke grid
+	Runs  int    // worst-of-N runs per cell and pairs per contrast (default 3)
+	Grid  string // "full" (default) or "micro" — the 4-cell, 2-contrast smoke grid
 	Quick bool
 	// ProfileDir, when set, captures a CPU and a heap pprof profile per
 	// scenario into that directory (cpu-<scenario>.pprof, heap-<scenario>.pprof).
@@ -128,8 +134,8 @@ func corpusShapes(quick bool) []corpusShape {
 var corpusScenarios = []string{"fresh", "resident", "serve"}
 
 // corpusBatchCells is the batch scenario's own (shape index, batch size)
-// axis: the tiny direct tier at batch 32 (the benchgate-floored class) and
-// the small cache-resident tier at batch 8.
+// axis: the tiny direct tier at batch 32 (the batch-vs-looped contrast's
+// class) and the small cache-resident tier at batch 8.
 var corpusBatchCells = []struct {
 	shapeIdx int
 	batch    int
@@ -183,10 +189,11 @@ func corpusGrid(name string, quick bool) ([]corpusCellSpec, error) {
 	}
 }
 
-// RunCorpus measures the grid and returns the epoch (Seq unassigned). The
-// engine uses the fixed serve-bench platform model so tier dispatch — and
-// therefore what each cell measures — is identical on every host; only the
-// measured throughput follows the machine.
+// RunCorpus measures the grid's cells, then its contrasts, and returns the
+// epoch (Seq unassigned). The engine uses the fixed serve-bench platform
+// model so tier dispatch — and therefore what each cell measures — is
+// identical on every host; only the measured throughput follows the
+// machine.
 func RunCorpus(opt CorpusOptions) (*CorpusEpoch, error) {
 	if opt.Cores < 1 {
 		opt.Cores = runtime.GOMAXPROCS(0)
@@ -233,6 +240,12 @@ func RunCorpus(opt CorpusOptions) (*CorpusEpoch, error) {
 		}
 		epoch.Cells = append(epoch.Cells, cells...)
 		epoch.Profiles = append(epoch.Profiles, files...)
+	}
+	// Contrasts run after the profiled scenarios: the profiles stay the
+	// cells' own, and the contrasts' extra engines never share a profile.
+	epoch.Contrasts, err = runContrasts(gridName, contrastEnv{e: e, cores: opt.Cores, quick: opt.Quick, rng: rng}, opt.Runs)
+	if err != nil {
+		return nil, err
 	}
 	return epoch, nil
 }
@@ -307,22 +320,11 @@ func prepareCorpusCell[T matrix.Scalar](e *engine.Engine, spec corpusCellSpec, c
 	a.Randomize(rng)
 	b.Randomize(rng)
 	one := engine.Request[T]{C: []*matrix.Matrix[T]{matrix.New[T](sh.m, sh.n)}, A: []*matrix.Matrix[T]{a}, Alpha: 1, Beta: 1}
-	repeat := func(r engine.Request[T]) func() error {
-		return func() error {
-			for i := 0; i < sh.reps; i++ {
-				if _, err := engine.Do(e, r); err != nil {
-					return err
-				}
-			}
-			return nil
-		}
-	}
-
 	u := &corpusUnit{cell: cell, flops: matrix.GemmFlops(sh.m, sh.n, sh.k), gemms: sh.reps, release: func() {}}
 	switch spec.scenario {
 	case "fresh":
 		one.B = []*matrix.Matrix[T]{b}
-		u.do = repeat(one)
+		u.do = repeatDo(e, one, sh.reps)
 	case "resident":
 		id := fmt.Sprintf("corpus-%s", cell.Key())
 		if err := engine.RegisterB(e, id, b); err != nil {
@@ -330,7 +332,7 @@ func prepareCorpusCell[T matrix.Scalar](e *engine.Engine, spec corpusCellSpec, c
 		}
 		u.release = func() { e.ReleaseB(id) }
 		one.Resident = id
-		u.do = repeat(one)
+		u.do = repeatDo(e, one, sh.reps)
 	case "batch":
 		// One batch request per group: distinct activations against one shared
 		// weight matrix (the same *Matrix repeated, so the batch path packs
@@ -348,15 +350,7 @@ func prepareCorpusCell[T matrix.Scalar](e *engine.Engine, spec corpusCellSpec, c
 			bs[i] = b
 			cs[i] = matrix.New[T](sh.m, sh.n)
 		}
-		r := engine.Request[T]{C: cs, A: as, B: bs, Alpha: 1, Beta: 1}
-		u.do = func() error {
-			for g := 0; g < groups; g++ {
-				if _, err := engine.Do(e, r); err != nil {
-					return err
-				}
-			}
-			return nil
-		}
+		u.do = repeatDo(e, engine.Request[T]{C: cs, A: as, B: bs, Alpha: 1, Beta: 1}, groups)
 	case "serve":
 		workers := cores
 		if workers < 2 {
@@ -369,8 +363,8 @@ func prepareCorpusCell[T matrix.Scalar](e *engine.Engine, spec corpusCellSpec, c
 		u.gemms = sh.reps * workers
 		streams := make([]func() error, workers)
 		for i := range streams {
-			streams[i] = repeat(engine.Request[T]{Tenant: "corpus",
-				C: []*matrix.Matrix[T]{matrix.New[T](sh.m, sh.n)}, A: one.A, B: []*matrix.Matrix[T]{b}, Alpha: 1})
+			streams[i] = repeatDo(e, engine.Request[T]{Tenant: "corpus",
+				C: []*matrix.Matrix[T]{matrix.New[T](sh.m, sh.n)}, A: one.A, B: []*matrix.Matrix[T]{b}, Alpha: 1}, sh.reps)
 		}
 		u.do = func() error {
 			errCh := make(chan error, workers)

@@ -62,6 +62,30 @@ func TestRunCorpusMicroGrid(t *testing.T) {
 	if epoch.Seq != 0 {
 		t.Fatalf("fresh epoch seq = %d, want 0 until the store assigns one", epoch.Seq)
 	}
+
+	// Both micro contrasts, well-formed: one pair per run, the median
+	// recorded as the ratio, the declared floor, and a capture verdict.
+	if !epoch.HasContrasts() {
+		t.Fatal("fresh epoch does not declare contrasts")
+	}
+	declared, err := DeclaredContrasts("micro")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(epoch.Contrasts) != len(declared) {
+		t.Fatalf("micro contrasts = %d, want %d", len(epoch.Contrasts), len(declared))
+	}
+	for i, c := range epoch.Contrasts {
+		if c.Contrast != declared[i] {
+			t.Fatalf("contrast %d = %+v, want declaration %+v", i, c.Contrast, declared[i])
+		}
+		if len(c.Pairs) != 1 || c.Ratio != c.Pairs[0] || c.Ratio <= 0 {
+			t.Fatalf("contrast %s: ratio %v pairs %v", c.Name, c.Ratio, c.Pairs)
+		}
+		if want := map[bool]string{true: ContrastPass, false: ContrastMiss}[c.Passes(c.Ratio)]; c.Verdict != want {
+			t.Fatalf("contrast %s verdict %q, want %q", c.Name, c.Verdict, want)
+		}
+	}
 }
 
 func TestCorpusStoreRoundTrip(t *testing.T) {
@@ -180,9 +204,13 @@ func TestCorpusEnvelopeBackCompat(t *testing.T) {
 	if err := os.WriteFile(path, data, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	e, err := LoadCorpusEpoch(path)
-	if err != nil {
-		t.Fatalf("LoadCorpusEpoch: %v", err)
+	eps, err := OpenCorpusStore(dir).Load()
+	if err != nil || len(eps) != 1 {
+		t.Fatalf("Load: %d epochs, err %v", len(eps), err)
+	}
+	e := eps[0]
+	if e.HasContrasts() {
+		t.Fatal("pre-envelope epoch claims contrasts")
 	}
 	if e.SchemaVersion != 0 {
 		t.Fatalf("schema version = %d, want 0 (implicit v1)", e.SchemaVersion)

@@ -64,8 +64,7 @@ func (s *CorpusStore) epochFiles() ([]struct {
 
 // Append assigns the next sequence number to the epoch, writes it as
 // NNNN-<rev>.json, and returns the file path. The epoch's Seq field is
-// filled in place so callers can emit the root BENCH_corpus.json with the
-// same identity the store recorded.
+// filled in place.
 func (s *CorpusStore) Append(e *CorpusEpoch) (string, error) {
 	files, err := s.epochFiles()
 	if err != nil {
@@ -161,10 +160,4 @@ func (s *CorpusStore) loadFile(path string) (*CorpusEpoch, error) {
 		return nil, fmt.Errorf("experiments: corpus epoch %s has no cells", path)
 	}
 	return &e, nil
-}
-
-// LoadCorpusEpoch reads a single epoch file (the root BENCH_corpus.json, or
-// any store file directly).
-func LoadCorpusEpoch(path string) (*CorpusEpoch, error) {
-	return (&CorpusStore{}).loadFile(path)
 }

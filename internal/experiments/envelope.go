@@ -10,18 +10,18 @@ import (
 	"repro/internal/platform"
 )
 
-// BenchSchemaVersion is the version of the unified BENCH_*.json envelope.
+// BenchSchemaVersion is the version of the corpus epoch envelope.
 // Version 1 is the implicit pre-envelope format (no schema_version field —
 // readers treat its absence as 1); version 2 added the envelope itself:
-// artifact name, host fingerprint, git revision, and generation timestamp.
-const BenchSchemaVersion = 2
+// artifact name, host fingerprint, git revision, and generation timestamp;
+// version 3 added the corpus epoch's contrasts.
+const BenchSchemaVersion = 3
 
-// Envelope is the shared header every machine-readable benchmark artifact
-// embeds. It answers the three questions a longitudinal perf record needs
-// (GEMMbench's reproducibility criteria): what was measured (Artifact,
-// SchemaVersion), where (Host), and at which point in the code's history
-// (GitRev, GeneratedAt). Loaders tolerate its absence so baselines committed
-// before the envelope existed keep gating.
+// Envelope is the header every corpus epoch embeds. It answers the three
+// questions a longitudinal perf record needs (GEMMbench's reproducibility
+// criteria): what was measured (Artifact, SchemaVersion), where (Host), and
+// at which point in the code's history (GitRev, GeneratedAt). Loaders tolerate its absence so epochs committed
+// before the envelope existed keep loading.
 type Envelope struct {
 	SchemaVersion int                  `json:"schema_version"`
 	Artifact      string               `json:"artifact"`

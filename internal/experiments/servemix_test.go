@@ -70,39 +70,24 @@ func TestPercentileMicros(t *testing.T) {
 	}
 }
 
-// TestServeBenchShortRun exercises the full benchmark end to end with a
-// short window, checking structure rather than timing: both modes produce
-// tiny rows, counters are populated, and the A/B measured both paths.
+// TestServeBenchShortRun drives the serve mix end to end through both sides
+// of the engine-vs-serialized contrast with a short window, checking
+// structure rather than timing: both sides complete requests and the one
+// pair yields a finite positive ratio.
 func TestServeBenchShortRun(t *testing.T) {
 	if testing.Short() {
-		t.Skip("serve bench run in -short mode")
+		t.Skip("serve mix run in -short mode")
 	}
-	res, err := ServeBench(1, 8, 300*time.Millisecond, true)
+	claim, other, release, err := serializedContrast(contrastEnv{cores: 1, quick: true})
 	if err != nil {
 		t.Fatal(err)
 	}
-	modes := map[string]bool{}
-	for _, row := range res.Tiers {
-		if row.Requests <= 0 || row.GemmsPerSec <= 0 {
-			t.Fatalf("empty row emitted: %+v", row)
-		}
-		if row.Tier == "tiny" {
-			modes[row.Mode] = true
-		}
+	defer release()
+	res, err := measureContrast(Contrast{Name: "engine-vs-serialized", Floor: 2}, claim, other, 1)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if !modes["engine"] || !modes["serialized"] {
-		t.Fatalf("tiny rows missing a mode: %+v", res.Tiers)
-	}
-	if res.EngineGemmsPer <= 0 || res.SerializedGemms <= 0 || res.Speedup <= 0 {
-		t.Fatalf("aggregate throughput not populated: %+v", res)
-	}
-	if res.TinyDirectP50Micros <= 0 || res.TinyCakeP50Micros <= 0 {
-		t.Fatalf("tiny dispatch A/B not measured: %+v", res)
-	}
-	if res.LeaseNew+res.LeaseReused == 0 {
-		t.Fatal("engine lease counters empty after serve run")
-	}
-	if res.ClientMix != ServeClientMix {
-		t.Fatalf("client mix = %q", res.ClientMix)
+	if len(res.Pairs) != 1 || res.Ratio <= 0 || res.Ratio != res.Pairs[0] {
+		t.Fatalf("contrast = %+v, want one positive pair", res)
 	}
 }

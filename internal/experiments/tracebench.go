@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"fmt"
+	"io"
 	"math/rand"
 	"time"
 
@@ -22,33 +23,31 @@ const TraceBuckets = 12
 
 // ExecTimeline is one traced execution reduced to its bandwidth story.
 type ExecTimeline struct {
-	Executor  string    `json:"executor"`
-	WallNanos int64     `json:"wall_nanos"`
-	GFLOPS    float64   `json:"gflops"`
-	Spans     int       `json:"spans"`
-	Dropped   int64     `json:"dropped_spans"`
-	BucketNs  int64     `json:"bucket_ns"`
-	GBperS    []float64 `json:"gb_per_s"` // per-bucket DRAM bandwidth
-	MeanGBps  float64   `json:"mean_gbps"`
-	PeakGBps  float64   `json:"peak_gbps"`
-	CoV       float64   `json:"cov"`
+	Executor string
+	GFLOPS   float64
+	Spans    int
+	Dropped  int64
+	MeanGBps float64
+	PeakGBps float64
+	CoV      float64
 }
 
-// TraceBenchResult is the machine-readable artifact of one trace run: the
-// same skewed shape through the CAKE pipelined executor and the GOTO
-// baseline, each with a full span recorder attached.
+// TraceBenchResult is one trace run: the same skewed shape through the CAKE
+// pipelined executor and the GOTO baseline, each with a full span recorder
+// attached.
 type TraceBenchResult struct {
-	Envelope
-	M     int          `json:"m"`
-	K     int          `json:"k"`
-	N     int          `json:"n"`
-	Cores int          `json:"cores"`
-	Cake  ExecTimeline `json:"cake"`
-	Goto  ExecTimeline `json:"goto"`
+	M, K, N, Cores int
+	Cake, Goto     ExecTimeline
+	CakeRec        *obs.Recorder
+	GotoRec        *obs.Recorder
+}
 
-	// Recorders for trace export; not serialised.
-	CakeRec *obs.Recorder `json:"-"`
-	GotoRec *obs.Recorder `json:"-"`
+// WriteChromeTrace exports both executors' spans as Chrome Trace Event JSON
+// (one process per executor, one lane per worker), viewable in Perfetto.
+func (r *TraceBenchResult) WriteChromeTrace(w io.Writer) error {
+	return obs.WriteChromeTrace(w,
+		obs.Process{Name: "cake", Rec: r.CakeRec},
+		obs.Process{Name: "goto", Rec: r.GotoRec})
 }
 
 // traceShape returns the matched skewed shape and both executors' configs.
@@ -87,7 +86,7 @@ func TraceBench(cores int, quick bool) (*TraceBenchResult, error) {
 	c := matrix.New[float32](m, n)
 	flops := matrix.GemmFlops(m, n, k)
 
-	res := &TraceBenchResult{Envelope: NewEnvelope("bwtimeline"), M: m, K: k, N: n, Cores: cores}
+	res := &TraceBenchResult{M: m, K: k, N: n, Cores: cores}
 
 	cakeRec := obs.NewRecorder(cores, 0)
 	ce, err := core.NewExecutor[float32](cakeCfg, nil, core.WithTrace(cakeRec))
@@ -134,25 +133,17 @@ func tracedRun(reps int, rec *obs.Recorder, run func() error) (time.Duration, er
 	return time.Since(t0), nil
 }
 
-// reduceTimeline turns one recorder's spans into the serialisable summary.
+// reduceTimeline turns one recorder's spans into the printed summary.
 func reduceTimeline(name string, rec *obs.Recorder, wall time.Duration, flops float64) ExecTimeline {
 	spans := rec.Spans()
-	tl := obs.NewTimelineN(spans, TraceBuckets)
-	st := tl.Stats()
-	out := ExecTimeline{
-		Executor:  name,
-		WallNanos: wall.Nanoseconds(),
-		GFLOPS:    flops / float64(max(wall.Nanoseconds(), 1)),
-		Spans:     len(spans),
-		Dropped:   rec.Dropped(),
-		BucketNs:  tl.BucketNs,
-		MeanGBps:  st.MeanBps / 1e9,
-		PeakGBps:  st.PeakBps / 1e9,
-		CoV:       st.CoV,
+	st := obs.NewTimelineN(spans, TraceBuckets).Stats()
+	return ExecTimeline{
+		Executor: name,
+		GFLOPS:   flops / float64(max(wall.Nanoseconds(), 1)),
+		Spans:    len(spans),
+		Dropped:  rec.Dropped(),
+		MeanGBps: st.MeanBps / 1e9,
+		PeakGBps: st.PeakBps / 1e9,
+		CoV:      st.CoV,
 	}
-	secPerBucket := float64(tl.BucketNs) / 1e9
-	for _, bytes := range tl.Bytes {
-		out.GBperS = append(out.GBperS, bytes/secPerBucket/1e9)
-	}
-	return out
 }

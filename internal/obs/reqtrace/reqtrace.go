@@ -13,10 +13,11 @@
 //
 // Three layers, all always-on and allocation-free at steady state:
 //
-//   - A flight recorder: a fixed-size lock-free ring of completed request
-//     records per engine (same atomic-cursor discipline as the obs span
-//     recorder; the record path carries the //cake:hotpath annotation, so
-//     cake-vet proves it never allocates).
+//   - A flight recorder: a fixed-size ring of completed request records per
+//     engine (same atomic-cursor discipline as the obs span recorder, plus a
+//     per-slot lock held only for the record copy, so a reader never sees a
+//     torn record; the record path carries the //cake:hotpath annotation,
+//     so cake-vet proves it never allocates).
 //   - Anomaly-triggered snapshots: on saturation, a conformance failure, or
 //     a request slower than a configurable multiple of its tier's rolling
 //     p99, the ring is frozen into an immutable JSON-servable snapshot —
@@ -299,13 +300,25 @@ func (lt *latTrack) refresh() {
 	lt.p99.Store(int64(p))
 }
 
+// ringSlot is one flight-recorder slot. Its lock is held only while a record
+// is copied in or out, so Finish contends only with a reader of the same
+// slot or with a writer whose request landed on it one ring lap later. seq
+// is the commit index + 1 of the record the slot holds (0 when empty): a
+// writer never replaces a newer record with an older one, and a reader takes
+// only the records of the lap it asked for.
+type ringSlot struct {
+	mu  sync.Mutex
+	seq int64
+	rec Record
+}
+
 // Tracer is one engine's request-lifecycle recorder: ID source, flight
 // recorder ring, per-tier latency tracking, SLO trackers, and the snapshot
 // store. All methods are safe for concurrent use; a nil *Tracer is valid
 // and records nothing.
 type Tracer struct {
 	name    string
-	ring    []Record
+	ring    []ringSlot
 	cursor  atomic.Int64
 	nextID  atomic.Uint64
 	tiers   [tierSlots]latTrack
@@ -345,7 +358,7 @@ func New(name string, opts Options) *Tracer {
 	}
 	t := &Tracer{
 		name:     name,
-		ring:     make([]Record, ring),
+		ring:     make([]ringSlot, ring),
 		minSamp:  int64(minSamp),
 		maxSnaps: maxSnaps,
 	}
@@ -376,8 +389,8 @@ func (t *Tracer) NextID() uint64 {
 
 // Finish commits one completed request: ring write, outcome and per-tier
 // latency accounting, SLO windows, and the anomaly checks. This is the
-// engine's per-request record path — lock-free, allocation-free
-// (cake-vet-enforced), a few atomic adds at steady state. Snapshot trips
+// engine's per-request record path — allocation-free (cake-vet-enforced),
+// one uncontended slot lock and a few atomic adds at steady state. Snapshot trips
 // leave the hot path immediately (rare by construction: saturation bursts
 // and >8×p99 stragglers).
 //
@@ -387,7 +400,12 @@ func (t *Tracer) Finish(rec Record) {
 		return
 	}
 	i := t.cursor.Add(1) - 1
-	t.ring[i%int64(len(t.ring))] = rec
+	slot := &t.ring[i%int64(len(t.ring))]
+	slot.mu.Lock()
+	if slot.seq <= i {
+		slot.seq, slot.rec = i+1, rec
+	}
+	slot.mu.Unlock()
 
 	if rec.Outcome < outcomeCount {
 		t.outs[rec.Outcome].Add(1)
@@ -435,9 +453,8 @@ func (t *Tracer) Dropped() int64 {
 	return 0
 }
 
-// Recent returns a copy of the retained records, oldest first. Records
-// mid-commit may appear with partially stale fields (the ring is lock-free
-// by design); completed steady-state reads see fully committed records.
+// Recent returns a copy of the retained records, oldest first. A record
+// whose commit is still in flight is left out rather than read half-written.
 func (t *Tracer) Recent() []Record {
 	if t == nil {
 		return nil
@@ -447,15 +464,16 @@ func (t *Tracer) Recent() []Record {
 		return nil
 	}
 	cap64 := int64(len(t.ring))
-	if n <= cap64 {
-		out := make([]Record, n)
-		copy(out, t.ring[:n])
-		return out
+	lo := max(0, n-cap64)
+	out := make([]Record, 0, n-lo)
+	for i := lo; i < n; i++ {
+		slot := &t.ring[i%cap64]
+		slot.mu.Lock()
+		if slot.seq == i+1 {
+			out = append(out, slot.rec)
+		}
+		slot.mu.Unlock()
 	}
-	out := make([]Record, cap64)
-	head := n % cap64
-	copy(out, t.ring[head:])
-	copy(out[cap64-head:], t.ring[:head])
 	return out
 }
 

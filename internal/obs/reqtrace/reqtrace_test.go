@@ -94,17 +94,43 @@ func TestRingRetainsAndWraps(t *testing.T) {
 
 func TestFinishConcurrent(t *testing.T) {
 	tr := New("conc", Options{Ring: 64})
+	// Each record's DurNs equals its ID, so a torn record — fields from two
+	// commits that landed on one slot — shows up as a mismatch.
+	stop := make(chan struct{})
+	torn := make(chan Record, 1)
+	go func() {
+		for {
+			select {
+			case <-stop:
+				close(torn)
+				return
+			default:
+			}
+			for _, r := range tr.Recent() {
+				if r.DurNs != int64(r.ID) {
+					torn <- r
+					close(torn)
+					return
+				}
+			}
+		}
+	}()
 	var wg sync.WaitGroup
 	for g := 0; g < 8; g++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
 			for i := 0; i < 200; i++ {
-				tr.Finish(okRecord(tr, "small", 100))
+				id := tr.NextID()
+				tr.Finish(Record{ID: id, DurNs: int64(id), Tier: "small", Outcome: OutcomeOK})
 			}
 		}()
 	}
 	wg.Wait()
+	close(stop)
+	if r, ok := <-torn; ok {
+		t.Fatalf("torn record: ID %d with DurNs %d", r.ID, r.DurNs)
+	}
 	if tr.Committed() != 1600 {
 		t.Fatalf("Committed = %d, want 1600", tr.Committed())
 	}

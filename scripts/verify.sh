@@ -79,50 +79,26 @@ go test -race -short ./...
 echo "== go test -race ./internal/pool ./internal/core ./internal/obs ./internal/engine ./internal/tenant"
 go test -race ./internal/pool ./internal/core ./internal/obs ./internal/engine ./internal/tenant
 
-# Resident-serving smoke: the pack-bypass benchmark must run end to end and
-# produce a well-formed BENCH_resident.json (the artifact the gate below
-# judges). Quick mode keeps it to a fraction of a second.
-echo "== cake-bench -quick resident"
-RESIDENT_TMP=$(mktemp -d)
-go run ./cmd/cake-bench -quick -csv "$RESIDENT_TMP" resident
-rm -rf "$RESIDENT_TMP"
-
-# Batched-dispatch smoke: the one-lease batch benchmark must run end to end
-# and produce a well-formed BENCH_batch.json (the artifact CompareBatch
-# gates). Quick mode keeps it fast.
-echo "== cake-bench -quick batch"
-BATCH_TMP=$(mktemp -d)
-go run ./cmd/cake-bench -quick -csv "$BATCH_TMP" batch
-rm -rf "$BATCH_TMP"
-
-# Deterministic self-check of the benchmark regression gate: the committed
-# baseline compared against itself must always pass, and the machine-readable
-# summary must say so. Catches artifact-format drift without benchmarking the
-# (noisy) CI host. The committed corpus history feeds the trend verdicts as
-# ADVISORY findings only: on a different host its cells judge as new-cell,
-# and on the capture host they re-judge the committed epochs under whatever
-# measurement weather recorded them — either way they describe the history,
-# not the code under test, so they must not flip this deterministic gate.
-# Gate on trend deliberately with a plain `cake-bench check` on a quiet host.
-echo "== cake-bench check -candidate results/baseline -trend-advisory -json"
-CHECK_OUT=$(mktemp)
-go run ./cmd/cake-bench check -candidate results/baseline -trend-advisory -json >"$CHECK_OUT"
-if ! grep -q '"ok": true' "$CHECK_OUT"; then
-	echo "verify: check -json did not report ok:" >&2
-	cat "$CHECK_OUT" >&2
-	rm -f "$CHECK_OUT"
-	exit 1
-fi
-rm -f "$CHECK_OUT"
-
-# Corpus micro smoke: the 4-cell grid must run end to end and append a
-# well-formed epoch to a throwaway store (the committed results/corpus
-# trajectory is never touched here).
-echo "== cake-bench corpus -quick -grid micro (throwaway store)"
+# Corpus micro run and the one benchmark gate: the 4-cell, 2-contrast micro
+# grid must run end to end into a throwaway store (the committed
+# results/corpus trajectory is never touched here), and `check` over that
+# store must report ok with a verdict for both micro contrasts. -advisory
+# keeps the verdicts that describe this host's measurement weather — trend
+# cells and contrast ratios below their floor — from gating; a declared
+# contrast the epoch lacks or cannot judge still fails. Gate on the
+# measurements deliberately with a plain `cake-bench check` on a quiet host.
+echo "== cake-bench corpus -quick -grid micro + check -advisory -json (throwaway store)"
 CORPUS_TMP=$(mktemp -d)
-go run ./cmd/cake-bench corpus -quick -grid micro -runs 1 \
-	-store "$CORPUS_TMP/store" -out "$CORPUS_TMP/BENCH_corpus.json" -report
-ls "$CORPUS_TMP"/store/0001-*.json >/dev/null
+go run ./cmd/cake-bench corpus -quick -grid micro -runs 3 -store "$CORPUS_TMP/store" -report
+go run ./cmd/cake-bench check -corpus "$CORPUS_TMP/store" -advisory -json >"$CORPUS_TMP/check.json"
+for WANT in '"ok": true' '"contrast": "resident-vs-fresh"' '"contrast": "batch-vs-looped"'; do
+	if ! grep -q "$WANT" "$CORPUS_TMP/check.json"; then
+		echo "verify: check -json over the micro corpus lacks $WANT:" >&2
+		cat "$CORPUS_TMP/check.json" >&2
+		rm -rf "$CORPUS_TMP"
+		exit 1
+	fi
+done
 rm -rf "$CORPUS_TMP"
 
 echo "verify: OK"
