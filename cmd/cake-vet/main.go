@@ -46,7 +46,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 	fs.SetOutput(stderr)
 	var sel string
 	fs.StringVar(&sel, "run", "", "comma-separated analyzer names to run (default: all)")
-	fs.StringVar(&sel, "checks", "", "alias for -run (kept for older scripts)")
 	jsonOut := fs.Bool("json", false, "emit a machine-readable summary on stdout (mirrors benchgate's shape)")
 	advisory := fs.Bool("advisory", false, "print advisory findings in text mode (always present in -json)")
 	corpus := fs.String("corpus", filepath.Join("results", "corpus"), "corpus profile store hotcover aggregates")

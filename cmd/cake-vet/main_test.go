@@ -14,7 +14,7 @@ func TestListIncludesSuite(t *testing.T) {
 	if code := run([]string{"-list"}, &out, &errb); code != 0 {
 		t.Fatalf("exit %d, stderr: %s", code, errb.String())
 	}
-	for _, name := range []string{"atomicfield", "hotpathalloc", "leasebalance", "spanbytes", "hotcover", "escapecheck"} {
+	for _, name := range []string{"atomicfield", "hotpathalloc", "hotcover", "escapecheck"} {
 		if !strings.Contains(out.String(), name) {
 			t.Errorf("-list output missing %s:\n%s", name, out.String())
 		}
@@ -22,11 +22,9 @@ func TestListIncludesSuite(t *testing.T) {
 }
 
 func TestUnknownAnalyzerIsUsageError(t *testing.T) {
-	for _, flag := range []string{"-checks", "-run"} {
-		var out, errb bytes.Buffer
-		if code := run([]string{flag, "nope"}, &out, &errb); code != 2 {
-			t.Fatalf("%s nope: exit %d, want 2 (stderr: %s)", flag, code, errb.String())
-		}
+	var out, errb bytes.Buffer
+	if code := run([]string{"-run", "nope"}, &out, &errb); code != 2 {
+		t.Fatalf("-run nope: exit %d, want 2 (stderr: %s)", code, errb.String())
 	}
 }
 
@@ -35,11 +33,11 @@ func TestUnknownAnalyzerIsUsageError(t *testing.T) {
 // diagnostics on stdout, exit code 1.
 func TestSeededFixtureFails(t *testing.T) {
 	var out, errb bytes.Buffer
-	code := run([]string{"-checks", "spanbytes", "../../internal/analysis/testdata/src/spanbytes"}, &out, &errb)
+	code := run([]string{"-run", "atomicfield", "../../internal/analysis/testdata/src/atomicfield"}, &out, &errb)
 	if code != 1 {
 		t.Fatalf("exit %d, want 1\nstdout: %s\nstderr: %s", code, out.String(), errb.String())
 	}
-	if !strings.Contains(out.String(), "does not set Bytes") {
+	if !strings.Contains(out.String(), "plain access to field") {
 		t.Errorf("diagnostics missing from stdout:\n%s", out.String())
 	}
 }
@@ -48,7 +46,7 @@ func TestSeededFixtureFails(t *testing.T) {
 // a grep-able "ok" key, the shape scripts/verify.sh and CI consume.
 func TestJSONSummaryFailing(t *testing.T) {
 	var out, errb bytes.Buffer
-	code := run([]string{"-run", "spanbytes", "-json", "../../internal/analysis/testdata/src/spanbytes"}, &out, &errb)
+	code := run([]string{"-run", "atomicfield", "-json", "../../internal/analysis/testdata/src/atomicfield"}, &out, &errb)
 	if code != 1 {
 		t.Fatalf("exit %d, want 1\nstdout: %s\nstderr: %s", code, out.String(), errb.String())
 	}

@@ -2,8 +2,7 @@
 // mechanically enforce the repo's concurrency and hot-path invariants. The
 // codebase carries real concurrency surface — lock-free span rings in
 // internal/obs, single-flight executors behind an atomic guard in
-// internal/core, sync.Pool executor leasing in internal/engine — and
-// hot-path kernels whose performance story (the paper's §4.4 byte
+// internal/core — and hot-path kernels whose performance story (the paper's §4.4 byte
 // attribution and the constant-bandwidth claim) silently breaks if an
 // allocation, defer or plain read of an atomic field sneaks into a loop.
 // These invariants used to live in code review; this package turns each one
@@ -24,16 +23,10 @@
 //   - hotpathalloc: functions annotated //cake:hotpath must not allocate
 //     (make/new/append/composite literals/closures), defer, spawn
 //     goroutines, convert to interfaces, or concatenate strings.
-//   - leasebalance: a resource obtained from a sync.Pool or a //cake:lease
-//     function must be released (Put/Close/Release) or ownership-transferred
-//     on every control-flow path, with a deferred release when the resource
-//     does work that could panic.
-//   - spanbytes: every obs.Span composite literal must set Bytes explicitly,
-//     so the §4.4 DRAM-traffic attribution is always a decision, never an
-//     omission.
-//   - reqoutcome: every reqtrace.Record composite literal must set Outcome
-//     explicitly — a request record whose outcome was never decided must be
-//     visible as unset, not silently zero.
+//
+// Invariants with only a handful of sites (lease balance, span byte
+// attribution, request record outcomes) are pinned by runtime tests
+// instead; DESIGN §9 names them.
 //
 // Two further passes are profile-guided rather than purely structural and
 // are constructed with external inputs (see DESIGN §15):
@@ -132,9 +125,6 @@ func Suite() []*Analyzer {
 	return []*Analyzer{
 		AtomicField,
 		HotPathAlloc,
-		LeaseBalance,
-		SpanBytes,
-		ReqOutcome,
 	}
 }
 
@@ -220,21 +210,6 @@ func pkgFuncCall(info *types.Info, call *ast.CallExpr, pkgPath string) (string, 
 		return "", false
 	}
 	return obj.Name(), true
-}
-
-// namedFrom unwraps ptr/alias sugar and returns the named type and whether
-// it is declared in pkgPath with the given name.
-func isNamedType(t types.Type, pkgPath, name string) bool {
-	t = unalias(t)
-	if p, ok := t.(*types.Pointer); ok {
-		t = unalias(p.Elem())
-	}
-	n, ok := t.(*types.Named)
-	if !ok {
-		return false
-	}
-	obj := n.Obj()
-	return obj.Name() == name && obj.Pkg() != nil && obj.Pkg().Path() == pkgPath
 }
 
 func unalias(t types.Type) types.Type {

@@ -21,17 +21,3 @@ func TestFixtures(t *testing.T) {
 		})
 	}
 }
-
-// TestResidentFixture runs leasebalance over the resident-store-shaped
-// fixture: the pin/unpin pair of the engine's operand store is the same
-// lease obligation as an executor lease, and the analyzer must prove the
-// unpin on success, error, and panic paths alike.
-func TestResidentFixture(t *testing.T) {
-	problems, err := FixtureDiff(LeaseBalance, FixtureDir("resident"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, p := range problems {
-		t.Error(p)
-	}
-}

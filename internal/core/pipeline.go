@@ -399,7 +399,16 @@ func (e *Executor[T]) runPipelined(c, a, b *matrix.Matrix[T], seq []schedule.Coo
 	// and keep only the panel-reuse layer, which is where the single-core
 	// win lives.
 	lookahead := e.pool.Workers() > 1
-	var cur *pipeStage
+	var cur, next *pipeStage
+	// A panic re-raised by this block's compute must not unwind past the
+	// next block's pack job: its submit helper may still be sending to the
+	// pool, and the pool may be closed as soon as the panic reaches the
+	// caller. next is nil again by the time the schedule completes.
+	defer func() {
+		if next != nil {
+			next.handle.Wait()
+		}
+	}()
 	if lookahead {
 		cur = e.submitPack(a, b, e.spanFor(seq, 0, m, k, n), -1, -1)
 		e.finishPack(cur, st, 0, 0)
@@ -411,7 +420,7 @@ func (e *Executor[T]) runPipelined(c, a, b *matrix.Matrix[T], seq []schedule.Coo
 		}
 		blk := cur.blk
 		e.curBlk = blk.coord // orchestrator-side C management spans
-		var next *pipeStage
+		next = nil
 		if lookahead && i+1 < len(seq) {
 			next = e.submitPack(a, b, e.spanFor(seq, i+1, m, k, n), cur.aSlot, cur.bSlot)
 		}

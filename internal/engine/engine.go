@@ -431,8 +431,6 @@ func cachesOf[T matrix.Scalar](e *Engine) *typedCaches[T] {
 // reused result reports whether the lease came warm from the pool (the
 // request record carries it). Callers own the lease: Put it back on
 // success, Close it on failure.
-//
-//cake:lease
 func leaseExecutor[T matrix.Scalar](e *Engine, t Tier) (ex *core.Executor[T], reused bool, err error) {
 	tc := cachesOf[T](e)
 	if v := tc.execs[t].Get(); v != nil {
@@ -554,10 +552,10 @@ func runPooled[T matrix.Scalar](e *Engine, t Tier, rec *reqtrace.Record, fn func
 	} else {
 		rec.Lease = reqtrace.LeaseNew
 	}
-	// Settle the lease in a defer so a panic inside the run (packing layout
-	// guards panic by design) cannot drop the executor: cache it after a
-	// clean run, drop it rather than cache state of unknown integrity
-	// otherwise.
+	// Settle the lease in a defer, so it is settled on the panic path too
+	// (Do turns the panic into the request's error): cache the executor
+	// after a clean run, drop it rather than cache state of unknown
+	// integrity otherwise.
 	clean := false
 	defer func() {
 		if clean {

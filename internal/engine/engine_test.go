@@ -164,24 +164,32 @@ func TestEngineConcurrentBitExact(t *testing.T) {
 	}
 }
 
+// TestEngineLeaseReuse: on every tier, sequential requests reuse the state
+// an earlier one leased — the executor on the pooled tiers, the direct
+// scratch on the tiny tier — so the success path returns its lease.
 func TestEngineLeaseReuse(t *testing.T) {
 	e := newTestEngine(t, 2, Options{})
 	rng := rand.New(rand.NewSource(12))
-	a, b := matrix.New[float32](64, 64), matrix.New[float32](64, 64)
-	a.Randomize(rng)
-	b.Randomize(rng)
-	for i := 0; i < 8; i++ {
-		c := matrix.New[float32](64, 64)
-		if _, err := Do(e, Request[float32]{C: mats(c), A: mats(a), B: mats(b), Alpha: 1, Beta: 1}); err != nil {
-			t.Fatal(err)
+	for _, tier := range []Tier{TierTiny, TierSmall, TierLarge} {
+		sh := tierShapes[tier]
+		m, k, n := sh[0], sh[1], sh[2]
+		a, b := matrix.New[float32](m, k), matrix.New[float32](k, n)
+		a.Randomize(rng)
+		b.Randomize(rng)
+		before := e.Counters()
+		for i := 0; i < 8; i++ {
+			c := matrix.New[float32](m, n)
+			if _, err := Do(e, Request[float32]{C: mats(c), A: mats(a), B: mats(b), Alpha: 1, Beta: 1}); err != nil {
+				t.Fatal(err)
+			}
 		}
-	}
-	st := e.Counters()
-	if st.LeaseReused < 1 {
-		t.Fatalf("sequential calls never reused a lease: %+v", st)
-	}
-	if st.LeaseNew < 1 {
-		t.Fatalf("first call should have constructed an executor: %+v", st)
+		st := e.Counters()
+		if st.LeaseReused-before.LeaseReused < 1 {
+			t.Fatalf("%s: sequential calls never reused a lease: %+v", tier, st)
+		}
+		if st.LeaseNew-before.LeaseNew < 1 {
+			t.Fatalf("%s: first call should have constructed its lease: %+v", tier, st)
+		}
 	}
 }
 

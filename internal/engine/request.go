@@ -65,7 +65,13 @@ func (r *Request[T]) callDims(i int, op *residentOperand[T]) (m, k, n int, err e
 // is one, validate every call, classify the request by its widest call,
 // admit it on that tier's cores and run it on leased state. Safe for any
 // number of concurrent callers.
-func Do[T matrix.Scalar](e *Engine, r Request[T]) (core.Stats, error) {
+//
+// A panic inside the request — in a pooled pack or compute unit, re-raised
+// on this goroutine by the pool, or in the tiny tier's direct loop — is
+// returned as the request's error. By then the deferred settlements below
+// Do have run: the resident pin is released, the admitted cores are
+// returned and the leased executor is dropped, not cached.
+func Do[T matrix.Scalar](e *Engine, r Request[T]) (st core.Stats, err error) {
 	start := time.Now()
 	rec := reqtrace.Record{
 		ID:         e.trace.NextID(),
@@ -74,9 +80,13 @@ func Do[T matrix.Scalar](e *Engine, r Request[T]) (core.Stats, error) {
 		ResidentID: e.labels.own(r.Resident),
 		Outcome:    reqtrace.OutcomeUnset,
 	}
-	st, err := do(e, &rec, &r)
-	e.finishRecord(&rec, start, st, err)
-	return st, err
+	defer func() {
+		if p := recover(); p != nil {
+			st, err = core.Stats{}, fmt.Errorf("engine: request panicked: %v", p)
+		}
+		e.finishRecord(&rec, start, st, err)
+	}()
+	return do(e, &rec, &r)
 }
 
 // do is Do's body between opening and finishing the request record: check

@@ -18,19 +18,6 @@ var tierShapes = map[Tier][3]int{
 	TierLarge: {200, 160, 220},
 }
 
-// closeTo reports whether got matches want within tol·k everywhere; unlike
-// AlmostEqual, a NaN anywhere never matches.
-func closeTo[T matrix.Scalar](got, want *matrix.Matrix[T], k int, tol float64) bool {
-	for i := 0; i < got.Rows; i++ {
-		for j := 0; j < got.Cols; j++ {
-			if d := math.Abs(float64(got.At(i, j)) - float64(want.At(i, j))); !(d <= tol*float64(k)) {
-				return false
-			}
-		}
-	}
-	return true
-}
-
 // scalarCase is one B source's request over a tier shape: per-call row
 // counts, and for fresh sources which B matrix each call reads (equal
 // indices share one *Matrix).
@@ -51,8 +38,9 @@ var scalarCases = []scalarCase{
 
 // TestRequestScalarEdgeCases pins the BLAS scalar contract on every B
 // source, tier and dtype through Do: β = 0 never reads C (NaN in C does not
-// propagate), and α = 0 with β = 1 reads neither A nor B (NaN there leaves
-// C untouched).
+// propagate), α = 0 with β = 1 reads neither A nor B (NaN there leaves C
+// untouched), and NaN/Inf in A and B propagate per IEEE (a NaN in A, a +Inf
+// in B and an Inf×0 product put NaN, +Inf and −Inf where NaiveGemm does).
 func TestRequestScalarEdgeCases(t *testing.T) {
 	e := newTestEngine(t, 2, Options{})
 	seed := int64(1400)
@@ -76,14 +64,16 @@ func scalarEdgeCase[T matrix.Scalar](t *testing.T, e *Engine, tier Tier, sc scal
 	nan := T(math.NaN())
 	rows := sc.rows(m)
 
-	// request builds the case's request with every operand set by fill. It
-	// also returns each call's B matrix (the registered one for a resident
-	// request) for the oracle, and a release for the registration.
-	request := func(fill func(*matrix.Matrix[T])) (Request[T], []*matrix.Matrix[T], func()) {
+	regs := 0 // resident registrations, for unique operand ids
+	// request builds the case's request with every A set by fillA and every
+	// B by fillB. It also returns each call's B matrix (the registered one
+	// for a resident request) for the oracle, and a release for the
+	// registration.
+	request := func(fillA, fillB func(*matrix.Matrix[T])) (Request[T], []*matrix.Matrix[T], func()) {
 		var r Request[T]
 		for _, rm := range rows {
 			a := matrix.New[T](rm, k)
-			fill(a)
+			fillA(a)
 			r.A = append(r.A, a)
 			r.C = append(r.C, matrix.New[T](rm, n))
 		}
@@ -92,15 +82,16 @@ func scalarEdgeCase[T matrix.Scalar](t *testing.T, e *Engine, tier Tier, sc scal
 			for _, i := range sc.bIdx {
 				if bs[i] == nil {
 					bs[i] = matrix.New[T](k, n)
-					fill(bs[i])
+					fillB(bs[i])
 				}
 				r.B = append(r.B, bs[i])
 			}
 			return r, r.B, func() {}
 		}
 		b := matrix.New[T](k, n)
-		fill(b)
-		r.Resident = fmt.Sprintf("scalar-%d-%t", seed, math.IsNaN(float64(b.At(0, 0))))
+		fillB(b)
+		regs++
+		r.Resident = fmt.Sprintf("scalar-%d-%d", seed, regs)
 		if err := RegisterB(e, r.Resident, b); err != nil {
 			t.Fatal(err)
 		}
@@ -127,24 +118,33 @@ func scalarEdgeCase[T matrix.Scalar](t *testing.T, e *Engine, tier Tier, sc scal
 		}
 	}
 
+	// matchesNaive requires each call's C to equal NaiveGemm's product of
+	// its A and B (C = A×B: α = 1, β = 0).
+	matchesNaive := func(what string, r Request[T], bs []*matrix.Matrix[T]) {
+		t.Helper()
+		for i, c := range r.C {
+			want := matrix.New[T](c.Rows, c.Cols)
+			matrix.NaiveGemm(want, r.A[i], bs[i])
+			if msg := specialsDiffer(c, want, k, tol); msg != "" {
+				t.Fatalf("%s, call %d: %s", what, i, msg)
+			}
+		}
+	}
+
+	random := func(x *matrix.Matrix[T]) { x.Randomize(rng) }
 	// β = 0: C starts as NaN and must come out as the plain product.
-	r, bs, release := request(func(x *matrix.Matrix[T]) { x.Randomize(rng) })
+	r, bs, release := request(random, random)
 	defer release()
 	for _, c := range r.C {
 		c.Fill(nan)
 	}
 	r.Alpha, r.Beta = 1, 0
 	do(r)
-	for i, c := range r.C {
-		want := matrix.New[T](c.Rows, c.Cols)
-		matrix.NaiveGemm(want, r.A[i], bs[i])
-		if !closeTo(c, want, k, tol) {
-			t.Fatalf("β=0 call %d: result differs from the product into zeroed C (max diff %g)", i, c.MaxAbsDiff(want))
-		}
-	}
+	matchesNaive("β=0 (C starts as NaN)", r, bs)
 
 	// α = 0, β = 1: NaN in A and B must not reach C.
-	r0, _, release0 := request(func(x *matrix.Matrix[T]) { x.Fill(nan) })
+	fillNaN := func(x *matrix.Matrix[T]) { x.Fill(nan) }
+	r0, _, release0 := request(fillNaN, fillNaN)
 	defer release0()
 	keep := make([]*matrix.Matrix[T], len(r0.C))
 	for i, c := range r0.C {
@@ -158,6 +158,55 @@ func scalarEdgeCase[T matrix.Scalar](t *testing.T, e *Engine, tier Tier, sc scal
 			t.Fatalf("α=0 β=1 call %d: C changed", i)
 		}
 	}
+
+	// NaN/Inf propagation, α = 1, β = 0. Row 0 of every A holds a NaN (row 0
+	// of C is NaN); B holds a +Inf at (2, 3) (column 3 of C is ±Inf by the
+	// sign of A's column 2); the last row of every A holds a +Inf at column
+	// 5, multiplied by B's zero at (5, 7) (Inf×0: NaN at column 7, ±Inf by
+	// the sign of B's row 5 elsewhere).
+	inf := T(math.Inf(1))
+	r1, bs1, release1 := request(func(a *matrix.Matrix[T]) {
+		a.Randomize(rng)
+		a.Set(0, 1, nan)
+		a.Set(a.Rows-1, 5, inf)
+	}, func(b *matrix.Matrix[T]) {
+		b.Randomize(rng)
+		b.Set(2, 3, inf)
+		b.Set(5, 7, 0)
+	})
+	defer release1()
+	r1.Alpha, r1.Beta = 1, 0
+	do(r1)
+	matchesNaive("NaN/Inf in A and B", r1, bs1)
+}
+
+// specialsDiffer compares got with want element by element: NaN, +Inf and
+// −Inf must sit at the same positions, and finite values must agree within
+// tol·k. It describes the first mismatch, or returns "".
+func specialsDiffer[T matrix.Scalar](got, want *matrix.Matrix[T], k int, tol float64) string {
+	class := func(v float64) string {
+		switch {
+		case math.IsNaN(v):
+			return "NaN"
+		case math.IsInf(v, 1):
+			return "+Inf"
+		case math.IsInf(v, -1):
+			return "-Inf"
+		}
+		return "finite"
+	}
+	for i := 0; i < got.Rows; i++ {
+		for j := 0; j < got.Cols; j++ {
+			g, w := float64(got.At(i, j)), float64(want.At(i, j))
+			if class(g) != class(w) {
+				return fmt.Sprintf("C(%d,%d) = %g, want %g", i, j, g, w)
+			}
+			if class(w) == "finite" && !(math.Abs(g-w) <= tol*float64(k)) {
+				return fmt.Sprintf("C(%d,%d) = %g, want %g within %g", i, j, g, w, tol*float64(k))
+			}
+		}
+	}
+	return ""
 }
 
 // TestRequestValidation: a malformed request fails before any C is touched,

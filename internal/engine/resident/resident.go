@@ -197,8 +197,6 @@ func (h *Handle) Release() {
 
 // Acquire pins id's payload and marks it most recently used. Counted as a
 // hit; a lookup that fails — evicted or never registered — is a miss.
-//
-//cake:lease
 func (s *Store) Acquire(id string) (*Handle, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()

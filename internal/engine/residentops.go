@@ -149,8 +149,6 @@ func (h *residentHandle[T]) Release() { h.h.Release() }
 // acquireOperand pins id's packed panels and types them. The caller owns the
 // pin and must Release it on every path — the GEMM body can panic (packing
 // layout guards panic by design), so release in a defer.
-//
-//cake:lease
 func acquireOperand[T matrix.Scalar](e *Engine, id string) (*residentHandle[T], error) {
 	h, err := e.resident.Acquire(id)
 	if err != nil {

@@ -43,8 +43,7 @@ import (
 
 // Outcome classifies how a request left the engine. The zero value is
 // deliberately not OK: a Record whose Outcome was never set is visible as
-// unset rather than silently counting as a success (cake-vet's reqoutcome
-// analyzer additionally requires every Record literal to set the field).
+// unset rather than silently counting as a success.
 type Outcome uint8
 
 const (
@@ -175,8 +174,8 @@ func (r *Residency) UnmarshalJSON(b []byte) error {
 }
 
 // Record is one completed engine request — the unit of the flight recorder.
-// Producers must set Outcome explicitly (enforced by cake-vet's reqoutcome
-// analyzer); every other field defaults to a meaningful zero. Records are
+// Producers must set Outcome explicitly; every other field defaults to a
+// meaningful zero. Records are
 // committed by value into a preallocated ring, so the struct must stay free
 // of pointers to producer-owned mutable state (strings are fine: committing
 // copies only the header).

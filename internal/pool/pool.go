@@ -12,6 +12,12 @@
 // a barrier in between. This is the mechanism behind the pipelined executor
 // in internal/core (paper Section 3: compute fully overlaps the constant
 // stream of memory traffic).
+//
+// A panicking work item never ends the process or its worker: the worker
+// recovers it and the first panic value of a job is re-raised on the
+// goroutine that waits for that job — the caller of For/ForStatic, or
+// Handle.Wait for asynchronous jobs. Inline fast paths panic on the caller
+// directly.
 package pool
 
 import (
@@ -34,6 +40,21 @@ type job struct {
 	// profiles attribute samples to {executor, phase}. Jobs submitted
 	// through the unlabeled API leave it nil and pay nothing.
 	ctx context.Context
+
+	// panicked is set by the first item that panics; pval holds its value.
+	// pval is written before that worker's wg.Done and read only after
+	// wg.Wait, so the WaitGroup orders the two.
+	panicked atomic.Bool
+	pval     any
+}
+
+// wait blocks until every worker has finished its share of the job, then
+// re-raises the first item panic, if any, on the waiting goroutine.
+func (j *job) wait() {
+	j.wg.Wait()
+	if j.panicked.Load() {
+		panic(j.pval)
+	}
 }
 
 // Handle is a waitable ticket for a job submitted asynchronously. The zero
@@ -42,13 +63,14 @@ type Handle struct {
 	j *job
 }
 
-// Wait blocks until every item of the submitted job has finished. It is safe
-// to call multiple times and on a nil Handle.
+// Wait blocks until every item of the submitted job has finished. If an
+// item panicked, Wait re-raises the first panic value on the caller. It is
+// safe to call multiple times and on a nil Handle.
 func (h *Handle) Wait() {
 	if h == nil || h.j == nil {
 		return
 	}
-	h.j.wg.Wait()
+	h.j.wait()
 }
 
 // Pool runs work items on a fixed set of worker goroutines.
@@ -73,12 +95,24 @@ func New(workers int) *Pool {
 
 func (p *Pool) worker(id int) {
 	for j := range p.jobs {
-		if j.ctx != nil {
-			pprof.Do(j.ctx, pprof.Labels(), func(context.Context) { p.runItems(j, id) })
-		} else {
-			p.runItems(j, id)
+		p.serve(j, id)
+	}
+}
+
+// serve runs worker id's share of j. A panicking item does not end the
+// process or the worker: the panic is recovered, its value kept on the job
+// for the waiter to re-raise, and wg.Done runs either way.
+func (p *Pool) serve(j *job, id int) {
+	defer j.wg.Done()
+	defer func() {
+		if r := recover(); r != nil && !j.panicked.Swap(true) {
+			j.pval = r
 		}
-		j.wg.Done()
+	}()
+	if j.ctx != nil {
+		pprof.Do(j.ctx, pprof.Labels(), func(context.Context) { p.runItems(j, id) })
+	} else {
+		p.runItems(j, id)
 	}
 }
 
@@ -118,7 +152,8 @@ func (p *Pool) enqueue(j *job, fan int, async bool) {
 // the workers, and blocks until all complete. worker identifies the
 // executing worker in [0, Workers()); items are claimed dynamically, so a
 // worker may execute zero or many items. f must not call For on the same
-// pool (no nested parallelism).
+// pool (no nested parallelism). A panic in f is re-raised on the caller
+// once every worker has left the job.
 func (p *Pool) For(n int, f func(worker, item int)) {
 	p.ForLabeled(nil, n, f)
 }
@@ -140,7 +175,7 @@ func (p *Pool) ForLabeled(ctx context.Context, n int, f func(worker, item int)) 
 	}
 	j := &job{f: f, n: int64(n), ctx: ctx}
 	p.enqueue(j, min(n, p.workers), false)
-	j.wg.Wait()
+	j.wait()
 }
 
 // runInline executes small jobs on the caller goroutine, still honouring
@@ -237,7 +272,7 @@ func (p *Pool) ForStaticLabeled(ctx context.Context, width, n int, f func(core, 
 	j, fan := p.staticJob(n, width, f)
 	j.ctx = ctx
 	p.enqueue(j, fan, false)
-	j.wg.Wait()
+	j.wait()
 }
 
 // ForStaticAsync enqueues a ForStatic-style job without waiting for it,

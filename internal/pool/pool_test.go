@@ -1,9 +1,11 @@
 package pool
 
 import (
+	"errors"
 	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
 )
 
 func TestForRunsEveryItemOnce(t *testing.T) {
@@ -337,5 +339,54 @@ func TestWidthBoundsFanOut(t *testing.T) {
 		if ran != n || len(workers) > width {
 			t.Fatalf("width %d: %d items on %d workers", width, ran, len(workers))
 		}
+	}
+}
+
+// TestItemPanicReachesWaiter: on every entry point, a panicking item is
+// re-raised on the goroutine that waits for the job, with its original
+// value, and no worker dies of it — a later job still rendezvouses every
+// worker. Every item panics, so every worker that served the job recovered.
+func TestItemPanicReachesWaiter(t *testing.T) {
+	const w, n = 4, 16
+	boom := errors.New("boom")
+	for _, tc := range []struct {
+		name string
+		run  func(p *Pool, f func(worker, item int))
+	}{
+		{"For", func(p *Pool, f func(int, int)) { p.For(n, f) }},
+		{"ForLabeled", func(p *Pool, f func(int, int)) { p.ForLabeled(labelCtx(), n, f) }},
+		{"ForStatic", func(p *Pool, f func(int, int)) { p.ForStatic(n, f) }},
+		{"ForStaticLabeled", func(p *Pool, f func(int, int)) { p.ForStaticLabeled(labelCtx(), 3, n, f) }},
+		{"Submit", func(p *Pool, f func(int, int)) { p.Submit(n, f).Wait() }},
+		{"SubmitLabeled", func(p *Pool, f func(int, int)) { p.SubmitLabeled(labelCtx(), 3, n, f).Wait() }},
+		{"ForStaticAsync", func(p *Pool, f func(int, int)) { p.ForStaticAsync(n, f).Wait() }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			p := New(w)
+			defer p.Close()
+			got := func() (r any) {
+				defer func() { r = recover() }()
+				tc.run(p, func(_, _ int) { panic(boom) })
+				return nil
+			}()
+			if got != boom {
+				t.Fatalf("waiter recovered %v, want the item's panic value %v", got, boom)
+			}
+			var barrier sync.WaitGroup
+			barrier.Add(w)
+			done := make(chan struct{})
+			go func() {
+				p.For(w, func(_, _ int) {
+					barrier.Done()
+					barrier.Wait()
+				})
+				close(done)
+			}()
+			select {
+			case <-done:
+			case <-time.After(10 * time.Second):
+				t.Fatal("a later job did not reach every worker")
+			}
+		})
 	}
 }
