@@ -70,8 +70,9 @@ func WithPipeline(on bool) ExecutorOption { return core.WithPipeline(on) }
 
 // WithPanelCache keeps up to slots packed panels per operand resident, so a
 // schedule that revisits a panel (the K-first snake does, on every M or N
-// step) skips the repack. Implies pipelining; slots below 2 are raised to
-// the double-buffering minimum.
+// step) skips the repack. Slots below 2 are raised to the double-buffering
+// minimum. Ignored when pipelining is disabled: WithPipeline(false) keeps
+// one slot per operand and reuses no panel.
 func WithPanelCache(slots int) ExecutorOption { return core.WithPanelCache(slots) }
 
 // TraceRecorder collects per-worker pack/compute/unpack spans from a traced

@@ -38,6 +38,20 @@ func FuzzGemmAgainstNaive(f *testing.F) {
 		if !c.AlmostEqual(want, k, 1e-11) {
 			t.Fatalf("cfg %v dims %d,%d,%d: diff %g", cfg, m, k, n, c.MaxAbsDiff(want))
 		}
+		// Sync mode runs the same block loop without lookahead or panel
+		// reuse; its C must match the pipelined one bit for bit.
+		sync, err := core.NewExecutor[float64](cfg, nil, core.WithPipeline(false))
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer sync.Close()
+		cSync := matrix.New[float64](m, n)
+		if _, err := sync.Gemm(cSync, a, b); err != nil {
+			t.Fatalf("sync cfg %v dims %d,%d,%d: %v", cfg, m, k, n, err)
+		}
+		if !cSync.Equal(c) {
+			t.Fatalf("cfg %v dims %d,%d,%d: sync differs from pipelined by %g", cfg, m, k, n, cSync.MaxAbsDiff(c))
+		}
 	})
 }
 

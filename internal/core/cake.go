@@ -102,9 +102,10 @@ type execOptions struct {
 }
 
 // WithPipeline enables or disables the double-buffered pack/compute
-// pipeline (enabled by default). Disabling it restores the strictly
-// synchronous pack → barrier → compute executor — useful as the baseline of
-// an A/B comparison.
+// pipeline (enabled by default). Disabling it runs the same block loop with
+// no lookahead and no panel reuse: every block is packed afresh on the
+// caller, then computed — the strictly synchronous pack → barrier → compute
+// baseline of an A/B comparison.
 func WithPipeline(on bool) Option { return func(o *execOptions) { o.pipeline = on } }
 
 // WithPanelCache sets how many packed panels per operand the pipelined
@@ -136,13 +137,13 @@ type Executor[T matrix.Scalar] struct {
 	pool     *pool.Pool
 	ownPool  bool
 	pipeline bool
-	slots    int // packing-buffer slots per operand (1 sync, ≥2 pipelined)
+	slots    int // packing-buffer slots per operand (1 in sync mode, ≥2 pipelined)
 	scratch  []*kernel.Scratch[T]
 
-	// Packing buffers, one ring of slots per operand. The synchronous path
-	// uses slot 0 only; the pipeline ping-pongs across slots and tracks the
-	// logical panel each slot holds so repacks of a revisited panel can be
-	// skipped (keys are per-call, see panelKey).
+	// Packing buffers, one ring of slots per operand. Sync mode repacks its
+	// one slot every block; the pipeline ping-pongs across slots and tracks
+	// the logical panel each slot holds so repacks of a revisited panel can
+	// be skipped (keys are per-call, see panelKey).
 	packA, packB [][]T
 	aKeys, bKeys []panelKey
 	aTick, bTick []int64
@@ -153,14 +154,11 @@ type Executor[T matrix.Scalar] struct {
 
 	// Observability: rec is nil unless WithTrace attached a recorder; the
 	// label contexts are prebuilt per phase so pool jobs are tagged without
-	// per-call allocation. curBlk is the block the synchronous path (and
-	// the pipeline's orchestrator-side C management) is currently running —
-	// async pack spans carry their stage's own coordinates instead.
+	// per-call allocation.
 	rec                          *obs.Recorder
 	met                          *obs.ExecMetrics // phase-latency histograms; refreshed per Gemm, nil when metrics are off
 	elemBytes                    int64
 	packCtx, computeCtx, moveCtx context.Context
-	curBlk                       obs.Block
 
 	// Per-call operand orientation and scaling (set by Do for the duration
 	// of one request). The executor is single-flight: inUse guards the
@@ -331,49 +329,7 @@ func (e *Executor[T]) run(c, a, b *matrix.Matrix[T], m, k, n int, alpha, beta T)
 	e.grow(m, k, n)
 
 	st := Stats{Grid: grid, Order: order, Blocks: len(seq), Pipelined: e.pipeline}
-	if e.pipeline {
-		e.runPipelined(c, a, b, seq, &st, m, k, n)
-		e.accountGemm(st)
-		return st, nil
-	}
-	bm, bk, bn := e.cfg.BlockDims()
-	for i, cur := range seq {
-		e.curBlk = obs.Block{M: int32(cur.M), K: int32(cur.K), N: int32(cur.N)}
-		m0, mEff := span(cur.M, bm, m)
-		k0, kEff := span(cur.K, bk, k)
-		n0, nEff := span(cur.N, bn, n)
-		runStart := i == 0 || seq[i-1].M != cur.M || seq[i-1].N != cur.N
-		runEnd := i == len(seq)-1 || seq[i+1].M != cur.M || seq[i+1].N != cur.N
-
-		cBlock := matrix.FromSlice(mEff, nEff, e.bufC[:mEff*nEff])
-		if runStart {
-			t0 := time.Now()
-			e.zeroBlock(cBlock)
-			st.PackNanos += time.Since(t0).Nanoseconds()
-		}
-		switch e.cfg.Dim {
-		case DimN:
-			e.blockDimN(a, b, cBlock, &st, m0, mEff, k0, kEff, n0, nEff)
-		case DimM:
-			e.blockDimM(a, b, cBlock, &st, m0, mEff, k0, kEff, n0, nEff)
-		default:
-			e.blockDimK(a, b, cBlock, &st, m0, mEff, k0, kEff, n0, nEff)
-		}
-		st.PackedAElems += int64(mEff) * int64(kEff)
-		bElems := int64(kEff) * int64(nEff)
-		if e.resB != nil {
-			st.ResidentBElems += bElems
-			e.reuseEvent(e.curBlk, bElems)
-		} else {
-			st.PackedBElems += bElems
-		}
-		if runEnd {
-			t0 := time.Now()
-			e.unpack(c.View(m0, n0, mEff, nEff), cBlock)
-			st.PackNanos += time.Since(t0).Nanoseconds()
-			st.UnpackCElems += int64(mEff) * int64(nEff)
-		}
-	}
+	e.runBlocks(c, a, b, seq, &st, m, k, n)
 	e.accountGemm(st)
 	return st, nil
 }
@@ -498,13 +454,13 @@ func (e *Executor[T]) zeroBlock(cBlock *matrix.Matrix[T]) {
 // unpack folds the completed block result into the output matrix — a
 // read-modify-write of the DRAM-resident C region, recorded as unpack
 // spans carrying 2× the chunk's bytes.
-func (e *Executor[T]) unpack(dst, cBlock *matrix.Matrix[T]) {
+func (e *Executor[T]) unpack(dst, cBlock *matrix.Matrix[T], blk obs.Block) {
 	chunks := e.rowChunks(cBlock.Rows)
 	e.forStatic(e.moveCtx, chunks, func(core, s int) {
 		u0 := e.now()
 		r0, rows := chunkSpan(s, chunks, cBlock.Rows)
 		packing.AddInto(dst.View(r0, 0, rows, dst.Cols), cBlock.View(r0, 0, rows, cBlock.Cols))
-		e.span(core, obs.PhaseUnpack, e.curBlk, u0, 2*int64(rows)*int64(cBlock.Cols)*e.elemBytes)
+		e.span(core, obs.PhaseUnpack, blk, u0, 2*int64(rows)*int64(cBlock.Cols)*e.elemBytes)
 	})
 }
 
@@ -528,169 +484,6 @@ func chunkSpan(idx, chunks, rows int) (off, cnt int) {
 		cnt++
 	}
 	return
-}
-
-// blockDimN executes one CB block with cores advancing along N (Figure 6):
-// core s owns the A strip of rows [s·mc, (s+1)·mc), the packed B panel is
-// shared, and each core computes its strip of the resident C block. A
-// partial block spreads its rows evenly over the cores (see stripRows).
-func (e *Executor[T]) blockDimN(a, b, cBlock *matrix.Matrix[T], st *Stats, m0, mEff, k0, kEff, n0, nEff int) {
-	mc := e.cfg.stripRows(mEff)
-	strips := ceilDiv(mEff, mc)
-
-	// Pack per-core A sub-blocks in parallel; strip s's panels start at
-	// s·mc·kEff because the strip height is a multiple of mr.
-	t0 := time.Now()
-	e.forStatic(e.packCtx, strips, func(core, s int) {
-		u0 := e.now()
-		r0 := s * mc
-		rows := min(mc, mEff-r0)
-		e.packASlice(e.packA[0][r0*kEff:], a, m0+r0, rows, k0, kEff)
-		e.span(core, obs.PhasePack, e.curBlk, u0, int64(rows)*int64(kEff)*e.elemBytes)
-	})
-	bp := e.residentCell(e.curBlk)
-	if bp == nil {
-		e.packBShared(b, k0, kEff, n0, nEff)
-		bp = e.packB[0]
-	}
-	st.PackNanos += time.Since(t0).Nanoseconds()
-
-	t0 = time.Now()
-	bp = bp[:packing.PackedBSize(kEff, nEff, e.cfg.NR)]
-	e.forStatic(e.computeCtx, strips, func(core, s int) {
-		u0 := e.now()
-		r0 := s * mc
-		rows := min(mc, mEff-r0)
-		ap := e.packA[0][r0*kEff : r0*kEff+packing.PackedASize(rows, kEff, e.cfg.MR)]
-		packing.Macro(e.kern, kEff, ap, bp, cBlock.View(r0, 0, rows, nEff), e.scratch[core])
-		e.span(core, obs.PhaseCompute, e.curBlk, u0, 0)
-	})
-	st.ComputeNanos += time.Since(t0).Nanoseconds()
-}
-
-// blockDimM is the mirror: core s owns the B strip of columns
-// [s·mc, (s+1)·mc), the packed A panel is shared, and each core computes
-// its column strip of the resident C block.
-func (e *Executor[T]) blockDimM(a, b, cBlock *matrix.Matrix[T], st *Stats, m0, mEff, k0, kEff, n0, nEff int) {
-	nc := e.cfg.MC // square per-core block: nc = mc
-	strips := ceilDiv(nEff, nc)
-
-	t0 := time.Now()
-	e.packAShared(a, m0, mEff, k0, kEff)
-	bSrc := e.residentCell(e.curBlk)
-	if bSrc == nil {
-		e.forStatic(e.packCtx, strips, func(core, s int) {
-			u0 := e.now()
-			c0 := s * nc
-			cols := min(nc, nEff-c0)
-			e.packBSlice(e.packB[0][c0*kEff:], b, k0, kEff, n0+c0, cols)
-			e.span(core, obs.PhasePack, e.curBlk, u0, int64(kEff)*int64(cols)*e.elemBytes)
-		})
-		bSrc = e.packB[0]
-	}
-	st.PackNanos += time.Since(t0).Nanoseconds()
-
-	t0 = time.Now()
-	ap := e.packA[0][:packing.PackedASize(mEff, kEff, e.cfg.MR)]
-	e.forStatic(e.computeCtx, strips, func(core, s int) {
-		u0 := e.now()
-		c0 := s * nc
-		cols := min(nc, nEff-c0)
-		bp := bSrc[c0*kEff : c0*kEff+packing.PackedBSize(kEff, cols, e.cfg.NR)]
-		packing.Macro(e.kern, kEff, ap, bp, cBlock.View(0, c0, mEff, cols), e.scratch[core])
-		e.span(core, obs.PhaseCompute, e.curBlk, u0, 0)
-	})
-	st.ComputeNanos += time.Since(t0).Nanoseconds()
-}
-
-// blockDimK partitions the block's reduction depth: core s multiplies the
-// kc-deep slice [s·kc, (s+1)·kc) into a private partial-C surface; the
-// partials are then summed into the resident block in parallel row chunks —
-// the in-place local accumulation the paper highlights for the K variant.
-func (e *Executor[T]) blockDimK(a, b, cBlock *matrix.Matrix[T], st *Stats, m0, mEff, k0, kEff, n0, nEff int) {
-	kc := e.cfg.KC
-	strips := ceilDiv(kEff, kc)
-	aSlice := packing.PackedASize(mEff, kc, e.cfg.MR)
-	bSlice := packing.PackedBSize(kc, nEff, e.cfg.NR)
-
-	t0 := time.Now()
-	rbp := e.residentCell(e.curBlk)
-	e.forStatic(e.computeCtx, strips, func(core, s int) {
-		u0 := e.now()
-		kk0 := s * kc
-		depth := min(kc, kEff-kk0)
-		ap := e.packASlice(e.packA[0][s*aSlice:], a, m0, mEff, k0+kk0, depth)
-		var bp []T
-		packed := int64(mEff) * int64(depth)
-		if rbp != nil {
-			bp = rbp[s*bSlice : s*bSlice+packing.PackedBSize(depth, nEff, e.cfg.NR)]
-		} else {
-			bp = e.packBSlice(e.packB[0][s*bSlice:], b, k0+kk0, depth, n0, nEff)
-			packed += int64(nEff) * int64(depth)
-		}
-		e.span(core, obs.PhasePack, e.curBlk, u0, packed*e.elemBytes)
-		u0 = e.now()
-		part := matrix.FromSlice(mEff, nEff, e.partials[s][:mEff*nEff])
-		part.Zero()
-		packing.Macro(e.kern, depth, ap, bp, part, e.scratch[core])
-		e.span(core, obs.PhaseCompute, e.curBlk, u0, 0)
-	})
-	st.ComputeNanos += time.Since(t0).Nanoseconds()
-
-	// Reduce the strips' private partials into the resident C block, in
-	// strip order whichever worker computed each.
-	t0 = time.Now()
-	chunks := e.rowChunks(mEff)
-	e.forStatic(nil, chunks, func(_, ch int) {
-		r0, rows := chunkSpan(ch, chunks, mEff)
-		for s := 0; s < strips; s++ {
-			src := matrix.FromSlice(mEff, nEff, e.partials[s][:mEff*nEff])
-			packing.AddInto(cBlock.View(r0, 0, rows, nEff), src.View(r0, 0, rows, nEff))
-		}
-	})
-	st.PackNanos += time.Since(t0).Nanoseconds()
-}
-
-// packBShared packs the block's kEff×nEff B panel, splitting the nr-column
-// panels across cores.
-func (e *Executor[T]) packBShared(b *matrix.Matrix[T], k0, kEff, n0, nEff int) {
-	nr := e.cfg.NR
-	panels := ceilDiv(nEff, nr)
-	chunks := min(e.cfg.Cores, panels)
-	perChunk := ceilDiv(panels, chunks)
-	e.forStatic(e.packCtx, chunks, func(core, ch int) {
-		p0 := ch * perChunk
-		pn := min(perChunk, panels-p0)
-		if pn <= 0 {
-			return
-		}
-		u0 := e.now()
-		c0 := p0 * nr
-		cols := min(pn*nr, nEff-c0)
-		e.packBSlice(e.packB[0][c0*kEff:], b, k0, kEff, n0+c0, cols)
-		e.span(core, obs.PhasePack, e.curBlk, u0, int64(kEff)*int64(cols)*e.elemBytes)
-	})
-}
-
-// packAShared packs the block's mEff×kEff A panel, splitting the mr-row
-// panels across cores.
-func (e *Executor[T]) packAShared(a *matrix.Matrix[T], m0, mEff, k0, kEff int) {
-	mr := e.cfg.MR
-	panels := ceilDiv(mEff, mr)
-	chunks := min(e.cfg.Cores, panels)
-	perChunk := ceilDiv(panels, chunks)
-	e.forStatic(e.packCtx, chunks, func(core, ch int) {
-		p0 := ch * perChunk
-		pn := min(perChunk, panels-p0)
-		if pn <= 0 {
-			return
-		}
-		u0 := e.now()
-		r0 := p0 * mr
-		rows := min(pn*mr, mEff-r0)
-		e.packASlice(e.packA[0][r0*kEff:], a, m0+r0, rows, k0, kEff)
-		e.span(core, obs.PhasePack, e.curBlk, u0, int64(rows)*int64(kEff)*e.elemBytes)
-	})
 }
 
 // Gemm is the convenience one-shot entry point: plan-free execution of

@@ -1,15 +1,18 @@
-// Pipelined execution: the constant-bandwidth story of Sections 3–4 says
-// compute should fully overlap the memory stream, yet the synchronous
-// executor alternates pack → barrier → compute → barrier, idling cores
-// during packing and the memory system during compute. This file implements
-// a software pipeline over the K-first block schedule: while block i
-// computes out of one set of packing buffers, the pack job for block i+1 is
-// already running into another set (prologue pack, steady-state overlap,
-// epilogue drain). On top of the ping-pong, each buffer slot remembers which
-// logical panel it holds, so when consecutive blocks share an IO surface —
-// the B panel across an M step, the A panel across an N step, exactly the
-// reuses Algorithm 2's snake traversal engineers — the repack is skipped
-// outright and counted in Stats.ReusedAElems/ReusedBElems.
+// The block loop: one K-first block schedule over one set of packed panels,
+// run in one of two modes. The constant-bandwidth story of Sections 3–4
+// says compute should fully overlap the memory stream; a synchronous
+// executor instead alternates pack → barrier → compute → barrier, idling
+// cores during packing and the memory system during compute. Pipelined, the
+// loop is a software pipeline: while block i computes out of one set of
+// packing buffers, the pack job for block i+1 is already running into
+// another set (prologue pack, steady-state overlap, epilogue drain). On top
+// of the ping-pong, each buffer slot remembers which logical panel it holds,
+// so when consecutive blocks share an IO surface — the B panel across an M
+// step, the A panel across an N step, exactly the reuses Algorithm 2's snake
+// traversal engineers — the repack is skipped outright and counted in
+// Stats.ReusedAElems/ReusedBElems. Sync mode (WithPipeline(false)) runs the
+// same loop with neither: each block is packed afresh on the caller, then
+// computed — the no-reuse baseline of the §5.2.1 packing-overhead study.
 package core
 
 import (
@@ -69,8 +72,8 @@ type pipeStage struct {
 }
 
 // invalidateSlots forgets packed-panel identities; called at the start of
-// every pipelined run because slot keys are only meaningful against one set
-// of operands. A batch loop that carries an operand unchanged into the next
+// every run because slot keys are only meaningful against one set of
+// operands. A batch loop that carries an operand unchanged into the next
 // call sets keepA/keepB, which preserves that operand's keys: coordinates
 // plus an identical operand (pointer, transpose, α fold) determine packed
 // content, so a kept key's panel is byte-identical to what a fresh pack
@@ -119,12 +122,14 @@ func claimSlot(keys []panelKey, ticks []int64, clock *int64, key panelKey, busy 
 	return victim, false
 }
 
-// submitPack claims buffer slots for blk and enqueues the asynchronous pack
-// job for whichever panels are not already resident. busyA/busyB are the
-// slots of the stage currently computing (-1 for the prologue). The pack
-// work is split into the same per-strip / per-panel-chunk units the
-// synchronous path uses, claimed dynamically so fast workers absorb ragged
-// unit costs.
+// submitPack claims buffer slots for blk and packs whichever panels are not
+// already resident. busyA/busyB are the slots of the stage currently
+// computing (-1 when none is). With async the pack job is enqueued and left
+// running (the lookahead pack), its units claimed dynamically so fast
+// workers absorb ragged unit costs; otherwise the units run to completion
+// on the caller's static job before submitPack returns. Sync mode claims
+// with the invalid key, which never matches a slot, so it packs every panel
+// of every block.
 //
 // The profiles attribute the pack closure's time here, but the stage header
 // and job closure allocate once per CB block and amortize over the block's
@@ -132,17 +137,21 @@ func claimSlot(keys []panelKey, ticks []int64, clock *int64, key panelKey, busy 
 // per-element work lives in packAUnit/packBUnit and the packing package.
 //
 //cake:hotpath-exempt per-block stage+closure alloc, amortized over block compute
-func (e *Executor[T]) submitPack(a, b *matrix.Matrix[T], blk blockSpan, busyA, busyB int) *pipeStage {
+func (e *Executor[T]) submitPack(a, b *matrix.Matrix[T], blk blockSpan, busyA, busyB int, async bool) *pipeStage {
 	s := &pipeStage{blk: blk}
+	aKey, bKey := aKeyFor(blk), bKeyFor(blk)
+	if !e.pipeline {
+		aKey, bKey = panelKey{}, panelKey{}
+	}
 	var reusedA, reusedB bool
-	s.aSlot, reusedA = claimSlot(e.aKeys, e.aTick, &e.clock, aKeyFor(blk), busyA)
+	s.aSlot, reusedA = claimSlot(e.aKeys, e.aTick, &e.clock, aKey, busyA)
 	s.packedA = !reusedA
 	// Resident calls hold no B slot at all: every block's panels come from
 	// the store, so the slot ring, its keys and the pack units stay untouched
 	// on the B side (compute substitutes the resident cell, see computeStage).
 	s.bSlot = -1
 	if e.resB == nil {
-		s.bSlot, reusedB = claimSlot(e.bKeys, e.bTick, &e.clock, bKeyFor(blk), busyB)
+		s.bSlot, reusedB = claimSlot(e.bKeys, e.bTick, &e.clock, bKey, busyB)
 		s.packedB = !reusedB
 	}
 
@@ -163,7 +172,7 @@ func (e *Executor[T]) submitPack(a, b *matrix.Matrix[T], blk blockSpan, busyA, b
 	if s.bSlot >= 0 {
 		bBuf = e.packB[s.bSlot]
 	}
-	s.handle = e.pool.SubmitLabeled(e.packCtx, e.width, total, func(worker, u int) {
+	unit := func(worker, u int) {
 		u0 := e.now()
 		s.startNs.CompareAndSwap(0, time.Now().UnixNano())
 		var elems int64
@@ -176,7 +185,12 @@ func (e *Executor[T]) submitPack(a, b *matrix.Matrix[T], blk blockSpan, busyA, b
 		if s.pending.Add(-1) == 0 {
 			s.doneNs.Store(time.Now().UnixNano())
 		}
-	})
+	}
+	if async {
+		s.handle = e.pool.SubmitLabeled(e.packCtx, e.width, total, unit)
+	} else {
+		e.forStatic(e.packCtx, total, unit)
+	}
 	return s
 }
 
@@ -192,10 +206,9 @@ func (e *Executor[T]) packAUnits(blk blockSpan) int {
 	}
 }
 
-// packAUnit packs unit u of the block's A panel into dst, reproducing the
-// synchronous path's buffer layout exactly (offsets included) so compute is
-// oblivious to which path packed. Returns the elements moved, for span
-// accounting.
+// packAUnit packs unit u of the block's A panel into dst at the offsets
+// computeStage reads, so units may run in any order on any worker. Returns
+// the elements moved, for span accounting.
 func (e *Executor[T]) packAUnit(dst []T, a *matrix.Matrix[T], blk blockSpan, u int) int64 {
 	switch e.cfg.Dim {
 	case DimN:
@@ -272,9 +285,10 @@ func (e *Executor[T]) packBUnit(dst []T, b *matrix.Matrix[T], blk blockSpan, u i
 }
 
 // computeStage runs the block's macro-kernels out of the stage's packed
-// slots. The strip decomposition, core mapping and accumulation order are
-// identical to the synchronous blockDim* functions, so pipelined results
-// are bit-exact matches of synchronous ones.
+// slots. The strip decomposition and accumulation order depend only on the
+// config — never on the mode, the width, which worker runs a strip or which
+// slot (or resident cell) holds a panel — so every mode's results are
+// bit-identical.
 func (e *Executor[T]) computeStage(s *pipeStage, cBlock *matrix.Matrix[T]) {
 	blk := s.blk
 	aBuf := e.packA[s.aSlot]
@@ -323,9 +337,8 @@ func (e *Executor[T]) computeStage(s *pipeStage, cBlock *matrix.Matrix[T]) {
 			packing.Macro(e.kern, depth, ap, bp, part, e.scratch[core])
 			e.span(core, obs.PhaseCompute, blk.coord, u0, 0)
 		})
-		// Reduce private partials into the resident C block in the same
-		// strip order as the synchronous path (partials[si] holds slice si,
-		// whichever worker computed it).
+		// Reduce private partials into the resident C block in strip order
+		// (partials[si] holds slice si, whichever worker computed it).
 		chunks := e.rowChunks(blk.mEff)
 		e.forStatic(nil, chunks, func(_, ch int) {
 			r0, rows := chunkSpan(ch, chunks, blk.mEff)
@@ -384,21 +397,22 @@ func (e *Executor[T]) reuseEvent(blk obs.Block, elems int64) {
 	})
 }
 
-// runPipelined executes the block schedule as a software pipeline: prologue
-// pack of block 0, steady state where block i computes while block i+1
-// packs, epilogue drain of the final pack before its compute. C-block
-// management (zero at run start, unpack at run end) stays synchronous — it
-// is cheap, and the resident partial-C buffer is shared by every block of a
-// K run so it cannot ping-pong.
-func (e *Executor[T]) runPipelined(c, a, b *matrix.Matrix[T], seq []schedule.Coord, st *Stats, m, k, n int) {
+// runBlocks executes the block schedule, the one block loop of both modes.
+// With lookahead it is a software pipeline: prologue pack of block 0,
+// steady state where block i computes while block i+1 packs, epilogue drain
+// of the final pack before its compute. Without it each block is packed just
+// in time on the caller, then computed. C-block management (zero at run
+// start, unpack at run end) stays on the caller either way — it is cheap,
+// and the resident partial-C buffer is shared by every block of a K run so
+// it cannot ping-pong.
+func (e *Executor[T]) runBlocks(c, a, b *matrix.Matrix[T], seq []schedule.Coord, st *Stats, m, k, n int) {
 	e.invalidateSlots()
 	// Lookahead packing only pays when another worker can run the pack while
 	// this block computes. On a single-worker pool the FIFO queue would run
 	// the whole next-block pack *before* the current compute, evicting the
-	// panels compute is about to read; degrade to just-in-time packing there
-	// and keep only the panel-reuse layer, which is where the single-core
-	// win lives.
-	lookahead := e.pool.Workers() > 1
+	// panels compute is about to read; pack just in time there and keep only
+	// the panel-reuse layer, which is where the single-core win lives.
+	lookahead := e.pipeline && e.pool.Workers() > 1
 	var cur, next *pipeStage
 	// A panic re-raised by this block's compute must not unwind past the
 	// next block's pack job: its submit helper may still be sending to the
@@ -409,20 +423,15 @@ func (e *Executor[T]) runPipelined(c, a, b *matrix.Matrix[T], seq []schedule.Coo
 			next.handle.Wait()
 		}
 	}()
-	if lookahead {
-		cur = e.submitPack(a, b, e.spanFor(seq, 0, m, k, n), -1, -1)
-		e.finishPack(cur, st, 0, 0)
-	}
 	for i := range seq {
 		if cur == nil {
-			cur = e.submitPack(a, b, e.spanFor(seq, i, m, k, n), -1, -1)
+			cur = e.submitPack(a, b, e.spanFor(seq, i, m, k, n), -1, -1, lookahead)
 			e.finishPack(cur, st, 0, 0)
 		}
 		blk := cur.blk
-		e.curBlk = blk.coord // orchestrator-side C management spans
 		next = nil
 		if lookahead && i+1 < len(seq) {
-			next = e.submitPack(a, b, e.spanFor(seq, i+1, m, k, n), cur.aSlot, cur.bSlot)
+			next = e.submitPack(a, b, e.spanFor(seq, i+1, m, k, n), cur.aSlot, cur.bSlot, true)
 		}
 		cBlock := matrix.FromSlice(blk.mEff, blk.nEff, e.bufC[:blk.mEff*blk.nEff])
 		if blk.runStart {
@@ -436,7 +445,7 @@ func (e *Executor[T]) runPipelined(c, a, b *matrix.Matrix[T], seq []schedule.Coo
 		cEnd := time.Now()
 		if blk.runEnd {
 			t0 := time.Now()
-			e.unpack(c.View(blk.m0, blk.n0, blk.mEff, blk.nEff), cBlock)
+			e.unpack(c.View(blk.m0, blk.n0, blk.mEff, blk.nEff), cBlock, blk.coord)
 			st.PackNanos += time.Since(t0).Nanoseconds()
 			st.UnpackCElems += int64(blk.mEff) * int64(blk.nEff)
 		}

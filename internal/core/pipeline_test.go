@@ -16,6 +16,10 @@ import (
 // synchronous executor (the strip decomposition and accumulation order are
 // the same, so there is no floating-point excuse for any difference), and
 // both must agree with the naive reference within accumulation tolerance.
+// Two more pairs ride along: a 1-core config packing just in time on its
+// own 1-worker pool against the same config packing ahead on a shared
+// 3-worker pool, and sync mode at Batch.Width 1 on that shared pool against
+// sync mode on its own pool.
 func TestPipelinedBitExactVsSync(t *testing.T) {
 	shapes := []struct{ m, k, n int }{
 		{64, 32, 64},  // exact multiples of the block
@@ -30,6 +34,8 @@ func TestPipelinedBitExactVsSync(t *testing.T) {
 	trans := []struct{ ta, tb bool }{{false, false}, {true, false}, {false, true}, {true, true}}
 	scales := []struct{ alpha, beta float64 }{{1, 1}, {2.5, 0}, {-1.25, 3}}
 	seed := int64(1000)
+	shared := pool.New(3)
+	defer shared.Close()
 	for _, dim := range []ComputeDim{DimN, DimM, DimK} {
 		for _, order := range []schedule.Order{OrderAuto, schedule.OuterN, schedule.OuterM} {
 			cfg := smallConfig(3, dim)
@@ -39,6 +45,20 @@ func TestPipelinedBitExactVsSync(t *testing.T) {
 				t.Fatal(err)
 			}
 			pipe, err := NewExecutor[float64](cfg, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			syncW1, err := NewExecutor[float64](cfg, shared, WithPipeline(false))
+			if err != nil {
+				t.Fatal(err)
+			}
+			cfg1 := smallConfig(1, dim)
+			cfg1.Order = order
+			jit, err := NewExecutor[float64](cfg1, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			ahead, err := NewExecutor[float64](cfg1, shared)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -76,6 +96,26 @@ func TestPipelinedBitExactVsSync(t *testing.T) {
 						t.Fatalf("dim=%v order=%v shape=%+v ta=%v tb=%v α=%v β=%v: pipelined differs from sync by %g",
 							dim, order, sh, tc.ta, tc.tb, sc.alpha, sc.beta, cPipe.MaxAbsDiff(cSync))
 					}
+					do := func(e *Executor[float64], c *matrix.Matrix[float64], width int) {
+						t.Helper()
+						bt := Batch[float64]{C: mats(c), A: mats(a), B: mats(b), TransA: tc.ta, TransB: tc.tb,
+							Alpha: sc.alpha, Beta: sc.beta, Width: width}
+						if _, err := e.Do(bt, nil); err != nil {
+							t.Fatalf("dim=%v order=%v %+v: %v", dim, order, sh, err)
+						}
+					}
+					cW1, cJit, cAhead := c0.Clone(), c0.Clone(), c0.Clone()
+					do(syncW1, cW1, 1)
+					if !cW1.Equal(cSync) {
+						t.Fatalf("dim=%v order=%v shape=%+v ta=%v tb=%v: sync at width 1 differs by %g",
+							dim, order, sh, tc.ta, tc.tb, cW1.MaxAbsDiff(cSync))
+					}
+					do(jit, cJit, 0)
+					do(ahead, cAhead, 0)
+					if !cJit.Equal(cAhead) {
+						t.Fatalf("dim=%v order=%v shape=%+v ta=%v tb=%v: 1-core just-in-time differs from lookahead by %g",
+							dim, order, sh, tc.ta, tc.tb, cJit.MaxAbsDiff(cAhead))
+					}
 					// And both match the reference semantics C = αAB + βC₀.
 					want := c0.Clone()
 					want.Scale(sc.beta)
@@ -94,6 +134,9 @@ func TestPipelinedBitExactVsSync(t *testing.T) {
 			}
 			sync.Close()
 			pipe.Close()
+			syncW1.Close()
+			jit.Close()
+			ahead.Close()
 		}
 	}
 }

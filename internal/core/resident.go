@@ -99,8 +99,8 @@ func (rb *ResidentB[T]) cell(ki, ni int) []T { return rb.cells[ki*rb.nb+ni] }
 
 // residentCell resolves the executor's resident operand (if any) to the
 // packed cell the given block reads; nil on the fresh-pack path. The cell's
-// internal offsets are identical to what packBShared/packBSlice would have
-// produced in e.packB[...], so compute code is oblivious to the source.
+// internal offsets are identical to what packBUnit would have produced in
+// e.packB[...], so compute code is oblivious to the source.
 func (e *Executor[T]) residentCell(coord obs.Block) []T {
 	if e.resB == nil {
 		return nil

@@ -4,8 +4,8 @@
 // one A tile / one mc-strip of the CB block), and so repeated block
 // executions reuse goroutines instead of spawning per block.
 //
-// Besides the synchronous For/ForStatic, the pool offers asynchronous
-// submission (Submit, ForStaticAsync) returning a waitable Handle. Workers
+// Besides the synchronous ForLabeled/ForStaticLabeled, the pool offers
+// asynchronous submission (SubmitLabeled) returning a waitable Handle. Workers
 // drain queued jobs in FIFO order, so a caller can enqueue a pack job for
 // CB block i+1, immediately run the compute job for block i, and overlap the
 // two: workers that finish their share of one job flow into the next without
@@ -15,8 +15,8 @@
 //
 // A panicking work item never ends the process or its worker: the worker
 // recovers it and the first panic value of a job is re-raised on the
-// goroutine that waits for that job — the caller of For/ForStatic, or
-// Handle.Wait for asynchronous jobs. Inline fast paths panic on the caller
+// goroutine that waits for that job — the caller of ForLabeled/
+// ForStaticLabeled, or Handle.Wait for asynchronous jobs. Inline fast paths panic on the caller
 // directly.
 package pool
 
@@ -38,7 +38,7 @@ type job struct {
 	// ctx, when non-nil, carries pprof labels (see runtime/pprof.Do) that
 	// each worker goroutine wears while running this job's items, so CPU
 	// profiles attribute samples to {executor, phase}. Jobs submitted
-	// through the unlabeled API leave it nil and pay nothing.
+	// with a nil ctx leave it nil and pay nothing.
 	ctx context.Context
 
 	// panicked is set by the first item that panics; pval holds its value.
@@ -148,25 +148,20 @@ func (p *Pool) enqueue(j *job, fan int, async bool) {
 	}
 }
 
-// For runs f(worker, item) for every item in [0, n), distributing items over
-// the workers, and blocks until all complete. worker identifies the
-// executing worker in [0, Workers()); items are claimed dynamically, so a
-// worker may execute zero or many items. f must not call For on the same
-// pool (no nested parallelism). A panic in f is re-raised on the caller
-// once every worker has left the job.
-func (p *Pool) For(n int, f func(worker, item int)) {
-	p.ForLabeled(nil, n, f)
-}
-
-// ForLabeled is For with pprof labels: while running this job's items each
-// worker goroutine wears ctx's label set (see obs.LabelCtx), so profiles
-// split by executor phase. A nil ctx is exactly For.
+// ForLabeled runs f(worker, item) for every item in [0, n), distributing
+// items over the workers, and blocks until all complete. worker identifies
+// the executing worker in [0, Workers()); items are claimed dynamically, so
+// a worker may execute zero or many items. f must not call ForLabeled on the
+// same pool (no nested parallelism). A panic in f is re-raised on the caller
+// once every worker has left the job. While running this job's items each
+// worker goroutine wears ctx's pprof label set (see obs.LabelCtx), so
+// profiles split by executor phase; a nil ctx applies no labels.
 func (p *Pool) ForLabeled(ctx context.Context, n int, f func(worker, item int)) {
 	if n <= 0 {
 		return
 	}
 	if p.closed.Load() {
-		panic("pool: For on closed pool")
+		panic("pool: ForLabeled on closed pool")
 	}
 	if p.workers == 1 || n == 1 {
 		// Fast path: run inline; worker id 0 keeps per-worker scratch valid.
@@ -193,25 +188,20 @@ func (p *Pool) runInline(ctx context.Context, n int, f func(worker, item int)) {
 	body()
 }
 
-// Submit enqueues a For-style dynamic job without waiting for it: f(worker,
-// item) will run for every item in [0, n) on the pool's workers, concurrently
-// with anything the caller does next. The returned Handle's Wait blocks until
-// all items finish. Every Handle must be waited before the pool is Closed.
-func (p *Pool) Submit(n int, f func(worker, item int)) *Handle {
-	return p.SubmitLabeled(nil, 0, n, f)
-}
-
-// SubmitLabeled is Submit with pprof labels applied to the worker
-// goroutines for the duration of the job (nil ctx and width 0 is exactly
-// Submit). At most width workers claim the job's items — how a caller
-// holding a share of a shared pool keeps its fan-out inside that share;
-// width outside [1, Workers()] means Workers().
+// SubmitLabeled enqueues a ForLabeled-style dynamic job without waiting for
+// it: f(worker, item) will run for every item in [0, n) on the pool's
+// workers, concurrently with anything the caller does next, wearing ctx's
+// pprof labels (nil ctx: none). The returned Handle's Wait blocks until all
+// items finish; every Handle must be waited before the pool is Closed. At
+// most width workers claim the job's items — how a caller holding a share of
+// a shared pool keeps its fan-out inside that share; width outside
+// [1, Workers()] means Workers().
 func (p *Pool) SubmitLabeled(ctx context.Context, width, n int, f func(worker, item int)) *Handle {
 	if n <= 0 {
 		return &Handle{}
 	}
 	if p.closed.Load() {
-		panic("pool: Submit on closed pool")
+		panic("pool: SubmitLabeled on closed pool")
 	}
 	j := &job{f: f, n: int64(n), ctx: ctx}
 	p.enqueue(j, min(n, p.width(width)), true)
@@ -226,72 +216,41 @@ func (p *Pool) width(w int) int {
 	return w
 }
 
-// staticJob builds the virtual-core job ForStatic and ForStaticAsync share:
-// each of the fan = min(n, width) virtual cores processes its own strided
-// slice of [0, n) — items core, core+fan, … — and exactly one goroutine
-// claims each virtual core.
-func (p *Pool) staticJob(n, width int, f func(core, item int)) (*job, int) {
-	fan := min(n, p.width(width))
-	j := &job{n: int64(fan)}
-	j.f = func(_, core int) {
-		for i := core; i < n; i += fan {
-			f(core, i)
-		}
-	}
-	return j, fan
-}
-
-// ForStatic runs f(core, item) with a static assignment: item i always runs
-// under virtual core i%Workers(), and one goroutine serves each virtual
-// core. Used where the paper's analysis pins work to a core (core i owns
-// strip i of every CB block), so per-core scratch indexed by the core
-// argument is never shared.
-func (p *Pool) ForStatic(n int, f func(core, item int)) {
-	p.ForStaticLabeled(nil, 0, n, f)
-}
-
-// ForStaticLabeled is ForStatic with pprof labels applied to the worker
-// goroutines for the duration of the job (nil ctx and width 0 is exactly
-// ForStatic), on at most width virtual cores: item i runs under virtual
-// core i%min(n, width), so a caller holding a share of a shared pool keeps
-// its fan-out inside that share while per-core scratch indexed by the core
-// argument stays unshared. width outside [1, Workers()] means Workers().
+// ForStaticLabeled runs f(core, item) with a static assignment, wearing
+// ctx's pprof labels (nil ctx: none), and blocks until all complete. Item i
+// always runs under virtual core i%min(n, width), and exactly one goroutine
+// serves each virtual core. Used where the paper's analysis pins work to a
+// core (core i owns strip i of every CB block), so per-core scratch indexed
+// by the core argument is never shared; a caller holding a share of a
+// shared pool keeps its fan-out inside that share. width outside
+// [1, Workers()] means Workers().
 func (p *Pool) ForStaticLabeled(ctx context.Context, width, n int, f func(core, item int)) {
 	if n <= 0 {
 		return
 	}
 	if p.closed.Load() {
-		panic("pool: ForStatic on closed pool")
+		panic("pool: ForStaticLabeled on closed pool")
 	}
-	if min(n, p.width(width)) == 1 {
+	fan := min(n, p.width(width))
+	if fan == 1 {
 		// Fast path: run inline; with one virtual core every item maps to
 		// core 0 either way, so the static contract is preserved.
 		p.runInline(ctx, n, f)
 		return
 	}
-	j, fan := p.staticJob(n, width, f)
-	j.ctx = ctx
+	j := &job{n: int64(fan), ctx: ctx}
+	j.f = func(_, core int) {
+		for i := core; i < n; i += fan {
+			f(core, i)
+		}
+	}
 	p.enqueue(j, fan, false)
 	j.wait()
 }
 
-// ForStaticAsync enqueues a ForStatic-style job without waiting for it,
-// returning a waitable Handle. The static core mapping is identical to
-// ForStatic's. Every Handle must be waited before the pool is Closed.
-func (p *Pool) ForStaticAsync(n int, f func(core, item int)) *Handle {
-	if n <= 0 {
-		return &Handle{}
-	}
-	if p.closed.Load() {
-		panic("pool: ForStaticAsync on closed pool")
-	}
-	j, fan := p.staticJob(n, p.workers, f)
-	p.enqueue(j, fan, true)
-	return &Handle{j: j}
-}
-
-// Close shuts the pool down. Pending For calls must have returned and every
-// async Handle must have been waited; using the pool after Close panics.
+// Close shuts the pool down. Pending synchronous calls must have returned
+// and every async Handle must have been waited; using the pool after Close
+// panics.
 func (p *Pool) Close() {
 	if p.closed.Swap(true) {
 		panic(fmt.Sprintf("pool: double Close of %d-worker pool", p.workers))

@@ -13,7 +13,7 @@ func TestForRunsEveryItemOnce(t *testing.T) {
 	defer p.Close()
 	const n = 1000
 	counts := make([]atomic.Int32, n)
-	p.For(n, func(_, i int) { counts[i].Add(1) })
+	p.ForLabeled(nil, n, func(_, i int) { counts[i].Add(1) })
 	for i := range counts {
 		if c := counts[i].Load(); c != 1 {
 			t.Fatalf("item %d ran %d times", i, c)
@@ -25,7 +25,7 @@ func TestForWorkerIDsInRange(t *testing.T) {
 	p := New(3)
 	defer p.Close()
 	var bad atomic.Int32
-	p.For(200, func(w, _ int) {
+	p.ForLabeled(nil, 200, func(w, _ int) {
 		if w < 0 || w >= 3 {
 			bad.Add(1)
 		}
@@ -39,8 +39,8 @@ func TestForZeroAndNegative(t *testing.T) {
 	p := New(2)
 	defer p.Close()
 	ran := false
-	p.For(0, func(_, _ int) { ran = true })
-	p.For(-5, func(_, _ int) { ran = true })
+	p.ForLabeled(nil, 0, func(_, _ int) { ran = true })
+	p.ForLabeled(nil, -5, func(_, _ int) { ran = true })
 	if ran {
 		t.Fatal("For ran items for n<=0")
 	}
@@ -50,7 +50,7 @@ func TestForSingleWorkerInline(t *testing.T) {
 	p := New(1)
 	defer p.Close()
 	order := []int{}
-	p.For(5, func(w, i int) {
+	p.ForLabeled(nil, 5, func(w, i int) {
 		if w != 0 {
 			t.Fatalf("worker %d on single-worker pool", w)
 		}
@@ -68,7 +68,7 @@ func TestForReusableAcrossCalls(t *testing.T) {
 	defer p.Close()
 	var total atomic.Int64
 	for round := 0; round < 50; round++ {
-		p.For(37, func(_, _ int) { total.Add(1) })
+		p.ForLabeled(nil, 37, func(_, _ int) { total.Add(1) })
 	}
 	if total.Load() != 50*37 {
 		t.Fatalf("total %d", total.Load())
@@ -85,7 +85,7 @@ func TestForConcurrencyActuallyParallel(t *testing.T) {
 	barrier.Add(w)
 	done := make(chan struct{})
 	go func() {
-		p.For(w, func(_, _ int) {
+		p.ForLabeled(nil, w, func(_, _ int) {
 			barrier.Done()
 			barrier.Wait()
 		})
@@ -100,7 +100,7 @@ func TestForStaticMapping(t *testing.T) {
 	defer p.Close()
 	cores := make([]int, 20)
 	var mu sync.Mutex
-	p.ForStatic(20, func(core, i int) {
+	p.ForStaticLabeled(nil, 0, 20, func(core, i int) {
 		mu.Lock()
 		cores[i] = core
 		mu.Unlock()
@@ -116,7 +116,7 @@ func TestForStaticEachItemOnce(t *testing.T) {
 	p := New(5)
 	defer p.Close()
 	counts := make([]atomic.Int32, 101)
-	p.ForStatic(101, func(_, i int) { counts[i].Add(1) })
+	p.ForStaticLabeled(nil, 0, 101, func(_, i int) { counts[i].Add(1) })
 	for i := range counts {
 		if counts[i].Load() != 1 {
 			t.Fatalf("item %d ran %d times", i, counts[i].Load())
@@ -131,7 +131,7 @@ func TestForStaticCoreExclusive(t *testing.T) {
 	p := New(w)
 	defer p.Close()
 	perCore := make([]int, w) // intentionally not atomic
-	p.ForStatic(400, func(core, _ int) { perCore[core]++ })
+	p.ForStaticLabeled(nil, 0, 400, func(core, _ int) { perCore[core]++ })
 	sum := 0
 	for _, c := range perCore {
 		sum += c
@@ -146,7 +146,7 @@ func TestSubmitRunsEveryItemOnce(t *testing.T) {
 	defer p.Close()
 	const n = 500
 	counts := make([]atomic.Int32, n)
-	h := p.Submit(n, func(_, i int) { counts[i].Add(1) })
+	h := p.SubmitLabeled(nil, 0, n, func(_, i int) { counts[i].Add(1) })
 	h.Wait()
 	for i := range counts {
 		if c := counts[i].Load(); c != 1 {
@@ -157,13 +157,16 @@ func TestSubmitRunsEveryItemOnce(t *testing.T) {
 
 func TestSubmitDoesNotBlockCaller(t *testing.T) {
 	// A submitted job that rendezvouses with the caller proves Submit
-	// returned while the job was still running.
-	p := New(2)
-	defer p.Close()
-	release := make(chan struct{})
-	h := p.Submit(1, func(_, _ int) { <-release })
-	close(release) // reached only because Submit returned
-	h.Wait()
+	// returned while the job was still running — on a 1-worker pool too,
+	// where an inline fast path would deadlock here.
+	for _, w := range []int{1, 2} {
+		p := New(w)
+		release := make(chan struct{})
+		h := p.SubmitLabeled(nil, 0, 1, func(_, _ int) { <-release })
+		close(release) // reached only because Submit returned
+		h.Wait()
+		p.Close()
+	}
 }
 
 func TestSubmitOverlapsWithSyncFor(t *testing.T) {
@@ -172,8 +175,8 @@ func TestSubmitOverlapsWithSyncFor(t *testing.T) {
 	p := New(2)
 	defer p.Close()
 	syncRan := make(chan struct{})
-	h := p.Submit(1, func(_, _ int) { <-syncRan })
-	p.For(1, func(_, _ int) {}) // inline fast path, independent of workers
+	h := p.SubmitLabeled(nil, 0, 1, func(_, _ int) { <-syncRan })
+	p.ForLabeled(nil, 1, func(_, _ int) {}) // inline fast path, independent of workers
 	close(syncRan)
 	h.Wait()
 }
@@ -181,48 +184,11 @@ func TestSubmitOverlapsWithSyncFor(t *testing.T) {
 func TestSubmitZeroItems(t *testing.T) {
 	p := New(2)
 	defer p.Close()
-	h := p.Submit(0, func(_, _ int) { t.Error("ran for n=0") })
+	h := p.SubmitLabeled(nil, 0, 0, func(_, _ int) { t.Error("ran for n=0") })
 	h.Wait()
 	h.Wait() // Wait is idempotent
 	var nilH *Handle
 	nilH.Wait() // and nil-safe
-}
-
-func TestForStaticAsyncMapping(t *testing.T) {
-	const w = 3
-	p := New(w)
-	defer p.Close()
-	cores := make([]int, 20)
-	var mu sync.Mutex
-	h := p.ForStaticAsync(20, func(core, i int) {
-		mu.Lock()
-		cores[i] = core
-		mu.Unlock()
-	})
-	h.Wait()
-	for i, c := range cores {
-		if c != i%w {
-			t.Fatalf("item %d ran on core %d, want %d", i, c, i%w)
-		}
-	}
-}
-
-func TestForStaticAsyncSingleWorker(t *testing.T) {
-	// On a 1-worker pool async submission must still enqueue (not run
-	// inline), so the caller can do concurrent work before Wait.
-	p := New(1)
-	defer p.Close()
-	var ran atomic.Int32
-	h := p.ForStaticAsync(5, func(core, _ int) {
-		if core != 0 {
-			t.Errorf("core %d on single-worker pool", core)
-		}
-		ran.Add(1)
-	})
-	h.Wait()
-	if ran.Load() != 5 {
-		t.Fatalf("ran %d of 5", ran.Load())
-	}
 }
 
 func TestManyConcurrentSubmits(t *testing.T) {
@@ -231,7 +197,7 @@ func TestManyConcurrentSubmits(t *testing.T) {
 	var total atomic.Int64
 	handles := make([]*Handle, 32)
 	for i := range handles {
-		handles[i] = p.Submit(17, func(_, _ int) { total.Add(1) })
+		handles[i] = p.SubmitLabeled(nil, 0, 17, func(_, _ int) { total.Add(1) })
 	}
 	for _, h := range handles {
 		h.Wait()
@@ -248,7 +214,7 @@ func TestForSmallerThanPool(t *testing.T) {
 	defer p.Close()
 	for _, n := range []int{1, 2, 3, 7} {
 		counts := make([]atomic.Int32, n)
-		p.For(n, func(_, i int) { counts[i].Add(1) })
+		p.ForLabeled(nil, n, func(_, i int) { counts[i].Add(1) })
 		for i := range counts {
 			if counts[i].Load() != 1 {
 				t.Fatalf("n=%d item %d ran %d times", n, i, counts[i].Load())
@@ -263,7 +229,7 @@ func TestForStaticSmallerThanPool(t *testing.T) {
 	for _, n := range []int{1, 2, 5} {
 		cores := make([]int, n)
 		var mu sync.Mutex
-		p.ForStatic(n, func(core, i int) {
+		p.ForStaticLabeled(nil, 0, n, func(core, i int) {
 			mu.Lock()
 			cores[i] = core
 			mu.Unlock()
@@ -297,7 +263,7 @@ func TestUseAfterClosePanics(t *testing.T) {
 			t.Fatal("expected panic")
 		}
 	}()
-	p.For(10, func(_, _ int) {})
+	p.ForLabeled(nil, 10, func(_, _ int) {})
 }
 
 func TestDoubleClosePanics(t *testing.T) {
@@ -342,10 +308,12 @@ func TestWidthBoundsFanOut(t *testing.T) {
 	}
 }
 
-// TestItemPanicReachesWaiter: on every entry point, a panicking item is
-// re-raised on the goroutine that waits for the job, with its original
-// value, and no worker dies of it — a later job still rendezvouses every
-// worker. Every item panics, so every worker that served the job recovered.
+// TestItemPanicReachesWaiter: on every entry point, with and without a label
+// context, a panicking item is re-raised on the goroutine that waits for the
+// job, with its original value, and no worker dies of it — a later job still
+// rendezvouses every worker. Every item panics, so every worker that served
+// the job recovered. The unlabeled rows (named for the plain calls a nil ctx
+// stands for) take serve's no-pprof branch.
 func TestItemPanicReachesWaiter(t *testing.T) {
 	const w, n = 4, 16
 	boom := errors.New("boom")
@@ -353,13 +321,12 @@ func TestItemPanicReachesWaiter(t *testing.T) {
 		name string
 		run  func(p *Pool, f func(worker, item int))
 	}{
-		{"For", func(p *Pool, f func(int, int)) { p.For(n, f) }},
+		{"For", func(p *Pool, f func(int, int)) { p.ForLabeled(nil, n, f) }},
 		{"ForLabeled", func(p *Pool, f func(int, int)) { p.ForLabeled(labelCtx(), n, f) }},
-		{"ForStatic", func(p *Pool, f func(int, int)) { p.ForStatic(n, f) }},
+		{"ForStatic", func(p *Pool, f func(int, int)) { p.ForStaticLabeled(nil, 0, n, f) }},
 		{"ForStaticLabeled", func(p *Pool, f func(int, int)) { p.ForStaticLabeled(labelCtx(), 3, n, f) }},
-		{"Submit", func(p *Pool, f func(int, int)) { p.Submit(n, f).Wait() }},
+		{"Submit", func(p *Pool, f func(int, int)) { p.SubmitLabeled(nil, 0, n, f).Wait() }},
 		{"SubmitLabeled", func(p *Pool, f func(int, int)) { p.SubmitLabeled(labelCtx(), 3, n, f).Wait() }},
-		{"ForStaticAsync", func(p *Pool, f func(int, int)) { p.ForStaticAsync(n, f).Wait() }},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			p := New(w)
@@ -376,7 +343,7 @@ func TestItemPanicReachesWaiter(t *testing.T) {
 			barrier.Add(w)
 			done := make(chan struct{})
 			go func() {
-				p.For(w, func(_, _ int) {
+				p.ForLabeled(nil, w, func(_, _ int) {
 					barrier.Done()
 					barrier.Wait()
 				})
