@@ -171,7 +171,9 @@ func (e *Executor[T]) loop(b *Batch[T], rb *ResidentB[T]) (Stats, error) {
 	}
 	e.resB = rb
 	defer func() {
-		e.resB = nil
+		// Keep nothing of the caller's past the request: a leased executor
+		// may sit in a cache long after it.
+		e.resB, e.c, e.a, e.b, e.cur = nil, nil, nil, nil, nil
 		e.keepA, e.keepB = false, false
 	}()
 

@@ -4,16 +4,17 @@
 // becomes a serving layer here:
 //
 //   - Size-tiered dispatch. A problem is classified against the platform's
-//     cache sizes: tiny GEMMs (whole footprint in L1) skip packing ceremony
-//     and block scheduling entirely via the direct microkernel path; small
-//     ones (§4.3 LRU rule C + 2(A+B) ≤ LLC) run as a single cache-resident
-//     CB block; everything else takes the full pipelined CAKE executor.
+//     cache sizes and every tier runs core's one block loop on its own
+//     config: tiny GEMMs (whole footprint in L1) run the degenerate
+//     one-core, one-block config with K undivided; small ones (§4.3 LRU
+//     rule C + 2(A+B) ≤ LLC) run as a single cache-resident CB block;
+//     everything else takes the full pipelined CAKE executor.
 //   - Executor leasing. core.Executor is single-flight (its packing buffers
 //     are per-call state), so the engine leases one executor per in-flight
 //     request from a per-tier sync.Pool cache. Leased executors share the
 //     engine's one worker pool and own no goroutines, so the GC can drop
 //     cold cache entries freely.
-//   - Elastic core admission. Each pool-using tier (small, large) is
+//   - Elastic core admission. Each admitted tier (small, large) is
 //     guaranteed a core slice computed by tenant.SplitCores over the tier
 //     work weights — the §4.3 partition — and a weighted FIFO semaphore
 //     admits requests, queueing (or rejecting, past MaxQueue) the rest.
@@ -26,8 +27,8 @@
 //     large result is bit-identical at any width. The trade-off is that a
 //     request arriving while a lone large GEMM holds every core waits for
 //     it, where a static partition would have kept its slice free. Tiny
-//     requests run on their caller's goroutine, hold no pool cores and
-//     skip admission.
+//     requests skip admission: they hold no pool cores and run at width 1,
+//     so their one block runs on the caller's goroutine.
 package engine
 
 import (
@@ -53,7 +54,7 @@ import (
 type Tier int
 
 const (
-	// TierTiny fits A, B and C in L1 together: direct microkernel path.
+	// TierTiny fits A, B and C in L1 together: one block on one core.
 	TierTiny Tier = iota
 	// TierSmall passes the §4.3 LRU rule against the LLC: one CB block.
 	TierSmall
@@ -74,14 +75,14 @@ func (t Tier) String() string {
 	return fmt.Sprintf("tier(%d)", int(t))
 }
 
-// tierWeights are the relative core demands of the pool-using tiers (small,
+// tierWeights are the relative core demands of the admitted tiers (small,
 // large) for the §4.3 partition; SplitCores turns them into per-tier core
-// slices. The tiny tier is absent on purpose: its direct path runs entirely
-// on the calling goroutine and never dispatches to the shared worker pool,
-// so it holds zero pool cores and bypasses admission — a tiny GEMM is a few
-// microseconds of register-tile arithmetic, and queueing it behind
-// multi-millisecond CB-block runs would invert the latency story the tier
-// exists for.
+// slices. The tiny tier is absent on purpose: its one-core, one-block
+// config runs at width 1 on the calling goroutine and never dispatches to
+// the shared worker pool, so it holds zero pool cores and bypasses
+// admission — a tiny GEMM is a few microseconds of register-tile
+// arithmetic, and queueing it behind multi-millisecond CB-block runs would
+// invert the latency story the tier exists for.
 var tierWeights = []float64{2, 4}
 
 var (
@@ -126,14 +127,6 @@ type tierSpec struct {
 	cfg64    core.Config
 }
 
-// typedCaches holds the per-scalar-type executor leases. Direct scratches
-// are pooled separately: the tiny tier leases a working set, not an
-// executor.
-type typedCaches[T matrix.Scalar] struct {
-	execs  [tierCount]sync.Pool // of *core.Executor[T]
-	direct sync.Pool            // of *DirectScratch[T]
-}
-
 // waiter is one queued admission request for between lo and hi cores;
 // granted is set before ready closes.
 type waiter struct {
@@ -162,9 +155,12 @@ type Engine struct {
 	// closedFast mirrors closed for paths that never take mu (the request
 	// path's early-out, resident registration).
 	closedFast atomic.Bool
+	// requests is held shared by every request in flight and exclusively
+	// by Close, which so waits for them before it shuts the pool down.
+	requests sync.RWMutex
 
-	f32 typedCaches[float32]
-	f64 typedCaches[float64]
+	// Leased executors per tier and scalar type (of *core.Executor[T]).
+	f32, f64 [tierCount]sync.Pool
 
 	inFlight    atomic.Int64
 	queued      atomic.Int64
@@ -201,7 +197,7 @@ func NewEngine(opts Options) (*Engine, error) {
 	// §4.3 static partition: per-tier core demands from the work weights,
 	// clamped to the machine (SplitCores floors every class at one core, so
 	// on small machines the demands sum above Cores and admission arbitrates).
-	// The tiny tier demands zero pool cores — its direct path runs on the
+	// The tiny tier demands zero pool cores — it runs at width 1 on the
 	// calling goroutine (see tierWeights).
 	split := tenant.SplitCores(pl.Cores, tierWeights)
 	demands := [tierCount]int{TierTiny: 0, TierSmall: split[0], TierLarge: split[1]}
@@ -209,7 +205,7 @@ func NewEngine(opts Options) (*Engine, error) {
 		cores := min(demands[t], pl.Cores)
 		spec := tierSpec{cores: cores, maxCores: cores}
 		if t == TierTiny {
-			// No executor config: the direct path has no CB geometry.
+			spec.cfg32, spec.cfg64 = tinyConfig(pl, 4), tinyConfig(pl, 8)
 			e.tiers[t] = spec
 			continue
 		}
@@ -218,7 +214,7 @@ func NewEngine(opts Options) (*Engine, error) {
 		// bandwidth beside other work (Section 4.3). The large tier plans
 		// once for the whole machine and is admitted at any width from its
 		// slice up to every core; the width only decides how many workers
-		// share the full-machine geometry's strips (see runPooled).
+		// share the full-machine geometry's strips (see run).
 		slice := *pl
 		if t == TierLarge {
 			spec.maxCores = pl.Cores
@@ -271,8 +267,19 @@ func NewEngine(opts Options) (*Engine, error) {
 // state directly; the debug endpoints reach it through reqtrace.Publish.
 func (e *Engine) Tracer() *reqtrace.Tracer { return e.trace }
 
-// tierPlanShape picks the representative problem each tier's config is
-// planned for: tiny never plans (direct path), small uses the largest shape
+// tinyConfig is the tiny tier's config: one core, the 8×8 register tile,
+// α = 1 and mc = kc = the L1 in elements, rounded up to the tile. A problem
+// TierFor calls tiny has m·k + k·n + m·n ≤ L1 elements, so each of m, k and
+// n fits one block edge: the grid is one CB block with K undivided — the
+// degenerate p = 1 case of §4.
+func tinyConfig(pl *platform.Platform, elemBytes int) core.Config {
+	const tile = 8
+	edge := max(tile, (int(pl.L1Bytes)/elemBytes+tile-1)/tile*tile)
+	return core.Config{Cores: 1, MC: edge, KC: edge, Alpha: 1, MR: tile, NR: tile, Dim: core.DimN, Order: core.OrderAuto}
+}
+
+// tierPlanShape picks the representative problem each planned tier's config
+// is built for: small uses the largest shape
 // that still passes the tier's cache test, large uses a deep canonical
 // square so KC and α settle at their asymptotic values.
 func tierPlanShape(t Tier, pl *platform.Platform) (m, k, n int) {
@@ -307,12 +314,9 @@ func (e *Engine) TierFor(m, k, n, elemBytes int) Tier {
 
 // TierConfig exposes the CAKE config a tier's leased executors run with —
 // oracle tests replay the same config on a sequential executor to check the
-// engine bit-exactly. The tiny tier has no config (direct path); it returns
-// the small tier's.
+// engine bit-exactly. The tiny tier's is the one-block config of
+// tinyConfig.
 func (e *Engine) TierConfig(t Tier, elemBytes int) core.Config {
-	if t == TierTiny {
-		t = TierSmall
-	}
 	if elemBytes == 8 {
 		return e.tiers[t].cfg64
 	}
@@ -391,10 +395,12 @@ func (e *Engine) release(n int) {
 	}
 }
 
-// Close drains admission: queued waiters fail with ErrClosed, the resident
-// store frees its packed panels (entries pinned by in-flight GEMMs free at
-// their last unpin — a server reload cycle cannot leak weight memory), and
-// the shared pool shuts down. In-flight calls finish normally.
+// Close stops the engine: new requests and queued waiters fail with
+// ErrClosed, and every request already in flight finishes normally (a
+// request admitted earlier but not yet granted cores fails with ErrClosed).
+// Once the last of them has returned, the resident store frees its packed
+// panels — a server reload cycle cannot leak weight memory — and the shared
+// pool shuts down.
 func (e *Engine) Close() {
 	e.mu.Lock()
 	if e.closed {
@@ -411,18 +417,20 @@ func (e *Engine) Close() {
 		w.err = ErrClosed
 		close(w.ready)
 	}
+	e.requests.Lock()
+	defer e.requests.Unlock()
 	e.resident.Close()
 	e.pool.Close()
 	reqtrace.L().Info("engine closed", "engine", e.name, "drained_waiters", len(ws))
 }
 
-// cachesOf selects the engine's lease caches for the scalar type.
-func cachesOf[T matrix.Scalar](e *Engine) *typedCaches[T] {
+// cachesOf selects the engine's per-tier lease caches for the scalar type.
+func cachesOf[T matrix.Scalar](e *Engine) *[tierCount]sync.Pool {
 	var zero T
 	if _, ok := any(zero).(float32); ok {
-		return any(&e.f32).(*typedCaches[T])
+		return &e.f32
 	}
-	return any(&e.f64).(*typedCaches[T])
+	return &e.f64
 }
 
 // leaseExecutor takes a tier executor from the cache or builds one on the
@@ -432,8 +440,7 @@ func cachesOf[T matrix.Scalar](e *Engine) *typedCaches[T] {
 // request record carries it). Callers own the lease: Put it back on
 // success, Close it on failure.
 func leaseExecutor[T matrix.Scalar](e *Engine, t Tier) (ex *core.Executor[T], reused bool, err error) {
-	tc := cachesOf[T](e)
-	if v := tc.execs[t].Get(); v != nil {
+	if v := cachesOf[T](e)[t].Get(); v != nil {
 		e.leaseReused.Add(1)
 		return v.(*core.Executor[T]), true, nil
 	}
@@ -481,67 +488,28 @@ func (e *Engine) finishRecord(rec *reqtrace.Record, start time.Time, st core.Sta
 	e.trace.Finish(*rec)
 }
 
-// directTileDim is the register tile the tiny tier's direct path runs with
-// (kernel.Best picks the implementation); the resident store packs its
-// tiny-tier panels for the same tile.
-const directTileDim = 8
-
-// runDirect leases a DirectScratch and runs fn on the calling goroutine —
-// the tiny tier. The direct path never touches the shared worker pool, so it
-// holds no core slice and skips admission entirely: queueing a few
-// microseconds of register-tile work behind multi-millisecond CB runs would
-// defeat the tier. rec picks up the lease provenance; admission fields stay
-// zero (the tier never queues).
-func runDirect[T matrix.Scalar](e *Engine, rec *reqtrace.Record, fn func(d *DirectScratch[T]) (core.Stats, error)) (core.Stats, error) {
+// run admits a request on tier t — at least its core slice, at most its
+// maxCores — and runs b on a leased executor with the granted width, B from
+// rb when it is set. A tiny request is not admitted: it holds no pool
+// cores and runs at width 1, so its one block runs on the calling
+// goroutine. rec picks up the admission evidence (queue depth at entry,
+// wait time, granted cores) and the lease provenance.
+func run[T matrix.Scalar](e *Engine, t Tier, rec *reqtrace.Record, b core.Batch[T], rb *core.ResidentB[T]) (core.Stats, error) {
+	b.Width = 1
+	if t != TierTiny {
+		rec.QueueDepth = int32(e.queued.Load())
+		admitStart := time.Now()
+		width, err := e.acquire(e.tiers[t].cores, e.tiers[t].maxCores)
+		rec.AdmitWaitNs = time.Since(admitStart).Nanoseconds()
+		if err != nil {
+			return core.Stats{}, err
+		}
+		rec.Cores = int32(width)
+		defer e.release(width)
+		b.Width = width
+	}
 	e.inFlight.Add(1)
 	defer e.inFlight.Add(-1)
-	tc := cachesOf[T](e)
-	var d *DirectScratch[T]
-	if v := tc.direct.Get(); v != nil {
-		e.leaseReused.Add(1)
-		rec.Lease = reqtrace.LeaseReused
-		d = v.(*DirectScratch[T])
-	} else {
-		e.leaseNew.Add(1)
-		rec.Lease = reqtrace.LeaseNew
-		d = NewDirectScratch[T](directTileDim, directTileDim)
-	}
-	// Return the scratch on every exit, error and panic paths included:
-	// DirectScratch keeps no cross-call state (its tiles are fully
-	// overwritten on the next use), so even a failed run leaves it safe
-	// to reuse, and dropping it would forfeit the warmed buffers the
-	// lease cache exists to keep.
-	defer tc.direct.Put(d)
-	st, err := fn(d)
-	if err != nil {
-		return st, err
-	}
-	elem := int64(unsafe.Sizeof(*new(T)))
-	obs.AccountGemm("cake", st.Blocks,
-		(st.PackedAElems+st.PackedBElems)*elem,
-		(st.ReusedAElems+st.ReusedBElems+st.ResidentBElems)*elem,
-		st.PackNanos, st.ComputeNanos, 0)
-	return st, nil
-}
-
-// runPooled admits a request on tier t — at least its core slice, at most
-// its maxCores — and runs fn on a leased executor with the granted width.
-// rec picks up the admission evidence (queue depth at entry, wait time,
-// granted cores) and the lease provenance.
-func runPooled[T matrix.Scalar](e *Engine, t Tier, rec *reqtrace.Record, fn func(ex *core.Executor[T], width int) (core.Stats, error)) (core.Stats, error) {
-	rec.QueueDepth = int32(e.queued.Load())
-	admitStart := time.Now()
-	width, err := e.acquire(e.tiers[t].cores, e.tiers[t].maxCores)
-	rec.AdmitWaitNs = time.Since(admitStart).Nanoseconds()
-	if err != nil {
-		return core.Stats{}, err
-	}
-	rec.Cores = int32(width)
-	e.inFlight.Add(1)
-	defer func() {
-		e.inFlight.Add(-1)
-		e.release(width)
-	}()
 
 	ex, reused, err := leaseExecutor[T](e, t)
 	if err != nil {
@@ -559,12 +527,12 @@ func runPooled[T matrix.Scalar](e *Engine, t Tier, rec *reqtrace.Record, fn func
 	clean := false
 	defer func() {
 		if clean {
-			cachesOf[T](e).execs[t].Put(ex)
+			cachesOf[T](e)[t].Put(ex)
 		} else {
 			ex.Close()
 		}
 	}()
-	st, err := fn(ex, width)
+	st, err := ex.Do(b, rb)
 	if err != nil {
 		return st, err
 	}

@@ -115,16 +115,8 @@ func TestEngineConcurrentBitExact(t *testing.T) {
 		p.a.Randomize(rng)
 		p.b.Randomize(rng)
 		// Sequential oracle with the exact tier config the engine will use.
-		tier := e.TierFor(m, k, n, 4)
-		if tier == TierTiny {
-			d := NewDirectScratch[float32](8, 8)
-			if _, err := d.Do(Request[float32]{C: mats(p.want), A: mats(p.a), B: mats(p.b), Alpha: 1, Beta: 1}, nil); err != nil {
-				t.Fatal(err)
-			}
-		} else {
-			if _, err := core.Gemm(p.want, p.a, p.b, e.TierConfig(tier, 4)); err != nil {
-				t.Fatal(err)
-			}
+		if _, err := core.Gemm(p.want, p.a, p.b, e.TierConfig(e.TierFor(m, k, n, 4), 4)); err != nil {
+			t.Fatal(err)
 		}
 		probs[i] = p
 	}
@@ -164,9 +156,8 @@ func TestEngineConcurrentBitExact(t *testing.T) {
 	}
 }
 
-// TestEngineLeaseReuse: on every tier, sequential requests reuse the state
-// an earlier one leased — the executor on the pooled tiers, the direct
-// scratch on the tiny tier — so the success path returns its lease.
+// TestEngineLeaseReuse: on every tier, sequential requests reuse the
+// executor an earlier one leased, so the success path returns its lease.
 func TestEngineLeaseReuse(t *testing.T) {
 	e := newTestEngine(t, 2, Options{})
 	rng := rand.New(rand.NewSource(12))

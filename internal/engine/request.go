@@ -3,8 +3,8 @@
 // Do: a single GEMM is a batch of one, and a resident operand is just
 // another B source. The batch takes ONE admission-queue slot and ONE lease
 // for its lifetime, dispatches on the tier of its widest call, and streams
-// its calls through core's batch loop (or the tiny tier's direct loop),
-// which carries shared-operand packed panels across calls. The flight
+// its calls through core's batch loop on that tier's config, which carries
+// shared-operand packed panels across calls. The flight
 // recorder sees ONE record per request, carrying the call count and the
 // amortized per-call latency.
 package engine
@@ -51,7 +51,7 @@ type Request[T matrix.Scalar] struct {
 func (r *Request[T]) callDims(i int, op *residentOperand[T]) (m, k, n int, err error) {
 	var kb int
 	if op != nil {
-		kb, n = op.k, op.n
+		kb, n = op[TierLarge].Dims()
 	} else {
 		kb, n = core.OpDims(r.B[i], r.TransB)
 	}
@@ -67,8 +67,8 @@ func (r *Request[T]) callDims(i int, op *residentOperand[T]) (m, k, n int, err e
 // number of concurrent callers.
 //
 // A panic inside the request — in a pooled pack or compute unit, re-raised
-// on this goroutine by the pool, or in the tiny tier's direct loop — is
-// returned as the request's error. By then the deferred settlements below
+// on this goroutine by the pool, or in a unit run inline on this goroutine —
+// is returned as the request's error. By then the deferred settlements below
 // Do have run: the resident pin is released, the admitted cores are
 // returned and the leased executor is dropped, not cached.
 func Do[T matrix.Scalar](e *Engine, r Request[T]) (st core.Stats, err error) {
@@ -98,6 +98,9 @@ func do[T matrix.Scalar](e *Engine, rec *reqtrace.Record, r *Request[T]) (core.S
 	if len(r.C) > 1 {
 		rec.BatchCalls = int32(len(r.C))
 	}
+	// Close waits for this request before it shuts the pool down.
+	e.requests.RLock()
+	defer e.requests.RUnlock()
 	if e.closedFast.Load() {
 		return core.Stats{}, ErrClosed
 	}
@@ -137,35 +140,17 @@ func dispatch[T matrix.Scalar](e *Engine, rec *reqtrace.Record, r *Request[T], o
 	// layout of any tier it can land on (see residentOperand); fall through
 	// to the next tier up if a pathological platform geometry ever breaks
 	// that.
-	if op != nil && t == TierTiny && op.tiny == nil {
-		t = TierSmall
-	}
-	if op != nil && t == TierSmall && op.small == nil {
-		t = TierLarge
+	var rb *core.ResidentB[T]
+	if op != nil {
+		for op[t] == nil {
+			t++
+		}
+		rb = op[t]
 	}
 	rec.Tier = t.String()
 	e.tierHits[t].Add(1)
 
-	var st core.Stats
-	var err error
-	if t == TierTiny {
-		st, err = runDirect(e, rec, func(d *DirectScratch[T]) (core.Stats, error) {
-			return d.Do(*r, op)
-		})
-	} else {
-		b := core.Batch[T]{C: r.C, A: r.A, B: r.B, TransA: r.TransA, TransB: r.TransB, Alpha: r.Alpha, Beta: r.Beta}
-		var rb *core.ResidentB[T]
-		if op != nil {
-			rb = op.large
-			if t == TierSmall {
-				rb = op.small
-			}
-		}
-		st, err = runPooled(e, t, rec, func(ex *core.Executor[T], width int) (core.Stats, error) {
-			b.Width = width
-			return ex.Do(b, rb)
-		})
-	}
+	st, err := run(e, t, rec, core.Batch[T]{C: r.C, A: r.A, B: r.B, TransA: r.TransA, TransB: r.TransB, Alpha: r.Alpha, Beta: r.Beta}, rb)
 	if err != nil {
 		return st, err
 	}

@@ -14,10 +14,8 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/engine/resident"
-	"repro/internal/kernel"
 	"repro/internal/matrix"
 	"repro/internal/obs"
-	"repro/internal/packing"
 )
 
 // Resident-store sentinel errors, re-exported so callers don't import the
@@ -44,17 +42,26 @@ var (
 // unbounded registration loops.
 const DefaultResidentBudget int64 = 256 << 20
 
-// residentOperand is one registered B packed for every dispatch tier that
-// could serve it. The large layout always exists (any problem can land
-// there); the tiny and small layouts exist iff the tier's cache arithmetic
-// can ever select them for this operand — TierFor guarantees a+b+c ≤ L1
-// implies b ≤ L1 and c+2(a+b) ≤ LLC implies 2b ≤ LLC, so a tier hit always
-// finds its layout present.
-type residentOperand[T matrix.Scalar] struct {
-	k, n  int
-	tiny  []T                // whole-operand kernel-NR panels (direct path)
-	small *core.ResidentB[T] // single-CB-block tier grid
-	large *core.ResidentB[T] // full K-first panel grid
+// residentOperand is one registered B packed into the panel grid of every
+// dispatch tier that could serve it, indexed by Tier (nil where the tier
+// never can). The large layout always exists (any problem can land there);
+// the tiny and small layouts exist iff the tier's cache arithmetic can ever
+// select them for this operand — see mayLand — so a tier hit always finds
+// its layout present. The tiny layout is one cell: the whole operand in
+// kernel-NR panels.
+type residentOperand[T matrix.Scalar] [tierCount]*core.ResidentB[T]
+
+// mayLand reports whether a problem whose B operand takes bBytes can ever
+// land on tier t: TierFor's a+b+c ≤ L1 implies b ≤ L1, and its
+// c+2(a+b) ≤ LLC implies 2b ≤ LLC.
+func (e *Engine) mayLand(t Tier, bBytes int64) bool {
+	switch t {
+	case TierTiny:
+		return bBytes <= e.pl.L1Bytes
+	case TierSmall:
+		return 2*bBytes <= e.pl.LLCBytes
+	}
+	return true
 }
 
 // RegisterB packs B (stored K×N) once into the engine's per-tier panel
@@ -77,35 +84,21 @@ func RegisterBT[T matrix.Scalar](e *Engine, id string, b *matrix.Matrix[T], tran
 	if transB {
 		k, n = n, k
 	}
-	var zero T
-	elem := int64(unsafe.Sizeof(zero))
-	op := &residentOperand[T]{k: k, n: n}
+	elem := int64(unsafe.Sizeof(*new(T)))
 	bBytes := int64(k) * int64(n) * elem
+	op := new(residentOperand[T])
 	var total int64
-	if bBytes <= e.pl.L1Bytes {
-		kern := kernel.Best[T](directTileDim, directTileDim)
-		op.tiny = make([]T, packing.PackedBSize(k, n, kern.NR))
-		if transB {
-			packing.PackBT(op.tiny, b, kern.NR)
-		} else {
-			packing.PackB(op.tiny, b, kern.NR)
+	for t := Tier(0); t < tierCount; t++ {
+		if !e.mayLand(t, bBytes) {
+			continue
 		}
-		total += int64(len(op.tiny)) * elem
-	}
-	if 2*bBytes <= e.pl.LLCBytes {
-		rb, err := core.PackResidentB(e.TierConfig(TierSmall, int(elem)), b, transB)
+		rb, err := core.PackResidentB(e.TierConfig(t, int(elem)), b, transB)
 		if err != nil {
-			return fmt.Errorf("engine: register %q small tier: %w", id, err)
+			return fmt.Errorf("engine: register %q %s tier: %w", id, t, err)
 		}
-		op.small = rb
+		op[t] = rb
 		total += rb.Bytes()
 	}
-	rb, err := core.PackResidentB(e.TierConfig(TierLarge, int(elem)), b, transB)
-	if err != nil {
-		return fmt.Errorf("engine: register %q large tier: %w", id, err)
-	}
-	op.large = rb
-	total += rb.Bytes()
 	return e.resident.Register(id, op, total)
 }
 

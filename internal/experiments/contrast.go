@@ -301,7 +301,7 @@ func serveMixSide(e *engine.Engine, pools map[engine.Tier][]serveWorkItem, cores
 // pre-engine concurrency answer — one full-CAKE executor planned for a
 // large shape, a mutex serializing every caller. Under the mutex,
 // microsecond tiny requests wait behind tens-of-milliseconds large GEMMs;
-// the engine's direct tiny path never enters that queue.
+// the engine's tiny tier skips admission and never enters that queue.
 func serializedContrast(env contrastEnv) (claim, other contrastSide, release func(), err error) {
 	pl := servePlatform(env.cores)
 	eng, err := engine.NewEngine(engine.Options{Platform: pl, Name: "corpus-serve", LargePanelSlots: 8})
@@ -333,10 +333,12 @@ func serializedContrast(env contrastEnv) (claim, other contrastSide, release fun
 }
 
 // tinyDispatchContrast: the serve mix's tiny GEMMs down both dispatch paths
-// sequentially on one goroutine — the engine's direct microkernel path and
-// a full-CAKE executor — isolating dispatch overhead from contention. The
-// cost is the p50 per-call latency, robust to timer outliers on
-// microsecond samples.
+// sequentially on one goroutine — the engine's tiny tier (claim label
+// "direct", kept from when the tier had its own loop: an executor on the
+// tiny tier's one-core, one-block config, at width 1) and a full-CAKE
+// executor planned for a large shape — isolating dispatch overhead from
+// contention. The cost is the p50 per-call latency, robust to timer
+// outliers on microsecond samples.
 func tinyDispatchContrast(env contrastEnv) (claim, other contrastSide, release func(), err error) {
 	pl := servePlatform(env.cores)
 	eng, err := engine.NewEngine(engine.Options{Platform: pl, Name: "corpus-tiny"})
@@ -344,6 +346,7 @@ func tinyDispatchContrast(env contrastEnv) (claim, other contrastSide, release f
 		return nil, nil, nil, err
 	}
 	tiny := serveWorkload(eng)[engine.TierTiny]
+	tinyCfg := eng.TierConfig(engine.TierTiny, 4)
 	eng.Close()
 	cfg, err := core.Plan(pl, 384, 384, 384, 4)
 	if err != nil {
@@ -351,6 +354,11 @@ func tinyDispatchContrast(env contrastEnv) (claim, other contrastSide, release f
 	}
 	ex, err := core.NewExecutor[float32](cfg, nil)
 	if err != nil {
+		return nil, nil, nil, err
+	}
+	tinyEx, err := core.NewExecutor[float32](tinyCfg, nil)
+	if err != nil {
+		ex.Close()
 		return nil, nil, nil, err
 	}
 	reps := 20
@@ -361,13 +369,13 @@ func tinyDispatchContrast(env contrastEnv) (claim, other contrastSide, release f
 	for i, it := range tiny {
 		cs[i] = matrix.New[float32](it.m, it.n)
 	}
-	p50 := func(call func(i int) error) contrastSide {
+	p50 := func(ex *core.Executor[float32]) contrastSide {
 		return func() (float64, error) {
 			lat := make([]time.Duration, 0, reps*len(tiny))
 			for r := 0; r < reps; r++ {
-				for i := range tiny {
+				for i, it := range tiny {
 					t0 := time.Now()
-					if err := call(i); err != nil {
+					if _, err := ex.Gemm(cs[i], it.a, it.b); err != nil {
 						return 0, err
 					}
 					lat = append(lat, time.Since(t0))
@@ -376,17 +384,7 @@ func tinyDispatchContrast(env contrastEnv) (claim, other contrastSide, release f
 			return percentileMicros(lat, 50), nil
 		}
 	}
-	d := engine.NewDirectScratch[float32](8, 8)
-	direct := p50(func(i int) error {
-		it := &tiny[i]
-		_, err := d.Do(engine.Request[float32]{C: cs[i : i+1], A: []*matrix.Matrix[float32]{it.a}, B: []*matrix.Matrix[float32]{it.b}, Alpha: 1}, nil)
-		return err
-	})
-	cake := p50(func(i int) error {
-		_, err := ex.Gemm(cs[i], tiny[i].a, tiny[i].b)
-		return err
-	})
-	return direct, cake, ex.Close, nil
+	return p50(tinyEx), p50(ex), func() { tinyEx.Close(); ex.Close() }, nil
 }
 
 // recorderContrast: the serve mix through two engines that differ only in

@@ -110,7 +110,7 @@ type corpusShape struct {
 // lands in is host-independent and the cell keys stay stable across machines.
 func corpusShapes(quick bool) []corpusShape {
 	shapes := []corpusShape{
-		{"tiny", 8, 24, 24, 600},          // direct-microkernel tier
+		{"tiny", 8, 24, 24, 600},          // one-block, one-core tier
 		{"small", 8, 320, 320, 60},        // cache-resident single-block tier
 		{"large", 256, 256, 256, 4},       // full pipelined CAKE
 		{"skewed", 32, 1024, 512, 3},      // §5.2.1 pack-heavy small-M class
@@ -134,7 +134,7 @@ func corpusShapes(quick bool) []corpusShape {
 var corpusScenarios = []string{"fresh", "resident", "serve"}
 
 // corpusBatchCells is the batch scenario's own (shape index, batch size)
-// axis: the tiny direct tier at batch 32 (the batch-vs-looped contrast's
+// axis: the tiny tier at batch 32 (the batch-vs-looped contrast's
 // class) and the small cache-resident tier at batch 8.
 var corpusBatchCells = []struct {
 	shapeIdx int

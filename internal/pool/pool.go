@@ -35,6 +35,11 @@ type job struct {
 	next atomic.Int64
 	wg   sync.WaitGroup
 
+	// stride, when non-zero, makes the job static (ForStaticLabeled): its
+	// n claims are virtual cores, and core c runs f(c, i) for items
+	// i = c, c+stride, … below items.
+	stride, items int
+
 	// ctx, when non-nil, carries pprof labels (see runtime/pprof.Do) that
 	// each worker goroutine wears while running this job's items, so CPU
 	// profiles attribute samples to {executor, phase}. Jobs submitted
@@ -116,14 +121,21 @@ func (p *Pool) serve(j *job, id int) {
 	}
 }
 
-// runItems drains the job's remaining items on worker id.
+// runItems drains the job's remaining items (virtual cores, for a static
+// job) on worker id.
 func (p *Pool) runItems(j *job, id int) {
 	for {
 		i := j.next.Add(1) - 1
 		if i >= j.n {
 			break
 		}
-		j.f(id, int(i))
+		if j.stride == 0 {
+			j.f(id, int(i))
+			continue
+		}
+		for item := int(i); item < j.items; item += j.stride {
+			j.f(int(i), item)
+		}
 	}
 }
 
@@ -136,15 +148,17 @@ func (p *Pool) Workers() int { return p.workers }
 // helper goroutine so the caller never blocks behind busy workers.
 func (p *Pool) enqueue(j *job, fan int, async bool) {
 	j.wg.Add(fan)
-	send := func() {
-		for w := 0; w < fan; w++ {
-			p.jobs <- j
-		}
-	}
 	if async {
-		go send()
+		go p.send(j, fan)
 	} else {
-		send()
+		p.send(j, fan)
+	}
+}
+
+// send hands j to fan workers.
+func (p *Pool) send(j *job, fan int) {
+	for w := 0; w < fan; w++ {
+		p.jobs <- j
 	}
 }
 
@@ -176,16 +190,13 @@ func (p *Pool) ForLabeled(ctx context.Context, n int, f func(worker, item int)) 
 // runInline executes small jobs on the caller goroutine, still honouring
 // the job's label set so single-worker profiles stay attributed.
 func (p *Pool) runInline(ctx context.Context, n int, f func(worker, item int)) {
-	body := func() {
-		for i := 0; i < n; i++ {
-			f(0, i)
-		}
-	}
 	if ctx != nil {
-		pprof.Do(ctx, pprof.Labels(), func(context.Context) { body() })
+		pprof.Do(ctx, pprof.Labels(), func(context.Context) { p.runInline(nil, n, f) })
 		return
 	}
-	body()
+	for i := 0; i < n; i++ {
+		f(0, i)
+	}
 }
 
 // SubmitLabeled enqueues a ForLabeled-style dynamic job without waiting for
@@ -238,12 +249,7 @@ func (p *Pool) ForStaticLabeled(ctx context.Context, width, n int, f func(core, 
 		p.runInline(ctx, n, f)
 		return
 	}
-	j := &job{n: int64(fan), ctx: ctx}
-	j.f = func(_, core int) {
-		for i := core; i < n; i += fan {
-			f(core, i)
-		}
-	}
+	j := &job{f: f, n: int64(fan), ctx: ctx, stride: fan, items: n}
 	p.enqueue(j, fan, false)
 	j.wait()
 }

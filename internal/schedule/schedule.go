@@ -73,9 +73,14 @@ func KFirst(d Dims, o Order) []Coord {
 	if err := d.Validate(); err != nil {
 		panic(err)
 	}
-	out := make([]Coord, 0, d.Blocks())
-	Walk(d, o, func(c Coord) { out = append(out, c) })
-	return out
+	return AppendKFirst(make([]Coord, 0, d.Blocks()), d, o)
+}
+
+// AppendKFirst appends KFirst's sequence to dst and returns the extended
+// slice, so a caller that runs many schedules can reuse one buffer.
+func AppendKFirst(dst []Coord, d Dims, o Order) []Coord {
+	Walk(d, o, func(c Coord) { dst = append(dst, c) })
+	return dst
 }
 
 // Walk streams Algorithm 2's sequence to fn without materialising it,
