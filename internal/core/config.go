@@ -121,11 +121,13 @@ func (c Config) stripRows(mEff int) int {
 // GridFor returns the CB block grid covering an M×K×N computation space.
 func (c Config) GridFor(m, k, n int) schedule.Dims {
 	bm, bk, bn := c.BlockDims()
-	return schedule.Dims{
-		Mb: ceilDiv(m, bm),
-		Nb: ceilDiv(n, bn),
-		Kb: ceilDiv(k, bk),
-	}
+	return gridFor(m, k, n, bm, bk, bn)
+}
+
+// gridFor is GridFor for block extents already in hand (an executor keeps
+// its config's).
+func gridFor(m, k, n, bm, bk, bn int) schedule.Dims {
+	return schedule.Dims{Mb: ceilDiv(m, bm), Nb: ceilDiv(n, bn), Kb: ceilDiv(k, bk)}
 }
 
 func (c Config) String() string {
