@@ -81,7 +81,7 @@ type pipeStage struct {
 	packedA, packedB bool // false → panel reused, no pack ran
 	aUnits           int  // pack units [0, aUnits) pack A, the rest B
 	async            bool // pack job runs on the pool (lookahead), timed by its units
-	handle           *pool.Handle
+	handle           pool.Handle
 	pending          atomic.Int32
 	startNs          atomic.Int64 // first pack unit to start, ns since e.epoch (0 = none yet)
 	doneNs           atomic.Int64 // last pack unit to finish, ns since e.epoch
@@ -150,7 +150,7 @@ func claimSlot(keys []panelKey, ticks []int64, clock *int64, key panelKey, busy 
 //cake:hotpath-exempt per-block job submission; the per-element work lives in packAUnit/packBUnit and the packing package
 func (e *Executor[T]) submitPack(s *pipeStage, busyA, busyB int, async bool) {
 	blk := &s.blk
-	s.async, s.handle = async, nil
+	s.async, s.handle = async, pool.Handle{}
 	if async {
 		s.startNs.Store(0)
 		s.doneNs.Store(0)

@@ -11,17 +11,17 @@ import (
 // TestRequestAllocs bounds the heap allocations of one warm engine request
 // (f32, 2-core test platform) per tier and B source. The tiny tier's one
 // block runs without allocating; what the pooled tiers allocate is the
-// pool's per-job bookkeeping (a static job per multi-worker phase, a job,
-// handle and send goroutine per lookahead pack). The resident source adds
-// the store pin's handle.
+// pool's per-job bookkeeping (a static job per multi-worker phase, a job
+// and a send goroutine per lookahead pack; the pack's Handle is a value).
+// The resident source adds the store pin's handle.
 func TestRequestAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("sync.Pool drops leases at random under -race")
 	}
 	bounds := map[Tier][2]float64{ // fresh, resident
 		TierTiny:  {0, 2},
-		TierSmall: {9, 8},
-		TierLarge: {57, 53},
+		TierSmall: {6, 6},
+		TierLarge: {45, 43},
 	}
 	e := newTestEngine(t, 2, Options{})
 	rng := rand.New(rand.NewSource(1900))

@@ -14,7 +14,12 @@
 // Per the reproduction constraints there is no assembly: specialised kernels
 // are hand-unrolled pure Go. Absolute FLOP rates are below vendor BLAS, but
 // the arithmetic structure — and therefore the memory behaviour the paper
-// studies — is identical.
+// studies — is identical. What bounds a pure-Go kernel is not its FP units:
+// Go keeps arrays in memory, never in registers, so an mr×nr accumulator
+// array costs a stack load and store per access, and scalar code has no
+// SIMD. The unrolled kernels take k four steps at a time, so they do one
+// accumulator load and store per four multiply-adds (one per multiply-add
+// in the plain form), with results bit-identical to that plain form.
 package kernel
 
 import (
@@ -79,8 +84,8 @@ func Best[T matrix.Scalar](mr, nr int) Kernel[T] {
 }
 
 // Default returns the kernel used when the caller expresses no preference.
-// 8×8 gives the best sustained rate of the pure-Go kernels on typical
-// out-of-order cores (see BenchmarkAblationKernel).
+// 8×8 is among the fastest pure-Go kernels: in BenchmarkAblationKernel it,
+// 6×8 and 8×4 lie within each other's run-to-run spread (EXPERIMENTS.md).
 func Default[T matrix.Scalar]() Kernel[T] { return Best[T](8, 8) }
 
 // Scratch holds the temporary tile used for edge handling so that hot loops

@@ -1,7 +1,10 @@
 package kernel
 
 import (
+	"encoding/binary"
+	"math"
 	"math/rand"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -223,5 +226,161 @@ func TestKernelsAgreeQuick(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// refKernel is the array-accumulator form the unrolled kernels had before
+// they took k four steps at a time, for any mr×nr: each accumulator starts
+// at 0 and adds its kc products in k order one step at a time, then C += acc
+// once. The unrolled kernels must match it bit for bit.
+func refKernel[T matrix.Scalar](mr, nr, kc int, a, b, c []T, ldc int) {
+	acc := make([]T, mr*nr)
+	for k := 0; k < kc; k++ {
+		for i := 0; i < mr; i++ {
+			ai := a[k*mr+i]
+			for j := 0; j < nr; j++ {
+				acc[i*nr+j] += ai * b[k*nr+j]
+			}
+		}
+	}
+	for i := 0; i < mr; i++ {
+		for j := 0; j < nr; j++ {
+			c[i*ldc+j] += acc[i*nr+j]
+		}
+	}
+}
+
+// specials returns the IEEE values the bit-exact checks mix into their
+// inputs: NaN, ±Inf, ±0, the smallest and largest subnormal, and the
+// largest finite value.
+func specials[T matrix.Scalar]() []T {
+	var z T
+	switch any(z).(type) {
+	case float32:
+		return any([]float32{
+			float32(math.NaN()), float32(math.Inf(1)), float32(math.Inf(-1)),
+			0, float32(math.Copysign(0, -1)),
+			math.Float32frombits(1), -math.Float32frombits(0x007fffff), math.MaxFloat32,
+		}).([]T)
+	default:
+		return any([]float64{
+			math.NaN(), math.Inf(1), math.Inf(-1),
+			0, math.Copysign(0, -1),
+			math.Float64frombits(1), -math.Float64frombits(0x000fffffffffffff), math.MaxFloat64,
+		}).([]T)
+	}
+}
+
+// bitsEqual reports whether x and y have the same bits; any NaN matches any
+// NaN, since IEEE leaves the payload of a NaN result unspecified.
+func bitsEqual[T matrix.Scalar](x, y T) bool {
+	if x != x && y != y {
+		return true
+	}
+	switch x := any(x).(type) {
+	case float32:
+		return math.Float32bits(x) == math.Float32bits(any(y).(float32))
+	default:
+		return math.Float64bits(any(x).(float64)) == math.Float64bits(any(y).(float64))
+	}
+}
+
+// fillMixed fills xs with values of widely spread magnitude, so a change in
+// summation order changes the rounded result, and replaces about one value
+// in every rate with a special (rate 0: none).
+func fillMixed[T matrix.Scalar](rng *rand.Rand, xs []T, rate int) {
+	sp := specials[T]()
+	for i := range xs {
+		if rate > 0 && rng.Intn(rate) == 0 {
+			xs[i] = sp[rng.Intn(len(sp))]
+			continue
+		}
+		xs[i] = T(math.Ldexp(2*rng.Float64()-1, rng.Intn(41)-20))
+	}
+}
+
+// checkBitExact fills an mr×kc A panel, a kc×nr B panel and an mr×ldc C
+// from rng (see fillMixed), overwrites their leading values with raw, runs k
+// and refKernel on them, and fails on the first element of C whose bits
+// differ; ldc > nr also checks that the columns past the tile stay untouched.
+func checkBitExact[T matrix.Scalar](t *testing.T, k Kernel[T], rng *rand.Rand, kc, ldc, rate int, raw []T) {
+	t.Helper()
+	ap, bp, want := make([]T, k.MR*kc), make([]T, kc*k.NR), make([]T, k.MR*ldc)
+	for _, xs := range [][]T{ap, bp, want} {
+		fillMixed(rng, xs, rate)
+		raw = raw[copy(xs, raw):]
+	}
+	got := append([]T(nil), want...)
+	k.F(kc, ap, bp, got, ldc)
+	refKernel(k.MR, k.NR, kc, ap, bp, want, ldc)
+	for i := range got {
+		if !bitsEqual(got[i], want[i]) {
+			t.Fatalf("%s %T kc=%d ldc=%d: C[%d][%d] = %v, reference %v", k.Name, got[i], kc, ldc, i/ldc, i%ldc, got[i], want[i])
+		}
+	}
+}
+
+var unrolledShapes = [][2]int{{8, 8}, {6, 8}, {4, 8}, {8, 4}, {4, 4}}
+
+func testUnrolledBitExact[T matrix.Scalar](t *testing.T) {
+	rng := rand.New(rand.NewSource(19))
+	for _, s := range unrolledShapes {
+		k := Best[T](s[0], s[1])
+		if !strings.HasPrefix(k.Name, "unrolled") {
+			t.Fatalf("expected unrolled kernel for %dx%d, got %s", s[0], s[1], k.Name)
+		}
+		for _, kc := range []int{0, 1, 2, 3, 4, 5, 7, 8, 100, 176} {
+			for _, rate := range []int{0, 16, 3} {
+				checkBitExact(t, k, rng, kc, k.NR+3, rate, nil)
+			}
+		}
+	}
+}
+
+// TestUnrolledKernelsBitExact: every unrolled specialisation, f32 and f64,
+// matches the one-step reference bit for bit, across kc on both sides of
+// the four-step grouping and inputs with NaN, ±Inf, −0 and subnormals.
+func TestUnrolledKernelsBitExact(t *testing.T) {
+	t.Run("float32", testUnrolledBitExact[float32])
+	t.Run("float64", testUnrolledBitExact[float64])
+}
+
+// FuzzKernelBitExact: the property of TestUnrolledKernelsBitExact over
+// random shapes, kc, C strides and values. raw overwrites the leading inputs
+// with the fuzzer's own bit patterns.
+func FuzzKernelBitExact(f *testing.F) {
+	f.Add(int64(1), uint8(0), uint8(176), uint8(0), uint8(0), false, []byte{})
+	f.Add(int64(2), uint8(1), uint8(7), uint8(3), uint8(4), true, []byte{0x7f, 0x80, 0, 0, 0x80, 0, 0, 0})
+	f.Add(int64(3), uint8(4), uint8(5), uint8(1), uint8(2), false, []byte{1, 0, 0, 0, 0xff, 0xff, 0x7f, 0})
+	f.Fuzz(func(t *testing.T, seed int64, shape, kc, pad, rate uint8, f64 bool, raw []byte) {
+		s := unrolledShapes[int(shape)%len(unrolledShapes)]
+		rng := rand.New(rand.NewSource(seed))
+		if f64 {
+			k := Best[float64](s[0], s[1])
+			checkBitExact(t, k, rng, int(kc), k.NR+int(pad)%8, int(rate)%8, rawValues[float64](raw))
+		} else {
+			k := Best[float32](s[0], s[1])
+			checkBitExact(t, k, rng, int(kc), k.NR+int(pad)%8, int(rate)%8, rawValues[float32](raw))
+		}
+	})
+}
+
+// rawValues reads raw as little-endian T bit patterns, dropping a partial
+// trailing one.
+func rawValues[T matrix.Scalar](raw []byte) []T {
+	var z T
+	switch any(z).(type) {
+	case float32:
+		vs := make([]float32, len(raw)/4)
+		for i := range vs {
+			vs[i] = math.Float32frombits(binary.LittleEndian.Uint32(raw[4*i:]))
+		}
+		return any(vs).([]T)
+	default:
+		vs := make([]float64, len(raw)/8)
+		for i := range vs {
+			vs[i] = math.Float64frombits(binary.LittleEndian.Uint64(raw[8*i:]))
+		}
+		return any(vs).([]T)
 	}
 }

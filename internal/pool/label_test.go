@@ -65,7 +65,8 @@ func TestLabeledNilContext(t *testing.T) {
 	var n atomic.Int32
 	p.ForLabeled(nil, 32, func(_, _ int) { n.Add(1) })
 	p.ForStaticLabeled(nil, 0, 32, func(_, _ int) { n.Add(1) })
-	p.SubmitLabeled(nil, 0, 32, func(_, _ int) { n.Add(1) }).Wait()
+	h := p.SubmitLabeled(nil, 0, 32, func(_, _ int) { n.Add(1) })
+	h.Wait()
 	if n.Load() != 96 {
 		t.Fatalf("ran %d of 96 items", n.Load())
 	}

@@ -207,16 +207,16 @@ func (p *Pool) runInline(ctx context.Context, n int, f func(worker, item int)) {
 // most width workers claim the job's items — how a caller holding a share of
 // a shared pool keeps its fan-out inside that share; width outside
 // [1, Workers()] means Workers().
-func (p *Pool) SubmitLabeled(ctx context.Context, width, n int, f func(worker, item int)) *Handle {
+func (p *Pool) SubmitLabeled(ctx context.Context, width, n int, f func(worker, item int)) Handle {
 	if n <= 0 {
-		return &Handle{}
+		return Handle{}
 	}
 	if p.closed.Load() {
 		panic("pool: SubmitLabeled on closed pool")
 	}
 	j := &job{f: f, n: int64(n), ctx: ctx}
 	p.enqueue(j, min(n, p.width(width)), true)
-	return &Handle{j: j}
+	return Handle{j: j}
 }
 
 // width clamps a caller's requested fan-out to the pool.

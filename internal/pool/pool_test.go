@@ -195,7 +195,7 @@ func TestManyConcurrentSubmits(t *testing.T) {
 	p := New(4)
 	defer p.Close()
 	var total atomic.Int64
-	handles := make([]*Handle, 32)
+	handles := make([]Handle, 32)
 	for i := range handles {
 		handles[i] = p.SubmitLabeled(nil, 0, 17, func(_, _ int) { total.Add(1) })
 	}
@@ -296,12 +296,13 @@ func TestWidthBoundsFanOut(t *testing.T) {
 		var mu sync.Mutex
 		workers := map[int]bool{}
 		ran := 0
-		p.SubmitLabeled(nil, width, n, func(w, _ int) {
+		h := p.SubmitLabeled(nil, width, n, func(w, _ int) {
 			mu.Lock()
 			workers[w] = true
 			ran++
 			mu.Unlock()
-		}).Wait()
+		})
+		h.Wait()
 		if ran != n || len(workers) > width {
 			t.Fatalf("width %d: %d items on %d workers", width, ran, len(workers))
 		}
@@ -325,8 +326,8 @@ func TestItemPanicReachesWaiter(t *testing.T) {
 		{"ForLabeled", func(p *Pool, f func(int, int)) { p.ForLabeled(labelCtx(), n, f) }},
 		{"ForStatic", func(p *Pool, f func(int, int)) { p.ForStaticLabeled(nil, 0, n, f) }},
 		{"ForStaticLabeled", func(p *Pool, f func(int, int)) { p.ForStaticLabeled(labelCtx(), 3, n, f) }},
-		{"Submit", func(p *Pool, f func(int, int)) { p.SubmitLabeled(nil, 0, n, f).Wait() }},
-		{"SubmitLabeled", func(p *Pool, f func(int, int)) { p.SubmitLabeled(labelCtx(), 3, n, f).Wait() }},
+		{"Submit", func(p *Pool, f func(int, int)) { h := p.SubmitLabeled(nil, 0, n, f); h.Wait() }},
+		{"SubmitLabeled", func(p *Pool, f func(int, int)) { h := p.SubmitLabeled(labelCtx(), 3, n, f); h.Wait() }},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			p := New(w)
