@@ -257,6 +257,12 @@ func TestEngineMaxQueueSaturation(t *testing.T) {
 	if n, err := e.acquire(1, 1); !errors.Is(err, ErrSaturated) || n != 0 {
 		t.Fatalf("over-queue acquire = %d, %v, want 0, ErrSaturated", n, err)
 	}
+	// Rejected counts requests, tallied when their records finish; the bare
+	// acquire above is not one. A request at the full queue is.
+	a, b := matrix.New[float32](64, 48), matrix.New[float32](48, 80)
+	if _, err := Do(e, Request[float32]{C: mats(matrix.New[float32](64, 80)), A: mats(a), B: mats(b), Alpha: 1}); !errors.Is(err, ErrSaturated) {
+		t.Fatalf("request at the full queue = %v, want ErrSaturated", err)
+	}
 	if got := e.Counters().Rejected; got != 1 {
 		t.Fatalf("rejected = %d, want 1", got)
 	}

@@ -202,8 +202,7 @@ func TestRequestLifecycleEndToEnd(t *testing.T) {
 	}
 
 	// The debug endpoint serves the exact record by ID, through the same
-	// handler a live host mounts.
-	reqtrace.Publish(e.Tracer())
+	// handler a live host mounts (NewEngine published the tracer).
 	target := recs[len(recs)-1]
 	srv := httptest.NewServer(obs.DebugHandler())
 	defer srv.Close()

@@ -148,7 +148,6 @@ func dispatch[T matrix.Scalar](e *Engine, rec *reqtrace.Record, r *Request[T], o
 		rb = op[t]
 	}
 	rec.Tier = t.String()
-	e.tierHits[t].Add(1)
 
 	st, err := run(e, t, rec, core.Batch[T]{C: r.C, A: r.A, B: r.B, TransA: r.TransA, TransB: r.TransB, Alpha: r.Alpha, Beta: r.Beta}, rb)
 	if err != nil {

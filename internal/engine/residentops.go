@@ -15,7 +15,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/engine/resident"
 	"repro/internal/matrix"
-	"repro/internal/obs"
 )
 
 // Resident-store sentinel errors, re-exported so callers don't import the
@@ -114,20 +113,6 @@ func (e *Engine) ReleaseB(id string) error {
 
 // ResidentStats snapshots the resident store's counters.
 func (e *Engine) ResidentStats() resident.Stats { return e.resident.Stats() }
-
-// residentStatsFor maps store counters onto the obs export shape.
-func residentStatsFor(s resident.Stats) obs.ResidentStats {
-	return obs.ResidentStats{
-		Entries:          s.Entries,
-		Pinned:           s.Pinned,
-		Bytes:            s.Bytes,
-		Budget:           s.Budget,
-		Hits:             s.Hits,
-		Misses:           s.Misses,
-		Evictions:        s.Evictions,
-		AvoidedPackBytes: s.AvoidedPackBytes,
-	}
-}
 
 // residentHandle pairs a store pin with its typed payload for the duration
 // of one GEMM.

@@ -1,129 +1,17 @@
 package obs
 
-// Engine observability: the concurrent GEMM engine (internal/engine) reports
-// its serving-side state — in-flight and queued requests, size-tier hits,
-// executor-lease reuse — through the same expvar + Prometheus surface the
-// executor counters use, so a serving host's saturation and dispatch mix are
-// visible next to its per-GEMM traffic accounting.
-
-import (
-	"expvar"
-	"fmt"
-	"io"
-	"sort"
-	"sync"
-)
-
-// EngineStats is a point-in-time snapshot of one engine's serving counters.
-// InFlight and Queued are gauges; the rest are cumulative totals.
+// EngineStats is a point-in-time snapshot of one concurrent GEMM engine's
+// serving counters (internal/engine), exported as the cake_engine expvar and
+// the cake_engine_* Prometheus families. InFlight and Queued are gauges;
+// the rest are cumulative totals.
 type EngineStats struct {
 	InFlight    int64 // requests currently holding cores
 	Queued      int64 // requests waiting for admission
 	QueuedTotal int64 // requests that ever waited
 	Rejected    int64 // requests refused at the admission limit
-	TierTiny    int64 // dispatches down the direct-microkernel path
-	TierSmall   int64 // dispatches down the single-CB-block path
-	TierLarge   int64 // dispatches down the full pipelined path
+	TierTiny    int64 // requests dispatched on the tiny tier (one block on one core)
+	TierSmall   int64 // requests dispatched on the small tier (one CB block)
+	TierLarge   int64 // requests dispatched on the large tier (the full pipelined path)
 	LeaseNew    int64 // executor leases served by constructing a new executor
 	LeaseReused int64 // executor leases served from the per-tier pool
-}
-
-var (
-	enginesMu  sync.Mutex
-	enginesVar *expvar.Map
-	engineFns  = map[string]func() EngineStats{}
-)
-
-// PublishEngine registers a live stats callback under the process-wide
-// "cake_engine" expvar map. Re-publishing a name replaces its callback (the
-// previous engine is usually closed), so tests and engine restarts are safe.
-// The callback must be safe to call from any goroutine.
-func PublishEngine(name string, fn func() EngineStats) {
-	enginesMu.Lock()
-	defer enginesMu.Unlock()
-	if enginesVar == nil {
-		enginesVar = expvar.NewMap("cake_engine")
-	}
-	if _, ok := engineFns[name]; !ok {
-		n := name
-		enginesVar.Set(n, expvar.Func(func() any {
-			enginesMu.Lock()
-			fn := engineFns[n]
-			enginesMu.Unlock()
-			if fn == nil {
-				return EngineStats{}
-			}
-			return fn()
-		}))
-	}
-	engineFns[name] = fn
-}
-
-// engineSnapshots returns the registered engines' stats in deterministic
-// (sorted-name) order. The callbacks run outside the registry lock.
-func engineSnapshots() ([]string, []EngineStats) {
-	enginesMu.Lock()
-	names := make([]string, 0, len(engineFns))
-	for name := range engineFns {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	fns := make([]func() EngineStats, len(names))
-	for i, name := range names {
-		fns[i] = engineFns[name]
-	}
-	enginesMu.Unlock()
-	stats := make([]EngineStats, len(fns))
-	for i, fn := range fns {
-		stats[i] = fn()
-	}
-	return names, stats
-}
-
-// writeEnginePrometheus renders the engine families; called from
-// WritePrometheus so /metrics carries executor and engine series together.
-func writeEnginePrometheus(w io.Writer) {
-	names, stats := engineSnapshots()
-	if len(names) == 0 {
-		return
-	}
-	gauges := []struct {
-		family, help string
-		value        func(s EngineStats) int64
-	}{
-		{"cake_engine_in_flight", "Requests currently holding cores.", func(s EngineStats) int64 { return s.InFlight }},
-		{"cake_engine_queue_depth", "Requests waiting for admission.", func(s EngineStats) int64 { return s.Queued }},
-	}
-	for _, g := range gauges {
-		fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s gauge\n", g.family, g.help, g.family)
-		for i, name := range names {
-			fmt.Fprintf(w, "%s{engine=%q} %d\n", g.family, name, g.value(stats[i]))
-		}
-	}
-	counters := []struct {
-		family, help string
-		value        func(s EngineStats) int64
-	}{
-		{"cake_engine_queued_total", "Requests that waited for admission.", func(s EngineStats) int64 { return s.QueuedTotal }},
-		{"cake_engine_rejected_total", "Requests refused at the admission limit.", func(s EngineStats) int64 { return s.Rejected }},
-	}
-	for _, c := range counters {
-		fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s counter\n", c.family, c.help, c.family)
-		for i, name := range names {
-			fmt.Fprintf(w, "%s{engine=%q} %d\n", c.family, name, c.value(stats[i]))
-		}
-	}
-	const tiers = "cake_engine_tier_hits_total"
-	fmt.Fprintf(w, "# HELP %s Dispatches by size tier.\n# TYPE %s counter\n", tiers, tiers)
-	for i, name := range names {
-		fmt.Fprintf(w, "%s{engine=%q,tier=\"tiny\"} %d\n", tiers, name, stats[i].TierTiny)
-		fmt.Fprintf(w, "%s{engine=%q,tier=\"small\"} %d\n", tiers, name, stats[i].TierSmall)
-		fmt.Fprintf(w, "%s{engine=%q,tier=\"large\"} %d\n", tiers, name, stats[i].TierLarge)
-	}
-	const leases = "cake_engine_leases_total"
-	fmt.Fprintf(w, "# HELP %s Executor leases by outcome.\n# TYPE %s counter\n", leases, leases)
-	for i, name := range names {
-		fmt.Fprintf(w, "%s{engine=%q,kind=\"new\"} %d\n", leases, name, stats[i].LeaseNew)
-		fmt.Fprintf(w, "%s{engine=%q,kind=\"reused\"} %d\n", leases, name, stats[i].LeaseReused)
-	}
 }

@@ -1,40 +1,26 @@
 package reqtrace
 
 import (
-	"context"
 	"log/slog"
 	"sync/atomic"
 )
 
 // Structured logging for the serving path: engine lifecycle, resident
 // evictions, SLO breaches, and snapshot trips emit through one package-wide
-// *slog.Logger. Silent by default — the default handler drops everything
+// *slog.Logger. Silent by default — slog.DiscardHandler drops everything
 // before formatting (Enabled() == false, so callers don't even build the
 // records) — and opt-in via SetLogger. Nothing on the request hot path logs:
 // emission happens on lifecycle edges and render paths only.
 
-// discardHandler is a zero-cost slog handler: Enabled reports false, so the
-// slog front end skips record construction entirely. (Equivalent to Go
-// 1.24's slog.DiscardHandler, kept local so the package does not depend on
-// the newest stdlib surface.)
-type discardHandler struct{}
-
-func (discardHandler) Enabled(context.Context, slog.Level) bool  { return false }
-func (discardHandler) Handle(context.Context, slog.Record) error { return nil }
-func (d discardHandler) WithAttrs([]slog.Attr) slog.Handler      { return d }
-func (d discardHandler) WithGroup(string) slog.Handler           { return d }
-
 var logger atomic.Pointer[slog.Logger]
 
-func init() {
-	logger.Store(slog.New(discardHandler{}))
-}
+func init() { SetLogger(nil) }
 
 // SetLogger installs the logger the serving path emits through. Nil
 // restores the silent default. Safe to call concurrently with logging.
 func SetLogger(l *slog.Logger) {
 	if l == nil {
-		l = slog.New(discardHandler{})
+		l = slog.New(slog.DiscardHandler)
 	}
 	logger.Store(l)
 }

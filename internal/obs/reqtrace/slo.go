@@ -132,10 +132,7 @@ func newSLOTracker(o Objective) *sloTracker {
 		if span <= 0 {
 			continue
 		}
-		bucketNs := int64(span) / sloWindowBuckets
-		if bucketNs < 1 {
-			bucketNs = 1
-		}
+		bucketNs := max(int64(span)/sloWindowBuckets, 1)
 		t.windows = append(t.windows, &sloWindow{span: span, bucketNs: bucketNs})
 	}
 	return t

@@ -1,10 +1,6 @@
 package reqtrace
 
-import (
-	"fmt"
-	"sync"
-	"time"
-)
+import "time"
 
 // Reason classifies what froze a snapshot.
 type Reason uint8
@@ -22,30 +18,16 @@ const (
 	reasonCount
 )
 
-func (r Reason) String() string {
-	switch r {
-	case ReasonSaturation:
-		return "saturation"
-	case ReasonLatency:
-		return "latency"
-	case ReasonConformance:
-		return "conformance"
-	}
-	return "unknown"
-}
+var reasonNames = [reasonCount]string{"saturation", "latency", "conformance"}
+
+func (r Reason) String() string { return enumName(reasonNames[:], r) }
 
 // MarshalJSON renders the reason as its name.
-func (r Reason) MarshalJSON() ([]byte, error) { return []byte(`"` + r.String() + `"`), nil }
+func (r Reason) MarshalJSON() ([]byte, error) { return marshalEnum(reasonNames[:], r) }
 
 // UnmarshalJSON parses the name form back, so served snapshots round-trip.
 func (r *Reason) UnmarshalJSON(b []byte) error {
-	for c := ReasonSaturation; c < reasonCount; c++ {
-		if string(b) == `"`+c.String()+`"` {
-			*r = c
-			return nil
-		}
-	}
-	return fmt.Errorf("reqtrace: unknown snapshot reason %s", b)
+	return unmarshalEnum(reasonNames[:], "snapshot reason", b, r)
 }
 
 // Snapshot is one frozen flight-recorder ring: the anomaly that tripped it,
@@ -62,20 +44,16 @@ type Snapshot struct {
 	Records []Record `json:"records"`
 }
 
+// tripQuietNs is the per-reason snapshot refractory window.
+const tripQuietNs = int64(time.Second)
+
 // trip freezes the ring. Off the hot path by design: trips are rare
 // (saturation, extreme stragglers, conformance failures), and the copy +
 // allocation here is the cost of capturing evidence exactly when the
 // anomaly happened. Back-to-back trips for the same reason within
 // tripQuietNs collapse into the first one's snapshot, so a saturation burst
 // yields one frozen ring, not hundreds of copies of the same window.
-func (t *Tracer) trip(why Reason, trigger Record) {
-	t.tripDetailed(why, trigger, "")
-}
-
-// tripQuietNs is the per-reason snapshot refractory window.
-const tripQuietNs = int64(time.Second)
-
-func (t *Tracer) tripDetailed(why Reason, trigger Record, detail string) {
+func (t *Tracer) trip(why Reason, trigger Record, detail string) {
 	t.trips[why].Add(1)
 	now := time.Now().UnixNano()
 	t.snapMu.Lock()
@@ -111,9 +89,7 @@ func (t *Tracer) Snapshots() []Snapshot {
 	}
 	t.snapMu.Lock()
 	defer t.snapMu.Unlock()
-	out := make([]Snapshot, len(t.snaps))
-	copy(out, t.snaps)
-	return out
+	return append([]Snapshot(nil), t.snaps...)
 }
 
 // TripCount returns how many anomalies of the given reason have fired
@@ -126,54 +102,6 @@ func (t *Tracer) TripCount(why Reason) int64 {
 	return t.trips[why].Load()
 }
 
-// registry is the package-wide tracer directory: the debug endpoints and
-// the Prometheus/expvar exports read it, and conformance failures fan out
-// through it. Re-publishing a name replaces the tracer (engine restarts in
-// tests), keeping registration order for stable rendering.
-var (
-	regMu    sync.Mutex
-	tracers  []*Tracer
-	tracerIx = map[string]int{}
-)
-
-// Publish registers a tracer under its engine name for the debug endpoints
-// and metric exports. Nil tracers (disabled engines) are ignored.
-func Publish(t *Tracer) {
-	if t == nil {
-		return
-	}
-	regMu.Lock()
-	defer regMu.Unlock()
-	if i, ok := tracerIx[t.name]; ok {
-		tracers[i] = t
-		return
-	}
-	tracerIx[t.name] = len(tracers)
-	tracers = append(tracers, t)
-	publishExportsOnce()
-	registerTraceSource(t)
-}
-
-// Published returns the registered tracers in registration order.
-func Published() []*Tracer {
-	regMu.Lock()
-	defer regMu.Unlock()
-	out := make([]*Tracer, len(tracers))
-	copy(out, tracers)
-	return out
-}
-
-// Lookup finds a published tracer by engine name.
-func Lookup(name string) (*Tracer, bool) {
-	regMu.Lock()
-	defer regMu.Unlock()
-	i, ok := tracerIx[name]
-	if !ok {
-		return nil, false
-	}
-	return tracers[i], true
-}
-
 // NotifyConformanceFailure freezes a conformance snapshot on every
 // published tracer: the conformance layer judges whole traced runs, not
 // single requests, so the evidence is "what was the engine serving when the
@@ -181,6 +109,6 @@ func Lookup(name string) (*Tracer, bool) {
 // failed checks).
 func NotifyConformanceFailure(detail string) {
 	for _, t := range Published() {
-		t.tripDetailed(ReasonConformance, Record{Outcome: OutcomeUnset}, detail)
+		t.trip(ReasonConformance, Record{Outcome: OutcomeUnset}, detail)
 	}
 }

@@ -26,9 +26,9 @@ import (
 
 var (
 	debugMu    sync.Mutex
-	debugProcs []Process // registration order preserved for stable pids
 	latestConf any
 	hasConf    bool
+	processes  Registry[Process] // registration order preserved for stable pids
 )
 
 // RegisterProcess makes a named recorder visible to the debug endpoints
@@ -38,24 +38,13 @@ var (
 // pids. The recorder is read live on each request: whatever spans it holds
 // at download time are what the trace shows.
 func RegisterProcess(name string, rec *Recorder) {
-	debugMu.Lock()
-	defer debugMu.Unlock()
-	for i := range debugProcs {
-		if debugProcs[i].Name == name {
-			debugProcs[i].Rec = rec
-			return
-		}
-	}
-	debugProcs = append(debugProcs, Process{Name: name, Rec: rec})
+	processes.Set(name, Process{Name: name, Rec: rec})
 }
 
 // RegisteredProcesses returns a snapshot of the registered trace processes.
 func RegisteredProcesses() []Process {
-	debugMu.Lock()
-	defer debugMu.Unlock()
-	out := make([]Process, len(debugProcs))
-	copy(out, debugProcs)
-	return out
+	_, procs := processes.Snapshot()
+	return procs
 }
 
 // SetConformance publishes a conformance report (any JSON-marshalable
@@ -84,10 +73,7 @@ type DebugRoute struct {
 	Handler http.Handler
 }
 
-var (
-	routesMu    sync.Mutex
-	extraRoutes []DebugRoute
-)
+var extraRoutes Registry[DebugRoute]
 
 // HandleDebug contributes a route to the debug server. Packages that extend
 // the observability surface (reqtrace, future serving layers) register
@@ -97,15 +83,7 @@ var (
 // collide with the built-in bundle (DebugHandler panics on duplicates, same
 // as http.ServeMux would).
 func HandleDebug(pattern, desc string, h http.Handler) {
-	routesMu.Lock()
-	defer routesMu.Unlock()
-	for i := range extraRoutes {
-		if extraRoutes[i].Pattern == pattern {
-			extraRoutes[i].Desc, extraRoutes[i].Handler = desc, h
-			return
-		}
-	}
-	extraRoutes = append(extraRoutes, DebugRoute{Pattern: pattern, Desc: desc, Handler: h})
+	extraRoutes.Set(pattern, DebugRoute{Pattern: pattern, Desc: desc, Handler: h})
 }
 
 // builtinRoutes is the core endpoint bundle. The index route itself is
@@ -130,10 +108,7 @@ func builtinRoutes() []DebugRoute {
 // would mount (built-ins plus registered extras), sorted by pattern. The
 // index test walks this to prove the index page is complete.
 func DebugRoutes() []DebugRoute {
-	routesMu.Lock()
-	extras := make([]DebugRoute, len(extraRoutes))
-	copy(extras, extraRoutes)
-	routesMu.Unlock()
+	_, extras := extraRoutes.Snapshot()
 	all := append(builtinRoutes(), extras...)
 	sort.Slice(all, func(i, j int) bool { return all[i].Pattern < all[j].Pattern })
 	return all

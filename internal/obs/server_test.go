@@ -29,9 +29,9 @@ func debugGet(t *testing.T, srv *httptest.Server, path string) (int, string) {
 // tests do not see each other's state.
 func resetDebugState() {
 	debugMu.Lock()
-	debugProcs = nil
 	latestConf, hasConf = nil, false
 	debugMu.Unlock()
+	processes = Registry[Process]{}
 }
 
 func TestDebugHandlerEndpoints(t *testing.T) {

@@ -9,7 +9,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
-	"sync"
 )
 
 // Process names one recorder's lane group in the exported trace, e.g.
@@ -53,11 +52,13 @@ type TraceEvent struct {
 	Args     map[string]any
 }
 
-var (
-	traceSrcMu    sync.Mutex
-	traceSrcNames []string // registration order → stable pids
-	traceSrcs     = map[string]func() []TraceEvent{}
-)
+// traceSource is one registered external trace process.
+type traceSource struct {
+	name   string
+	events func() []TraceEvent
+}
+
+var traceSources Registry[traceSource]
 
 // RegisterTraceSource contributes an extra process to the debug server's
 // Chrome-trace export (/debug/trace.json): the callback is invoked at
@@ -66,24 +67,7 @@ var (
 // tracks over the per-worker phase spans. Re-registering a name replaces
 // its callback, keeping its position.
 func RegisterTraceSource(name string, fn func() []TraceEvent) {
-	traceSrcMu.Lock()
-	defer traceSrcMu.Unlock()
-	if _, ok := traceSrcs[name]; !ok {
-		traceSrcNames = append(traceSrcNames, name)
-	}
-	traceSrcs[name] = fn
-}
-
-func traceSources() ([]string, []func() []TraceEvent) {
-	traceSrcMu.Lock()
-	defer traceSrcMu.Unlock()
-	names := make([]string, len(traceSrcNames))
-	copy(names, traceSrcNames)
-	fns := make([]func() []TraceEvent, len(names))
-	for i, n := range names {
-		fns[i] = traceSrcs[n]
-	}
-	return names, fns
+	traceSources.Set(name, traceSource{name, fn})
 }
 
 // WriteChromeTrace exports the recorders' spans as Chrome Trace Event JSON.
@@ -159,15 +143,15 @@ func writeChromeTrace(w io.Writer, procs []Process, withSources bool) error {
 		}
 	}
 	if withSources {
-		names, fns := traceSources()
-		for si, fn := range fns {
+		_, srcs := traceSources.Snapshot()
+		for si, src := range srcs {
 			pid := len(procs) + si + 1
 			f.TraceEvents = append(f.TraceEvents, traceEvent{
 				Name: "process_name", Ph: "M", Pid: pid,
-				Args: map[string]any{"name": names[si]},
+				Args: map[string]any{"name": src.name},
 			})
 			seen := map[int]bool{}
-			for _, e := range fn() {
+			for _, e := range src.events() {
 				if !seen[e.Lane] && e.LaneName != "" {
 					seen[e.Lane] = true
 					f.TraceEvents = append(f.TraceEvents, traceEvent{
