@@ -53,6 +53,10 @@ func PackA[T matrix.Scalar](dst []T, a *matrix.Matrix[T], mr int, scale T) []T {
 	for q := 0; q < ceilDiv(r, mr); q++ {
 		panel := dst[q*mr*kc : (q+1)*mr*kc]
 		rows := min(mr, r-q*mr)
+		if rows == 8 && mr == 8 {
+			packPanelA8(panel, a, q*mr, scale)
+			continue
+		}
 		// Row by row: each source row is read once, in order, and written
 		// down its lane i of the k-major panel.
 		for i := 0; i < rows; i++ {
@@ -76,6 +80,30 @@ func PackA[T matrix.Scalar](dst []T, a *matrix.Matrix[T], mr int, scale T) []T {
 	return dst
 }
 
+// packPanelA8 packs rows [r0, r0+8) of a into one full 8-row panel. It
+// walks the eight rows together, so each k writes its eight lanes as one
+// contiguous group and the loads run bounds-check free; scaling is a second
+// pass over the panel, one multiply per element as in PackA's general loop.
+//
+//cake:hotpath
+func packPanelA8[T matrix.Scalar](panel []T, a *matrix.Matrix[T], r0 int, scale T) {
+	s0 := a.Row(r0)
+	kc := len(s0)
+	s1, s2, s3 := a.Row(r0 + 1)[:kc], a.Row(r0 + 2)[:kc], a.Row(r0 + 3)[:kc]
+	s4, s5, s6, s7 := a.Row(r0 + 4)[:kc], a.Row(r0 + 5)[:kc], a.Row(r0 + 6)[:kc], a.Row(r0 + 7)[:kc]
+	panel = panel[:8*kc]
+	for k := range s0 {
+		d := (*[8]T)(panel[k*8:])
+		d[0], d[1], d[2], d[3] = s0[k], s1[k], s2[k], s3[k]
+		d[4], d[5], d[6], d[7] = s4[k], s5[k], s6[k], s7[k]
+	}
+	if scale != 1 {
+		for i := range panel {
+			panel[i] *= scale
+		}
+	}
+}
+
 // PackB packs the dense block b (any kc×c view) into dst using nr-column
 // panels, zero-padding the final partial panel. dst must have at least
 // PackedBSize(b.Rows, b.Cols, nr) elements; the used prefix is returned.
@@ -91,6 +119,16 @@ func PackB[T matrix.Scalar](dst []T, b *matrix.Matrix[T], nr int) []T {
 	for q := 0; q < ceilDiv(c, nr); q++ {
 		panel := dst[q*nr*kc : (q+1)*nr*kc]
 		cols := min(nr, c-q*nr)
+		if cols == 8 && nr == 8 {
+			// Eight element moves per k: copy would call memmove for
+			// every 8-element row.
+			src, stride := b.Data[q*8:], b.Stride
+			for k := 0; k < kc; k++ {
+				d, s := (*[8]T)(panel[k*8:]), (*[8]T)(src[k*stride:])
+				d[0], d[1], d[2], d[3], d[4], d[5], d[6], d[7] = s[0], s[1], s[2], s[3], s[4], s[5], s[6], s[7]
+			}
+			continue
+		}
 		for k := 0; k < kc; k++ {
 			row := panel[k*nr : k*nr+nr]
 			brow := b.Row(k)[q*nr : q*nr+cols]

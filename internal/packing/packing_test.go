@@ -327,3 +327,53 @@ func TestPackATScaled(t *testing.T) {
 		}
 	}
 }
+
+// TestPackEightWidePanels checks the 8-row A and 8-column B panel paths
+// against the layout contract: strided views whose full panels take the
+// fast path and whose last panel takes the general one, with and without
+// an A scale, from buffers holding stale data.
+func TestPackEightWidePanels(t *testing.T) {
+	rng := rand.New(rand.NewSource(23))
+	big := matrix.New[float32](40, 40)
+	big.Randomize(rng)
+	v := big.View(3, 5, 21, 19) // 2 full 8-panels + 5, and 2 full + 3
+	for _, scale := range []float32{1, 0.37} {
+		ap := make([]float32, PackedASize(21, 19, 8))
+		for i := range ap {
+			ap[i] = 9
+		}
+		PackA(ap, v, 8, scale)
+		for q := 0; q < 3; q++ {
+			for k := 0; k < 19; k++ {
+				for i := 0; i < 8; i++ {
+					var want float32
+					if r := q*8 + i; r < 21 {
+						want = v.At(r, k) * scale
+					}
+					if got := ap[q*8*19+k*8+i]; got != want {
+						t.Fatalf("A scale %v panel %d k=%d i=%d: got %v want %v", scale, q, k, i, got, want)
+					}
+				}
+			}
+		}
+	}
+	w := big.View(5, 3, 19, 21)
+	bp := make([]float32, PackedBSize(19, 21, 8))
+	for i := range bp {
+		bp[i] = 9
+	}
+	PackB(bp, w, 8)
+	for q := 0; q < 3; q++ {
+		for k := 0; k < 19; k++ {
+			for j := 0; j < 8; j++ {
+				var want float32
+				if c := q*8 + j; c < 21 {
+					want = w.At(k, c)
+				}
+				if got := bp[q*8*19+k*8+j]; got != want {
+					t.Fatalf("B panel %d k=%d j=%d: got %v want %v", q, k, j, got, want)
+				}
+			}
+		}
+	}
+}
