@@ -31,9 +31,9 @@ type Batch[T matrix.Scalar] struct {
 	Alpha, Beta    T
 	// Width is how many pool workers the batch may occupy at once — the
 	// cores its caller holds. 0, or anything above Config.Cores, means
-	// Config.Cores. Width decides only which worker runs a strip: the
-	// block grid, the strips and the K-first order are the config's, so
-	// results are bit-identical at any width.
+	// Config.Cores. Width decides only how many workers claim the compute
+	// units: the block grid, the units and the K-first order are the
+	// config's, so results are bit-identical at any width.
 	Width int
 }
 

@@ -151,7 +151,7 @@ type Executor[T matrix.Scalar] struct {
 	clock        int64
 
 	bufC     []T
-	partials [][]T // DimK: per-strip private partial-C surfaces
+	partials [][]T // DimK: per-slice private partial-C surfaces
 
 	// Observability: rec is nil unless WithTrace attached a recorder; the
 	// label contexts are prebuilt per phase so pool jobs are tagged without
@@ -171,8 +171,8 @@ type Executor[T matrix.Scalar] struct {
 	transA, transB bool
 	alpha          T
 	// width bounds every pool fan-out of the in-flight call (Batch.Width
-	// resolved against cfg.Cores). It decides only which worker runs a
-	// strip, never the strips themselves.
+	// resolved against cfg.Cores). It decides only which workers claim the
+	// units, never the units themselves.
 	width int
 	// keepA/keepB let the batch loop (Do) carry an operand's panel keys
 	// across calls: when set, invalidateSlots preserves that operand's keys
@@ -189,7 +189,7 @@ type Executor[T matrix.Scalar] struct {
 
 	// The block loop's reusable state, so a call allocates nothing per
 	// block: the schedule buffer, the two-stage ring the pipeline alternates
-	// between, and the static jobs, built once in NewExecutor, which read
+	// between, and the jobs, built once in NewExecutor, which read
 	// the in-flight call's operands (c, a, b, beta) and its computing block
 	// (cur, cBlock) from these fields.
 	seq     []schedule.Coord
@@ -200,7 +200,7 @@ type Executor[T matrix.Scalar] struct {
 	cBlock  matrix.Matrix[T]
 	epoch   time.Time // origin of the block loop's monotonic clock, fixed at NewExecutor
 
-	scaleJob, zeroJob, computeJob, reduceJob, unpackJob func(core, item int)
+	scaleJob, zeroJob, computeJob, reduceJob, unpackJob func(worker, item int)
 }
 
 // ErrInUse is returned by Do (and the entry points layered on it) when a
@@ -339,7 +339,7 @@ func (e *Executor[T]) run(c, a, b *matrix.Matrix[T], m, k, n int, alpha, beta T)
 
 	e.c, e.a, e.b, e.beta = c, a, b, beta
 	if beta != 1 {
-		e.forStatic(nil, e.rowChunks(m), e.scaleJob)
+		e.fork(nil, e.rowChunks(m), e.scaleJob)
 	}
 	if alpha == 0 {
 		return Stats{}, nil
@@ -481,11 +481,12 @@ func (e *Executor[T]) rowChunks(rows int) int {
 	return min(e.cfg.Cores, max(1, rows))
 }
 
-// forStatic runs a static job on at most the call's width of workers (see
-// Batch.Width). Item counts come from the config, so the work split — and
-// with it every result bit — is the same at any width.
-func (e *Executor[T]) forStatic(ctx context.Context, n int, f func(core, item int)) {
-	e.pool.ForStaticLabeled(ctx, e.width, n, f)
+// fork runs a job on at most the call's width of workers (see Batch.Width),
+// which claim its items dynamically. Item counts come from the config and
+// the block, so the work split — and with it every result bit — is the
+// same at any width, whichever worker claims an item.
+func (e *Executor[T]) fork(ctx context.Context, n int, f func(worker, item int)) {
+	e.pool.ForLabeled(ctx, e.width, n, f)
 }
 
 // chunkSpan splits rows into nearly equal contiguous chunks.

@@ -5,7 +5,10 @@
 // executed by p workers ("cores"): every core owns one mc×kc sub-block of
 // the A surface, streams the shared B panel, and accumulates its strip of
 // the block's partial-C surface, which stays resident in a local buffer
-// until its K reduction completes (Figure 6).
+// until its K reduction completes (Figure 6). The executor packs along those
+// per-core strips, but its granted workers claim the block's compute in
+// smaller row-panel units, so cores of unequal speed stay balanced (see
+// computeStage).
 package core
 
 import (

@@ -38,12 +38,22 @@ type panelKey struct {
 func aKeyFor(b *blockSpan) panelKey { return panelKey{b.m0, b.mEff, b.k0, b.kEff, true} }
 func bKeyFor(b *blockSpan) panelKey { return panelKey{b.k0, b.kEff, b.n0, b.nEff, true} }
 
-// blockSpan is one scheduled CB block resolved to element coordinates and
-// its per-core compute strips: strips strips of extent strip along the
-// config's compute dimension (DimN rows, DimM columns, DimK depth).
+// unitPanels is how many register panels (mr rows under DimN, nr columns
+// under DimM) one compute unit spans. Units are what the granted workers
+// claim, so a smaller unit balances cores of unequal speed more finely and
+// costs one more claim per unit; at the 8×8 tile, 8- and 16-row units
+// measured alike and 32 rows was slower (EXPERIMENTS.md).
+const unitPanels = 2
+
+// blockSpan is one scheduled CB block resolved to element coordinates, its
+// per-core pack strips (strips strips of extent strip along the config's
+// compute dimension: DimN rows, DimM columns, DimK depth) and its compute
+// units (units units of extent unit along the same dimension: unitPanels
+// register panels under DimN and DimM, one kc-deep strip under DimK).
 type blockSpan struct {
 	m0, mEff, k0, kEff, n0, nEff int
 	strip, strips                int
+	unit, units                  int
 	runStart, runEnd             bool
 	coord                        obs.Block // grid coordinates, for span recording
 }
@@ -58,12 +68,17 @@ func (e *Executor[T]) spanFor(b *blockSpan, seq []schedule.Coord, i, m, k, n int
 	case DimN:
 		b.strip = e.cfg.stripRows(b.mEff)
 		b.strips = ceilDiv(b.mEff, b.strip)
+		b.unit = unitPanels * e.cfg.MR
+		b.units = ceilDiv(b.mEff, b.unit)
 	case DimM:
 		b.strip = e.cfg.MC // square per-core block: nc = mc
 		b.strips = ceilDiv(b.nEff, b.strip)
+		b.unit = unitPanels * e.cfg.NR
+		b.units = ceilDiv(b.nEff, b.unit)
 	default: // DimK
 		b.strip = e.cfg.KC
 		b.strips = ceilDiv(b.kEff, b.strip)
+		b.unit, b.units = b.strip, b.strips // partials[si] belongs to slice si
 	}
 	b.runStart = i == 0 || seq[i-1].M != cur.M || seq[i-1].N != cur.N
 	b.runEnd = i == len(seq)-1 || seq[i+1].M != cur.M || seq[i+1].N != cur.N
@@ -140,12 +155,12 @@ func claimSlot(keys []panelKey, ticks []int64, clock *int64, key panelKey, busy 
 // submitPack claims buffer slots for stage s's block and packs whichever
 // panels are not already resident. busyA/busyB are the slots of the stage
 // currently computing (-1 when none is). With async the pack job is
-// enqueued and left running (the lookahead pack), its units claimed
-// dynamically so fast workers absorb ragged unit costs, and its units time
-// it; otherwise the units run to completion on the caller's static job
-// before submitPack returns, timed by the caller's block clock (see
-// runBlocks). Sync mode claims with the invalid key, which never matches a
-// slot, so it packs every panel of every block.
+// enqueued and left running (the lookahead pack) and its units time it;
+// otherwise the units run to completion on the caller's fork before
+// submitPack returns, timed by the caller's block clock (see runBlocks).
+// Either way the units are claimed dynamically, so fast workers absorb
+// ragged unit costs. Sync mode claims with the invalid key, which never
+// matches a slot, so it packs every panel of every block.
 //
 //cake:hotpath-exempt per-block job submission; the per-element work lives in packAUnit/packBUnit and the packing package
 func (e *Executor[T]) submitPack(s *pipeStage, busyA, busyB int, async bool) {
@@ -186,7 +201,7 @@ func (e *Executor[T]) submitPack(s *pipeStage, busyA, busyB int, async bool) {
 		s.pending.Store(int32(total))
 		s.handle = e.pool.SubmitLabeled(e.packCtx, e.width, total, s.unit)
 	} else {
-		e.forStatic(e.packCtx, total, s.unit)
+		e.fork(e.packCtx, total, s.unit)
 	}
 }
 
@@ -291,22 +306,29 @@ func (e *Executor[T]) packBUnit(dst []T, b *matrix.Matrix[T], blk *blockSpan, u 
 }
 
 // computeStage runs the block's macro-kernels out of the stage's packed
-// slots into the block's C buffer, e.cBlock. The strip decomposition and
-// accumulation order depend only on the config — never on the mode, the
-// width, which worker runs a strip or which slot (or resident cell) holds a
-// panel — so every mode's results are bit-identical.
+// slots into the block's C buffer, e.cBlock. The granted workers claim the
+// block's compute units one at a time, so a core that runs faster takes
+// more units instead of idling at the block's barrier behind a slower one
+// (Section 4 gives each core one strip, which balances only cores of equal
+// speed). Each C tile is one kernel call over the block's full depth, added
+// once into the C buffer, and DimK's slices keep their own partials, so the
+// accumulation order depends only on the config — never on the mode, the
+// width, which worker claims a unit or which slot (or resident cell) holds
+// a panel — and every mode's results are bit-identical.
 func (e *Executor[T]) computeStage(s *pipeStage) {
 	e.cur = s
-	e.forStatic(e.computeCtx, s.blk.strips, e.computeJob)
+	e.fork(e.computeCtx, s.blk.units, e.computeJob)
 	if e.cfg.Dim == DimK {
-		// Reduce private partials into the resident C block in strip order
+		// Reduce private partials into the resident C block in slice order
 		// (partials[si] holds slice si, whichever worker computed it).
-		e.forStatic(nil, e.rowChunks(s.blk.mEff), e.reduceJob)
+		e.fork(nil, e.rowChunks(s.blk.mEff), e.reduceJob)
 	}
 }
 
-// computeItem runs strip si of the computing block (e.cur) on core.
-func (e *Executor[T]) computeItem(core, si int) {
+// computeItem runs compute unit ui of the computing block (e.cur) on
+// worker: unitPanels row panels (DimN) or column panels (DimM) against the
+// whole packed panel of the other operand, or kc-deep slice ui (DimK).
+func (e *Executor[T]) computeItem(worker, ui int) {
 	u0 := e.now()
 	s := e.cur
 	blk := &s.blk
@@ -315,33 +337,36 @@ func (e *Executor[T]) computeItem(core, si int) {
 	if bBuf == nil {
 		bBuf = e.packB[s.bSlot]
 	}
+	// Units start on register-panel boundaries, and the packed panels lay
+	// out panel after panel (pack strips are mr- or nr-aligned), so a
+	// unit's panels begin at its first row (column) times the depth.
 	switch e.cfg.Dim {
 	case DimN:
-		r0 := si * blk.strip
-		rows := min(blk.strip, blk.mEff-r0)
+		r0 := ui * blk.unit
+		rows := min(blk.unit, blk.mEff-r0)
 		ap := aBuf[r0*blk.kEff : r0*blk.kEff+packing.PackedASize(rows, blk.kEff, e.cfg.MR)]
 		bp := bBuf[:packing.PackedBSize(blk.kEff, blk.nEff, e.cfg.NR)]
-		packing.Macro(e.kern, blk.kEff, ap, bp, e.blockRows(r0, rows), e.scratch[core])
+		packing.Macro(e.kern, blk.kEff, ap, bp, e.blockRows(r0, rows), e.scratch[worker])
 	case DimM:
-		c0 := si * blk.strip
-		cols := min(blk.strip, blk.nEff-c0)
+		c0 := ui * blk.unit
+		cols := min(blk.unit, blk.nEff-c0)
 		ap := aBuf[:packing.PackedASize(blk.mEff, blk.kEff, e.cfg.MR)]
 		bp := bBuf[c0*blk.kEff : c0*blk.kEff+packing.PackedBSize(blk.kEff, cols, e.cfg.NR)]
-		packing.Macro(e.kern, blk.kEff, ap, bp, e.cBlock.View(0, c0, blk.mEff, cols), e.scratch[core])
+		packing.Macro(e.kern, blk.kEff, ap, bp, e.cBlock.View(0, c0, blk.mEff, cols), e.scratch[worker])
 	default: // DimK
-		aSlice := packing.PackedASize(blk.mEff, blk.strip, e.cfg.MR)
-		bSlice := packing.PackedBSize(blk.strip, blk.nEff, e.cfg.NR)
-		depth := min(blk.strip, blk.kEff-si*blk.strip)
-		ap := aBuf[si*aSlice : si*aSlice+packing.PackedASize(blk.mEff, depth, e.cfg.MR)]
-		bp := bBuf[si*bSlice : si*bSlice+packing.PackedBSize(depth, blk.nEff, e.cfg.NR)]
-		part := matrix.FromSlice(blk.mEff, blk.nEff, e.partials[si][:blk.mEff*blk.nEff])
+		aSlice := packing.PackedASize(blk.mEff, blk.unit, e.cfg.MR)
+		bSlice := packing.PackedBSize(blk.unit, blk.nEff, e.cfg.NR)
+		depth := min(blk.unit, blk.kEff-ui*blk.unit)
+		ap := aBuf[ui*aSlice : ui*aSlice+packing.PackedASize(blk.mEff, depth, e.cfg.MR)]
+		bp := bBuf[ui*bSlice : ui*bSlice+packing.PackedBSize(depth, blk.nEff, e.cfg.NR)]
+		part := matrix.FromSlice(blk.mEff, blk.nEff, e.partials[ui][:blk.mEff*blk.nEff])
 		part.Zero()
-		packing.Macro(e.kern, depth, ap, bp, part, e.scratch[core])
+		packing.Macro(e.kern, depth, ap, bp, part, e.scratch[worker])
 	}
-	e.span(core, obs.PhaseCompute, blk.coord, u0, 0)
+	e.span(worker, obs.PhaseCompute, blk.coord, u0, 0)
 }
 
-// reduceItem adds every DimK partial, in strip order, into row chunk ch of
+// reduceItem adds every DimK partial, in slice order, into row chunk ch of
 // the computing block's C buffer.
 func (e *Executor[T]) reduceItem(_, ch int) {
 	blk := &e.cur.blk
@@ -462,7 +487,7 @@ func (e *Executor[T]) runBlocks(st *Stats, m, k, n int) {
 		}
 		e.cBlock = matrix.Matrix[T]{Rows: blk.mEff, Cols: blk.nEff, Stride: blk.nEff, Data: e.bufC[:blk.mEff*blk.nEff]}
 		if blk.runStart {
-			e.forStatic(e.moveCtx, e.rowChunks(blk.mEff), e.zeroJob)
+			e.fork(e.moveCtx, e.rowChunks(blk.mEff), e.zeroJob)
 		}
 		c0 := e.sinceEpoch()
 		st.PackNanos += c0 - t0
@@ -470,7 +495,7 @@ func (e *Executor[T]) runBlocks(st *Stats, m, k, n int) {
 		cEnd := e.sinceEpoch()
 		st.ComputeNanos += cEnd - c0
 		if blk.runEnd {
-			e.forStatic(e.moveCtx, e.rowChunks(blk.mEff), e.unpackJob)
+			e.fork(e.moveCtx, e.rowChunks(blk.mEff), e.unpackJob)
 			st.PackNanos += e.sinceEpoch() - cEnd
 			st.UnpackCElems += int64(blk.mEff) * int64(blk.nEff)
 		}
@@ -500,10 +525,10 @@ func (e *Executor[T]) blockRows(r0, rows int) *matrix.Matrix[T] {
 // unpackItem folds row chunk ch of the completed block's C buffer into the
 // call's output — a read-modify-write of the DRAM-resident C region,
 // recorded as an unpack span carrying 2× the chunk's bytes.
-func (e *Executor[T]) unpackItem(core, ch int) {
+func (e *Executor[T]) unpackItem(worker, ch int) {
 	u0 := e.now()
 	blk := &e.cur.blk
 	r0, rows := chunkSpan(ch, e.rowChunks(blk.mEff), blk.mEff)
 	packing.AddInto(e.c.View(blk.m0+r0, blk.n0, rows, blk.nEff), e.blockRows(r0, rows))
-	e.span(core, obs.PhaseUnpack, blk.coord, u0, 2*int64(rows)*int64(blk.nEff)*e.elemBytes)
+	e.span(worker, obs.PhaseUnpack, blk.coord, u0, 2*int64(rows)*int64(blk.nEff)*e.elemBytes)
 }

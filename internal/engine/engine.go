@@ -23,12 +23,13 @@
 //     and takes every free core up to p once its slice is free, so a lone
 //     large GEMM runs at full width and one arriving beside other work
 //     runs at its slice. The width is only the worker count: the block
-//     grid, strips and K-first order are the full-machine config's, so a
-//     large result is bit-identical at any width. The trade-off is that a
-//     request arriving while a lone large GEMM holds every core waits for
-//     it, where a static partition would have kept its slice free. Tiny
-//     requests skip admission: they hold no pool cores and run at width 1,
-//     so their one block runs on the caller's goroutine.
+//     grid, compute units and K-first order are the full-machine
+//     config's, so a large result is bit-identical at any width. The
+//     trade-off is that a request arriving while a lone large GEMM holds
+//     every core waits for it, where a static partition would have kept
+//     its slice free. Tiny requests skip admission: they hold no pool
+//     cores and run at width 1, so their one block runs on the caller's
+//     goroutine.
 package engine
 
 import (
@@ -212,7 +213,7 @@ func NewEngine(opts Options) (*Engine, error) {
 		// bandwidth beside other work (Section 4.3). The large tier plans
 		// once for the whole machine and is admitted at any width from its
 		// slice up to every core; the width only decides how many workers
-		// share the full-machine geometry's strips (see run).
+		// claim the full-machine geometry's compute units (see run).
 		slice := *pl
 		if t == TierLarge {
 			spec.maxCores = pl.Cores

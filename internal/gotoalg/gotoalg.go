@@ -243,7 +243,7 @@ func (e *Executor[T]) Gemm(c, a, b *matrix.Matrix[T]) (Stats, error) {
 			blocks := ceilDiv(m, cfg.MC)
 			// Loop 3 parallelised over cores: each worker packs its own A
 			// block into its private buffer, then updates its C slab.
-			e.pool.ForLabeled(e.computeCtx, blocks, func(worker, blk int) {
+			e.pool.ForLabeled(e.computeCtx, 0, blocks, func(worker, blk int) {
 				ic := blk * cfg.MC
 				mcEff := min(cfg.MC, m-ic)
 				coord := obs.Block{M: int32(blk), K: int32(pc / cfg.KC), N: int32(jc / cfg.NC)}
@@ -273,7 +273,7 @@ func (e *Executor[T]) packB(b *matrix.Matrix[T], pc, kcEff, jc, ncEff int) {
 	panels := ceilDiv(ncEff, nr)
 	chunks := min(e.cfg.Cores, panels)
 	perChunk := ceilDiv(panels, chunks)
-	e.pool.ForStaticLabeled(e.packCtx, 0, chunks, func(core, ch int) {
+	e.pool.ForLabeled(e.packCtx, 0, chunks, func(worker, ch int) {
 		p0 := ch * perChunk
 		pn := min(perChunk, panels-p0)
 		if pn <= 0 {
@@ -283,7 +283,7 @@ func (e *Executor[T]) packB(b *matrix.Matrix[T], pc, kcEff, jc, ncEff int) {
 		c0 := p0 * nr
 		cols := min(pn*nr, ncEff-c0)
 		packing.PackB(e.bufB[c0*kcEff:], b.View(pc, jc+c0, kcEff, cols), nr)
-		e.span(core, obs.PhasePack, e.curBlk, u0, int64(kcEff)*int64(cols)*e.elemBytes)
+		e.span(worker, obs.PhasePack, e.curBlk, u0, int64(kcEff)*int64(cols)*e.elemBytes)
 	})
 }
 

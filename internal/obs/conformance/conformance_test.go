@@ -106,6 +106,16 @@ func TestAcceptanceCakeVersusGoto(t *testing.T) {
 		Dim: core.DimN, Order: core.OrderAuto}
 	spans := tracedCake(t, cake)
 
+	// A failed assertion logs every check of every report, so a run that
+	// fails on timing noise names the check it failed.
+	var reports []*Report
+	defer func() {
+		if t.Failed() {
+			for _, r := range reports {
+				logChecks(t, r)
+			}
+		}
+	}()
 	rep, err := Evaluate(Input{
 		Executor: "cake", M: tM, K: tK, N: tN, ElemBytes: 4,
 		Cake:  &cake,
@@ -115,6 +125,7 @@ func TestAcceptanceCakeVersusGoto(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	reports = append(reports, rep)
 
 	// Compute-phase DRAM traffic: the model says the resident-C execution
 	// moves nothing during macro-kernels, and the measurement agrees.
@@ -147,6 +158,7 @@ func TestAcceptanceCakeVersusGoto(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	reports = append(reports, grep)
 	if gc := findCheck(t, grep, "compute-traffic"); !gc.Pass || grep.Measured.Traffic.ComputeBytes == 0 {
 		t.Errorf("GOTO compute traffic check: %+v (measured %d bytes, want non-zero partial-C streaming)",
 			gc, grep.Measured.Traffic.ComputeBytes)
@@ -172,6 +184,7 @@ func TestAcceptanceCakeVersusGoto(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	reports = append(reports, brep)
 	if brep.Pass {
 		t.Errorf("mis-tuned kc=8 report passed; checks: %+v", brep.Checks)
 	}
@@ -194,6 +207,17 @@ func TestAcceptanceCakeVersusGoto(t *testing.T) {
 	got, ok := obs.LatestConformance()
 	if !ok || got.(*Report) != rep {
 		t.Fatal("Publish did not register the report")
+	}
+}
+
+// logChecks logs r's attainment and every check with its measured value,
+// bound, whether it is required and whether it passed.
+func logChecks(t *testing.T, r *Report) {
+	t.Helper()
+	t.Logf("%s: attainment %g (max %g), pass %v", r.Executor, r.Attainment, r.Tolerances.MaxAttainment, r.Pass)
+	for _, c := range r.Checks {
+		t.Logf("%s %s: measured %g predicted %g ratio %g bound %g required %v pass %v (%s)",
+			r.Executor, c.Name, c.Measured, c.Predicted, c.Ratio, c.Tolerance, c.Required, c.Pass, c.Detail)
 	}
 }
 

@@ -17,32 +17,10 @@ func TestForLabeledRunsEveryItemOnce(t *testing.T) {
 	defer p.Close()
 	const n = 500
 	counts := make([]atomic.Int32, n)
-	p.ForLabeled(labelCtx(), n, func(_, i int) { counts[i].Add(1) })
+	p.ForLabeled(labelCtx(), 0, n, func(_, i int) { counts[i].Add(1) })
 	for i := range counts {
 		if c := counts[i].Load(); c != 1 {
 			t.Fatalf("item %d ran %d times", i, c)
-		}
-	}
-}
-
-func TestForStaticLabeledMapping(t *testing.T) {
-	p := New(3)
-	defer p.Close()
-	var bad atomic.Int32
-	ran := make([]atomic.Int32, 7)
-	p.ForStaticLabeled(labelCtx(), 0, 7, func(core, i int) {
-		if i < 0 || i >= 7 {
-			bad.Add(1)
-			return
-		}
-		ran[i].Add(1)
-	})
-	if bad.Load() != 0 {
-		t.Fatal("item out of range")
-	}
-	for i := range ran {
-		if ran[i].Load() != 1 {
-			t.Fatalf("item %d ran %d times", i, ran[i].Load())
 		}
 	}
 }
@@ -63,8 +41,8 @@ func TestLabeledNilContext(t *testing.T) {
 	p := New(2)
 	defer p.Close()
 	var n atomic.Int32
-	p.ForLabeled(nil, 32, func(_, _ int) { n.Add(1) })
-	p.ForStaticLabeled(nil, 0, 32, func(_, _ int) { n.Add(1) })
+	p.ForLabeled(nil, 0, 32, func(_, _ int) { n.Add(1) })
+	p.ForLabeled(nil, 1, 32, func(_, _ int) { n.Add(1) })
 	h := p.SubmitLabeled(nil, 0, 32, func(_, _ int) { n.Add(1) })
 	h.Wait()
 	if n.Load() != 96 {
@@ -76,7 +54,7 @@ func TestLabeledSingleWorkerInline(t *testing.T) {
 	p := New(1)
 	defer p.Close()
 	var n atomic.Int32
-	p.ForLabeled(labelCtx(), 16, func(w, _ int) {
+	p.ForLabeled(labelCtx(), 0, 16, func(w, _ int) {
 		if w != 0 {
 			t.Errorf("worker %d on single-worker pool", w)
 		}

@@ -1,13 +1,16 @@
 // Package pool provides a fixed-size worker pool with parallel-for
-// primitives. The CAKE and GOTO drivers use one worker per simulated core so
-// that goroutine identity corresponds to the paper's "core" (each core owns
-// one A tile / one mc-strip of the CB block), and so repeated block
-// executions reuse goroutines instead of spawning per block.
+// primitives. The CAKE and GOTO drivers run their parallel phases on it, so
+// repeated block executions reuse goroutines instead of spawning per block.
+// Work is claimed, not assigned: each job is a range of items, and whichever
+// of its workers is free takes the next item. A CB block's compute is split
+// into many such items (row-panel units), so a core that runs faster takes
+// more of them and no core idles at the block's barrier waiting for a
+// slower one; results never depend on which worker ran an item.
 //
-// Besides the synchronous ForLabeled/ForStaticLabeled, the pool offers
-// asynchronous submission (SubmitLabeled) returning a waitable Handle. Workers
-// drain queued jobs in FIFO order, so a caller can enqueue a pack job for
-// CB block i+1, immediately run the compute job for block i, and overlap the
+// Besides the synchronous ForLabeled, the pool offers asynchronous
+// submission (SubmitLabeled) returning a waitable Handle. Workers drain
+// queued jobs in FIFO order, so a caller can enqueue a pack job for CB
+// block i+1, immediately run the compute job for block i, and overlap the
 // two: workers that finish their share of one job flow into the next without
 // a barrier in between. This is the mechanism behind the pipelined executor
 // in internal/core (paper Section 3: compute fully overlaps the constant
@@ -15,8 +18,8 @@
 //
 // A panicking work item never ends the process or its worker: the worker
 // recovers it and the first panic value of a job is re-raised on the
-// goroutine that waits for that job — the caller of ForLabeled/
-// ForStaticLabeled, or Handle.Wait for asynchronous jobs. Inline fast paths panic on the caller
+// goroutine that waits for that job — the caller of ForLabeled, or
+// Handle.Wait for asynchronous jobs. Inline fast paths panic on the caller
 // directly.
 package pool
 
@@ -34,11 +37,6 @@ type job struct {
 	n    int64
 	next atomic.Int64
 	wg   sync.WaitGroup
-
-	// stride, when non-zero, makes the job static (ForStaticLabeled): its
-	// n claims are virtual cores, and core c runs f(c, i) for items
-	// i = c, c+stride, … below items.
-	stride, items int
 
 	// ctx, when non-nil, carries pprof labels (see runtime/pprof.Do) that
 	// each worker goroutine wears while running this job's items, so CPU
@@ -87,11 +85,16 @@ type Pool struct {
 
 // New creates a pool with the given number of workers. workers <= 0 selects
 // GOMAXPROCS. Callers must Close the pool when done with it.
+//
+// The job queue holds 2×workers handles: callers whose widths sum to at
+// most the pool size, each with one synchronous and one submitted job
+// outstanding (the pipelined executor's compute and lookahead pack), never
+// fill it, so their sends land without blocking.
 func New(workers int) *Pool {
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
-	p := &Pool{workers: workers, jobs: make(chan *job)}
+	p := &Pool{workers: workers, jobs: make(chan *job, 2*workers)}
 	for w := 0; w < workers; w++ {
 		go p.worker(w)
 	}
@@ -121,21 +124,14 @@ func (p *Pool) serve(j *job, id int) {
 	}
 }
 
-// runItems drains the job's remaining items (virtual cores, for a static
-// job) on worker id.
+// runItems claims and runs the job's remaining items on worker id.
 func (p *Pool) runItems(j *job, id int) {
 	for {
 		i := j.next.Add(1) - 1
 		if i >= j.n {
-			break
+			return
 		}
-		if j.stride == 0 {
-			j.f(id, int(i))
-			continue
-		}
-		for item := int(i); item < j.items; item += j.stride {
-			j.f(int(i), item)
-		}
+		j.f(id, int(i))
 	}
 }
 
@@ -144,14 +140,22 @@ func (p *Pool) Workers() int { return p.workers }
 
 // enqueue fans a job out to the pool. fan bounds how many workers can claim
 // the job; sending fan handles wakes at most fan idle workers, so small jobs
-// do not disturb the rest of the pool. When async, the sends happen on a
-// helper goroutine so the caller never blocks behind busy workers.
+// do not disturb the rest of the pool. An async job whose sends would block
+// on a full queue hands the rest to a helper goroutine, so the caller never
+// waits behind busy workers.
 func (p *Pool) enqueue(j *job, fan int, async bool) {
 	j.wg.Add(fan)
-	if async {
-		go p.send(j, fan)
-	} else {
-		p.send(j, fan)
+	for ; fan > 0; fan-- {
+		if !async {
+			p.jobs <- j
+			continue
+		}
+		select {
+		case p.jobs <- j:
+		default:
+			go p.send(j, fan)
+			return
+		}
 	}
 }
 
@@ -162,28 +166,33 @@ func (p *Pool) send(j *job, fan int) {
 	}
 }
 
-// ForLabeled runs f(worker, item) for every item in [0, n), distributing
-// items over the workers, and blocks until all complete. worker identifies
-// the executing worker in [0, Workers()); items are claimed dynamically, so
-// a worker may execute zero or many items. f must not call ForLabeled on the
-// same pool (no nested parallelism). A panic in f is re-raised on the caller
-// once every worker has left the job. While running this job's items each
-// worker goroutine wears ctx's pprof label set (see obs.LabelCtx), so
-// profiles split by executor phase; a nil ctx applies no labels.
-func (p *Pool) ForLabeled(ctx context.Context, n int, f func(worker, item int)) {
+// ForLabeled runs f(worker, item) for every item in [0, n), wearing ctx's
+// pprof labels (see obs.LabelCtx; nil ctx: none), and blocks until all
+// complete. At most width workers claim the items — how a caller holding a
+// share of a shared pool keeps its fan-out inside that share; width outside
+// [1, Workers()] means Workers(). Items are claimed dynamically: a worker
+// that finishes one takes the next, so a faster worker runs more of them.
+// worker identifies the executing worker in [0, Workers()), and a worker
+// runs one item at a time, so scratch indexed by worker is never shared
+// within the job. When one worker would serve the job (width 1, a
+// one-worker pool or a single item) it runs inline on the caller as worker
+// 0, in item order. f must not call ForLabeled on the same pool (no nested
+// parallelism). A panic in f is re-raised on the caller once every worker
+// has left the job.
+func (p *Pool) ForLabeled(ctx context.Context, width, n int, f func(worker, item int)) {
 	if n <= 0 {
 		return
 	}
 	if p.closed.Load() {
 		panic("pool: ForLabeled on closed pool")
 	}
-	if p.workers == 1 || n == 1 {
-		// Fast path: run inline; worker id 0 keeps per-worker scratch valid.
+	fan := min(n, p.width(width))
+	if fan == 1 {
 		p.runInline(ctx, n, f)
 		return
 	}
 	j := &job{f: f, n: int64(n), ctx: ctx}
-	p.enqueue(j, min(n, p.workers), false)
+	p.enqueue(j, fan, false)
 	j.wait()
 }
 
@@ -199,14 +208,12 @@ func (p *Pool) runInline(ctx context.Context, n int, f func(worker, item int)) {
 	}
 }
 
-// SubmitLabeled enqueues a ForLabeled-style dynamic job without waiting for
-// it: f(worker, item) will run for every item in [0, n) on the pool's
-// workers, concurrently with anything the caller does next, wearing ctx's
-// pprof labels (nil ctx: none). The returned Handle's Wait blocks until all
-// items finish; every Handle must be waited before the pool is Closed. At
-// most width workers claim the job's items — how a caller holding a share of
-// a shared pool keeps its fan-out inside that share; width outside
-// [1, Workers()] means Workers().
+// SubmitLabeled enqueues a ForLabeled job without waiting for it:
+// f(worker, item) will run for every item in [0, n) on at most width of the
+// pool's workers, concurrently with anything the caller does next, wearing
+// ctx's pprof labels. It never runs inline, even at width 1. The returned
+// Handle's Wait blocks until all items finish; every Handle must be waited
+// before the pool is Closed.
 func (p *Pool) SubmitLabeled(ctx context.Context, width, n int, f func(worker, item int)) Handle {
 	if n <= 0 {
 		return Handle{}
@@ -225,33 +232,6 @@ func (p *Pool) width(w int) int {
 		return p.workers
 	}
 	return w
-}
-
-// ForStaticLabeled runs f(core, item) with a static assignment, wearing
-// ctx's pprof labels (nil ctx: none), and blocks until all complete. Item i
-// always runs under virtual core i%min(n, width), and exactly one goroutine
-// serves each virtual core. Used where the paper's analysis pins work to a
-// core (core i owns strip i of every CB block), so per-core scratch indexed
-// by the core argument is never shared; a caller holding a share of a
-// shared pool keeps its fan-out inside that share. width outside
-// [1, Workers()] means Workers().
-func (p *Pool) ForStaticLabeled(ctx context.Context, width, n int, f func(core, item int)) {
-	if n <= 0 {
-		return
-	}
-	if p.closed.Load() {
-		panic("pool: ForStaticLabeled on closed pool")
-	}
-	fan := min(n, p.width(width))
-	if fan == 1 {
-		// Fast path: run inline; with one virtual core every item maps to
-		// core 0 either way, so the static contract is preserved.
-		p.runInline(ctx, n, f)
-		return
-	}
-	j := &job{f: f, n: int64(fan), ctx: ctx, stride: fan, items: n}
-	p.enqueue(j, fan, false)
-	j.wait()
 }
 
 // Close shuts the pool down. Pending synchronous calls must have returned
