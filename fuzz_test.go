@@ -9,6 +9,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/matrix"
+	"repro/internal/packing"
 	"repro/internal/schedule"
 )
 
@@ -95,14 +96,34 @@ func FuzzPackRoundTrip(f *testing.F) {
 		rng := rand.New(rand.NewSource(seed))
 		a := matrix.New[float64](r, c)
 		a.Randomize(rng)
-		// PackAT(transpose) must equal PackA(original): a strong round-trip
-		// check of both layouts.
+		// Both orientations pack the same panels: PackBT of a stored
+		// transposed equals PackB of its transpose, and PackAT likewise
+		// equals PackA, at the 8-wide tile and at a 3-wide one.
+		at := a.Transpose()
+		for _, w := range []int{8, 3} {
+			size := packing.PackedBSize(c, r, w)
+			bt, b := packing.PackBT(make([]float64, size), a, w), packing.PackB(make([]float64, size), at, w)
+			pat, pa := packing.PackAT(make([]float64, size), at, w, 1), packing.PackA(make([]float64, size), a, w, 1)
+			for i := range b {
+				if bt[i] != b[i] || pat[i] != pa[i] {
+					t.Fatalf("%dx%d nr=%d: element %d: PackBT %v PackB %v, PackAT %v PackA %v", r, c, w, i, bt[i], b[i], pat[i], pa[i])
+				}
+			}
+		}
+		// End to end: A·Aᵀ with B stored transposed (transB) is
+		// bit-identical to B stored as is, and matches the naive product.
 		cfg := core.Config{Cores: 1, MC: 8, KC: 8, Alpha: 1, MR: 8, NR: 8, Order: core.OrderAuto}
 		want := matrix.New[float64](r, r)
-		matrix.NaiveGemm(want, a, a.Transpose())
-		got := matrix.New[float64](r, r)
+		matrix.NaiveGemm(want, a, at)
+		got, gotN := matrix.New[float64](r, r), matrix.New[float64](r, r)
 		if _, err := core.GemmT(got, a, a, cfg, false, true); err != nil {
 			t.Fatal(err)
+		}
+		if _, err := core.GemmT(gotN, a, at, cfg, false, false); err != nil {
+			t.Fatal(err)
+		}
+		if !got.Equal(gotN) {
+			t.Fatalf("A·Aᵀ via transB differs from B stored as is: %g", got.MaxAbsDiff(gotN))
 		}
 		if !got.AlmostEqual(want, c, 1e-11) {
 			t.Fatalf("A·Aᵀ via transB differs: %g", got.MaxAbsDiff(want))

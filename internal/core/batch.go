@@ -125,8 +125,9 @@ func (e *Executor[T]) Do(b Batch[T], rb *ResidentB[T]) (Stats, error) {
 	// One B for the whole batch: the panel cache's few slots cannot hold a
 	// multi-block operand across calls, so slot-key carrying alone degrades
 	// to repacking every block. Pack the shared operand once into the
-	// resident layout — the same bytes the per-call pack would produce, so
-	// results stay bit-exact — and serve all N calls from it. (With α = 0
+	// resident slab layout, in one allocation — the same panels the
+	// per-call pack would produce, so results stay bit-exact — and serve
+	// all N calls from it. (With α = 0
 	// the multiply never reads B; skip the pack.)
 	sharedB := rb == nil && len(b.C) > 1 && b.Alpha != 0
 	for i := 1; sharedB && i < len(b.B); i++ {

@@ -273,9 +273,11 @@ func (e *Executor[T]) packBUnits(blk *blockSpan) int {
 	return blk.strips // one unit per core strip (DimM, nc = mc) or kc-deep slice (DimK)
 }
 
-// packBUnit packs unit u of the block's B panel into dst. Returns the
-// elements moved, for span accounting.
+// packBUnit packs unit u of the block's B panel into dst — a column chunk
+// (DimN), a core strip (DimM) or a kc-deep slice (DimK) — at the offset
+// bPanels reads it from. Returns the elements moved, for span accounting.
 func (e *Executor[T]) packBUnit(dst []T, b *matrix.Matrix[T], blk *blockSpan, u int) int64 {
+	kk, c0, cols := 0, 0, blk.nEff
 	switch e.cfg.Dim {
 	case DimN:
 		nr := e.cfg.NR
@@ -286,23 +288,18 @@ func (e *Executor[T]) packBUnit(dst []T, b *matrix.Matrix[T], blk *blockSpan, u 
 		if pn <= 0 {
 			return 0
 		}
-		c0 := p0 * nr
-		cols := min(pn*nr, blk.nEff-c0)
-		e.packBSlice(dst[c0*blk.kEff:], b, blk.k0, blk.kEff, blk.n0+c0, cols)
-		return int64(blk.kEff) * int64(cols)
+		c0 = p0 * nr
+		cols = min(pn*nr, blk.nEff-c0)
 	case DimM:
-		c0 := u * e.cfg.MC
-		cols := min(e.cfg.MC, blk.nEff-c0)
-		e.packBSlice(dst[c0*blk.kEff:], b, blk.k0, blk.kEff, blk.n0+c0, cols)
-		return int64(blk.kEff) * int64(cols)
+		c0 = u * e.cfg.MC
+		cols = min(e.cfg.MC, blk.nEff-c0)
 	default: // DimK
-		kc := e.cfg.KC
-		bSlice := packing.PackedBSize(kc, blk.nEff, e.cfg.NR)
-		kk0 := u * kc
-		depth := min(kc, blk.kEff-kk0)
-		e.packBSlice(dst[u*bSlice:], b, blk.k0+kk0, depth, blk.n0, blk.nEff)
-		return int64(depth) * int64(blk.nEff)
+		kk = u * e.cfg.KC
 	}
+	depth := min(e.cfg.KC, blk.kEff-kk)
+	off, end := e.blockSlabs(blk).Span(kk, c0, cols)
+	e.packBSlice(dst[off:end], b, blk.k0+kk, depth, blk.n0+c0, cols)
+	return int64(depth) * int64(cols)
 }
 
 // computeStage runs the block's macro-kernels out of the stage's packed
@@ -333,32 +330,28 @@ func (e *Executor[T]) computeItem(worker, ui int) {
 	s := e.cur
 	blk := &s.blk
 	aBuf := e.packA[s.aSlot]
-	bBuf := e.residentCell(blk.coord)
-	if bBuf == nil {
-		bBuf = e.packB[s.bSlot]
-	}
-	// Units start on register-panel boundaries, and the packed panels lay
-	// out panel after panel (pack strips are mr- or nr-aligned), so a
-	// unit's panels begin at its first row (column) times the depth.
+	// Units start on register-panel boundaries, and the packed A panels lay
+	// out panel after panel (pack strips are mr-aligned), so a unit's A
+	// panels begin at its first row times the depth; bPanels does the same
+	// for B, from the pack slot or the resident image.
 	switch e.cfg.Dim {
 	case DimN:
 		r0 := ui * blk.unit
 		rows := min(blk.unit, blk.mEff-r0)
 		ap := aBuf[r0*blk.kEff : r0*blk.kEff+packing.PackedASize(rows, blk.kEff, e.cfg.MR)]
-		bp := bBuf[:packing.PackedBSize(blk.kEff, blk.nEff, e.cfg.NR)]
+		bp := e.bPanels(s, 0, 0, blk.nEff)
 		packing.Macro(e.kern, blk.kEff, ap, bp, e.blockRows(r0, rows), e.scratch[worker])
 	case DimM:
 		c0 := ui * blk.unit
 		cols := min(blk.unit, blk.nEff-c0)
 		ap := aBuf[:packing.PackedASize(blk.mEff, blk.kEff, e.cfg.MR)]
-		bp := bBuf[c0*blk.kEff : c0*blk.kEff+packing.PackedBSize(blk.kEff, cols, e.cfg.NR)]
+		bp := e.bPanels(s, 0, c0, cols)
 		packing.Macro(e.kern, blk.kEff, ap, bp, e.cBlock.View(0, c0, blk.mEff, cols), e.scratch[worker])
 	default: // DimK
 		aSlice := packing.PackedASize(blk.mEff, blk.unit, e.cfg.MR)
-		bSlice := packing.PackedBSize(blk.unit, blk.nEff, e.cfg.NR)
 		depth := min(blk.unit, blk.kEff-ui*blk.unit)
 		ap := aBuf[ui*aSlice : ui*aSlice+packing.PackedASize(blk.mEff, depth, e.cfg.MR)]
-		bp := bBuf[ui*bSlice : ui*bSlice+packing.PackedBSize(depth, blk.nEff, e.cfg.NR)]
+		bp := e.bPanels(s, ui*blk.unit, 0, blk.nEff)
 		part := matrix.FromSlice(blk.mEff, blk.nEff, e.partials[ui][:blk.mEff*blk.nEff])
 		part.Zero()
 		packing.Macro(e.kern, depth, ap, bp, part, e.scratch[worker])
@@ -440,15 +433,16 @@ func (e *Executor[T]) reuseEvent(blk obs.Block, elems int64) {
 func (e *Executor[T]) runBlocks(st *Stats, m, k, n int) {
 	seq := e.seq
 	e.invalidateSlots()
-	// Lookahead packing only pays when another worker can run the pack while
-	// this block computes, and there is a next block to pack. On a
-	// single-worker pool the FIFO queue would run the whole next-block pack
-	// *before* the current compute, evicting the panels compute is about to
-	// read; pack just in time there and keep only the panel-reuse layer,
-	// which is where the single-core win lives. A one-block schedule has
-	// nothing to overlap: its pack runs on the caller's width, never on a
-	// worker the caller was not granted.
-	lookahead := e.pipeline && e.pool.Workers() > 1 && len(seq) > 1
+	// Lookahead packing only pays when another granted worker can run the
+	// pack while this block computes, and there is a next block to pack. At
+	// width 1 the pack job would go to a pool worker the caller was not
+	// granted (and queue behind other requests' jobs while the caller waits
+	// on it), and on a single-worker pool the FIFO queue would run the whole
+	// next-block pack *before* the current compute, evicting the panels
+	// compute is about to read; pack just in time on the caller there and
+	// keep only the panel-reuse layer, which is where the single-core win
+	// lives. A one-block schedule has nothing to overlap.
+	lookahead := e.pipeline && e.width > 1 && len(seq) > 1
 	var cur, next *pipeStage
 	// A panic re-raised by this block's compute must not unwind past the
 	// next block's pack job: its submit helper may still be sending to the

@@ -4,6 +4,7 @@ import (
 	"math/rand"
 	"sync"
 	"testing"
+	"time"
 
 	"repro/internal/matrix"
 	"repro/internal/pool"
@@ -16,10 +17,11 @@ import (
 // synchronous executor (the strip decomposition and accumulation order are
 // the same, so there is no floating-point excuse for any difference), and
 // both must agree with the naive reference within accumulation tolerance.
-// Two more pairs ride along: a 1-core config packing just in time on its
-// own 1-worker pool against the same config packing ahead on a shared
-// 3-worker pool, and sync mode at Batch.Width 1 on that shared pool against
-// sync mode on its own pool.
+// Three more pairs ride along: the pipelined executor at Batch.Width 1,
+// which packs each block just in time on its caller, against its own
+// lookahead run at full width; a 1-core config on its own 1-worker pool
+// against the same config on a shared 3-worker pool; and sync mode at
+// Batch.Width 1 on that shared pool against sync mode on its own pool.
 func TestPipelinedBitExactVsSync(t *testing.T) {
 	shapes := []struct{ m, k, n int }{
 		{64, 32, 64},  // exact multiples of the block
@@ -104,7 +106,12 @@ func TestPipelinedBitExactVsSync(t *testing.T) {
 							t.Fatalf("dim=%v order=%v %+v: %v", dim, order, sh, err)
 						}
 					}
-					cW1, cJit, cAhead := c0.Clone(), c0.Clone(), c0.Clone()
+					cW1, cJit, cAhead, cPipeW1 := c0.Clone(), c0.Clone(), c0.Clone(), c0.Clone()
+					do(pipe, cPipeW1, 1)
+					if !cPipeW1.Equal(cPipe) {
+						t.Fatalf("dim=%v order=%v shape=%+v ta=%v tb=%v: just-in-time packing at width 1 differs from lookahead by %g",
+							dim, order, sh, tc.ta, tc.tb, cPipeW1.MaxAbsDiff(cPipe))
+					}
 					do(syncW1, cW1, 1)
 					if !cW1.Equal(cSync) {
 						t.Fatalf("dim=%v order=%v shape=%+v ta=%v tb=%v: sync at width 1 differs by %g",
@@ -113,7 +120,7 @@ func TestPipelinedBitExactVsSync(t *testing.T) {
 					do(jit, cJit, 0)
 					do(ahead, cAhead, 0)
 					if !cJit.Equal(cAhead) {
-						t.Fatalf("dim=%v order=%v shape=%+v ta=%v tb=%v: 1-core just-in-time differs from lookahead by %g",
+						t.Fatalf("dim=%v order=%v shape=%+v ta=%v tb=%v: 1-core on its own pool differs from the shared pool by %g",
 							dim, order, sh, tc.ta, tc.tb, cJit.MaxAbsDiff(cAhead))
 					}
 					// And both match the reference semantics C = αAB + βC₀.
@@ -307,5 +314,53 @@ func TestSyncStatsUnchanged(t *testing.T) {
 	}
 	if st.ReusedAElems != 0 || st.ReusedBElems != 0 || st.OverlapNanos != 0 {
 		t.Fatalf("sync path reported pipeline stats: %+v", st)
+	}
+}
+
+// TestWidthOneKeepsPacksOnCaller: a width-1 call packs every block on its
+// caller, never on a pool worker it was not granted, so a multi-block call
+// completes while every worker of the pool is held by other work. Were its
+// packs submitted to the pool, the call would wait until the workers are
+// freed; the test then fails after a timeout and frees them.
+func TestWidthOneKeepsPacksOnCaller(t *testing.T) {
+	p := pool.New(2)
+	defer p.Close()
+	release := make(chan struct{})
+	var held sync.WaitGroup
+	held.Add(2)
+	hold := p.SubmitLabeled(nil, 2, 2, func(_, _ int) { held.Done(); <-release })
+	held.Wait()
+
+	e, err := NewExecutor[float64](smallConfig(2, DimN), p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(1500))
+	a, b := matrix.New[float64](40, 56), matrix.New[float64](56, 72) // 2×4×3 blocks
+	a.Randomize(rng)
+	b.Randomize(rng)
+	c := matrix.New[float64](40, 72)
+	done := make(chan error, 1)
+	go func() {
+		_, err := e.Do(Batch[float64]{C: mats(c), A: mats(a), B: mats(b), Alpha: 1, Width: 1}, nil)
+		done <- err
+	}()
+	select {
+	case err = <-done:
+	case <-time.After(10 * time.Second):
+		close(release)
+		hold.Wait()
+		<-done
+		t.Fatal("width-1 call waited on pool workers it was not granted")
+	}
+	close(release)
+	hold.Wait()
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := matrix.New[float64](40, 72)
+	matrix.NaiveGemm(want, a, b)
+	if !c.AlmostEqual(want, 56, 1e-12) {
+		t.Fatalf("max diff %g vs naive", c.MaxAbsDiff(want))
 	}
 }

@@ -6,6 +6,8 @@ import (
 	"testing"
 
 	"repro/internal/matrix"
+	"repro/internal/packing"
+	"repro/internal/schedule"
 )
 
 // transpose returns a new matrix holding mᵀ.
@@ -142,8 +144,12 @@ func TestGemmResidentFloat32(t *testing.T) {
 }
 
 func TestGemmResidentRejectsMismatches(t *testing.T) {
+	// A DimK config with the same KC and NR reads the DimN image as is (see
+	// TestResidentImageSharedAcrossConfigs); a shallower KC bands B
+	// differently, so its executor must refuse the image.
 	cfgN := smallConfig(2, DimN)
 	cfgK := smallConfig(2, DimK)
+	cfgK.KC = 8
 	b := matrix.New[float64](32, 32)
 	rb, err := PackResidentB(cfgN, b, false)
 	if err != nil {
@@ -157,7 +163,17 @@ func TestGemmResidentRejectsMismatches(t *testing.T) {
 	a := matrix.New[float64](16, 32)
 	c := matrix.New[float64](16, 32)
 	if _, err := e.Do(residentCall(c, a), rb); err == nil {
-		t.Fatal("layout mismatch accepted")
+		t.Fatal("KC mismatch accepted")
+	}
+	cfg4 := cfgN
+	cfg4.NR = 4
+	e4, err := NewExecutor[float64](cfg4, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer e4.Close()
+	if _, err := e4.Do(residentCall(c, a), rb); err == nil {
+		t.Fatal("NR mismatch accepted")
 	}
 	if _, err := e.Do(residentCall(c, a), nil); err == nil {
 		t.Fatal("nil resident operand accepted")
@@ -228,4 +244,149 @@ func TestGemmResidentThenFresh(t *testing.T) {
 			t.Fatalf("fresh call after resident call diverged at %d", i)
 		}
 	}
+}
+
+// TestResidentImageSharedAcrossConfigs packs B once and serves it from
+// every config of a group whose slab layout matches, bit-identical to each
+// config's fresh pack: full-width KC = 16 slabs read by DimN at two widths,
+// DimM and DimK, and 42-wide slabs read by an α ≠ 1 DimN and DimK config
+// whose block width is not NR-aligned. K is not a multiple of KC and N not
+// of NR, and B is registered both ways round.
+func TestResidentImageSharedAcrossConfigs(t *testing.T) {
+	ragged := Config{Cores: 2, MC: 16, KC: 16, Alpha: 1.3, MR: 8, NR: 8, Dim: DimN} // bn = 42
+	groups := [][]Config{
+		{smallConfig(1, DimN), smallConfig(2, DimN), smallConfig(2, DimM), smallConfig(3, DimK)},
+		{ragged, {Cores: 3, MC: 16, KC: 16, Alpha: 2.625, MR: 8, NR: 8, Dim: DimK}},
+	}
+	const m, k, n = 20, 40, 101
+	rng := rand.New(rand.NewSource(400))
+	a, b, c0 := matrix.New[float64](m, k), matrix.New[float64](k, n), matrix.New[float64](m, n)
+	for _, x := range []*matrix.Matrix[float64]{a, b, c0} {
+		x.Randomize(rng)
+	}
+	for gi, group := range groups {
+		for _, transB := range []bool{false, true} {
+			bSrc := b
+			if transB {
+				bSrc = transpose(b)
+			}
+			rb, err := PackResidentB(group[0], bSrc, transB)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got, want := rb.Bytes(), int64(slabLayout(group[0], k, n).Elems())*8; got != want {
+				t.Fatalf("group %d: image %d bytes, want one layout's %d", gi, got, want)
+			}
+			for _, cfg := range group {
+				if err := rb.CompatibleWith(cfg); err != nil {
+					t.Fatalf("group %d: %v", gi, err)
+				}
+				e, err := NewExecutor[float64](cfg, nil)
+				if err != nil {
+					t.Fatal(err)
+				}
+				fresh, res := c0.Clone(), c0.Clone()
+				if _, err := e.GemmScaled(fresh, a, bSrc, false, transB, 1.5, 0.5); err != nil {
+					t.Fatal(err)
+				}
+				if _, err := e.Do(Batch[float64]{C: mats(res), A: mats(a), Alpha: 1.5, Beta: 0.5}, rb); err != nil {
+					t.Fatal(err)
+				}
+				e.Close()
+				if !res.Equal(fresh) {
+					t.Fatalf("group %d %v transB=%v: resident differs from fresh (max diff %g)", gi, cfg, transB, res.MaxAbsDiff(fresh))
+				}
+			}
+		}
+	}
+	// The ragged group keeps block-wide slabs; full width would start its
+	// second block column mid-panel.
+	if l := slabLayout(ragged, k, n); l.Width != 42 {
+		t.Fatalf("ragged layout %+v, want 42-wide slabs", l)
+	}
+}
+
+// FuzzResidentLayout draws an operand and a config and checks that every B
+// panel run the executor would read from a resident image — each block
+// cell, DimM compute unit and DimK reduction strip, resolved through the
+// executor's own block spans and bPanels — is PackB (or PackBT) of that
+// sub-block, and that a resident GEMM equals the fresh one bit for bit.
+func FuzzResidentLayout(f *testing.F) {
+	f.Add(uint8(40), uint8(101), uint8(15), uint8(1), uint8(3), uint8(0), uint8(1), false, int64(1))
+	f.Add(uint8(70), uint8(50), uint8(7), uint8(0), uint8(0), uint8(1), uint8(2), true, int64(2))
+	f.Add(uint8(33), uint8(90), uint8(10), uint8(1), uint8(13), uint8(2), uint8(0), true, int64(3))
+	f.Fuzz(func(t *testing.T, kk, nn, kc, nrSel, alpha8, dim, mc8 uint8, transB bool, seed int64) {
+		k, n := int(kk)%80+1, int(nn)%120+1
+		cfg := Config{
+			Cores: int(seed&3) + 1, MC: 8 * (int(mc8)%3 + 1), KC: int(kc)%40 + 1,
+			Alpha: 1 + float64(alpha8%24)/8, MR: 8, NR: []int{4, 8}[nrSel%2],
+			Dim: ComputeDim(dim % 3), Order: OrderAuto,
+		}
+		rng := rand.New(rand.NewSource(seed))
+		b := matrix.New[float64](k, n)
+		b.Randomize(rng)
+		bSrc := b
+		if transB {
+			bSrc = transpose(b)
+		}
+		rb, err := PackResidentB(cfg, bSrc, transB)
+		if err != nil {
+			t.Fatal(err)
+		}
+		e, err := NewExecutor[float64](cfg, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer e.Close()
+		const m = 9
+		grid := cfg.GridFor(m, k, n)
+		seq := schedule.AppendKFirst(nil, grid, schedule.OuterN)
+		e.resB = rb
+		s := &e.stages[0]
+		for i := range seq {
+			e.spanFor(&s.blk, seq, i, m, k, n)
+			blk := &s.blk
+			check := func(kk, c0, cols int) {
+				depth := min(cfg.KC, blk.kEff-kk)
+				want := packing.PackB(make([]float64, packing.PackedBSize(depth, cols, cfg.NR)),
+					b.View(blk.k0+kk, blk.n0+c0, depth, cols), cfg.NR)
+				got := e.bPanels(s, kk, c0, cols)
+				if len(got) != len(want) {
+					t.Fatalf("%v block %+v rows +%d cols +%d: %d panel elements, want %d", cfg, *blk, kk, c0, len(got), len(want))
+				}
+				for j := range want {
+					if got[j] != want[j] {
+						t.Fatalf("%v block %+v rows +%d cols +%d: element %d = %v, want %v", cfg, *blk, kk, c0, j, got[j], want[j])
+					}
+				}
+			}
+			switch cfg.Dim {
+			case DimN:
+				check(0, 0, blk.nEff)
+			case DimM:
+				for c0 := 0; c0 < blk.nEff; c0 += blk.unit {
+					check(0, c0, min(blk.unit, blk.nEff-c0))
+				}
+			default:
+				for kk := 0; kk < blk.kEff; kk += cfg.KC {
+					check(kk, 0, blk.nEff)
+				}
+			}
+		}
+		e.resB = nil
+
+		a, c0 := matrix.New[float64](m, k), matrix.New[float64](m, n)
+		a.Randomize(rng)
+		c0.Randomize(rng)
+		fresh, res := c0.Clone(), c0.Clone()
+		if _, err := e.GemmScaled(fresh, a, bSrc, false, transB, 1, 1); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := e.Do(residentCall(res, a), rb); err != nil {
+			t.Fatal(err)
+		}
+		if !res.Equal(fresh) {
+			t.Fatalf("%v %dx%dx%d transB=%v: resident differs from fresh (max diff %g)", cfg, m, k, n, transB, res.MaxAbsDiff(fresh))
+		}
+	})
 }

@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"repro/internal/matrix"
+	"repro/internal/platform"
 )
 
 // residentReq is the single-call resident request C += A×B_id.
@@ -267,5 +268,92 @@ func TestEngineResidentStress(t *testing.T) {
 	}
 	if st := e.ResidentStats(); st.Pinned != 0 {
 		t.Fatalf("stress leaked pins: %+v", st)
+	}
+}
+
+// servePlatform is the serving benchmark's platform model (2 cores, 32 KiB
+// L1, 256 KiB L2, 2 MiB LLC). Its f32 small and large tiers both band B
+// 176 deep in 8-wide panels, so they read one shared resident image.
+func servePlatform() *platform.Platform {
+	pl := testPlatform(2)
+	pl.L1Bytes, pl.L2Bytes, pl.LLCBytes = 32<<10, 256<<10, 2<<20
+	return pl
+}
+
+// TestEngineResidentSharedImageAllTiers registers each operand once and
+// serves it on the tiny, small and large tiers, bit-identical to a fresh
+// pack on the same tier. A 40×60 B (K ≤ KC) is one image for all three
+// tiers; a 200×36 B (K not a multiple of the 176-deep band) is one image
+// for small and large and a 200-deep one for tiny. N is not a multiple of
+// the 8-wide panel in either, and both go in transposed as well.
+func TestEngineResidentSharedImageAllTiers(t *testing.T) {
+	e := newTestEngine(t, 2, Options{Platform: servePlatform()})
+	for _, tc := range []struct {
+		k, n   int
+		ms     [tierCount]int // an M landing on each tier
+		images int
+	}{
+		{40, 60, [tierCount]int{8, 2000, 6000}, 1},
+		{200, 36, [tierCount]int{1, 1000, 2000}, 2},
+	} {
+		for _, transB := range []bool{false, true} {
+			rng := rand.New(rand.NewSource(int64(tc.k + tc.n)))
+			b := matrix.New[float32](tc.k, tc.n)
+			if transB {
+				b = matrix.New[float32](tc.n, tc.k)
+			}
+			b.Randomize(rng)
+			id := fmt.Sprintf("shared-%dx%d-%v", tc.k, tc.n, transB)
+			if err := RegisterBT(e, id, b, transB); err != nil {
+				t.Fatal(err)
+			}
+			image := int64(tc.k) * int64((tc.n+7)/8*8) * 4
+			if got, want := e.ResidentStats().Bytes, int64(tc.images)*image; got != want {
+				t.Fatalf("%s: resident bytes %d, want %d images of %d", id, got, tc.images, image)
+			}
+			for tier, m := range tc.ms {
+				if got := e.TierFor(m, tc.k, tc.n, 4); got != Tier(tier) {
+					t.Fatalf("%s: M=%d lands on %v, want %v", id, m, got, Tier(tier))
+				}
+				a, c0 := matrix.New[float32](m, tc.k), matrix.New[float32](m, tc.n)
+				a.Randomize(rng)
+				c0.Randomize(rng)
+				fresh, res := c0.Clone(), c0.Clone()
+				if _, err := Do(e, Request[float32]{C: mats(fresh), A: mats(a), B: mats(b), TransB: transB, Alpha: 1, Beta: 1}); err != nil {
+					t.Fatal(err)
+				}
+				st, err := Do(e, residentReq(res, a, id))
+				if err != nil {
+					t.Fatal(err)
+				}
+				if st.PackedBElems != 0 || st.ResidentBElems == 0 {
+					t.Fatalf("%s M=%d: resident call stats %+v", id, m, st)
+				}
+				if !res.Equal(fresh) {
+					t.Fatalf("%s M=%d (%v): resident differs from fresh by %g", id, m, Tier(tier), res.MaxAbsDiff(fresh))
+				}
+			}
+			if err := e.ReleaseB(id); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+}
+
+// TestEngineResidentBudgetChargesOneImage: four 64×64 f32 operands, whose
+// three tiers share one 16 KiB image each, fit a 100 KiB budget that would
+// hold only three at two images each; none is evicted and the store holds
+// one image per operand.
+func TestEngineResidentBudgetChargesOneImage(t *testing.T) {
+	const ops, image = 4, 64 * 64 * 4
+	e := newTestEngine(t, 2, Options{Platform: servePlatform(), ResidentBudgetBytes: 100 << 10})
+	b := matrix.New[float32](64, 64)
+	for i := 0; i < ops; i++ {
+		if err := RegisterB(e, fmt.Sprintf("w%d", i), b); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if st := e.ResidentStats(); st.Evictions != 0 || st.Entries != ops || st.Bytes != ops*image {
+		t.Fatalf("resident stats %+v, want %d entries of %d bytes and no evictions", st, ops, image)
 	}
 }

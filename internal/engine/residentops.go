@@ -1,10 +1,13 @@
-// Resident-operand serving: RegisterB packs a weight matrix once into every
-// tier layout the dispatcher might pick, parks the panels in the engine's
-// refcounted LRU store (internal/engine/resident), and a Request naming the
-// operand as its Resident B source serves activations against them with the
-// pack bypass — the paper's DNN-inference motivation turned into an API. Registration pays the pack (including the
-// strided PackBT gather for transposed weights) exactly once; every serve
-// call afterwards skips B packing on whichever tier it lands on.
+// Resident-operand serving: RegisterB packs a weight matrix once per
+// distinct slab layout among the tiers the dispatcher might pick (tiers
+// whose configs band B at the same KC, in the same NR panels and slab
+// width, share one image), parks the image in the engine's refcounted LRU
+// store (internal/engine/resident), and a Request naming the operand as its
+// Resident B source serves activations against it with the pack bypass —
+// the paper's DNN-inference motivation turned into an API. Registration
+// pays the pack (including the transposed gather for weights stored as Bᵀ)
+// exactly once per image; every serve call afterwards skips B packing on
+// whichever tier it lands on.
 package engine
 
 import (
@@ -41,13 +44,12 @@ var (
 // unbounded registration loops.
 const DefaultResidentBudget int64 = 256 << 20
 
-// residentOperand is one registered B packed into the panel grid of every
-// dispatch tier that could serve it, indexed by Tier (nil where the tier
-// never can). The large layout always exists (any problem can land there);
-// the tiny and small layouts exist iff the tier's cache arithmetic can ever
-// select them for this operand — see mayLand — so a tier hit always finds
-// its layout present. The tiny layout is one cell: the whole operand in
-// kernel-NR panels.
+// residentOperand is one registered B, indexed by Tier: the packed image
+// each tier that could serve it reads (nil where the tier never can).
+// Tiers whose slab layouts agree point at one shared image. The large entry
+// always exists (any problem can land there); the tiny and small ones exist
+// iff the tier's cache arithmetic can ever select them for this operand —
+// see mayLand — so a tier hit always finds its image present.
 type residentOperand[T matrix.Scalar] [tierCount]*core.ResidentB[T]
 
 // mayLand reports whether a problem whose B operand takes bBytes can ever
@@ -63,8 +65,8 @@ func (e *Engine) mayLand(t Tier, bBytes int64) bool {
 	return true
 }
 
-// RegisterB packs B (stored K×N) once into the engine's per-tier panel
-// layouts and keeps it resident under the byte budget, evicting
+// RegisterB packs B (stored K×N) once per distinct slab layout among the
+// engine's tiers and keeps it resident under the byte budget, evicting
 // least-recently-used unpinned operands to fit. A live id fails with
 // ErrOperandExists — ReleaseB first, then re-register.
 func RegisterB[T matrix.Scalar](e *Engine, id string, b *matrix.Matrix[T]) error {
@@ -73,25 +75,31 @@ func RegisterB[T matrix.Scalar](e *Engine, id string, b *matrix.Matrix[T]) error
 
 // RegisterBT is RegisterB for an operand in either storage order: when
 // transB, b holds Bᵀ (N×K — how DNN weights usually ship). The packed panel
-// layout is storage-order oblivious, so serving calls never pay the strided
-// transpose gather; it happens here, once.
+// layout is storage-order oblivious, so serving calls never pay the
+// transpose gather; it happens here, once per image.
 func RegisterBT[T matrix.Scalar](e *Engine, id string, b *matrix.Matrix[T], transB bool) error {
 	if e.closedFast.Load() {
 		return ErrClosed
 	}
-	k, n := b.Rows, b.Cols
-	if transB {
-		k, n = n, k
-	}
-	elem := int64(unsafe.Sizeof(*new(T)))
-	bBytes := int64(k) * int64(n) * elem
+	k, n := core.OpDims(b, transB)
+	elem := int(unsafe.Sizeof(*new(T)))
+	bBytes := int64(k) * int64(n) * int64(elem)
 	op := new(residentOperand[T])
 	var total int64
 	for t := Tier(0); t < tierCount; t++ {
 		if !e.mayLand(t, bBytes) {
 			continue
 		}
-		rb, err := core.PackResidentB(e.TierConfig(t, int(elem)), b, transB)
+		cfg := e.TierConfig(t, elem)
+		for u := Tier(0); u < t && op[t] == nil; u++ {
+			if op[u] != nil && op[u].CompatibleWith(cfg) == nil {
+				op[t] = op[u]
+			}
+		}
+		if op[t] != nil {
+			continue
+		}
+		rb, err := core.PackResidentB(cfg, b, transB)
 		if err != nil {
 			return fmt.Errorf("engine: register %q %s tier: %w", id, t, err)
 		}

@@ -178,29 +178,10 @@ func PackAT[T matrix.Scalar](dst []T, at *matrix.Matrix[T], mr int, scale T) []T
 
 // PackBT packs the transpose of the dense block bt (a c×kc view, holding
 // Bᵀ) into dst using the PackB layout: logical element B(k, j) = bt(j, k).
-//
-//cake:hotpath
+// That is PackA's layout of bt with nr-row panels, so PackA's row walk (and
+// its 8-wide fast path) does the work.
 func PackBT[T matrix.Scalar](dst []T, bt *matrix.Matrix[T], nr int) []T {
-	c, kc := bt.Rows, bt.Cols
-	n := PackedBSize(kc, c, nr)
-	if len(dst) < n {
-		panic(fmt.Sprintf("packing: PackBT dst %d < %d", len(dst), n))
-	}
-	dst = dst[:n]
-	for q := 0; q < ceilDiv(c, nr); q++ {
-		panel := dst[q*nr*kc : (q+1)*nr*kc]
-		cols := min(nr, c-q*nr)
-		for k := 0; k < kc; k++ {
-			row := panel[k*nr : k*nr+nr]
-			for j := 0; j < cols; j++ {
-				row[j] = bt.At(q*nr+j, k)
-			}
-			for j := cols; j < nr; j++ {
-				row[j] = 0
-			}
-		}
-	}
-	return dst
+	return PackA(dst, bt, nr, 1)
 }
 
 // Macro runs the macro-kernel: C += Aᵖ × Bᵖ where Aᵖ packs c.Rows×kc and Bᵖ

@@ -331,7 +331,8 @@ func TestPackATScaled(t *testing.T) {
 // TestPackEightWidePanels checks the 8-row A and 8-column B panel paths
 // against the layout contract: strided views whose full panels take the
 // fast path and whose last panel takes the general one, with and without
-// an A scale, from buffers holding stale data.
+// an A scale, B stored as is and transposed, from buffers holding stale
+// data.
 func TestPackEightWidePanels(t *testing.T) {
 	rng := rand.New(rand.NewSource(23))
 	big := matrix.New[float32](40, 40)
@@ -357,23 +358,61 @@ func TestPackEightWidePanels(t *testing.T) {
 			}
 		}
 	}
+	// B both ways round: w as is, and wt (a strided view holding wᵀ)
+	// through PackBT.
 	w := big.View(5, 3, 19, 21)
-	bp := make([]float32, PackedBSize(19, 21, 8))
-	for i := range bp {
-		bp[i] = 9
+	wt := matrix.New[float32](40, 40)
+	for k := 0; k < 19; k++ {
+		for c := 0; c < 21; c++ {
+			wt.Data[(2+c)*wt.Stride+4+k] = w.At(k, c)
+		}
 	}
-	PackB(bp, w, 8)
-	for q := 0; q < 3; q++ {
-		for k := 0; k < 19; k++ {
-			for j := 0; j < 8; j++ {
-				var want float32
-				if c := q*8 + j; c < 21 {
-					want = w.At(k, c)
-				}
-				if got := bp[q*8*19+k*8+j]; got != want {
-					t.Fatalf("B panel %d k=%d j=%d: got %v want %v", q, k, j, got, want)
+	for _, trans := range []bool{false, true} {
+		bp := make([]float32, PackedBSize(19, 21, 8))
+		for i := range bp {
+			bp[i] = 9
+		}
+		if trans {
+			PackBT(bp, wt.View(2, 4, 21, 19), 8)
+		} else {
+			PackB(bp, w, 8)
+		}
+		for q := 0; q < 3; q++ {
+			for k := 0; k < 19; k++ {
+				for j := 0; j < 8; j++ {
+					var want float32
+					if c := q*8 + j; c < 21 {
+						want = w.At(k, c)
+					}
+					if got := bp[q*8*19+k*8+j]; got != want {
+						t.Fatalf("B (transposed %v) panel %d k=%d j=%d: got %v want %v", trans, q, k, j, got, want)
+					}
 				}
 			}
 		}
+	}
+}
+
+// BenchmarkPackB packs one 176×256 f32 band of a serving weight — a
+// resident slab at the serving benchmark's KC — from B stored as is and
+// from Bᵀ.
+func BenchmarkPackB(b *testing.B) {
+	src := matrix.New[float32](176, 256)
+	src.Randomize(rand.New(rand.NewSource(1)))
+	srcT := src.Transpose()
+	dst := make([]float32, PackedBSize(176, 256, 8))
+	for _, tc := range []struct {
+		name string
+		pack func()
+	}{
+		{"B", func() { PackB(dst, src, 8) }},
+		{"BT", func() { PackBT(dst, srcT, 8) }},
+	} {
+		b.Run(tc.name, func(b *testing.B) {
+			b.SetBytes(int64(len(dst)) * 4)
+			for i := 0; i < b.N; i++ {
+				tc.pack()
+			}
+		})
 	}
 }

@@ -1,9 +1,10 @@
-// Resident-operand layout snapshot: a B operand packed once into the exact
-// per-CB-block panel grid the executors read, so serving paths can skip
-// PackB entirely (internal/engine/resident owns the lifetime; this file owns
-// the geometry). The layout is a pure function of the executor Config — the
-// store packs against it at registration and the executor verifies it at
-// dispatch, so a stale snapshot is an error, never a wrong answer.
+// Resident-operand layout: a B operand packed once into KC-deep slabs that
+// every executor config reading the same panel geometry shares, so serving
+// paths skip PackB entirely (internal/engine/resident owns the lifetime;
+// this file owns the geometry). The layout is a pure function of the
+// operand's extents and the config's KC, NR and block width — the store
+// packs against it at registration and the executor verifies it at
+// dispatch, so a stale image is an error, never a wrong answer.
 package packing
 
 import (
@@ -12,92 +13,74 @@ import (
 	"repro/internal/matrix"
 )
 
-// BGridLayout describes how a full K×N B operand decomposes into the packed
-// per-block buffers an executor reads. Blocks tile the operand BK×BN; within
-// a block the buffer is either one PackB image of the whole kEff×nEff cell
-// (Strip == 0, the DimN/DimM schedules — DimM's nc-wide sub-strips are
-// contiguous sub-ranges of that image because Validate forces MC%NR == 0) or
-// ceil(kEff/Strip) reduction strips of fixed stride PackedBSize(Strip, nEff,
-// NR) (the DimK schedule, Strip = KC).
-type BGridLayout struct {
-	K, N   int // logical operand extents
-	BK, BN int // CB-block extents along K and N
-	Strip  int // reduction-strip depth inside a block; 0 = single strip
-	NR     int // kernel panel width the cells are packed for
+// SlabLayout describes one packed image of a K×N B operand. K splits into
+// Depth-deep bands (the last one shallower) and each band into Width-wide
+// slabs (the last one narrower); each slab is the PackB image of its
+// sub-block, and the slabs lie band after band in one buffer. Because a
+// PackB image stores panel after panel, the columns [c, c+cols) of a slab,
+// c a multiple of NR, are the PackB image of that sub-block in place,
+// starting c·depth into the slab: a CB block, a DimM sub-strip or a DimK
+// reduction strip that starts on a band and on such a column reads its
+// panels straight out of the image (see Span).
+//
+// The fields are the image's key: two configs whose layouts are equal for
+// the same operand read identical bytes and can share one image.
+type SlabLayout struct {
+	K, N  int // logical operand extents
+	Depth int // band depth: KC, at most K
+	Width int // slab width: N, or the CB block width when blocks do not start on NR columns
+	NR    int // kernel panel width
 }
 
 // Validate rejects geometry no executor could have produced.
-func (l BGridLayout) Validate() error {
-	if l.K <= 0 || l.N <= 0 || l.BK <= 0 || l.BN <= 0 || l.NR <= 0 {
-		return fmt.Errorf("packing: BGridLayout %+v has non-positive extent", l)
-	}
-	if l.Strip < 0 {
-		return fmt.Errorf("packing: BGridLayout strip %d < 0", l.Strip)
+func (l SlabLayout) Validate() error {
+	if l.K <= 0 || l.N <= 0 || l.Depth <= 0 || l.Width <= 0 || l.NR <= 0 {
+		return fmt.Errorf("packing: SlabLayout %+v has non-positive extent", l)
 	}
 	return nil
 }
 
-// Grid returns the block-grid extents: blocks along K, blocks along N.
-func (l BGridLayout) Grid() (kb, nb int) {
-	return ceilDiv(l.K, l.BK), ceilDiv(l.N, l.BN)
+// bandRow is the packed length of one row of a band: every slab's width
+// rounded up to whole panels.
+func (l SlabLayout) bandRow() int {
+	full := (l.N - 1) / l.Width // slabs before the last
+	return full*PackedBSize(1, l.Width, l.NR) + PackedBSize(1, l.N-full*l.Width, l.NR)
 }
 
-// CellSpan resolves grid cell (ki, ni) to element coordinates: the origin
-// and the clamped extents of the block, matching the executor's edge-block
-// clamping.
-func (l BGridLayout) CellSpan(ki, ni int) (k0, kEff, n0, nEff int) {
-	k0, n0 = ki*l.BK, ni*l.BN
-	return k0, min(l.BK, l.K-k0), n0, min(l.BN, l.N-n0)
+// Elems returns the image's packed length — its resident footprint in
+// elements.
+func (l SlabLayout) Elems() int { return l.K * l.bandRow() }
+
+// Span locates the packed panels of columns [n0, n0+cols) of the band that
+// starts at row k0: buf[off:end] of an image packed by PackSlabs is the
+// PackB image of that sub-block. k0 must start a band, n0 must lie NR
+// columns apart from its slab's start, and the run must stay in the slab.
+func (l SlabLayout) Span(k0, n0, cols int) (off, end int) {
+	depth := min(l.Depth, l.K-k0)
+	s := n0 / l.Width
+	off = k0*l.bandRow() + depth*(s*PackedBSize(1, l.Width, l.NR)+n0-s*l.Width)
+	return off, off + PackedBSize(depth, cols, l.NR)
 }
 
-// CellElems returns the packed buffer length of cell (ki, ni).
-func (l BGridLayout) CellElems(ki, ni int) int {
-	_, kEff, _, nEff := l.CellSpan(ki, ni)
-	if l.Strip <= 0 {
-		return PackedBSize(kEff, nEff, l.NR)
+// PackSlabs packs the logical K×N operand b into dst in layout l. When
+// transB, b holds Bᵀ (an N×K matrix) and the gather takes PackBT's walk —
+// once, at registration, which is the point of the resident store. dst
+// needs l.Elems() elements; the used prefix is returned.
+func PackSlabs[T matrix.Scalar](dst []T, b *matrix.Matrix[T], l SlabLayout, transB bool) []T {
+	if len(dst) < l.Elems() {
+		panic(fmt.Sprintf("packing: PackSlabs dst %d < %d", len(dst), l.Elems()))
 	}
-	return ceilDiv(kEff, l.Strip) * PackedBSize(l.Strip, nEff, l.NR)
-}
-
-// TotalElems sums every cell's packed length — the resident footprint of the
-// whole operand in elements.
-func (l BGridLayout) TotalElems() int {
-	kb, nb := l.Grid()
-	total := 0
-	for ki := 0; ki < kb; ki++ {
-		for ni := 0; ni < nb; ni++ {
-			total += l.CellElems(ki, ni)
+	for k0 := 0; k0 < l.K; k0 += l.Depth {
+		depth := min(l.Depth, l.K-k0)
+		for n0 := 0; n0 < l.N; n0 += l.Width {
+			cols := min(l.Width, l.N-n0)
+			off, end := l.Span(k0, n0, cols)
+			if transB {
+				PackBT(dst[off:end], b.View(n0, k0, cols, depth), l.NR)
+			} else {
+				PackB(dst[off:end], b.View(k0, n0, depth, cols), l.NR)
+			}
 		}
 	}
-	return total
-}
-
-// PackBCell packs grid cell (ki, ni) of the logical B operand into dst.
-// When transB, b holds Bᵀ (an N×K matrix) and the gather pays the strided
-// PackBT walk — once, at registration, which is the point of the resident
-// store. dst needs CellElems(ki, ni) elements; the used prefix is returned.
-func PackBCell[T matrix.Scalar](dst []T, b *matrix.Matrix[T], l BGridLayout, ki, ni int, transB bool) []T {
-	k0, kEff, n0, nEff := l.CellSpan(ki, ni)
-	need := l.CellElems(ki, ni)
-	if len(dst) < need {
-		panic(fmt.Sprintf("packing: PackBCell dst %d < %d", len(dst), need))
-	}
-	dst = dst[:need]
-	pack := func(off []T, kk0, depth int) {
-		if transB {
-			PackBT(off, b.View(n0, kk0, nEff, depth), l.NR)
-		} else {
-			PackB(off, b.View(kk0, n0, depth, nEff), l.NR)
-		}
-	}
-	if l.Strip <= 0 {
-		pack(dst, k0, kEff)
-		return dst
-	}
-	stride := PackedBSize(l.Strip, nEff, l.NR)
-	for s := 0; s*l.Strip < kEff; s++ {
-		depth := min(l.Strip, kEff-s*l.Strip)
-		pack(dst[s*stride:], k0+s*l.Strip, depth)
-	}
-	return dst
+	return dst[:l.Elems()]
 }

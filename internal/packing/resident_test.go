@@ -7,86 +7,67 @@ import (
 	"repro/internal/matrix"
 )
 
-func TestBGridLayoutGeometry(t *testing.T) {
-	l := BGridLayout{K: 50, N: 70, BK: 16, BN: 48, Strip: 0, NR: 8}
-	if err := l.Validate(); err != nil {
-		t.Fatal(err)
+func TestSlabLayoutGeometry(t *testing.T) {
+	// Full-width slabs: 50 rows in 16-deep bands (16,16,16,2), 70 columns
+	// padded to 72.
+	l := SlabLayout{K: 50, N: 70, Depth: 16, Width: 70, NR: 8}
+	if got, want := l.Elems(), 50*72; got != want {
+		t.Fatalf("Elems = %d, want %d", got, want)
 	}
-	kb, nb := l.Grid()
-	if kb != 4 || nb != 2 {
-		t.Fatalf("grid %dx%d, want 4x2", kb, nb)
+	if off, end := l.Span(16, 24, 48); off != 16*72+16*24 || end-off != PackedBSize(16, 48, 8) {
+		t.Fatalf("Span(16,24,48) = %d,%d", off, end)
 	}
-	// Interior cell: full extents.
-	if k0, kEff, n0, nEff := l.CellSpan(1, 0); k0 != 16 || kEff != 16 || n0 != 0 || nEff != 48 {
-		t.Fatalf("CellSpan(1,0) = %d,%d,%d,%d", k0, kEff, n0, nEff)
+	if off, end := l.Span(48, 64, 6); off != 48*72+2*64 || end-off != PackedBSize(2, 6, 8) {
+		t.Fatalf("Span(48,64,6) = %d,%d", off, end)
 	}
-	// Edge cell: clamped.
-	if _, kEff, _, nEff := l.CellSpan(3, 1); kEff != 2 || nEff != 22 {
-		t.Fatalf("edge cell %dx%d, want 2x22", kEff, nEff)
+	// Ragged 20-wide slabs (20,20,20,10): each pads to 24, the last to 16.
+	lr := SlabLayout{K: 50, N: 70, Depth: 16, Width: 20, NR: 8}
+	if got, want := lr.Elems(), 50*(3*24+16); got != want {
+		t.Fatalf("ragged Elems = %d, want %d", got, want)
 	}
-	if got, want := l.CellElems(0, 0), PackedBSize(16, 48, 8); got != want {
-		t.Fatalf("CellElems(0,0) = %d, want %d", got, want)
+	if off, _ := lr.Span(32, 40, 20); off != 32*88+16*48 {
+		t.Fatalf("ragged Span(32,40,20) off = %d", off)
 	}
-	// Strip layout: fixed stride per strip, ragged tail still charged whole.
-	ls := BGridLayout{K: 50, N: 70, BK: 32, BN: 48, Strip: 16, NR: 8}
-	if got, want := ls.CellElems(1, 0), 2*PackedBSize(16, 48, 8); got != want {
-		// Cell (1,·) spans K [32,50): 18 deep → two 16-deep strips.
-		t.Fatalf("strip CellElems = %d, want %d", got, want)
-	}
-	if ls.TotalElems() <= 0 {
-		t.Fatal("TotalElems must be positive")
-	}
-
-	if err := (BGridLayout{K: 0, N: 1, BK: 1, BN: 1, NR: 1}).Validate(); err == nil {
+	if err := (SlabLayout{K: 0, N: 1, Depth: 1, Width: 1, NR: 1}).Validate(); err == nil {
 		t.Fatal("zero K accepted")
 	}
-	if err := (BGridLayout{K: 1, N: 1, BK: 1, BN: 1, NR: 1, Strip: -1}).Validate(); err == nil {
-		t.Fatal("negative strip accepted")
+	if err := (SlabLayout{K: 1, N: 1, Depth: 1, Width: 0, NR: 1}).Validate(); err == nil {
+		t.Fatal("zero width accepted")
 	}
 }
 
-// TestPackBCellMatchesPackB checks every cell's packed image against PackB
-// run on the same sub-block — the contract the executor's pack bypass
-// depends on.
-func TestPackBCellMatchesPackB(t *testing.T) {
+// TestPackSlabsMatchesPackB checks every band × slab of the packed image,
+// and every NR-aligned column run inside a slab, against PackB run on the
+// same sub-block — the contract the executor's pack bypass depends on —
+// for B stored as is and transposed.
+func TestPackSlabsMatchesPackB(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
 	b := matrix.New[float64](50, 70)
 	b.Randomize(rng)
-	bt := matrix.New[float64](70, 50)
-	for i := 0; i < 50; i++ {
-		for j := 0; j < 70; j++ {
-			bt.Data[j*bt.Stride+i] = b.At(i, j)
-		}
-	}
-	for _, l := range []BGridLayout{
-		{K: 50, N: 70, BK: 16, BN: 48, Strip: 0, NR: 8},
-		{K: 50, N: 70, BK: 32, BN: 24, Strip: 16, NR: 8},
+	bt := b.Transpose()
+	for _, l := range []SlabLayout{
+		{K: 50, N: 70, Depth: 16, Width: 70, NR: 8},
+		{K: 50, N: 70, Depth: 32, Width: 20, NR: 8},
+		{K: 50, N: 70, Depth: 50, Width: 42, NR: 4},
 	} {
-		kb, nb := l.Grid()
-		for ki := 0; ki < kb; ki++ {
-			for ni := 0; ni < nb; ni++ {
-				k0, kEff, n0, nEff := l.CellSpan(ki, ni)
-				got := make([]float64, l.CellElems(ki, ni))
-				PackBCell(got, b, l, ki, ni, false)
-				gotT := make([]float64, l.CellElems(ki, ni))
-				PackBCell(gotT, bt, l, ki, ni, true)
-
-				want := make([]float64, l.CellElems(ki, ni))
-				if l.Strip <= 0 {
-					PackB(want, b.View(k0, n0, kEff, nEff), l.NR)
-				} else {
-					stride := PackedBSize(l.Strip, nEff, l.NR)
-					for s := 0; s*l.Strip < kEff; s++ {
-						depth := min(l.Strip, kEff-s*l.Strip)
-						PackB(want[s*stride:], b.View(k0+s*l.Strip, n0, depth, nEff), l.NR)
+		img := PackSlabs(make([]float64, l.Elems()), b, l, false)
+		imgT := PackSlabs(make([]float64, l.Elems()), bt, l, true)
+		for k0 := 0; k0 < l.K; k0 += l.Depth {
+			depth := min(l.Depth, l.K-k0)
+			for s0 := 0; s0 < l.N; s0 += l.Width {
+				sw := min(l.Width, l.N-s0)
+				for c := 0; c < sw; c += l.NR {
+					cols := sw - c
+					off, end := l.Span(k0, s0+c, cols)
+					want := PackB(make([]float64, PackedBSize(depth, cols, l.NR)), b.View(k0, s0+c, depth, cols), l.NR)
+					for i := range want {
+						if img[off+i] != want[i] || imgT[off+i] != want[i] {
+							t.Fatalf("layout %+v band %d cols [%d,%d): element %d = %v / %v (transposed), want %v",
+								l, k0, s0+c, s0+sw, i, img[off+i], imgT[off+i], want[i])
+						}
 					}
-				}
-				for i := range want {
-					if got[i] != want[i] {
-						t.Fatalf("layout %+v cell (%d,%d): element %d = %v, want %v", l, ki, ni, i, got[i], want[i])
-					}
-					if gotT[i] != want[i] {
-						t.Fatalf("layout %+v cell (%d,%d) transposed: element %d = %v, want %v", l, ki, ni, i, gotT[i], want[i])
+					if end-off != len(want) {
+						t.Fatalf("layout %+v Span length %d, want %d", l, end-off, len(want))
 					}
 				}
 			}
@@ -94,12 +75,12 @@ func TestPackBCellMatchesPackB(t *testing.T) {
 	}
 }
 
-func TestPackBCellShortDstPanics(t *testing.T) {
+func TestPackSlabsShortDstPanics(t *testing.T) {
 	defer func() {
 		if recover() == nil {
 			t.Fatal("short dst did not panic")
 		}
 	}()
-	l := BGridLayout{K: 16, N: 16, BK: 16, BN: 16, NR: 8}
-	PackBCell(make([]float64, 4), matrix.New[float64](16, 16), l, 0, 0, false)
+	l := SlabLayout{K: 16, N: 16, Depth: 16, Width: 16, NR: 8}
+	PackSlabs(make([]float64, 4), matrix.New[float64](16, 16), l, false)
 }
