@@ -98,15 +98,23 @@ func FuzzPackRoundTrip(f *testing.F) {
 		a.Randomize(rng)
 		// Both orientations pack the same panels: PackBT of a stored
 		// transposed equals PackB of its transpose, and PackAT likewise
-		// equals PackA, at the 8-wide tile and at a 3-wide one.
+		// equals PackA, with and without a scale, at the 8-wide tile and
+		// at a 3-wide one.
 		at := a.Transpose()
 		for _, w := range []int{8, 3} {
 			size := packing.PackedBSize(c, r, w)
 			bt, b := packing.PackBT(make([]float64, size), a, w), packing.PackB(make([]float64, size), at, w)
-			pat, pa := packing.PackAT(make([]float64, size), at, w, 1), packing.PackA(make([]float64, size), a, w, 1)
 			for i := range b {
-				if bt[i] != b[i] || pat[i] != pa[i] {
-					t.Fatalf("%dx%d nr=%d: element %d: PackBT %v PackB %v, PackAT %v PackA %v", r, c, w, i, bt[i], b[i], pat[i], pa[i])
+				if bt[i] != b[i] {
+					t.Fatalf("%dx%d nr=%d: element %d: PackBT %v PackB %v", r, c, w, i, bt[i], b[i])
+				}
+			}
+			for _, scale := range []float64{1, -0.37} {
+				pat, pa := packing.PackAT(make([]float64, size), at, w, scale), packing.PackA(make([]float64, size), a, w, scale)
+				for i := range pa {
+					if pat[i] != pa[i] {
+						t.Fatalf("%dx%d mr=%d scale %v: element %d: PackAT %v PackA %v", r, c, w, scale, i, pat[i], pa[i])
+					}
 				}
 			}
 		}

@@ -125,10 +125,10 @@ func (e *Executor[T]) Do(b Batch[T], rb *ResidentB[T]) (Stats, error) {
 	// One B for the whole batch: the panel cache's few slots cannot hold a
 	// multi-block operand across calls, so slot-key carrying alone degrades
 	// to repacking every block. Pack the shared operand once into the
-	// resident slab layout, in one allocation — the same panels the
-	// per-call pack would produce, so results stay bit-exact — and serve
-	// all N calls from it. (With α = 0
-	// the multiply never reads B; skip the pack.)
+	// resident slab layout, in the executor's grow-only sharedB buffer —
+	// the same panels the per-call pack would produce, so results stay
+	// bit-exact — and serve all N calls from it. (With α = 0 the multiply
+	// never reads B; skip the pack.)
 	sharedB := rb == nil && len(b.C) > 1 && b.Alpha != 0
 	for i := 1; sharedB && i < len(b.B); i++ {
 		sharedB = b.B[i] == b.B[0]
@@ -136,10 +136,10 @@ func (e *Executor[T]) Do(b Batch[T], rb *ResidentB[T]) (Stats, error) {
 	var packNanos int64
 	if sharedB {
 		t0 := time.Now()
-		var err error
-		if rb, err = PackResidentB(e.cfg, b.B[0], b.TransB); err != nil {
+		if err := e.sharedB.pack(e.cfg, b.B[0], b.TransB); err != nil {
 			return Stats{}, fmt.Errorf("core: batch shared-B pack: %w", err)
 		}
+		rb = &e.sharedB
 		packNanos = time.Since(t0).Nanoseconds()
 		b.B, b.TransB = nil, false
 	}

@@ -186,6 +186,9 @@ type Executor[T matrix.Scalar] struct {
 	// pre-packed resident panels instead of packing (see Do); fresh-pack
 	// requests leave it nil.
 	resB *ResidentB[T]
+	// sharedB is the image a same-B batch packs its one B into (see Do);
+	// its buffer only grows, so a warm batch allocates nothing.
+	sharedB ResidentB[T]
 
 	// The block loop's reusable state, so a call allocates nothing per
 	// block: the schedule buffer, the two-stage ring the pipeline alternates

@@ -161,8 +161,6 @@ func claimSlot(keys []panelKey, ticks []int64, clock *int64, key panelKey, busy 
 // Either way the units are claimed dynamically, so fast workers absorb
 // ragged unit costs. Sync mode claims with the invalid key, which never
 // matches a slot, so it packs every panel of every block.
-//
-//cake:hotpath-exempt per-block job submission; the per-element work lives in packAUnit/packBUnit and the packing package
 func (e *Executor[T]) submitPack(s *pipeStage, busyA, busyB int, async bool) {
 	blk := &s.blk
 	s.async, s.handle = async, pool.Handle{}
@@ -352,7 +350,7 @@ func (e *Executor[T]) computeItem(worker, ui int) {
 		depth := min(blk.unit, blk.kEff-ui*blk.unit)
 		ap := aBuf[ui*aSlice : ui*aSlice+packing.PackedASize(blk.mEff, depth, e.cfg.MR)]
 		bp := e.bPanels(s, ui*blk.unit, 0, blk.nEff)
-		part := matrix.FromSlice(blk.mEff, blk.nEff, e.partials[ui][:blk.mEff*blk.nEff])
+		part := e.partial(ui, 0, blk.mEff)
 		part.Zero()
 		packing.Macro(e.kern, depth, ap, bp, part, e.scratch[worker])
 	}
@@ -366,9 +364,16 @@ func (e *Executor[T]) reduceItem(_, ch int) {
 	r0, rows := chunkSpan(ch, e.rowChunks(blk.mEff), blk.mEff)
 	dst := e.blockRows(r0, rows)
 	for si := 0; si < blk.strips; si++ {
-		src := matrix.FromSlice(blk.mEff, blk.nEff, e.partials[si][:blk.mEff*blk.nEff])
-		packing.AddInto(dst, src.View(r0, 0, rows, blk.nEff))
+		packing.AddInto(dst, e.partial(si, r0, rows))
 	}
+}
+
+// partial returns rows [r0, r0+rows) of DimK slice si's partial-C surface
+// for the computing block. Like the C buffer it is compact, so the band is
+// one contiguous run (see blockRows).
+func (e *Executor[T]) partial(si, r0, rows int) *matrix.Matrix[T] {
+	cols := e.cur.blk.nEff
+	return &matrix.Matrix[T]{Rows: rows, Cols: cols, Stride: cols, Data: e.partials[si][r0*cols : (r0+rows)*cols]}
 }
 
 // finishPack drains a stage's outstanding pack job and accounts its

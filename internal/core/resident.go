@@ -48,12 +48,26 @@ func PackResidentB[T matrix.Scalar](cfg Config, b *matrix.Matrix[T], transB bool
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
+	rb := new(ResidentB[T])
+	if err := rb.pack(cfg, b, transB); err != nil {
+		return nil, err
+	}
+	return rb, nil
+}
+
+// pack packs b into rb in cfg's slab layout, reusing rb's buffer when it
+// is large enough.
+func (rb *ResidentB[T]) pack(cfg Config, b *matrix.Matrix[T], transB bool) error {
 	k, n := OpDims(b, transB)
 	l := slabLayout(cfg, k, n)
 	if err := l.Validate(); err != nil {
-		return nil, err
+		return err
 	}
-	return &ResidentB[T]{layout: l, data: packing.PackSlabs(make([]T, l.Elems()), b, l, transB)}, nil
+	if cap(rb.data) < l.Elems() {
+		rb.data = make([]T, l.Elems())
+	}
+	rb.layout, rb.data = l, packing.PackSlabs(rb.data[:l.Elems()], b, l, transB)
+	return nil
 }
 
 // Dims returns the logical (untransposed) operand extents.

@@ -167,9 +167,9 @@ func (s *Store) evictLocked(e *entry) {
 	s.evictions++
 }
 
-// Handle pins one resident operand for the duration of one use. Release it
-// on every path — error and panic paths included — or the entry can never
-// be evicted or freed.
+// Handle pins one resident operand for the duration of one use. It is a
+// value, so pinning allocates nothing. Release it on every path — error and
+// panic paths included — or the entry can never be evicted or freed.
 type Handle struct {
 	s *Store
 	e *entry
@@ -178,8 +178,9 @@ type Handle struct {
 // Payload returns the registered payload; valid until Release.
 func (h *Handle) Payload() any { return h.e.payload }
 
-// Release drops the pin (idempotent). The last pin on a defunct entry frees
-// its byte charge.
+// Release drops the pin. Releasing the same Handle again is a no-op; a
+// copy of it must not be released too. The last pin on a defunct entry
+// frees its byte charge.
 func (h *Handle) Release() {
 	s := h.s
 	if s == nil {
@@ -197,24 +198,24 @@ func (h *Handle) Release() {
 
 // Acquire pins id's payload and marks it most recently used. Counted as a
 // hit; a lookup that fails — evicted or never registered — is a miss.
-func (s *Store) Acquire(id string) (*Handle, error) {
+func (s *Store) Acquire(id string) (Handle, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.closed {
-		return nil, ErrClosed
+		return Handle{}, ErrClosed
 	}
 	e, ok := s.entries[id]
 	if !ok {
 		s.misses++
 		if s.evicted[id] {
-			return nil, fmt.Errorf("%w: %q", ErrOperandEvicted, id)
+			return Handle{}, fmt.Errorf("%w: %q", ErrOperandEvicted, id)
 		}
-		return nil, fmt.Errorf("%w: %q", ErrNotRegistered, id)
+		return Handle{}, fmt.Errorf("%w: %q", ErrNotRegistered, id)
 	}
 	e.refs++
 	s.lru.MoveToFront(e.elem)
 	s.hits++
-	return &Handle{s: s, e: e}, nil
+	return Handle{s: s, e: e}, nil
 }
 
 // Release deregisters id. An unpinned entry is freed immediately; a pinned

@@ -123,9 +123,9 @@ func (e *Engine) ReleaseB(id string) error {
 func (e *Engine) ResidentStats() resident.Stats { return e.resident.Stats() }
 
 // residentHandle pairs a store pin with its typed payload for the duration
-// of one GEMM.
+// of one GEMM. Like the pin, it is a value.
 type residentHandle[T matrix.Scalar] struct {
-	h  *resident.Handle
+	h  resident.Handle
 	op *residentOperand[T]
 }
 
@@ -135,15 +135,15 @@ func (h *residentHandle[T]) Release() { h.h.Release() }
 // acquireOperand pins id's packed panels and types them. The caller owns the
 // pin and must Release it on every path — the GEMM body can panic (packing
 // layout guards panic by design), so release in a defer.
-func acquireOperand[T matrix.Scalar](e *Engine, id string) (*residentHandle[T], error) {
+func acquireOperand[T matrix.Scalar](e *Engine, id string) (residentHandle[T], error) {
 	h, err := e.resident.Acquire(id)
 	if err != nil {
-		return nil, err
+		return residentHandle[T]{}, err
 	}
 	op, ok := h.Payload().(*residentOperand[T])
 	if !ok {
 		h.Release()
-		return nil, fmt.Errorf("%w: %q", ErrOperandType, id)
+		return residentHandle[T]{}, fmt.Errorf("%w: %q", ErrOperandType, id)
 	}
-	return &residentHandle[T]{h: h, op: op}, nil
+	return residentHandle[T]{h: h, op: op}, nil
 }

@@ -10,9 +10,9 @@ import (
 // WriteProfile is the inverse of ReadProfileSummary for the subset of the
 // pprof wire format the reader consumes: one sample type, one flat sample per
 // frame, each frame backed by its own location → line → function chain. It
-// exists so tests (hotcover fixtures, reader robustness) can synthesize
-// byte-real profiles instead of committing opaque binaries, and so tools can
-// re-emit an aggregated summary as a profile other pprof consumers open.
+// exists so tests can synthesize byte-real profiles instead of committing
+// opaque binaries, and so tools can re-emit an aggregated summary as a
+// profile other pprof consumers open.
 // Output is gzipped, matching what runtime/pprof writes.
 func WriteProfile(path, sampleType, unit string, frames []Frame) error {
 	data, err := MarshalProfile(sampleType, unit, frames)

@@ -7,8 +7,7 @@ import (
 
 // TestProfileRoundtrip pins the minimal pprof writer against the minimal
 // reader: whatever WriteProfile emits, ReadProfileSummary must recover —
-// sample type, unit, total, and per-function flat values. This is the
-// contract hotcover's synthetic-corpus tests stand on.
+// sample type, unit, total, and per-function flat values.
 func TestProfileRoundtrip(t *testing.T) {
 	frames := []Frame{
 		{Name: "repro/internal/kernel.kernel8x8[go.shape.float64]", Value: 700},

@@ -103,8 +103,6 @@ func NewScratch[T matrix.Scalar](mr, nr int) *Scratch[T] {
 // is a full mr×nr tile the kernel writes straight into C; partial edge tiles
 // are computed into scratch and the valid region accumulated, which keeps
 // the kernel itself free of bounds logic.
-//
-//cake:hotpath
 func ComputeTile[T matrix.Scalar](k Kernel[T], kc int, a, b []T, c *matrix.Matrix[T], s *Scratch[T]) {
 	if c.Rows == k.MR && c.Cols == k.NR {
 		k.F(kc, a, b, c.Data, c.Stride)

@@ -20,7 +20,6 @@ import "repro/internal/matrix"
 // write-back touches each C element once, the register-blocking contract the
 // paper's Figure 5e/6e tile MM relies on.
 
-//cake:hotpath
 func kernel8x8[T matrix.Scalar](kc int, a, b []T, c []T, ldc int) {
 	var acc [64]T
 	k := 0
@@ -60,7 +59,6 @@ func kernel8x8[T matrix.Scalar](kc int, a, b []T, c []T, ldc int) {
 	}
 }
 
-//cake:hotpath
 func kernel6x8[T matrix.Scalar](kc int, a, b []T, c []T, ldc int) {
 	var acc [48]T
 	k := 0
@@ -98,7 +96,6 @@ func kernel6x8[T matrix.Scalar](kc int, a, b []T, c []T, ldc int) {
 	}
 }
 
-//cake:hotpath
 func kernel4x8[T matrix.Scalar](kc int, a, b []T, c []T, ldc int) {
 	var acc [32]T
 	k := 0
@@ -134,7 +131,6 @@ func kernel4x8[T matrix.Scalar](kc int, a, b []T, c []T, ldc int) {
 	}
 }
 
-//cake:hotpath
 func kernel8x4[T matrix.Scalar](kc int, a, b []T, c []T, ldc int) {
 	var acc [32]T
 	k := 0
@@ -170,7 +166,6 @@ func kernel8x4[T matrix.Scalar](kc int, a, b []T, c []T, ldc int) {
 	}
 }
 
-//cake:hotpath
 func kernel4x4[T matrix.Scalar](kc int, a, b []T, c []T, ldc int) {
 	var acc [16]T
 	k := 0
@@ -204,8 +199,6 @@ func kernel4x4[T matrix.Scalar](kc int, a, b []T, c []T, ldc int) {
 
 // addRow8 adds one accumulator row into its C row; it inlines, so the
 // write-back runs no loop over j.
-//
-//cake:hotpath
 func addRow8[T matrix.Scalar](c, r *[8]T) {
 	c[0] += r[0]
 	c[1] += r[1]
@@ -219,8 +212,6 @@ func addRow8[T matrix.Scalar](c, r *[8]T) {
 
 // addRow4 adds one accumulator row into its C row; it inlines, so the
 // write-back runs no loop over j.
-//
-//cake:hotpath
 func addRow4[T matrix.Scalar](c, r *[4]T) {
 	c[0] += r[0]
 	c[1] += r[1]

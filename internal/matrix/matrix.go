@@ -72,8 +72,6 @@ func (m *Matrix[T]) Scale(s T) {
 // At returns element (i, j). It sits on the resident-serving hot path —
 // the corpus profiles attribute several percent of cpu-resident flat time
 // here — so it must stay a straight bounds-checked load.
-//
-//cake:hotpath
 func (m *Matrix[T]) At(i, j int) T { return m.Data[i*m.Stride+j] }
 
 // Set assigns element (i, j).

@@ -16,8 +16,8 @@
 //   - A flight recorder: a fixed-size ring of completed request records per
 //     engine (same atomic-cursor discipline as the obs span recorder, plus a
 //     per-slot lock held only for the record copy, so a reader never sees a
-//     torn record; the record path carries the //cake:hotpath annotation,
-//     so cake-vet proves it never allocates).
+//     torn record; the engine's allocation tests run the record path on
+//     every request and read zero heap allocations).
 //   - Anomaly-triggered snapshots: on saturation, a conformance failure, or
 //     a request slower than a configurable multiple of its tier's rolling
 //     p99, the ring is frozen into an immutable JSON-servable snapshot —
@@ -244,8 +244,6 @@ const (
 // tierIndex maps a record's tier label onto the tracer's fixed per-tier
 // slots. Unknown labels (including "", a request that failed before
 // dispatch) share the last slot.
-//
-//cake:hotpath
 func tierIndex(tier string) int {
 	switch tier {
 	case "tiny":
@@ -370,12 +368,10 @@ func (t *Tracer) NextID() uint64 {
 
 // Finish commits one completed request: ring write, the tally, per-tier
 // latency accounting, SLO windows, and the anomaly checks. This is the
-// engine's per-request record path — allocation-free (cake-vet-enforced),
-// one uncontended slot lock and a few atomic adds at steady state. Snapshot trips
-// leave the hot path immediately (rare by construction: saturation bursts
-// and >8×p99 stragglers).
-//
-//cake:hotpath
+// engine's per-request record path — allocation-free (the engine's
+// TestRequestAllocs pins it), one uncontended slot lock and a few atomic
+// adds at steady state. Snapshot trips leave the hot path immediately (rare
+// by construction: saturation bursts and >8×p99 stragglers).
 func (t *Tracer) Finish(rec Record) {
 	if t == nil {
 		return
@@ -504,8 +500,6 @@ type Tally struct {
 }
 
 // Add counts one finished record.
-//
-//cake:hotpath
 func (c *Tally) Add(rec *Record) {
 	c.tiers[tierIndex(rec.Tier)].Add(1)
 	if rec.Lease < leaseCount {

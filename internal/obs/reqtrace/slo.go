@@ -65,8 +65,6 @@ type sloWindow struct {
 }
 
 // observe folds one request into the window's current bucket.
-//
-//cake:hotpath
 func (w *sloWindow) observe(good bool, nowNs int64) {
 	abs := nowNs / w.bucketNs
 	b := &w.buckets[abs%sloWindowBuckets]
@@ -139,8 +137,6 @@ func newSLOTracker(o Objective) *sloTracker {
 }
 
 // observe folds one completed request into the objective, if it matches.
-//
-//cake:hotpath
 func (s *sloTracker) observe(rec Record, nowNs int64) {
 	if s.obj.Tier != "" && rec.Tier != s.obj.Tier {
 		return

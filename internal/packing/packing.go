@@ -41,8 +41,6 @@ func PackedBSize(kc, c, nr int) int {
 // scale on the way through (BLAS α folded into the single packing pass —
 // scale 1 takes a multiply-free path). dst must have at least
 // PackedASize(a.Rows, a.Cols, mr) elements; the used prefix is returned.
-//
-//cake:hotpath
 func PackA[T matrix.Scalar](dst []T, a *matrix.Matrix[T], mr int, scale T) []T {
 	r, kc := a.Rows, a.Cols
 	n := PackedASize(r, kc, mr)
@@ -84,8 +82,6 @@ func PackA[T matrix.Scalar](dst []T, a *matrix.Matrix[T], mr int, scale T) []T {
 // walks the eight rows together, so each k writes its eight lanes as one
 // contiguous group and the loads run bounds-check free; scaling is a second
 // pass over the panel, one multiply per element as in PackA's general loop.
-//
-//cake:hotpath
 func packPanelA8[T matrix.Scalar](panel []T, a *matrix.Matrix[T], r0 int, scale T) {
 	s0 := a.Row(r0)
 	kc := len(s0)
@@ -107,13 +103,27 @@ func packPanelA8[T matrix.Scalar](panel []T, a *matrix.Matrix[T], r0 int, scale 
 // PackB packs the dense block b (any kc×c view) into dst using nr-column
 // panels, zero-padding the final partial panel. dst must have at least
 // PackedBSize(b.Rows, b.Cols, nr) elements; the used prefix is returned.
-//
-//cake:hotpath
 func PackB[T matrix.Scalar](dst []T, b *matrix.Matrix[T], nr int) []T {
+	return packB(dst, b, nr, 1, "PackB")
+}
+
+// PackAT packs the transpose of the dense block at (a kc×r view, holding
+// Aᵀ) into dst using the PackA layout: logical element A(i, k) = at(k, i),
+// scaled by scale on the way through. That is PackB's layout of at with
+// mr-column panels, so PackB's loop (and its 8-wide fast path) does the
+// work. Used for GEMM with a transposed left operand — the packed form is
+// identical, so microkernels are oblivious to storage order.
+func PackAT[T matrix.Scalar](dst []T, at *matrix.Matrix[T], mr int, scale T) []T {
+	return packB(dst, at, mr, scale, "PackAT")
+}
+
+// packB is PackB multiplying every element by scale (scale 1 takes a
+// multiply-free path); name labels the short-dst panic.
+func packB[T matrix.Scalar](dst []T, b *matrix.Matrix[T], nr int, scale T, name string) []T {
 	kc, c := b.Rows, b.Cols
 	n := PackedBSize(kc, c, nr)
 	if len(dst) < n {
-		panic(fmt.Sprintf("packing: PackB dst %d < %d", len(dst), n))
+		panic(fmt.Sprintf("packing: %s dst %d < %d", name, len(dst), n))
 	}
 	dst = dst[:n]
 	for q := 0; q < ceilDiv(c, nr); q++ {
@@ -121,55 +131,32 @@ func PackB[T matrix.Scalar](dst []T, b *matrix.Matrix[T], nr int) []T {
 		cols := min(nr, c-q*nr)
 		if cols == 8 && nr == 8 {
 			// Eight element moves per k: copy would call memmove for
-			// every 8-element row.
+			// every 8-element row. Scaling is a second pass over the
+			// full panel, as in packPanelA8.
 			src, stride := b.Data[q*8:], b.Stride
 			for k := 0; k < kc; k++ {
 				d, s := (*[8]T)(panel[k*8:]), (*[8]T)(src[k*stride:])
 				d[0], d[1], d[2], d[3], d[4], d[5], d[6], d[7] = s[0], s[1], s[2], s[3], s[4], s[5], s[6], s[7]
+			}
+			if scale != 1 {
+				for i := range panel {
+					panel[i] *= scale
+				}
 			}
 			continue
 		}
 		for k := 0; k < kc; k++ {
 			row := panel[k*nr : k*nr+nr]
 			brow := b.Row(k)[q*nr : q*nr+cols]
-			copy(row, brow)
-			for j := cols; j < nr; j++ {
-				row[j] = 0
-			}
-		}
-	}
-	return dst
-}
-
-// PackAT packs the transpose of the dense block at (a kc×r view, holding
-// Aᵀ) into dst using the PackA layout: logical element A(i, k) = at(k, i),
-// scaled by scale during the copy (scale 1 keeps the memmove fast path).
-// Used for GEMM with a transposed left operand — the packed form is
-// identical, so microkernels are oblivious to storage order.
-//
-//cake:hotpath
-func PackAT[T matrix.Scalar](dst []T, at *matrix.Matrix[T], mr int, scale T) []T {
-	kc, r := at.Rows, at.Cols
-	n := PackedASize(r, kc, mr)
-	if len(dst) < n {
-		panic(fmt.Sprintf("packing: PackAT dst %d < %d", len(dst), n))
-	}
-	dst = dst[:n]
-	for q := 0; q < ceilDiv(r, mr); q++ {
-		panel := dst[q*mr*kc : (q+1)*mr*kc]
-		rows := min(mr, r-q*mr)
-		for k := 0; k < kc; k++ {
-			col := panel[k*mr : k*mr+mr]
-			arow := at.Row(k)[q*mr : q*mr+rows]
 			if scale == 1 {
-				copy(col, arow)
+				copy(row, brow)
 			} else {
-				for i, v := range arow {
-					col[i] = v * scale
+				for j, v := range brow {
+					row[j] = v * scale
 				}
 			}
-			for i := rows; i < mr; i++ {
-				col[i] = 0
+			for j := cols; j < nr; j++ {
+				row[j] = 0
 			}
 		}
 	}
@@ -188,8 +175,6 @@ func PackBT[T matrix.Scalar](dst []T, bt *matrix.Matrix[T], nr int) []T {
 // packs kc×c.Cols per the layout contract. It sweeps register tiles in the
 // jr-inside-ir order of Figures 5c–d/6c–d (each A row panel is reused across
 // all B column panels, the per-core reuse pattern of Section 2.1).
-//
-//cake:hotpath
 func Macro[T matrix.Scalar](k kernel.Kernel[T], kc int, ap, bp []T, c *matrix.Matrix[T], s *kernel.Scratch[T]) {
 	mPanels := ceilDiv(c.Rows, k.MR)
 	nPanels := ceilDiv(c.Cols, k.NR)
@@ -214,8 +199,6 @@ func Macro[T matrix.Scalar](k kernel.Kernel[T], kc int, ap, bp []T, c *matrix.Ma
 // AddInto accumulates src into dst element-wise (dst += src). Used to fold a
 // locally accumulated CB-block C buffer back into the output matrix once its
 // K reduction completes.
-//
-//cake:hotpath
 func AddInto[T matrix.Scalar](dst, src *matrix.Matrix[T]) {
 	if dst.Rows != src.Rows || dst.Cols != src.Cols {
 		panic(fmt.Sprintf("packing: AddInto %dx%d += %dx%d", dst.Rows, dst.Cols, src.Rows, src.Cols))

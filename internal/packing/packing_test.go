@@ -331,28 +331,42 @@ func TestPackATScaled(t *testing.T) {
 // TestPackEightWidePanels checks the 8-row A and 8-column B panel paths
 // against the layout contract: strided views whose full panels take the
 // fast path and whose last panel takes the general one, with and without
-// an A scale, B stored as is and transposed, from buffers holding stale
-// data.
+// an A scale, A and B each stored as is and transposed, from buffers
+// holding stale data.
 func TestPackEightWidePanels(t *testing.T) {
 	rng := rand.New(rand.NewSource(23))
 	big := matrix.New[float32](40, 40)
 	big.Randomize(rng)
 	v := big.View(3, 5, 21, 19) // 2 full 8-panels + 5, and 2 full + 3
-	for _, scale := range []float32{1, 0.37} {
-		ap := make([]float32, PackedASize(21, 19, 8))
-		for i := range ap {
-			ap[i] = 9
+	// A both ways round: v as is, and vt (a strided view holding vᵀ)
+	// through PackAT.
+	vt := matrix.New[float32](40, 40)
+	for r := 0; r < 21; r++ {
+		for k := 0; k < 19; k++ {
+			vt.Data[(1+k)*vt.Stride+6+r] = v.At(r, k)
 		}
-		PackA(ap, v, 8, scale)
-		for q := 0; q < 3; q++ {
-			for k := 0; k < 19; k++ {
-				for i := 0; i < 8; i++ {
-					var want float32
-					if r := q*8 + i; r < 21 {
-						want = v.At(r, k) * scale
-					}
-					if got := ap[q*8*19+k*8+i]; got != want {
-						t.Fatalf("A scale %v panel %d k=%d i=%d: got %v want %v", scale, q, k, i, got, want)
+	}
+	for _, trans := range []bool{false, true} {
+		for _, scale := range []float32{1, 0.37} {
+			ap := make([]float32, PackedASize(21, 19, 8))
+			for i := range ap {
+				ap[i] = 9
+			}
+			if trans {
+				PackAT(ap, vt.View(1, 6, 19, 21), 8, scale)
+			} else {
+				PackA(ap, v, 8, scale)
+			}
+			for q := 0; q < 3; q++ {
+				for k := 0; k < 19; k++ {
+					for i := 0; i < 8; i++ {
+						var want float32
+						if r := q*8 + i; r < 21 {
+							want = v.At(r, k) * scale
+						}
+						if got := ap[q*8*19+k*8+i]; got != want {
+							t.Fatalf("A (transposed %v) scale %v panel %d k=%d i=%d: got %v want %v", trans, scale, q, k, i, got, want)
+						}
 					}
 				}
 			}
@@ -407,6 +421,32 @@ func BenchmarkPackB(b *testing.B) {
 	}{
 		{"B", func() { PackB(dst, src, 8) }},
 		{"BT", func() { PackBT(dst, srcT, 8) }},
+	} {
+		b.Run(tc.name, func(b *testing.B) {
+			b.SetBytes(int64(len(dst)) * 4)
+			for i := 0; i < b.N; i++ {
+				tc.pack()
+			}
+		})
+	}
+}
+
+// BenchmarkPackA packs one 128×176 f32 A block — an MC×KC block at the
+// serving benchmark's KC — from A stored as is and from Aᵀ, at α = 1 and
+// with α folded in.
+func BenchmarkPackA(b *testing.B) {
+	src := matrix.New[float32](128, 176)
+	src.Randomize(rand.New(rand.NewSource(1)))
+	srcT := src.Transpose()
+	dst := make([]float32, PackedASize(128, 176, 8))
+	for _, tc := range []struct {
+		name string
+		pack func()
+	}{
+		{"A", func() { PackA(dst, src, 8, 1) }},
+		{"A-scaled", func() { PackA(dst, src, 8, 0.5) }},
+		{"AT", func() { PackAT(dst, srcT, 8, 1) }},
+		{"AT-scaled", func() { PackAT(dst, srcT, 8, 0.5) }},
 	} {
 		b.Run(tc.name, func(b *testing.B) {
 			b.SetBytes(int64(len(dst)) * 4)

@@ -16,6 +16,10 @@
 // in internal/core (paper Section 3: compute fully overlaps the constant
 // stream of memory traffic).
 //
+// Jobs are recycled: the goroutine that waits for a job puts it on the
+// pool's free list, so in steady state neither a fork nor a submission
+// allocates.
+//
 // A panicking work item never ends the process or its worker: the worker
 // recovers it and the first panic value of a job is re-raised on the
 // goroutine that waits for that job — the caller of ForLabeled, or
@@ -33,6 +37,7 @@ import (
 )
 
 type job struct {
+	p    *Pool
 	f    func(worker, item int)
 	n    int64
 	next atomic.Int64
@@ -49,38 +54,59 @@ type job struct {
 	// wg.Wait, so the WaitGroup orders the two.
 	panicked atomic.Bool
 	pval     any
+
+	// gen counts the job's recycles. A Handle holds the gen it was issued
+	// at, so waiting it again once the job has been recycled — and maybe
+	// handed to another caller — returns at once.
+	gen atomic.Uint64
 }
 
-// wait blocks until every worker has finished its share of the job, then
-// re-raises the first item panic, if any, on the waiting goroutine.
+// wait blocks until every worker has finished its share of the job,
+// recycles the job, then re-raises the first item panic, if any, on the
+// waiting goroutine. Every handle of the job has been received by then (each
+// receiver's wg.Done is what Wait waits for), so no worker can still reach
+// it through the queue.
 func (j *job) wait() {
 	j.wg.Wait()
-	if j.panicked.Load() {
-		panic(j.pval)
+	panicked, pval := j.panicked.Load(), j.pval
+	j.f, j.ctx, j.pval = nil, nil, nil // a parked job keeps no caller state alive
+	j.panicked.Store(false)
+	j.gen.Add(1)
+	select {
+	case j.p.free <- j:
+	default: // free list full: let the GC have it
+	}
+	if panicked {
+		panic(pval)
 	}
 }
 
 // Handle is a waitable ticket for a job submitted asynchronously. The zero
 // Handle (and a nil Handle) are valid and already complete.
 type Handle struct {
-	j *job
+	j   *job
+	gen uint64
 }
 
 // Wait blocks until every item of the submitted job has finished. If an
-// item panicked, Wait re-raises the first panic value on the caller. It is
-// safe to call multiple times and on a nil Handle.
+// item panicked, Wait re-raises the first panic value on the caller. The
+// first Wait recycles the job: waiting the Handle (or a copy of it) again
+// returns at once, as does Wait on a nil Handle. Waits of one Handle and its
+// copies must not run concurrently.
 func (h *Handle) Wait() {
-	if h == nil || h.j == nil {
-		return
+	if h != nil && h.j != nil && h.j.gen.Load() == h.gen {
+		h.j.wait()
 	}
-	h.j.wait()
 }
 
 // Pool runs work items on a fixed set of worker goroutines.
 type Pool struct {
 	workers int
 	jobs    chan *job
-	closed  atomic.Bool
+	// free holds recycled jobs: 2×workers, as many as callers within
+	// their widths keep outstanding (see New).
+	free   chan *job
+	closed atomic.Bool
 }
 
 // New creates a pool with the given number of workers. workers <= 0 selects
@@ -94,7 +120,7 @@ func New(workers int) *Pool {
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
-	p := &Pool{workers: workers, jobs: make(chan *job, 2*workers)}
+	p := &Pool{workers: workers, jobs: make(chan *job, 2*workers), free: make(chan *job, 2*workers)}
 	for w := 0; w < workers; w++ {
 		go p.worker(w)
 	}
@@ -191,7 +217,7 @@ func (p *Pool) ForLabeled(ctx context.Context, width, n int, f func(worker, item
 		p.runInline(ctx, n, f)
 		return
 	}
-	j := &job{f: f, n: int64(n), ctx: ctx}
+	j := p.jobFor(ctx, n, f)
 	p.enqueue(j, fan, false)
 	j.wait()
 }
@@ -221,9 +247,24 @@ func (p *Pool) SubmitLabeled(ctx context.Context, width, n int, f func(worker, i
 	if p.closed.Load() {
 		panic("pool: SubmitLabeled on closed pool")
 	}
-	j := &job{f: f, n: int64(n), ctx: ctx}
+	j := p.jobFor(ctx, n, f)
+	h := Handle{j: j, gen: j.gen.Load()}
 	p.enqueue(j, min(n, p.width(width)), true)
-	return Handle{j: j}
+	return h
+}
+
+// jobFor takes a recycled job off the free list, or makes one, and sets it up
+// to run f over [0, n).
+func (p *Pool) jobFor(ctx context.Context, n int, f func(worker, item int)) *job {
+	var j *job
+	select {
+	case j = <-p.free:
+	default:
+		j = &job{p: p}
+	}
+	j.f, j.n, j.ctx = f, int64(n), ctx
+	j.next.Store(0)
+	return j
 }
 
 // width clamps a caller's requested fan-out to the pool.

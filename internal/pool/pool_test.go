@@ -329,8 +329,8 @@ func TestWidthBoundsFanOut(t *testing.T) {
 }
 
 // TestSubmitSendsWithoutGoroutine: with room in the queue a submitted job
-// costs one allocation, the job itself — no helper goroutine carries its
-// sends.
+// allocates nothing — the job comes off the free list and no helper
+// goroutine carries its sends — and neither does a multi-worker fork.
 func TestSubmitSendsWithoutGoroutine(t *testing.T) {
 	p := New(2)
 	defer p.Close()
@@ -338,9 +338,108 @@ func TestSubmitSendsWithoutGoroutine(t *testing.T) {
 	if got := testing.AllocsPerRun(200, func() {
 		h := p.SubmitLabeled(nil, 0, 2, f)
 		h.Wait()
-	}); got > 1 {
-		t.Fatalf("%.1f allocations per submitted job, want at most 1", got)
+	}); got != 0 {
+		t.Fatalf("%.1f allocations per submitted job, want 0", got)
 	}
+	if got := testing.AllocsPerRun(200, func() { p.ForLabeled(nil, 2, 8, f) }); got != 0 {
+		t.Fatalf("%.1f allocations per fork, want 0", got)
+	}
+}
+
+// TestRecycledJobForgetsPanic: a job whose item panicked goes back on the
+// free list like any other, and the clean job that reuses it does not
+// re-raise the old panic.
+func TestRecycledJobForgetsPanic(t *testing.T) {
+	for _, submit := range []bool{false, true} {
+		p := New(2)
+		run := func(f func(int, int)) {
+			if submit {
+				h := p.SubmitLabeled(nil, 0, 4, f)
+				h.Wait()
+			} else {
+				p.ForLabeled(nil, 0, 4, f)
+			}
+		}
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Fatalf("submit %v: the panicking job did not re-raise", submit)
+				}
+			}()
+			run(func(_, _ int) { panic("boom") })
+		}()
+		var ran atomic.Int32
+		for range 4 * p.Workers() { // enough to reuse every recycled job
+			run(func(_, _ int) { ran.Add(1) })
+		}
+		if ran.Load() != 16*int32(p.Workers()) {
+			t.Fatalf("submit %v: ran %d items", submit, ran.Load())
+		}
+		p.Close()
+	}
+}
+
+// TestWaitAfterRecycleReturns: a Handle waited a second time — itself or a
+// copy — returns at once, even when its job has been recycled into a job
+// that is still running, and it does not steal that job's panic.
+func TestWaitAfterRecycleReturns(t *testing.T) {
+	p := New(1)
+	defer p.Close()
+	h := p.SubmitLabeled(nil, 0, 1, func(_, _ int) {})
+	old := h
+	h.Wait()
+	h.Wait() // the same Handle again
+	release := make(chan struct{})
+	running := p.SubmitLabeled(nil, 0, 1, func(_, _ int) { <-release; panic("late") })
+	if running.j != old.j {
+		t.Fatal("the second job did not reuse the recycled one")
+	}
+	done := make(chan struct{})
+	go func() {
+		old.Wait() // a copy, waited after its job was recycled
+		close(done)
+	}()
+	select {
+	case <-done:
+	case <-time.After(10 * time.Second):
+		t.Fatal("waiting a recycled job's Handle blocked on its new job")
+	}
+	close(release)
+	defer func() {
+		if recover() != "late" {
+			t.Fatal("the running job's panic did not reach its own Handle")
+		}
+	}()
+	running.Wait()
+}
+
+// TestConcurrentCallersRecycleJobs: callers on several goroutines fork and
+// submit on one pool at once, so the free list hands jobs between them;
+// every item of every job still runs exactly once (run it under -race).
+func TestConcurrentCallersRecycleJobs(t *testing.T) {
+	const callers, rounds, n = 4, 200, 12
+	p := New(4)
+	defer p.Close()
+	var wg sync.WaitGroup
+	for c := 0; c < callers; c++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for r := 0; r < rounds; r++ {
+				var forked, submitted [n]atomic.Int32
+				h := p.SubmitLabeled(nil, 2, n, func(_, i int) { submitted[i].Add(1) })
+				p.ForLabeled(nil, 2, n, func(_, i int) { forked[i].Add(1) })
+				h.Wait()
+				for i := range n {
+					if forked[i].Load() != 1 || submitted[i].Load() != 1 {
+						t.Errorf("caller %d round %d item %d: ran %d and %d times", c, r, i, forked[i].Load(), submitted[i].Load())
+						return
+					}
+				}
+			}
+		}()
+	}
+	wg.Wait()
 }
 
 // TestSubmitDoesNotBlockOnFullQueue: when every queue slot is taken behind a
