@@ -34,10 +34,12 @@ type Stats struct {
 	UnpackCElems   int64 // elements accumulated back into C
 
 	// Phase timings (Section 5.2.1: packing overhead is included in all of
-	// the paper's measurements and can dominate for skewed shapes).
+	// the paper's measurements and can dominate for skewed shapes). A
+	// pipelined block's compute fork also packs the next block; the pack's
+	// stretch past the block's last compute unit counts as pack time.
 	PackNanos    int64 // packing A and B, zeroing and unpacking C
-	ComputeNanos int64 // macro-kernel execution
-	OverlapNanos int64 // wall time pack jobs ran concurrently with compute
+	ComputeNanos int64 // compute forks (macro-kernels, DimK reduce), less their pack tails
+	OverlapNanos int64 // wall time the next block's pack units ran while compute units ran
 
 	// Batch aggregation: BatchCalls is how many GEMM calls were folded into
 	// this Stats (every executor request is a Batch, so a single GEMM is 1);
@@ -103,9 +105,9 @@ type execOptions struct {
 
 // WithPipeline enables or disables the double-buffered pack/compute
 // pipeline (enabled by default). Disabling it runs the same block loop with
-// no lookahead and no panel reuse: every block is packed afresh on the
-// caller, then computed — the strictly synchronous pack → barrier → compute
-// baseline of an A/B comparison.
+// no packing ahead and no panel reuse: every block is packed afresh on the
+// caller's fork, then computed — the strictly synchronous pack → barrier →
+// compute baseline of an A/B comparison.
 func WithPipeline(on bool) Option { return func(o *execOptions) { o.pipeline = on } }
 
 // WithPanelCache sets how many packed panels per operand the pipelined
@@ -193,17 +195,22 @@ type Executor[T matrix.Scalar] struct {
 	// The block loop's reusable state, so a call allocates nothing per
 	// block: the schedule buffer, the two-stage ring the pipeline alternates
 	// between, and the jobs, built once in NewExecutor, which read
-	// the in-flight call's operands (c, a, b, beta) and its computing block
-	// (cur, cBlock) from these fields.
-	seq     []schedule.Coord
-	stages  [2]pipeStage
-	c, a, b *matrix.Matrix[T]
-	beta    T
-	cur     *pipeStage
-	cBlock  matrix.Matrix[T]
-	epoch   time.Time // origin of the block loop's monotonic clock, fixed at NewExecutor
+	// the in-flight call's operands (c, a, b, beta), its computing block
+	// (cur, cBlock) and the block its fork packs (packing) from these
+	// fields. computing counts the computing block's unfinished compute
+	// units; the last one to finish stamps computedNs (see finishPack).
+	seq        []schedule.Coord
+	stages     [2]pipeStage
+	c, a, b    *matrix.Matrix[T]
+	beta       T
+	cur        *pipeStage
+	packing    *pipeStage
+	cBlock     matrix.Matrix[T]
+	computing  atomic.Int32
+	computedNs atomic.Int64
+	epoch      time.Time // origin of the block loop's monotonic clock, fixed at NewExecutor
 
-	scaleJob, zeroJob, computeJob, reduceJob, unpackJob func(worker, item int)
+	scaleJob, zeroJob, packJob, computeJob, blockJob, reduceJob, unpackJob func(worker, item int)
 }
 
 // ErrInUse is returned by Do (and the entry points layered on it) when a
@@ -252,12 +259,8 @@ func NewExecutor[T matrix.Scalar](cfg Config, p *pool.Pool, opts ...Option) (*Ex
 	for i := range e.scratch {
 		e.scratch[i] = kernel.NewScratch[T](cfg.MR, cfg.NR)
 	}
-	for i := range e.stages {
-		s := &e.stages[i]
-		s.unit = func(worker, u int) { e.packUnit(s, worker, u) }
-	}
 	e.scaleJob, e.zeroJob, e.unpackJob = e.scaleItem, e.zeroItem, e.unpackItem
-	e.computeJob, e.reduceJob = e.computeItem, e.reduceItem
+	e.packJob, e.computeJob, e.blockJob, e.reduceJob = e.packItem, e.computeItem, e.blockItem, e.reduceItem
 	return e, nil
 }
 

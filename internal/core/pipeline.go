@@ -3,10 +3,13 @@
 // says compute should fully overlap the memory stream; a synchronous
 // executor instead alternates pack → barrier → compute → barrier, idling
 // cores during packing and the memory system during compute. Pipelined, the
-// loop is a software pipeline: while block i computes out of one set of
-// packing buffers, the pack job for block i+1 is already running into
-// another set (prologue pack, steady-state overlap, epilogue drain). On top
-// of the ping-pong, each buffer slot remembers which logical panel it holds,
+// loop is a software pipeline: block i's fork carries its compute units
+// followed by block i+1's pack units, which write into another set of
+// packing buffers, and the granted workers claim them in that order — a
+// worker that runs out of compute packs the next block instead of idling
+// at the barrier (prologue pack, then one fork per block). At width 1 the
+// same fork runs inline: compute(i), then pack(i+1). On top of the
+// ping-pong, each buffer slot remembers which logical panel it holds,
 // so when consecutive blocks share an IO surface — the B panel across an M
 // step, the A panel across an N step, exactly the reuses Algorithm 2's snake
 // traversal engineers — the repack is skipped outright and counted in
@@ -16,13 +19,13 @@
 package core
 
 import (
+	"runtime/pprof"
 	"sync/atomic"
 	"time"
 
 	"repro/internal/matrix"
 	"repro/internal/obs"
 	"repro/internal/packing"
-	"repro/internal/pool"
 	"repro/internal/schedule"
 )
 
@@ -86,23 +89,18 @@ func (e *Executor[T]) spanFor(b *blockSpan, seq []schedule.Coord, i, m, k, n int
 }
 
 // pipeStage is one block in flight through the pipeline: which slots hold
-// its packed panels, whether each panel was freshly packed or reused, the
-// outstanding pack job, and timestamps for the overlap accounting. The
-// executor keeps a ring of two — the block computing and the block packing
-// behind it — so a call allocates no stages.
+// its packed panels, whether each panel was freshly packed or reused, its
+// pack units, and timestamps for the overlap accounting. The executor keeps
+// a ring of two — the block computing and the block packing behind it in
+// the same fork — so a call allocates no stages.
 type pipeStage struct {
 	blk              blockSpan
 	aSlot, bSlot     int
 	packedA, packedB bool // false → panel reused, no pack ran
-	aUnits           int  // pack units [0, aUnits) pack A, the rest B
-	async            bool // pack job runs on the pool (lookahead), timed by its units
-	handle           pool.Handle
+	aUnits, units    int  // pack units: [0, aUnits) pack A, [aUnits, units) B
 	pending          atomic.Int32
 	startNs          atomic.Int64 // first pack unit to start, ns since e.epoch (0 = none yet)
 	doneNs           atomic.Int64 // last pack unit to finish, ns since e.epoch
-	// unit packs unit u of this stage; built once per stage, so submitting
-	// the pack job allocates no closure.
-	unit func(worker, u int)
 }
 
 // invalidateSlots forgets packed-panel identities; called at the start of
@@ -152,22 +150,14 @@ func claimSlot(keys []panelKey, ticks []int64, clock *int64, key panelKey, busy 
 	return victim, false
 }
 
-// submitPack claims buffer slots for stage s's block and packs whichever
-// panels are not already resident. busyA/busyB are the slots of the stage
-// currently computing (-1 when none is). With async the pack job is
-// enqueued and left running (the lookahead pack) and its units time it;
-// otherwise the units run to completion on the caller's fork before
-// submitPack returns, timed by the caller's block clock (see runBlocks).
-// Either way the units are claimed dynamically, so fast workers absorb
-// ragged unit costs. Sync mode claims with the invalid key, which never
-// matches a slot, so it packs every panel of every block.
-func (e *Executor[T]) submitPack(s *pipeStage, busyA, busyB int, async bool) {
+// claimPanels claims buffer slots for stage s's block and counts the pack
+// units of whichever panels are not already resident; a fork runs them
+// (see runBlocks), claimed dynamically, so fast workers absorb ragged unit
+// costs. busyA/busyB are the slots of the stage currently computing (-1
+// when none is). Sync mode claims with the invalid key, which never matches
+// a slot, so it packs every panel of every block.
+func (e *Executor[T]) claimPanels(s *pipeStage, busyA, busyB int) {
 	blk := &s.blk
-	s.async, s.handle = async, pool.Handle{}
-	if async {
-		s.startNs.Store(0)
-		s.doneNs.Store(0)
-	}
 	aKey, bKey := aKeyFor(blk), bKeyFor(blk)
 	if !e.pipeline {
 		aKey, bKey = panelKey{}, panelKey{}
@@ -188,28 +178,20 @@ func (e *Executor[T]) submitPack(s *pipeStage, busyA, busyB int, async bool) {
 	if s.packedA {
 		s.aUnits = e.packAUnits(blk)
 	}
-	total := s.aUnits
+	s.units = s.aUnits
 	if s.packedB {
-		total += e.packBUnits(blk)
+		s.units += e.packBUnits(blk)
 	}
-	if total == 0 {
-		return
-	}
-	if async {
-		s.pending.Store(int32(total))
-		s.handle = e.pool.SubmitLabeled(e.packCtx, e.width, total, s.unit)
-	} else {
-		e.fork(e.packCtx, total, s.unit)
-	}
+	s.pending.Store(int32(s.units))
+	s.startNs.Store(0)
+	s.doneNs.Store(0)
 }
 
-// packUnit packs unit u of stage s from the call's operands. Units of an
-// async stage stamp the job's first start and last finish.
-func (e *Executor[T]) packUnit(s *pipeStage, worker, u int) {
+// packItem packs unit u of the packing stage (e.packing) from the call's
+// operands.
+func (e *Executor[T]) packItem(worker, u int) {
+	s := e.packing
 	u0 := e.now()
-	if s.async && s.startNs.Load() == 0 {
-		s.startNs.CompareAndSwap(0, e.sinceEpoch())
-	}
 	var elems int64
 	if u < s.aUnits {
 		elems = e.packAUnit(e.packA[s.aSlot], e.a, &s.blk, u)
@@ -217,9 +199,6 @@ func (e *Executor[T]) packUnit(s *pipeStage, worker, u int) {
 		elems = e.packBUnit(e.packB[s.bSlot], e.b, &s.blk, u-s.aUnits)
 	}
 	e.span(worker, obs.PhasePack, s.blk.coord, u0, elems*e.elemBytes)
-	if s.async && s.pending.Add(-1) == 0 {
-		s.doneNs.Store(e.sinceEpoch())
-	}
 }
 
 // packAUnits returns how many parallel units pack the block's A panel.
@@ -301,22 +280,56 @@ func (e *Executor[T]) packBUnit(dst []T, b *matrix.Matrix[T], blk *blockSpan, u 
 }
 
 // computeStage runs the block's macro-kernels out of the stage's packed
-// slots into the block's C buffer, e.cBlock. The granted workers claim the
-// block's compute units one at a time, so a core that runs faster takes
-// more units instead of idling at the block's barrier behind a slower one
-// (Section 4 gives each core one strip, which balances only cores of equal
-// speed). Each C tile is one kernel call over the block's full depth, added
-// once into the C buffer, and DimK's slices keep their own partials, so the
-// accumulation order depends only on the config — never on the mode, the
-// width, which worker claims a unit or which slot (or resident cell) holds
-// a panel — and every mode's results are bit-identical.
-func (e *Executor[T]) computeStage(s *pipeStage) {
-	e.cur = s
-	e.fork(e.computeCtx, s.blk.units, e.computeJob)
+// slots into the block's C buffer, e.cBlock, in one fork whose items are
+// the block's compute units followed by the pack units of stage ahead (nil
+// or with no panel to pack: compute alone). The granted workers claim the
+// items one at a time, so a core that runs faster takes more compute units
+// instead of idling at the block's barrier behind a slower one (Section 4
+// gives each core one strip, which balances only cores of equal speed), and
+// a core that runs out of compute units packs the next block. Each C tile is one kernel call over the
+// block's full depth, added once into the C buffer, and DimK's slices keep
+// their own partials, so the accumulation order depends only on the config
+// — never on the mode, the width, which worker claims a unit or which slot
+// (or resident cell) holds a panel — and every mode's results are
+// bit-identical.
+func (e *Executor[T]) computeStage(s, ahead *pipeStage) {
+	e.cur, e.packing = s, ahead
+	if ahead == nil || ahead.units == 0 {
+		e.fork(e.computeCtx, s.blk.units, e.computeJob)
+	} else {
+		e.computing.Store(int32(s.blk.units))
+		e.fork(e.computeCtx, s.blk.units+ahead.units, e.blockJob)
+	}
 	if e.cfg.Dim == DimK {
 		// Reduce private partials into the resident C block in slice order
 		// (partials[si] holds slice si, whichever worker computed it).
 		e.fork(nil, e.rowChunks(s.blk.mEff), e.reduceJob)
+	}
+}
+
+// blockItem runs item u of a block's fork: a compute unit of the computing
+// block, or past them a pack unit of the block behind it, which wears the
+// pack label when tracing and stamps its stage's first start and last
+// finish (see finishPack).
+func (e *Executor[T]) blockItem(worker, u int) {
+	units := e.cur.blk.units
+	if u < units {
+		e.computeItem(worker, u)
+		if e.computing.Add(-1) == 0 {
+			e.computedNs.Store(e.sinceEpoch())
+		}
+		return
+	}
+	s := e.packing
+	if e.packCtx != nil {
+		pprof.SetGoroutineLabels(e.packCtx)
+	}
+	if s.startNs.Load() == 0 {
+		s.startNs.CompareAndSwap(0, e.sinceEpoch())
+	}
+	e.packItem(worker, u-units)
+	if s.pending.Add(-1) == 0 {
+		s.doneNs.Store(e.sinceEpoch())
 	}
 }
 
@@ -376,13 +389,13 @@ func (e *Executor[T]) partial(si, r0, rows int) *matrix.Matrix[T] {
 	return &matrix.Matrix[T]{Rows: rows, Cols: cols, Stride: cols, Data: e.partials[si][r0*cols : (r0+rows)*cols]}
 }
 
-// finishPack drains a stage's outstanding pack job and accounts its
-// pack/reuse/overlap statistics; an async stage's pack time comes from its
-// units' stamps. computeStart/computeEnd (ns since e.epoch) bound the compute
-// window the pack could overlap with; both zero for the prologue pack,
-// which by construction overlaps nothing.
+// finishPack accounts a packed stage's pack/reuse/overlap statistics. A
+// pack that rode a block's compute fork is timed by its units' stamps:
+// computeStart/computeEnd (ns since e.epoch) bound that block's compute
+// units, the window the pack could overlap with, and the pack's tail past
+// computeEnd moves from the fork's ComputeNanos to PackNanos. A pack on the
+// caller's own fork (computeEnd 0) is timed by the caller's block clock.
 func (e *Executor[T]) finishPack(s *pipeStage, st *Stats, computeStart, computeEnd int64) {
-	s.handle.Wait()
 	aElems := int64(s.blk.mEff) * int64(s.blk.kEff)
 	bElems := int64(s.blk.kEff) * int64(s.blk.nEff)
 	if s.packedA {
@@ -401,18 +414,13 @@ func (e *Executor[T]) finishPack(s *pipeStage, st *Stats, computeStart, computeE
 		st.ReusedBElems += bElems
 		e.reuseEvent(s.blk.coord, bElems)
 	}
-	if !s.async {
-		return // timed by the caller's block clock
-	}
 	start, done := s.startNs.Load(), s.doneNs.Load()
-	if start > 0 && done > start {
-		st.PackNanos += done - start
-		if computeEnd > computeStart {
-			if ov := min(done, computeEnd) - max(start, computeStart); ov > 0 {
-				st.OverlapNanos += ov
-			}
-		}
+	if computeEnd == 0 || start == 0 || done <= start {
+		return
 	}
+	st.PackNanos += done - start
+	st.OverlapNanos += max(0, min(done, computeEnd)-max(start, computeStart))
+	st.ComputeNanos -= max(0, done-max(start, computeEnd))
 }
 
 // reuseEvent records a panel-cache hit as an instant event on the
@@ -428,61 +436,36 @@ func (e *Executor[T]) reuseEvent(blk obs.Block, elems int64) {
 }
 
 // runBlocks executes the call's block schedule, e.seq, the one block loop
-// of both modes. With lookahead it is a software pipeline: prologue pack of
-// block 0, steady state where block i computes while block i+1 packs,
-// epilogue drain of the final pack before its compute. Without it each
-// block is packed just in time on the caller, then computed. C-block
-// management (zero at run start, unpack at run end) stays on the caller
-// either way — it is cheap, and the resident partial-C buffer is shared by
-// every block of a K run so it cannot ping-pong.
+// of both modes. Pipelined it is a software pipeline: the prologue packs
+// block 0 on its own fork, then block i's compute fork also packs block
+// i+1 (see computeStage). Sync mode packs each block on its own fork just
+// before computing it. C-block management (zero at run start, unpack at
+// run end) runs on forks of its own either way — it is cheap, and the
+// resident partial-C buffer is shared by every block of a K run so it
+// cannot ping-pong.
 func (e *Executor[T]) runBlocks(st *Stats, m, k, n int) {
 	seq := e.seq
 	e.invalidateSlots()
-	// Lookahead packing only pays when another granted worker can run the
-	// pack while this block computes, and there is a next block to pack. At
-	// width 1 the pack job would go to a pool worker the caller was not
-	// granted (and queue behind other requests' jobs while the caller waits
-	// on it), and on a single-worker pool the FIFO queue would run the whole
-	// next-block pack *before* the current compute, evicting the panels
-	// compute is about to read; pack just in time on the caller there and
-	// keep only the panel-reuse layer, which is where the single-core win
-	// lives. A one-block schedule has nothing to overlap.
-	lookahead := e.pipeline && e.width > 1 && len(seq) > 1
-	var cur, next *pipeStage
-	// A panic re-raised by this block's compute must not unwind past the
-	// next block's pack job: its submit helper may still be sending to the
-	// pool, and the pool may be closed as soon as the panic reaches the
-	// caller. next is nil again by the time the schedule completes.
-	defer func() {
-		if next != nil {
-			next.handle.Wait()
-		}
-	}()
 	// One monotonic clock read per phase boundary (see sinceEpoch). Pack
-	// time on the caller runs from a just-in-time pack's slot claim and
-	// dispatch, or else from after next's submission, to the compute start,
-	// so it holds the pack and the C zeroing; the unpack adds its own
-	// window. The compute window bounds the overlap of next's pack.
+	// time on the caller runs from the block's start — its slot claims and
+	// any pack fork of its own — to the compute start, so it holds that
+	// pack and the C zeroing; the unpack adds its own window.
 	for i := range seq {
-		t0 := int64(-1)
-		if cur == nil {
-			cur = &e.stages[i%2]
+		cur := &e.stages[i%2]
+		t0 := e.sinceEpoch()
+		if i == 0 || !e.pipeline {
 			e.spanFor(&cur.blk, seq, i, m, k, n)
-			if !lookahead {
-				t0 = e.sinceEpoch() // an async prologue pack is timed by its units
-			}
-			e.submitPack(cur, -1, -1, lookahead)
+			e.claimPanels(cur, -1, -1)
+			e.packing = cur
+			e.fork(e.packCtx, cur.units, e.packJob)
 			e.finishPack(cur, st, 0, 0)
 		}
 		blk := &cur.blk
-		next = nil
-		if lookahead && i+1 < len(seq) {
+		var next *pipeStage
+		if e.pipeline && i+1 < len(seq) {
 			next = &e.stages[(i+1)%2]
 			e.spanFor(&next.blk, seq, i+1, m, k, n)
-			e.submitPack(next, cur.aSlot, cur.bSlot, true)
-		}
-		if t0 < 0 {
-			t0 = e.sinceEpoch()
+			e.claimPanels(next, cur.aSlot, cur.bSlot)
 		}
 		e.cBlock = matrix.Matrix[T]{Rows: blk.mEff, Cols: blk.nEff, Stride: blk.nEff, Data: e.bufC[:blk.mEff*blk.nEff]}
 		if blk.runStart {
@@ -490,18 +473,17 @@ func (e *Executor[T]) runBlocks(st *Stats, m, k, n int) {
 		}
 		c0 := e.sinceEpoch()
 		st.PackNanos += c0 - t0
-		e.computeStage(cur)
+		e.computeStage(cur, next)
 		cEnd := e.sinceEpoch()
 		st.ComputeNanos += cEnd - c0
+		if next != nil {
+			e.finishPack(next, st, c0, e.computedNs.Load())
+		}
 		if blk.runEnd {
 			e.fork(e.moveCtx, e.rowChunks(blk.mEff), e.unpackJob)
 			st.PackNanos += e.sinceEpoch() - cEnd
 			st.UnpackCElems += int64(blk.mEff) * int64(blk.nEff)
 		}
-		if next != nil {
-			e.finishPack(next, st, c0, cEnd)
-		}
-		cur = next
 	}
 }
 

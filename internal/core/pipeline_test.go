@@ -211,7 +211,7 @@ func TestPipelinedPanelCache(t *testing.T) {
 // TestConcurrentExecutorsSharedPool is the race-detector stress test: two
 // executors driving one shared pool from separate goroutines, mixing
 // pipelined and synchronous execution across all compute dimensions. Run
-// under -race this exercises the async pack handles, slot rings and job
+// under -race this exercises the one-fork-per-block slot rings and job
 // multiplexing for data races.
 func TestConcurrentExecutorsSharedPool(t *testing.T) {
 	p := pool.New(4)
@@ -319,16 +319,19 @@ func TestSyncStatsUnchanged(t *testing.T) {
 
 // TestWidthOneKeepsPacksOnCaller: a width-1 call packs every block on its
 // caller, never on a pool worker it was not granted, so a multi-block call
-// completes while every worker of the pool is held by other work. Were its
-// packs submitted to the pool, the call would wait until the workers are
+// completes while every worker of the pool is held by other work. Were any
+// of its forks sent to the pool, the call would wait until the workers are
 // freed; the test then fails after a timeout and frees them.
 func TestWidthOneKeepsPacksOnCaller(t *testing.T) {
 	p := pool.New(2)
 	defer p.Close()
-	release := make(chan struct{})
+	release, holdDone := make(chan struct{}), make(chan struct{})
 	var held sync.WaitGroup
 	held.Add(2)
-	hold := p.SubmitLabeled(nil, 2, 2, func(_, _ int) { held.Done(); <-release })
+	go func() {
+		defer close(holdDone)
+		p.ForLabeled(nil, 2, 2, func(_, _ int) { held.Done(); <-release })
+	}()
 	held.Wait()
 
 	e, err := NewExecutor[float64](smallConfig(2, DimN), p)
@@ -349,12 +352,12 @@ func TestWidthOneKeepsPacksOnCaller(t *testing.T) {
 	case err = <-done:
 	case <-time.After(10 * time.Second):
 		close(release)
-		hold.Wait()
+		<-holdDone
 		<-done
 		t.Fatal("width-1 call waited on pool workers it was not granted")
 	}
 	close(release)
-	hold.Wait()
+	<-holdDone
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -9,6 +9,7 @@ import (
 	"repro/internal/matrix"
 	"repro/internal/obs"
 	"repro/internal/pool"
+	"repro/internal/schedule"
 )
 
 // TestSkewedClaimBitExact: the granted workers claim a block's compute
@@ -97,29 +98,123 @@ func TestSkewedClaimBitExact(t *testing.T) {
 	}
 }
 
-// holdWorker parks pool worker target in a blocking job and returns once
-// the pool's other worker has left that job, so every job the caller forks
-// next runs on the other worker alone. release frees target and waits the
-// blocking job out. It assumes a two-worker pool with no other jobs.
+// TestClaimOrderPacksAfterCompute: a pipelined block's fork lists its
+// compute units before the next block's pack units, so a worker packs
+// ahead only once every compute unit of the block is claimed. With one
+// worker held, the free worker claims every item in list order: each pack
+// span of block i+1 starts no earlier than the last compute span of block i
+// ends, for every compute dimension, with fresh and resident B, and C
+// equals the width-1 result bit for bit.
+func TestClaimOrderPacksAfterCompute(t *testing.T) {
+	p := pool.New(2)
+	defer p.Close()
+	rng := rand.New(rand.NewSource(2501))
+	// Several K blocks per output block, so every block but the last has a
+	// next block with panels to pack.
+	const m, k, n = 100, 160, 90
+	a, b := matrix.New[float64](m, k), matrix.New[float64](k, n)
+	c0 := matrix.New[float64](m, n)
+	for _, x := range []*matrix.Matrix[float64]{a, b, c0} {
+		x.Randomize(rng)
+	}
+	for _, dim := range []ComputeDim{DimN, DimM, DimK} {
+		cfg := Config{Cores: 2, MC: 32, KC: 16, Alpha: 1, MR: 8, NR: 8, Dim: dim, Order: OrderAuto}
+		rb, err := PackResidentB(cfg, b, false)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, resident := range []bool{false, true} {
+			rec := obs.NewRecorder(2, 0)
+			ex, err := NewExecutor[float64](cfg, p, WithTrace(rec))
+			if err != nil {
+				t.Fatal(err)
+			}
+			run := func(w int) *matrix.Matrix[float64] {
+				c := c0.Clone()
+				req, res := Batch[float64]{C: mats(c), A: mats(a), B: mats(b), Alpha: 1, Beta: 1, Width: w}, (*ResidentB[float64])(nil)
+				if resident {
+					req.B, res = nil, rb
+				}
+				if _, err := ex.Do(req, res); err != nil {
+					t.Fatalf("dim %v resident %v width %d: %v", dim, resident, w, err)
+				}
+				return c
+			}
+			want := run(1)
+			for held := 0; held < 2; held++ {
+				rec.Reset()
+				release := holdWorker(p, held)
+				got := run(2)
+				release()
+				if !bitEqual(got, want) {
+					t.Fatalf("dim %v resident %v worker %d held: C differs from width 1 (max diff %g)",
+						dim, resident, held, got.MaxAbsDiff(want))
+				}
+				packStart, computeEnd := map[obs.Block]int64{}, map[obs.Block]int64{}
+				for _, s := range rec.Spans() {
+					switch s.Phase {
+					case obs.PhasePack:
+						if t0, ok := packStart[s.Block]; !ok || s.StartNs < t0 {
+							packStart[s.Block] = s.StartNs
+						}
+					case obs.PhaseCompute:
+						computeEnd[s.Block] = max(computeEnd[s.Block], s.StartNs+s.DurNs)
+					}
+				}
+				checked := 0
+				for i := 1; i < len(ex.seq); i++ {
+					prev, cur := blockOf(ex.seq[i-1]), blockOf(ex.seq[i])
+					start, packed := packStart[cur]
+					if !packed {
+						continue // every panel reused: nothing packed ahead
+					}
+					checked++
+					if end := computeEnd[prev]; start < end {
+						t.Fatalf("dim %v resident %v worker %d held: block %d's pack started %d ns before block %d's compute ended",
+							dim, resident, held, i, end-start, i-1)
+					}
+				}
+				if checked == 0 || rec.Dropped() != 0 {
+					t.Fatalf("dim %v resident %v: %d blocks packed ahead (%d spans dropped)", dim, resident, checked, rec.Dropped())
+				}
+			}
+			ex.Close()
+		}
+	}
+}
+
+// blockOf returns the span coordinates of schedule entry c.
+func blockOf(c schedule.Coord) obs.Block {
+	return obs.Block{M: int32(c.M), K: int32(c.K), N: int32(c.N)}
+}
+
+// holdWorker parks pool worker target in a blocking fork, run from a side
+// goroutine, and returns once the pool's other worker has left that fork,
+// so every job the caller forks next runs on the other worker alone.
+// release frees target and waits the blocking fork out. It assumes a
+// two-worker pool with no other jobs.
 func holdWorker(p *pool.Pool, target int) (release func()) {
 	var arrived sync.WaitGroup
 	arrived.Add(2)
-	free, unblock := make(chan struct{}), make(chan struct{})
-	// Each item waits for the other, so the two items run on the two
-	// workers, one each.
-	h := p.SubmitLabeled(nil, 2, 2, func(w, _ int) {
-		arrived.Done()
-		arrived.Wait()
-		if w == target {
-			<-unblock
-		} else {
-			close(free)
-		}
-	})
+	free, unblock, done := make(chan struct{}), make(chan struct{}), make(chan struct{})
+	go func() {
+		defer close(done)
+		// Each item waits for the other, so the two items run on the two
+		// workers, one each.
+		p.ForLabeled(nil, 2, 2, func(w, _ int) {
+			arrived.Done()
+			arrived.Wait()
+			if w == target {
+				<-unblock
+			} else {
+				close(free)
+			}
+		})
+	}()
 	<-free
 	return func() {
 		close(unblock)
-		h.Wait()
+		<-done
 	}
 }
 

@@ -7,6 +7,7 @@ import (
 
 	"repro/internal/matrix"
 	"repro/internal/obs"
+	"repro/internal/pool"
 	"repro/internal/schedule"
 )
 
@@ -87,42 +88,62 @@ func TestTraceSyncExecutorByteAccounting(t *testing.T) {
 	}
 }
 
+// TestTracePipelinedExecutorReuseEvents: pack spans carry the packed bytes,
+// every panel-cache hit is an instant event on the scheduler lane carrying
+// the avoided bytes, and pack and compute units run on the pool's worker
+// lanes: with either worker held, every one lands on the free worker's.
 func TestTracePipelinedExecutorReuseEvents(t *testing.T) {
 	const elem = 4
 	cfg := smallConfig(2, DimN)
 	cfg.Order = schedule.OuterN // forces B reuse at M steps (see pipeline_test)
-	st, rec := tracedGemm(t, cfg, 100, 70, 100)
-	if st.ReusedAElems+st.ReusedBElems == 0 {
-		t.Fatal("shape produced no panel reuse; pick a bigger grid")
+	// Every M block is at least 17 rows, so every fork has two or more
+	// items and none runs inline on the caller as worker 0.
+	const m, k, n = 90, 70, 100
+	p := pool.New(2)
+	defer p.Close()
+	rec := obs.NewRecorder(cfg.Cores, 0)
+	e, err := NewExecutor[float32](cfg, p, WithTrace(rec))
+	if err != nil {
+		t.Fatalf("NewExecutor: %v", err)
 	}
-	spans := rec.Spans()
-	bytes, count := byPhase(spans)
-	if count[obs.PhasePack] == 0 || count[obs.PhaseCompute] == 0 {
-		t.Fatalf("missing phases: %v", count)
-	}
-	if want := (st.PackedAElems + st.PackedBElems) * elem; bytes[obs.PhasePack] != want {
-		t.Fatalf("pack span bytes = %d, want %d", bytes[obs.PhasePack], want)
-	}
-	// Every reused panel shows up as an instant event on the scheduler lane
-	// carrying the avoided DRAM traffic.
-	if want := (st.ReusedAElems + st.ReusedBElems) * elem; bytes[obs.PhaseReuse] != want {
-		t.Fatalf("reuse event bytes = %d, want %d", bytes[obs.PhaseReuse], want)
-	}
-	for _, s := range spans {
-		if s.Phase == obs.PhaseReuse && int(s.Worker) != rec.SchedulerLane() {
-			t.Fatalf("reuse event off the scheduler lane: %+v", s)
+	defer e.Close()
+	rng := rand.New(rand.NewSource(77))
+	a, b := matrix.New[float32](m, k), matrix.New[float32](k, n)
+	a.Randomize(rng)
+	b.Randomize(rng)
+	for held := 0; held < 2; held++ {
+		free := 1 - held
+		rec.Reset()
+		release := holdWorker(p, held)
+		st, err := e.Gemm(matrix.New[float32](m, n), a, b)
+		release()
+		if err != nil {
+			t.Fatalf("Gemm: %v", err)
 		}
-	}
-	// Pack and compute must appear on real worker lanes, not just lane 0:
-	// the pipeline distributes units across cores.
-	lanes := map[int32]bool{}
-	for _, s := range spans {
-		if s.Phase == obs.PhasePack || s.Phase == obs.PhaseCompute {
-			lanes[s.Worker] = true
+		if st.ReusedAElems+st.ReusedBElems == 0 {
+			t.Fatal("shape produced no panel reuse; pick a bigger grid")
 		}
-	}
-	if len(lanes) < 2 {
-		t.Fatalf("all pack/compute spans on one lane: %v", lanes)
+		spans := rec.Spans()
+		bytes, count := byPhase(spans)
+		if count[obs.PhasePack] == 0 || count[obs.PhaseCompute] == 0 {
+			t.Fatalf("missing phases: %v", count)
+		}
+		if want := (st.PackedAElems + st.PackedBElems) * elem; bytes[obs.PhasePack] != want {
+			t.Fatalf("pack span bytes = %d, want %d", bytes[obs.PhasePack], want)
+		}
+		// Every reused panel shows up as an instant event on the scheduler lane
+		// carrying the avoided DRAM traffic.
+		if want := (st.ReusedAElems + st.ReusedBElems) * elem; bytes[obs.PhaseReuse] != want {
+			t.Fatalf("reuse event bytes = %d, want %d", bytes[obs.PhaseReuse], want)
+		}
+		for _, s := range spans {
+			if s.Phase == obs.PhaseReuse && int(s.Worker) != rec.SchedulerLane() {
+				t.Fatalf("reuse event off the scheduler lane: %+v", s)
+			}
+			if (s.Phase == obs.PhasePack || s.Phase == obs.PhaseCompute) && int(s.Worker) != free {
+				t.Fatalf("worker %d held: %v span on lane %d, want the free worker's lane %d", held, s.Phase, s.Worker, free)
+			}
+		}
 	}
 }
 

@@ -37,10 +37,11 @@ func allocEngine(t *testing.T) *Engine {
 }
 
 // TestRequestAllocs: a warm engine request allocates nothing, on every tier,
-// B source, scalar type and orientation. The large tier forks its phases
-// over both workers and submits lookahead packs, so the pool's recycled
-// jobs are on this path; a same-B batch packs its shared B into the
-// executor's grow-only buffer; a resident request pins its operand by value.
+// B source, scalar type and orientation. The large tier forks its phases,
+// the next block's pack riding each compute fork, over both workers, so
+// the pool's recycled jobs are on this path; a same-B batch packs its
+// shared B into the executor's grow-only buffer; a resident request pins
+// its operand by value.
 func TestRequestAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("sync.Pool drops leases at random under -race")

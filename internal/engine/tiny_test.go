@@ -208,12 +208,15 @@ func TestTinyConfigOneBlock(t *testing.T) {
 // their records show no cores, no queue and no admission wait.
 func TestTinyRequestRunsOnCaller(t *testing.T) {
 	e := newTestEngine(t, 2, Options{})
-	busy, release := make(chan struct{}, 2), make(chan struct{})
-	h := e.pool.SubmitLabeled(nil, 0, 2, func(_, _ int) {
-		busy <- struct{}{}
-		<-release
-	})
-	defer h.Wait()
+	busy, release, held := make(chan struct{}, 2), make(chan struct{}), make(chan struct{})
+	go func() {
+		defer close(held)
+		e.pool.ForLabeled(nil, 0, 2, func(_, _ int) {
+			busy <- struct{}{}
+			<-release
+		})
+	}()
+	defer func() { <-held }()
 	defer close(release)
 	<-busy
 	<-busy

@@ -86,9 +86,9 @@ func TestReset(t *testing.T) {
 	}
 }
 
-// TestConcurrentSameLane exercises the atomic-cursor claim: the pipelined
-// executor's async pack jobs (real worker ids) and static compute jobs
-// (virtual core ids) can hit the same lane concurrently.
+// TestConcurrentSameLane exercises the atomic-cursor claim: a fork running
+// inline on its caller records as worker 0 while another caller's fork
+// runs on pool worker 0, so two goroutines can hit the same lane at once.
 func TestConcurrentSameLane(t *testing.T) {
 	r := NewRecorder(1, 1<<12)
 	const goroutines, each = 4, 500

@@ -25,26 +25,14 @@ func TestForLabeledRunsEveryItemOnce(t *testing.T) {
 	}
 }
 
-func TestSubmitLabeledCompletes(t *testing.T) {
-	p := New(2)
-	defer p.Close()
-	var n atomic.Int32
-	h := p.SubmitLabeled(labelCtx(), 0, 64, func(_, _ int) { n.Add(1) })
-	h.Wait()
-	if n.Load() != 64 {
-		t.Fatalf("ran %d of 64 items", n.Load())
-	}
-}
-
 func TestLabeledNilContext(t *testing.T) {
-	// nil ctx must behave exactly like the unlabeled entry points.
+	// A nil ctx runs every item at any width, wearing no labels.
 	p := New(2)
 	defer p.Close()
 	var n atomic.Int32
 	p.ForLabeled(nil, 0, 32, func(_, _ int) { n.Add(1) })
 	p.ForLabeled(nil, 1, 32, func(_, _ int) { n.Add(1) })
-	h := p.SubmitLabeled(nil, 0, 32, func(_, _ int) { n.Add(1) })
-	h.Wait()
+	p.ForLabeled(nil, 2, 32, func(_, _ int) { n.Add(1) })
 	if n.Load() != 96 {
 		t.Fatalf("ran %d of 96 items", n.Load())
 	}

@@ -1,30 +1,24 @@
-// Package pool provides a fixed-size worker pool with parallel-for
-// primitives. The CAKE and GOTO drivers run their parallel phases on it, so
+// Package pool provides a fixed-size worker pool with a parallel-for
+// primitive. The CAKE and GOTO drivers run their parallel phases on it, so
 // repeated block executions reuse goroutines instead of spawning per block.
 // Work is claimed, not assigned: each job is a range of items, and whichever
 // of its workers is free takes the next item. A CB block's compute is split
 // into many such items (row-panel units), so a core that runs faster takes
 // more of them and no core idles at the block's barrier waiting for a
-// slower one; results never depend on which worker ran an item.
+// slower one; results never depend on which worker ran an item. The
+// pipelined executor in internal/core appends the next block's pack units
+// to the same job, so a worker that runs out of compute packs ahead instead
+// of waiting (paper Section 3: compute overlaps the constant stream of
+// memory traffic).
 //
-// Besides the synchronous ForLabeled, the pool offers asynchronous
-// submission (SubmitLabeled) returning a waitable Handle. Workers drain
-// queued jobs in FIFO order, so a caller can enqueue a pack job for CB
-// block i+1, immediately run the compute job for block i, and overlap the
-// two: workers that finish their share of one job flow into the next without
-// a barrier in between. This is the mechanism behind the pipelined executor
-// in internal/core (paper Section 3: compute fully overlaps the constant
-// stream of memory traffic).
-//
-// Jobs are recycled: the goroutine that waits for a job puts it on the
-// pool's free list, so in steady state neither a fork nor a submission
-// allocates.
+// Every fork is synchronous: ForLabeled returns once its job is done. Jobs
+// are recycled — the caller puts its job on the pool's free list after the
+// wait — so in steady state a fork allocates nothing.
 //
 // A panicking work item never ends the process or its worker: the worker
 // recovers it and the first panic value of a job is re-raised on the
-// goroutine that waits for that job — the caller of ForLabeled, or
-// Handle.Wait for asynchronous jobs. Inline fast paths panic on the caller
-// directly.
+// caller of ForLabeled once every worker has left the job. Inline fast
+// paths panic on the caller directly.
 package pool
 
 import (
@@ -54,24 +48,18 @@ type job struct {
 	// wg.Wait, so the WaitGroup orders the two.
 	panicked atomic.Bool
 	pval     any
-
-	// gen counts the job's recycles. A Handle holds the gen it was issued
-	// at, so waiting it again once the job has been recycled — and maybe
-	// handed to another caller — returns at once.
-	gen atomic.Uint64
 }
 
 // wait blocks until every worker has finished its share of the job,
 // recycles the job, then re-raises the first item panic, if any, on the
-// waiting goroutine. Every handle of the job has been received by then (each
-// receiver's wg.Done is what Wait waits for), so no worker can still reach
+// waiting goroutine. Every send of the job has been received by then (each
+// receiver's wg.Done is what wait waits for), so no worker can still reach
 // it through the queue.
 func (j *job) wait() {
 	j.wg.Wait()
 	panicked, pval := j.panicked.Load(), j.pval
 	j.f, j.ctx, j.pval = nil, nil, nil // a parked job keeps no caller state alive
 	j.panicked.Store(false)
-	j.gen.Add(1)
 	select {
 	case j.p.free <- j:
 	default: // free list full: let the GC have it
@@ -81,30 +69,12 @@ func (j *job) wait() {
 	}
 }
 
-// Handle is a waitable ticket for a job submitted asynchronously. The zero
-// Handle (and a nil Handle) are valid and already complete.
-type Handle struct {
-	j   *job
-	gen uint64
-}
-
-// Wait blocks until every item of the submitted job has finished. If an
-// item panicked, Wait re-raises the first panic value on the caller. The
-// first Wait recycles the job: waiting the Handle (or a copy of it) again
-// returns at once, as does Wait on a nil Handle. Waits of one Handle and its
-// copies must not run concurrently.
-func (h *Handle) Wait() {
-	if h != nil && h.j != nil && h.j.gen.Load() == h.gen {
-		h.j.wait()
-	}
-}
-
 // Pool runs work items on a fixed set of worker goroutines.
 type Pool struct {
 	workers int
 	jobs    chan *job
-	// free holds recycled jobs: 2×workers, as many as callers within
-	// their widths keep outstanding (see New).
+	// free holds recycled jobs: one per worker, as many as callers
+	// within their widths keep outstanding (see New).
 	free   chan *job
 	closed atomic.Bool
 }
@@ -112,15 +82,14 @@ type Pool struct {
 // New creates a pool with the given number of workers. workers <= 0 selects
 // GOMAXPROCS. Callers must Close the pool when done with it.
 //
-// The job queue holds 2×workers handles: callers whose widths sum to at
-// most the pool size, each with one synchronous and one submitted job
-// outstanding (the pipelined executor's compute and lookahead pack), never
-// fill it, so their sends land without blocking.
+// The job queue holds one send per worker: callers whose widths sum to at
+// most the pool size, each with one fork outstanding, never fill it, so
+// their sends land without blocking.
 func New(workers int) *Pool {
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
-	p := &Pool{workers: workers, jobs: make(chan *job, 2*workers), free: make(chan *job, 2*workers)}
+	p := &Pool{workers: workers, jobs: make(chan *job, workers), free: make(chan *job, workers)}
 	for w := 0; w < workers; w++ {
 		go p.worker(w)
 	}
@@ -164,34 +133,6 @@ func (p *Pool) runItems(j *job, id int) {
 // Workers returns the pool size.
 func (p *Pool) Workers() int { return p.workers }
 
-// enqueue fans a job out to the pool. fan bounds how many workers can claim
-// the job; sending fan handles wakes at most fan idle workers, so small jobs
-// do not disturb the rest of the pool. An async job whose sends would block
-// on a full queue hands the rest to a helper goroutine, so the caller never
-// waits behind busy workers.
-func (p *Pool) enqueue(j *job, fan int, async bool) {
-	j.wg.Add(fan)
-	for ; fan > 0; fan-- {
-		if !async {
-			p.jobs <- j
-			continue
-		}
-		select {
-		case p.jobs <- j:
-		default:
-			go p.send(j, fan)
-			return
-		}
-	}
-}
-
-// send hands j to fan workers.
-func (p *Pool) send(j *job, fan int) {
-	for w := 0; w < fan; w++ {
-		p.jobs <- j
-	}
-}
-
 // ForLabeled runs f(worker, item) for every item in [0, n), wearing ctx's
 // pprof labels (see obs.LabelCtx; nil ctx: none), and blocks until all
 // complete. At most width workers claim the items — how a caller holding a
@@ -218,7 +159,12 @@ func (p *Pool) ForLabeled(ctx context.Context, width, n int, f func(worker, item
 		return
 	}
 	j := p.jobFor(ctx, n, f)
-	p.enqueue(j, fan, false)
+	// Sending fan copies wakes at most fan idle workers, so small jobs do
+	// not disturb the rest of the pool.
+	j.wg.Add(fan)
+	for range fan {
+		p.jobs <- j
+	}
 	j.wait()
 }
 
@@ -232,25 +178,6 @@ func (p *Pool) runInline(ctx context.Context, n int, f func(worker, item int)) {
 	for i := 0; i < n; i++ {
 		f(0, i)
 	}
-}
-
-// SubmitLabeled enqueues a ForLabeled job without waiting for it:
-// f(worker, item) will run for every item in [0, n) on at most width of the
-// pool's workers, concurrently with anything the caller does next, wearing
-// ctx's pprof labels. It never runs inline, even at width 1. The returned
-// Handle's Wait blocks until all items finish; every Handle must be waited
-// before the pool is Closed.
-func (p *Pool) SubmitLabeled(ctx context.Context, width, n int, f func(worker, item int)) Handle {
-	if n <= 0 {
-		return Handle{}
-	}
-	if p.closed.Load() {
-		panic("pool: SubmitLabeled on closed pool")
-	}
-	j := p.jobFor(ctx, n, f)
-	h := Handle{j: j, gen: j.gen.Load()}
-	p.enqueue(j, min(n, p.width(width)), true)
-	return h
 }
 
 // jobFor takes a recycled job off the free list, or makes one, and sets it up
@@ -275,9 +202,8 @@ func (p *Pool) width(w int) int {
 	return w
 }
 
-// Close shuts the pool down. Pending synchronous calls must have returned
-// and every async Handle must have been waited; using the pool after Close
-// panics.
+// Close shuts the pool down. Pending calls must have returned; using the
+// pool after Close panics.
 func (p *Pool) Close() {
 	if p.closed.Swap(true) {
 		panic(fmt.Sprintf("pool: double Close of %d-worker pool", p.workers))

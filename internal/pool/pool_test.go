@@ -136,72 +136,6 @@ func TestForWorkerExclusive(t *testing.T) {
 	}
 }
 
-func TestSubmitRunsEveryItemOnce(t *testing.T) {
-	p := New(4)
-	defer p.Close()
-	const n = 500
-	counts := make([]atomic.Int32, n)
-	h := p.SubmitLabeled(nil, 0, n, func(_, i int) { counts[i].Add(1) })
-	h.Wait()
-	for i := range counts {
-		if c := counts[i].Load(); c != 1 {
-			t.Fatalf("item %d ran %d times", i, c)
-		}
-	}
-}
-
-func TestSubmitDoesNotBlockCaller(t *testing.T) {
-	// A submitted job that rendezvouses with the caller proves Submit
-	// returned while the job was still running — on a 1-worker pool too,
-	// where an inline fast path would deadlock here.
-	for _, w := range []int{1, 2} {
-		p := New(w)
-		release := make(chan struct{})
-		h := p.SubmitLabeled(nil, 0, 1, func(_, _ int) { <-release })
-		close(release) // reached only because Submit returned
-		h.Wait()
-		p.Close()
-	}
-}
-
-func TestSubmitOverlapsWithSyncFor(t *testing.T) {
-	// The async job blocks until the sync job has run: completion proves the
-	// pool multiplexes a queued async job with a later synchronous one.
-	p := New(2)
-	defer p.Close()
-	syncRan := make(chan struct{})
-	h := p.SubmitLabeled(nil, 0, 1, func(_, _ int) { <-syncRan })
-	p.ForLabeled(nil, 0, 1, func(_, _ int) {}) // inline fast path, independent of workers
-	close(syncRan)
-	h.Wait()
-}
-
-func TestSubmitZeroItems(t *testing.T) {
-	p := New(2)
-	defer p.Close()
-	h := p.SubmitLabeled(nil, 0, 0, func(_, _ int) { t.Error("ran for n=0") })
-	h.Wait()
-	h.Wait() // Wait is idempotent
-	var nilH *Handle
-	nilH.Wait() // and nil-safe
-}
-
-func TestManyConcurrentSubmits(t *testing.T) {
-	p := New(4)
-	defer p.Close()
-	var total atomic.Int64
-	handles := make([]Handle, 32)
-	for i := range handles {
-		handles[i] = p.SubmitLabeled(nil, 0, 17, func(_, _ int) { total.Add(1) })
-	}
-	for _, h := range handles {
-		h.Wait()
-	}
-	if total.Load() != 32*17 {
-		t.Fatalf("total %d want %d", total.Load(), 32*17)
-	}
-}
-
 func TestForSmallerThanPool(t *testing.T) {
 	// n < workers must still run every item exactly once (only min(n, w)
 	// handles are enqueued), on worker ids inside the pool.
@@ -290,57 +224,40 @@ func TestDoubleClosePanics(t *testing.T) {
 }
 
 // TestWidthBoundsFanOut: a width below the pool size caps how many workers
-// serve a job, synchronous or submitted — at most width distinct workers
-// claim its items and at most width items run at once — and every item
-// still runs exactly once.
+// serve a job — at most width distinct workers claim its items and at most
+// width items run at once — and every item still runs exactly once.
 func TestWidthBoundsFanOut(t *testing.T) {
 	p := New(4)
 	defer p.Close()
 	const n = 10
 	for _, width := range []int{1, 2, 3} {
-		for _, submit := range []bool{false, true} {
-			var mu sync.Mutex
-			workers := map[int]bool{}
-			ran := 0
-			var running, peak atomic.Int32
-			f := func(w, _ int) {
-				now := running.Add(1)
-				for old := peak.Load(); now > old && !peak.CompareAndSwap(old, now); old = peak.Load() {
-				}
-				time.Sleep(time.Millisecond) // let other workers join
-				mu.Lock()
-				workers[w] = true
-				ran++
-				mu.Unlock()
-				running.Add(-1)
+		var mu sync.Mutex
+		workers := map[int]bool{}
+		ran := 0
+		var running, peak atomic.Int32
+		p.ForLabeled(nil, width, n, func(w, _ int) {
+			now := running.Add(1)
+			for old := peak.Load(); now > old && !peak.CompareAndSwap(old, now); old = peak.Load() {
 			}
-			if submit {
-				h := p.SubmitLabeled(nil, width, n, f)
-				h.Wait()
-			} else {
-				p.ForLabeled(nil, width, n, f)
-			}
-			if ran != n || len(workers) > width || int(peak.Load()) > width {
-				t.Fatalf("width %d submit %v: %d items on %d workers, %d at once",
-					width, submit, ran, len(workers), peak.Load())
-			}
+			time.Sleep(time.Millisecond) // let other workers join
+			mu.Lock()
+			workers[w] = true
+			ran++
+			mu.Unlock()
+			running.Add(-1)
+		})
+		if ran != n || len(workers) > width || int(peak.Load()) > width {
+			t.Fatalf("width %d: %d items on %d workers, %d at once", width, ran, len(workers), peak.Load())
 		}
 	}
 }
 
-// TestSubmitSendsWithoutGoroutine: with room in the queue a submitted job
-// allocates nothing — the job comes off the free list and no helper
-// goroutine carries its sends — and neither does a multi-worker fork.
-func TestSubmitSendsWithoutGoroutine(t *testing.T) {
+// TestForkAllocatesNothing: a warm multi-worker fork takes its job off the
+// free list and allocates nothing.
+func TestForkAllocatesNothing(t *testing.T) {
 	p := New(2)
 	defer p.Close()
 	f := func(_, _ int) {}
-	if got := testing.AllocsPerRun(200, func() {
-		h := p.SubmitLabeled(nil, 0, 2, f)
-		h.Wait()
-	}); got != 0 {
-		t.Fatalf("%.1f allocations per submitted job, want 0", got)
-	}
 	if got := testing.AllocsPerRun(200, func() { p.ForLabeled(nil, 2, 8, f) }); got != 0 {
 		t.Fatalf("%.1f allocations per fork, want 0", got)
 	}
@@ -350,72 +267,28 @@ func TestSubmitSendsWithoutGoroutine(t *testing.T) {
 // free list like any other, and the clean job that reuses it does not
 // re-raise the old panic.
 func TestRecycledJobForgetsPanic(t *testing.T) {
-	for _, submit := range []bool{false, true} {
-		p := New(2)
-		run := func(f func(int, int)) {
-			if submit {
-				h := p.SubmitLabeled(nil, 0, 4, f)
-				h.Wait()
-			} else {
-				p.ForLabeled(nil, 0, 4, f)
-			}
-		}
-		func() {
-			defer func() {
-				if recover() == nil {
-					t.Fatalf("submit %v: the panicking job did not re-raise", submit)
-				}
-			}()
-			run(func(_, _ int) { panic("boom") })
-		}()
-		var ran atomic.Int32
-		for range 4 * p.Workers() { // enough to reuse every recycled job
-			run(func(_, _ int) { ran.Add(1) })
-		}
-		if ran.Load() != 16*int32(p.Workers()) {
-			t.Fatalf("submit %v: ran %d items", submit, ran.Load())
-		}
-		p.Close()
-	}
-}
-
-// TestWaitAfterRecycleReturns: a Handle waited a second time — itself or a
-// copy — returns at once, even when its job has been recycled into a job
-// that is still running, and it does not steal that job's panic.
-func TestWaitAfterRecycleReturns(t *testing.T) {
-	p := New(1)
+	p := New(2)
 	defer p.Close()
-	h := p.SubmitLabeled(nil, 0, 1, func(_, _ int) {})
-	old := h
-	h.Wait()
-	h.Wait() // the same Handle again
-	release := make(chan struct{})
-	running := p.SubmitLabeled(nil, 0, 1, func(_, _ int) { <-release; panic("late") })
-	if running.j != old.j {
-		t.Fatal("the second job did not reuse the recycled one")
-	}
-	done := make(chan struct{})
-	go func() {
-		old.Wait() // a copy, waited after its job was recycled
-		close(done)
+	func() {
+		defer func() {
+			if recover() == nil {
+				t.Fatal("the panicking job did not re-raise")
+			}
+		}()
+		p.ForLabeled(nil, 0, 4, func(_, _ int) { panic("boom") })
 	}()
-	select {
-	case <-done:
-	case <-time.After(10 * time.Second):
-		t.Fatal("waiting a recycled job's Handle blocked on its new job")
+	var ran atomic.Int32
+	for range 4 * p.Workers() { // enough to reuse every recycled job
+		p.ForLabeled(nil, 0, 4, func(_, _ int) { ran.Add(1) })
 	}
-	close(release)
-	defer func() {
-		if recover() != "late" {
-			t.Fatal("the running job's panic did not reach its own Handle")
-		}
-	}()
-	running.Wait()
+	if ran.Load() != 16*int32(p.Workers()) {
+		t.Fatalf("ran %d items", ran.Load())
+	}
 }
 
-// TestConcurrentCallersRecycleJobs: callers on several goroutines fork and
-// submit on one pool at once, so the free list hands jobs between them;
-// every item of every job still runs exactly once (run it under -race).
+// TestConcurrentCallersRecycleJobs: callers on several goroutines fork on
+// one pool at once, so the free list hands jobs between them; every item of
+// every job still runs exactly once (run it under -race).
 func TestConcurrentCallersRecycleJobs(t *testing.T) {
 	const callers, rounds, n = 4, 200, 12
 	p := New(4)
@@ -426,13 +299,11 @@ func TestConcurrentCallersRecycleJobs(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for r := 0; r < rounds; r++ {
-				var forked, submitted [n]atomic.Int32
-				h := p.SubmitLabeled(nil, 2, n, func(_, i int) { submitted[i].Add(1) })
-				p.ForLabeled(nil, 2, n, func(_, i int) { forked[i].Add(1) })
-				h.Wait()
+				var counts [n]atomic.Int32
+				p.ForLabeled(nil, 2, n, func(_, i int) { counts[i].Add(1) })
 				for i := range n {
-					if forked[i].Load() != 1 || submitted[i].Load() != 1 {
-						t.Errorf("caller %d round %d item %d: ran %d and %d times", c, r, i, forked[i].Load(), submitted[i].Load())
+					if counts[i].Load() != 1 {
+						t.Errorf("caller %d round %d item %d: ran %d times", c, r, i, counts[i].Load())
 						return
 					}
 				}
@@ -442,34 +313,9 @@ func TestConcurrentCallersRecycleJobs(t *testing.T) {
 	wg.Wait()
 }
 
-// TestSubmitDoesNotBlockOnFullQueue: when every queue slot is taken behind a
-// busy worker, SubmitLabeled still returns at once (a helper goroutine
-// carries the sends that do not fit) and the job still runs.
-func TestSubmitDoesNotBlockOnFullQueue(t *testing.T) {
-	p := New(1) // queue of 2 handles
-	defer p.Close()
-	release := make(chan struct{})
-	started := make(chan struct{})
-	busy := p.SubmitLabeled(nil, 0, 1, func(_, _ int) { close(started); <-release })
-	<-started // the worker holds busy; the queue is empty
-	var ran atomic.Int32
-	hs := make([]Handle, 4) // two fill the queue, two overflow it
-	for i := range hs {
-		hs[i] = p.SubmitLabeled(nil, 0, 1, func(_, _ int) { ran.Add(1) })
-	}
-	close(release) // reached only because every Submit returned
-	busy.Wait()
-	for i := range hs {
-		hs[i].Wait()
-	}
-	if ran.Load() != int32(len(hs)) {
-		t.Fatalf("ran %d of %d submitted jobs", ran.Load(), len(hs))
-	}
-}
-
-// TestItemPanicReachesWaiter: on every entry point, with and without a label
-// context, a panicking item is re-raised on the goroutine that waits for the
-// job, with its original value, and no worker dies of it — a later job still
+// TestItemPanicReachesWaiter: at full and bounded width, with and without a
+// label context, a panicking item is re-raised on the caller of the fork,
+// with its original value, and no worker dies of it — a later job still
 // rendezvouses every worker. Every item panics, so every worker that served
 // the job recovered. The unlabeled rows (named for the plain calls a nil ctx
 // stands for) take serve's no-pprof branch.
@@ -484,8 +330,6 @@ func TestItemPanicReachesWaiter(t *testing.T) {
 		{"ForLabeled", func(p *Pool, f func(int, int)) { p.ForLabeled(labelCtx(), 0, n, f) }},
 		{"ForWidth", func(p *Pool, f func(int, int)) { p.ForLabeled(nil, 3, n, f) }},
 		{"ForWidthLabeled", func(p *Pool, f func(int, int)) { p.ForLabeled(labelCtx(), 3, n, f) }},
-		{"Submit", func(p *Pool, f func(int, int)) { h := p.SubmitLabeled(nil, 0, n, f); h.Wait() }},
-		{"SubmitLabeled", func(p *Pool, f func(int, int)) { h := p.SubmitLabeled(labelCtx(), 3, n, f); h.Wait() }},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			p := New(w)

@@ -58,6 +58,11 @@ go test -race -short ./...
 echo "== go test -race ./internal/pool ./internal/core ./internal/obs ./internal/engine ./internal/tenant ./internal/gotoalg"
 go test -race ./internal/pool ./internal/core ./internal/obs ./internal/engine ./internal/tenant ./internal/gotoalg
 
+# The pipelined block loop's one fork per block (compute units, then the
+# next block's pack units, over a two-slot ring) repeated under -race.
+echo "== go test -race -count=5 -run 'Skew|ClaimOrder|Pipelined|Width' ./internal/core"
+go test -race -count=5 -run 'Skew|ClaimOrder|Pipelined|Width' ./internal/core
+
 # Corpus micro run and the one benchmark gate: the 4-cell, 2-contrast micro
 # grid must run end to end into a throwaway store (the committed
 # results/corpus trajectory is never touched here), and `check` over that
