@@ -12,7 +12,6 @@ import (
 	"testing"
 
 	"repro/internal/cachesim"
-	"repro/internal/core"
 	"repro/internal/experiments"
 	"repro/internal/gotoalg"
 	"repro/internal/gridsim"
@@ -424,32 +423,6 @@ func BenchmarkAblationAnalyticVsSearch(b *testing.B) {
 	}
 	b.ReportMetric(share, "analytic/search-gflops")
 	b.ReportMetric(float64(evaluated), "designs-searched")
-}
-
-// Ablation 5: compute dimension (N vs M vs K) on the real machine.
-func BenchmarkAblationComputeDim(b *testing.B) {
-	for _, dim := range []core.ComputeDim{core.DimN, core.DimM, core.DimK} {
-		b.Run(dim.String(), func(b *testing.B) {
-			cfg := core.Config{Cores: Host().Cores, MC: 64, KC: 64, Alpha: 1, MR: 8, NR: 8, Dim: dim, Order: core.OrderAuto}
-			e, err := core.NewExecutor[float32](cfg, nil)
-			if err != nil {
-				b.Fatal(err)
-			}
-			defer e.Close()
-			rng := rand.New(rand.NewSource(3))
-			a := matrix.New[float32](512, 512)
-			bb := matrix.New[float32](512, 512)
-			c := matrix.New[float32](512, 512)
-			a.Randomize(rng)
-			bb.Randomize(rng)
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if _, err := e.Gemm(c, a, bb); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
 }
 
 // Ablation 6: register-tile shape sweep through the full macro kernel.

@@ -49,7 +49,7 @@ func FromSlice[T Scalar](r, c int, data []T) *Matrix[T] { return matrix.FromSlic
 func NaiveGemm[T Scalar](c, a, b *Matrix[T]) { matrix.NaiveGemm(c, a, b) }
 
 // Config is a fully resolved CAKE execution plan (CB block shape, schedule
-// order, register tile, compute dimension).
+// order, register tile).
 type Config = core.Config
 
 // Executor runs CAKE GEMMs with a fixed Config, reusing workers and packing
@@ -142,13 +142,6 @@ func ServeDebug(addr string) (*DebugServer, error) { return obs.Serve(addr) }
 // server's trace and timeline endpoints under the given process name;
 // re-registering a name replaces its recorder in place.
 func RegisterTraceProcess(name string, rec *TraceRecorder) { obs.RegisterProcess(name, rec) }
-
-// Compute dimensions (Section 3): N is the paper's primary formulation.
-const (
-	DimN = core.DimN
-	DimM = core.DimM
-	DimK = core.DimK
-)
 
 // Platform describes a CPU (cache sizes, bandwidths, core count). The
 // paper's Table 2 machines are available via IntelI9, AMDRyzen9 and

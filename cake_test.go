@@ -179,10 +179,7 @@ func TestHostPlatform(t *testing.T) {
 }
 
 func TestPublicConstantsWired(t *testing.T) {
-	if DimN.String() != "N" || DimM.String() != "M" || DimK.String() != "K" {
-		t.Fatal("compute-dim re-exports")
-	}
-	cfg := Config{Cores: 1, MC: 8, KC: 8, Alpha: 1, MR: 8, NR: 8, Dim: DimK, Order: schedule.OuterN}
+	cfg := Config{Cores: 1, MC: 8, KC: 8, Alpha: 1, MR: 8, NR: 8, Order: schedule.OuterN}
 	if cfg.Validate() != nil {
 		t.Fatal("config alias broken")
 	}

@@ -24,6 +24,45 @@ func TestRunTable2AndFig4(t *testing.T) {
 	}
 }
 
+// TestRunFiguresMatchResults regenerates the simulator figures that run in
+// seconds at full size and requires every CSV to equal the committed one in
+// results/ byte for byte: the figures plan through core.Plan, so a change to
+// the planner or the block geometry shows here. fig10 and fig12 take tens of
+// seconds each; scripts/verify.sh checks them the same way.
+func TestRunFiguresMatchResults(t *testing.T) {
+	if testing.Short() {
+		t.Skip("full-size figures take ~12 s; skipped with -short")
+	}
+	for _, fig := range []struct {
+		target string
+		csvs   []string
+	}{
+		{"fig4", []string{"fig4.csv"}},
+		{"fig7", []string{"fig7a.csv", "fig7b.csv"}},
+		{"fig8", []string{"fig8a.csv", "fig8b.csv", "fig8c.csv", "fig8d.csv"}},
+		{"fig9", []string{"fig9-intel.csv", "fig9-arm.csv"}},
+		{"fig11", []string{"fig11a.csv", "fig11b.csv", "fig11c.csv"}},
+	} {
+		dir := t.TempDir()
+		if err := run(fig.target, false, dir, &bytes.Buffer{}); err != nil {
+			t.Fatalf("%s: %v", fig.target, err)
+		}
+		for _, name := range fig.csvs {
+			got, err := os.ReadFile(filepath.Join(dir, name))
+			if err != nil {
+				t.Fatalf("%s: %v", fig.target, err)
+			}
+			want, err := os.ReadFile(filepath.Join("..", "..", "results", name))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(got, want) {
+				t.Errorf("%s: %s differs from results/%s", fig.target, name, name)
+			}
+		}
+	}
+}
+
 func TestRunUnknownTarget(t *testing.T) {
 	// The bespoke bench targets are gone: their claims are corpus contrasts.
 	for _, target := range []string{"fig99", "gemm", "serve", "resident", "batch", "obs"} {

@@ -30,7 +30,7 @@ func ExamplePlan() {
 	fmt.Println(cfg)
 	fmt.Println(cfg.Shape())
 	// Output:
-	// cake{p=10 mc=168 kc=176 α=1 tile=8x8 dim=N}
+	// cake{p=10 mc=168 kc=176 α=1 tile=8x8}
 	// CB[1680x176x1680 p=10 mc=168 alpha=1]
 }
 

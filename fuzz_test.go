@@ -14,16 +14,16 @@ import (
 )
 
 func FuzzGemmAgainstNaive(f *testing.F) {
-	f.Add(int64(1), uint8(33), uint8(17), uint8(25), uint8(2), uint8(0))
-	f.Add(int64(2), uint8(1), uint8(1), uint8(1), uint8(1), uint8(1))
-	f.Add(int64(3), uint8(64), uint8(64), uint8(64), uint8(4), uint8(2))
-	f.Add(int64(4), uint8(80), uint8(3), uint8(90), uint8(3), uint8(0))
-	f.Fuzz(func(t *testing.T, seed int64, mm, kk, nn, cores, dim uint8) {
+	f.Add(int64(1), uint8(33), uint8(17), uint8(25), uint8(2))
+	f.Add(int64(2), uint8(1), uint8(1), uint8(1), uint8(1))
+	f.Add(int64(3), uint8(64), uint8(64), uint8(64), uint8(4))
+	f.Add(int64(4), uint8(80), uint8(3), uint8(90), uint8(3))
+	f.Fuzz(func(t *testing.T, seed int64, mm, kk, nn, cores uint8) {
 		m, k, n := int(mm)%96+1, int(kk)%96+1, int(nn)%96+1
 		p := int(cores)%4 + 1
 		cfg := core.Config{
 			Cores: p, MC: 16, KC: 16, Alpha: 1, MR: 8, NR: 8,
-			Dim: core.ComputeDim(dim % 3), Order: core.OrderAuto,
+			Order: core.OrderAuto,
 		}
 		rng := rand.New(rand.NewSource(seed))
 		a := matrix.New[float64](m, k)

@@ -17,8 +17,8 @@ import (
 	"repro/internal/tuner"
 )
 
-// TestAllDriversAgreeFuzz runs naive, blocked, CAKE (all compute dims, all
-// operand orientations) and GOTO on random problems and demands agreement.
+// TestAllDriversAgreeFuzz runs naive, blocked, CAKE (all operand
+// orientations) and GOTO on random problems and demands agreement.
 func TestAllDriversAgreeFuzz(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
@@ -32,8 +32,7 @@ func TestAllDriversAgreeFuzz(t *testing.T) {
 
 		ccfg := core.Config{
 			Cores: 1 + rng.Intn(3), MC: 8 * (1 + rng.Intn(2)), KC: 1 + rng.Intn(20),
-			Alpha: 1 + rng.Float64(), MR: 8, NR: 8,
-			Dim: core.ComputeDim(rng.Intn(3)), Order: core.OrderAuto,
+			Alpha: 1 + rng.Float64(), MR: 8, NR: 8, Order: core.OrderAuto,
 		}
 		transA, transB := rng.Intn(2) == 1, rng.Intn(2) == 1
 		opA, opB := a, b

@@ -9,9 +9,9 @@ import (
 	"repro/internal/pool"
 )
 
-// TestExecutorAllocs: a warm executor request allocates nothing, for every
-// compute dimension, synchronous and pipelined, with both transposes, on
-// the fresh, shared-B batch and resident paths. The executors share one
+// TestExecutorAllocs: a warm executor request allocates nothing,
+// synchronous and pipelined, with both transposes, on the fresh, shared-B
+// batch and resident paths. The executors share one
 // two-worker pool, so the multi-worker forks and the lookahead packs run on
 // the pool's recycled jobs.
 func TestExecutorAllocs(t *testing.T) {
@@ -25,40 +25,38 @@ func TestExecutorAllocs(t *testing.T) {
 		x.Randomize(rng)
 	}
 	c1, c2 := matrix.New[float64](m, n), matrix.New[float64](m, n)
-	for _, dim := range []ComputeDim{DimN, DimM, DimK} {
-		cfg := smallConfig(2, dim)
-		rb, err := PackResidentB(cfg, b, false)
+	cfg := smallConfig(2)
+	rb, err := PackResidentB(cfg, b, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, pipeline := range []bool{false, true} {
+		ex, err := NewExecutor[float64](cfg, p, WithPipeline(pipeline))
 		if err != nil {
 			t.Fatal(err)
 		}
-		for _, pipeline := range []bool{false, true} {
-			ex, err := NewExecutor[float64](cfg, p, WithPipeline(pipeline))
-			if err != nil {
-				t.Fatal(err)
-			}
-			for _, r := range []struct {
-				name string
-				b    Batch[float64]
-				rb   *ResidentB[float64]
-			}{
-				{"fresh", Batch[float64]{C: mats(c1), A: mats(a), B: mats(b)}, nil},
-				{"fresh-trans", Batch[float64]{C: mats(c1), A: mats(at), B: mats(bt), TransA: true, TransB: true}, nil},
-				{"batch", Batch[float64]{C: mats(c1, c2), A: mats(a, a), B: mats(b, b)}, nil},
-				{"batch-trans", Batch[float64]{C: mats(c1, c2), A: mats(at, at), B: mats(bt, bt), TransA: true, TransB: true}, nil},
-				{"resident", Batch[float64]{C: mats(c1), A: mats(a)}, rb},
-			} {
-				r.b.Alpha, r.b.Beta = 1, 0
-				got := testing.AllocsPerRun(20, func() {
-					if _, err := ex.Do(r.b, r.rb); err != nil {
-						t.Fatal(err)
-					}
-				})
-				if got != 0 {
-					t.Errorf("%s: %.0f allocations per request, want 0",
-						fmt.Sprintf("%v/pipeline=%v/%s", dim, pipeline, r.name), got)
+		for _, r := range []struct {
+			name string
+			b    Batch[float64]
+			rb   *ResidentB[float64]
+		}{
+			{"fresh", Batch[float64]{C: mats(c1), A: mats(a), B: mats(b)}, nil},
+			{"fresh-trans", Batch[float64]{C: mats(c1), A: mats(at), B: mats(bt), TransA: true, TransB: true}, nil},
+			{"batch", Batch[float64]{C: mats(c1, c2), A: mats(a, a), B: mats(b, b)}, nil},
+			{"batch-trans", Batch[float64]{C: mats(c1, c2), A: mats(at, at), B: mats(bt, bt), TransA: true, TransB: true}, nil},
+			{"resident", Batch[float64]{C: mats(c1), A: mats(a)}, rb},
+		} {
+			r.b.Alpha, r.b.Beta = 1, 0
+			got := testing.AllocsPerRun(20, func() {
+				if _, err := ex.Do(r.b, r.rb); err != nil {
+					t.Fatal(err)
 				}
+			})
+			if got != 0 {
+				t.Errorf("%s: %.0f allocations per request, want 0",
+					fmt.Sprintf("pipeline=%v/%s", pipeline, r.name), got)
 			}
-			ex.Close()
 		}
+		ex.Close()
 	}
 }

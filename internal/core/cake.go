@@ -38,7 +38,7 @@ type Stats struct {
 	// pipelined block's compute fork also packs the next block; the pack's
 	// stretch past the block's last compute unit counts as pack time.
 	PackNanos    int64 // packing A and B, zeroing and unpacking C
-	ComputeNanos int64 // compute forks (macro-kernels, DimK reduce), less their pack tails
+	ComputeNanos int64 // compute forks (macro-kernels), less their pack tails
 	OverlapNanos int64 // wall time the next block's pack units ran while compute units ran
 
 	// Batch aggregation: BatchCalls is how many GEMM calls were folded into
@@ -152,8 +152,7 @@ type Executor[T matrix.Scalar] struct {
 	aTick, bTick []int64
 	clock        int64
 
-	bufC     []T
-	partials [][]T // DimK: per-slice private partial-C surfaces
+	bufC []T
 
 	// Observability: rec is nil unless WithTrace attached a recorder; the
 	// label contexts are prebuilt per phase so pool jobs are tagged without
@@ -210,7 +209,7 @@ type Executor[T matrix.Scalar] struct {
 	computedNs atomic.Int64
 	epoch      time.Time // origin of the block loop's monotonic clock, fixed at NewExecutor
 
-	scaleJob, zeroJob, packJob, computeJob, blockJob, reduceJob, unpackJob func(worker, item int)
+	scaleJob, zeroJob, packJob, computeJob, blockJob, unpackJob func(worker, item int)
 }
 
 // ErrInUse is returned by Do (and the entry points layered on it) when a
@@ -260,7 +259,7 @@ func NewExecutor[T matrix.Scalar](cfg Config, p *pool.Pool, opts ...Option) (*Ex
 		e.scratch[i] = kernel.NewScratch[T](cfg.MR, cfg.NR)
 	}
 	e.scaleJob, e.zeroJob, e.unpackJob = e.scaleItem, e.zeroItem, e.unpackItem
-	e.packJob, e.computeJob, e.blockJob, e.reduceJob = e.packItem, e.computeItem, e.blockItem, e.reduceItem
+	e.packJob, e.computeJob, e.blockJob = e.packItem, e.computeItem, e.blockItem
 	return e, nil
 }
 
@@ -401,18 +400,8 @@ func span(idx, blockDim, total int) (off, eff int) {
 func (e *Executor[T]) grow(m, k, n int) {
 	// The packed sizes round bm and bn up to whole register panels.
 	bm, bk, bn := min(e.bm, m), min(e.bk, k), min(e.bn, n)
-	var needA, needB int
-	if e.cfg.Dim == DimK {
-		// DimK packs per-core slices at fixed offsets of one full kc-deep
-		// slice each, so capacity is strips × full-slice size even when the
-		// final slice is shallower.
-		strips := ceilDiv(bk, e.cfg.KC)
-		needA = strips * packing.PackedASize(bm, e.cfg.KC, e.cfg.MR)
-		needB = strips * packing.PackedBSize(e.cfg.KC, bn, e.cfg.NR)
-	} else {
-		needA = packing.PackedASize(bm, bk, e.cfg.MR)
-		needB = packing.PackedBSize(bk, bn, e.cfg.NR)
-	}
+	needA := packing.PackedASize(bm, bk, e.cfg.MR)
+	needB := packing.PackedBSize(bk, bn, e.cfg.NR)
 	if e.resB != nil {
 		// Resident calls never write B buffers; keeping their logical length
 		// zero makes any stray B-pack reachable from this call an immediate
@@ -451,17 +440,6 @@ func (e *Executor[T]) grow(m, k, n int) {
 		e.bufC = make([]T, needC)
 	}
 	e.bufC = e.bufC[:needC]
-	if e.cfg.Dim == DimK {
-		if len(e.partials) != e.cfg.Cores {
-			e.partials = make([][]T, e.cfg.Cores)
-		}
-		for i := range e.partials {
-			if cap(e.partials[i]) < needC {
-				e.partials[i] = make([]T, needC)
-			}
-			e.partials[i] = e.partials[i][:needC]
-		}
-	}
 }
 
 // packASlice packs rows [m0, m0+rows) × depth [k0, k0+depth) of the logical

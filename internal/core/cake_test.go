@@ -11,8 +11,8 @@ import (
 	"repro/internal/schedule"
 )
 
-func smallConfig(p int, dim ComputeDim) Config {
-	return Config{Cores: p, MC: 16, KC: 16, Alpha: 1, MR: 8, NR: 8, Dim: dim, Order: OrderAuto}
+func smallConfig(p int) Config {
+	return Config{Cores: p, MC: 16, KC: 16, Alpha: 1, MR: 8, NR: 8, Order: OrderAuto}
 }
 
 func checkGemm[T matrix.Scalar](t *testing.T, cfg Config, m, k, n int, seed int64, tol float64) Stats {
@@ -39,24 +39,24 @@ func checkGemm[T matrix.Scalar](t *testing.T, cfg Config, m, k, n int, seed int6
 
 func TestGemmExactBlocks(t *testing.T) {
 	// M,K,N exact multiples of the block dims.
-	cfg := smallConfig(2, DimN) // block 32x16x32
+	cfg := smallConfig(2) // block 32x16x32
 	checkGemm[float64](t, cfg, 64, 32, 64, 1, 1e-12)
 }
 
 func TestGemmRaggedEverything(t *testing.T) {
-	cfg := smallConfig(3, DimN) // block 48x16x48
+	cfg := smallConfig(3) // block 48x16x48
 	checkGemm[float64](t, cfg, 50, 23, 70, 2, 1e-12)
 	checkGemm[float64](t, cfg, 1, 1, 1, 3, 1e-12)
 	checkGemm[float64](t, cfg, 47, 16, 49, 4, 1e-12)
 }
 
 func TestGemmSmallerThanOneBlock(t *testing.T) {
-	cfg := smallConfig(4, DimN) // block 64x16x64 — problem fits in one block
+	cfg := smallConfig(4) // block 64x16x64 — problem fits in one block
 	checkGemm[float64](t, cfg, 10, 5, 12, 5, 1e-12)
 }
 
 func TestGemmSkewedShapes(t *testing.T) {
-	cfg := smallConfig(2, DimN)
+	cfg := smallConfig(2)
 	checkGemm[float64](t, cfg, 200, 8, 16, 6, 1e-12)  // tall-skinny
 	checkGemm[float64](t, cfg, 8, 200, 16, 7, 1e-12)  // deep
 	checkGemm[float64](t, cfg, 16, 8, 200, 8, 1e-12)  // wide
@@ -64,54 +64,36 @@ func TestGemmSkewedShapes(t *testing.T) {
 }
 
 func TestGemmAlphaGreaterThanOne(t *testing.T) {
-	cfg := smallConfig(2, DimN)
+	cfg := smallConfig(2)
 	cfg.Alpha = 3 // block 32x16x96
 	checkGemm[float64](t, cfg, 70, 40, 200, 10, 1e-12)
 }
 
-func TestGemmDimM(t *testing.T) {
-	cfg := smallConfig(2, DimM)
-	checkGemm[float64](t, cfg, 64, 32, 64, 11, 1e-12)
-	checkGemm[float64](t, cfg, 50, 23, 70, 12, 1e-12)
-	cfg.Alpha = 2
-	checkGemm[float64](t, cfg, 90, 33, 40, 13, 1e-12)
-}
-
-func TestGemmDimK(t *testing.T) {
-	cfg := smallConfig(2, DimK)
-	checkGemm[float64](t, cfg, 40, 64, 40, 14, 1e-12) // K exact multiple of p·kc
-	checkGemm[float64](t, cfg, 40, 70, 40, 15, 1e-12) // ragged K
-	checkGemm[float64](t, cfg, 17, 100, 23, 16, 1e-12)
-}
-
 func TestGemmFloat32(t *testing.T) {
-	for _, dim := range []ComputeDim{DimN, DimM, DimK} {
-		cfg := smallConfig(2, dim)
-		checkGemm[float32](t, cfg, 60, 45, 55, 17, 2e-5)
-	}
+	checkGemm[float32](t, smallConfig(2), 60, 45, 55, 17, 2e-5)
 }
 
 func TestGemmForcedOrders(t *testing.T) {
 	for _, o := range []schedule.Order{schedule.OuterN, schedule.OuterM} {
-		cfg := smallConfig(2, DimN)
+		cfg := smallConfig(2)
 		cfg.Order = o
 		checkGemm[float64](t, cfg, 80, 40, 50, 18, 1e-12)
 	}
 }
 
 func TestGemmSingleCore(t *testing.T) {
-	cfg := smallConfig(1, DimN)
+	cfg := smallConfig(1)
 	checkGemm[float64](t, cfg, 33, 29, 41, 19, 1e-12)
 }
 
 func TestGemmManyCoresFewStrips(t *testing.T) {
 	// More cores than strips: some cores idle, result still right.
-	cfg := smallConfig(8, DimN) // block 128x16x128
+	cfg := smallConfig(8) // block 128x16x128
 	checkGemm[float64](t, cfg, 20, 40, 20, 20, 1e-12)
 }
 
 func TestGemmNonSquareTile(t *testing.T) {
-	cfg := Config{Cores: 2, MC: 16, KC: 10, Alpha: 1, MR: 4, NR: 8, Dim: DimN, Order: OrderAuto}
+	cfg := Config{Cores: 2, MC: 16, KC: 10, Alpha: 1, MR: 4, NR: 8, Order: OrderAuto}
 	checkGemm[float64](t, cfg, 45, 31, 52, 21, 1e-12)
 }
 
@@ -122,7 +104,7 @@ func TestGemmAccumulatesIntoC(t *testing.T) {
 	b.Fill(1)
 	c := matrix.New[float64](8, 8)
 	c.Fill(5)
-	if _, err := Gemm(c, a, b, smallConfig(2, DimN)); err != nil {
+	if _, err := Gemm(c, a, b, smallConfig(2)); err != nil {
 		t.Fatal(err)
 	}
 	if c.At(3, 3) != 13 {
@@ -131,7 +113,7 @@ func TestGemmAccumulatesIntoC(t *testing.T) {
 }
 
 func TestGemmStats(t *testing.T) {
-	cfg := smallConfig(2, DimN) // block 32x16x32
+	cfg := smallConfig(2) // block 32x16x32
 	st := checkGemm[float64](t, cfg, 64, 32, 64, 22, 1e-12)
 	if st.Grid != (schedule.Dims{Mb: 2, Nb: 2, Kb: 2}) {
 		t.Fatalf("grid %+v", st.Grid)
@@ -165,7 +147,7 @@ func TestGemmStats(t *testing.T) {
 }
 
 func TestExecutorReuseAcrossCalls(t *testing.T) {
-	e, err := NewExecutor[float64](smallConfig(2, DimN), nil)
+	e, err := NewExecutor[float64](smallConfig(2), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -192,12 +174,12 @@ func TestExecutorReuseAcrossCalls(t *testing.T) {
 func TestExecutorSharedPool(t *testing.T) {
 	p := pool.New(4)
 	defer p.Close()
-	e, err := NewExecutor[float64](smallConfig(2, DimN), p)
+	e, err := NewExecutor[float64](smallConfig(2), p)
 	if err != nil {
 		t.Fatal(err)
 	}
 	e.Close() // must not close the shared pool
-	e2, err := NewExecutor[float64](smallConfig(4, DimN), p)
+	e2, err := NewExecutor[float64](smallConfig(4), p)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -218,7 +200,7 @@ func TestExecutorSharedPool(t *testing.T) {
 func TestExecutorPoolTooSmall(t *testing.T) {
 	p := pool.New(2)
 	defer p.Close()
-	if _, err := NewExecutor[float64](smallConfig(4, DimN), p); err == nil {
+	if _, err := NewExecutor[float64](smallConfig(4), p); err == nil {
 		t.Fatal("undersized pool accepted")
 	}
 }
@@ -232,7 +214,6 @@ func TestGemmQuickAllDims(t *testing.T) {
 			KC:    1 + rng.Intn(24),
 			Alpha: 1 + 2*rng.Float64(),
 			MR:    8, NR: 8,
-			Dim:   ComputeDim(rng.Intn(3)),
 			Order: OrderAuto,
 		}
 		m, k, n := 1+rng.Intn(90), 1+rng.Intn(90), 1+rng.Intn(90)
@@ -255,7 +236,7 @@ func TestGemmQuickAllDims(t *testing.T) {
 }
 
 func TestConfigValidate(t *testing.T) {
-	good := smallConfig(2, DimN)
+	good := smallConfig(2)
 	if err := good.Validate(); err != nil {
 		t.Fatal(err)
 	}
@@ -267,7 +248,6 @@ func TestConfigValidate(t *testing.T) {
 		func(c *Config) { c.Alpha = 0.5 },
 		func(c *Config) { c.MR = 0 },
 		func(c *Config) { c.Order = 7 },
-		func(c *Config) { c.Dim = 9 },
 	}
 	for i, mut := range cases {
 		c := good
@@ -276,28 +256,13 @@ func TestConfigValidate(t *testing.T) {
 			t.Fatalf("case %d accepted: %+v", i, c)
 		}
 	}
-	// DimM requires mc % nr == 0.
-	c := Config{Cores: 1, MC: 12, KC: 4, Alpha: 1, MR: 4, NR: 8, Dim: DimM, Order: OrderAuto}
-	if c.Validate() == nil {
-		t.Fatal("DimM with mc%nr!=0 accepted")
-	}
 }
 
 func TestConfigBlockDims(t *testing.T) {
 	c := Config{Cores: 3, MC: 16, KC: 10, Alpha: 2, MR: 8, NR: 8}
 	bm, bk, bn := c.BlockDims()
 	if bm != 48 || bk != 10 || bn != 96 {
-		t.Fatalf("DimN dims %d %d %d", bm, bk, bn)
-	}
-	c.Dim = DimM
-	bm, bk, bn = c.BlockDims()
-	if bm != 96 || bk != 10 || bn != 48 {
-		t.Fatalf("DimM dims %d %d %d", bm, bk, bn)
-	}
-	c.Dim = DimK
-	bm, bk, bn = c.BlockDims()
-	if bm != 16 || bk != 30 || bn != 32 {
-		t.Fatalf("DimK dims %d %d %d", bm, bk, bn)
+		t.Fatalf("block dims %d %d %d", bm, bk, bn)
 	}
 }
 
@@ -404,12 +369,6 @@ func TestPlannedGemmEndToEnd(t *testing.T) {
 	checkGemm[float64](t, cfg, 300, 200, 250, 31, 1e-12)
 }
 
-func TestComputeDimString(t *testing.T) {
-	if DimN.String() != "N" || DimM.String() != "M" || DimK.String() != "K" {
-		t.Fatal("ComputeDim names")
-	}
-}
-
 func TestChunkSpanCoversAll(t *testing.T) {
 	for rows := 1; rows < 40; rows++ {
 		for chunks := 1; chunks <= rows && chunks < 9; chunks++ {
@@ -431,47 +390,44 @@ func TestChunkSpanCoversAll(t *testing.T) {
 }
 
 func TestGemmTransposedOperands(t *testing.T) {
-	// All four op(A)/op(B) combinations across all three compute dims must
-	// match the reference computed on explicitly transposed copies.
+	// All four op(A)/op(B) combinations must match the reference computed
+	// on explicitly transposed copies.
 	rng := rand.New(rand.NewSource(77))
-	for _, dim := range []ComputeDim{DimN, DimM, DimK} {
-		cfg := smallConfig(2, dim)
-		e, err := NewExecutor[float64](cfg, nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, tc := range []struct{ ta, tb bool }{{false, false}, {true, false}, {false, true}, {true, true}} {
-			m, k, n := 30+rng.Intn(40), 1+rng.Intn(50), 1+rng.Intn(60)
-			logicalA := matrix.New[float64](m, k)
-			logicalB := matrix.New[float64](k, n)
-			logicalA.Randomize(rng)
-			logicalB.Randomize(rng)
+	e, err := NewExecutor[float64](smallConfig(2), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer e.Close()
+	for _, tc := range []struct{ ta, tb bool }{{false, false}, {true, false}, {false, true}, {true, true}} {
+		m, k, n := 30+rng.Intn(40), 1+rng.Intn(50), 1+rng.Intn(60)
+		logicalA := matrix.New[float64](m, k)
+		logicalB := matrix.New[float64](k, n)
+		logicalA.Randomize(rng)
+		logicalB.Randomize(rng)
 
-			a := logicalA
-			if tc.ta {
-				a = logicalA.Transpose()
-			}
-			b := logicalB
-			if tc.tb {
-				b = logicalB.Transpose()
-			}
-			c := matrix.New[float64](m, n)
-			want := matrix.New[float64](m, n)
-			matrix.NaiveGemm(want, logicalA, logicalB)
-			if _, err := e.GemmT(c, a, b, tc.ta, tc.tb); err != nil {
-				t.Fatalf("dim=%v ta=%v tb=%v: %v", dim, tc.ta, tc.tb, err)
-			}
-			if !c.AlmostEqual(want, k, 1e-12) {
-				t.Fatalf("dim=%v ta=%v tb=%v (%dx%dx%d): diff %g",
-					dim, tc.ta, tc.tb, m, k, n, c.MaxAbsDiff(want))
-			}
+		a := logicalA
+		if tc.ta {
+			a = logicalA.Transpose()
 		}
-		e.Close()
+		b := logicalB
+		if tc.tb {
+			b = logicalB.Transpose()
+		}
+		c := matrix.New[float64](m, n)
+		want := matrix.New[float64](m, n)
+		matrix.NaiveGemm(want, logicalA, logicalB)
+		if _, err := e.GemmT(c, a, b, tc.ta, tc.tb); err != nil {
+			t.Fatalf("ta=%v tb=%v: %v", tc.ta, tc.tb, err)
+		}
+		if !c.AlmostEqual(want, k, 1e-12) {
+			t.Fatalf("ta=%v tb=%v (%dx%dx%d): diff %g",
+				tc.ta, tc.tb, m, k, n, c.MaxAbsDiff(want))
+		}
 	}
 }
 
 func TestGemmTDimensionErrors(t *testing.T) {
-	e, err := NewExecutor[float64](smallConfig(1, DimN), nil)
+	e, err := NewExecutor[float64](smallConfig(1), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -491,7 +447,7 @@ func TestGemmTDimensionErrors(t *testing.T) {
 
 func TestGemmTResetsBetweenCalls(t *testing.T) {
 	// A transposed call must not leak its flags into the next plain call.
-	e, err := NewExecutor[float64](smallConfig(2, DimN), nil)
+	e, err := NewExecutor[float64](smallConfig(2), nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -3,7 +3,9 @@
 // bandwidth blocks of shape p·mc × kc × α·p·mc (Section 4.2), the blocks
 // are ordered by the K-first schedule of Algorithm 2, and each block is
 // executed by p workers ("cores"): every core owns one mc×kc sub-block of
-// the A surface, streams the shared B panel, and accumulates its strip of
+// the A surface, streams the shared B panel along N (Section 3's
+// formulation; the M and K variants it sketches measured no faster here and
+// are not implemented, see EXPERIMENTS.md), and accumulates its strip of
 // the block's partial-C surface, which stays resident in a local buffer
 // until its K reduction completes (Figure 6). The executor packs along those
 // per-core strips, but its granted workers claim the block's compute in
@@ -20,47 +22,18 @@ import (
 	"repro/internal/schedule"
 )
 
-// ComputeDim selects the dimension along which the cores of a CB block
-// advance (Section 3). The paper presents the N-dimension and notes M and K
-// as variants; all three are implemented here.
-type ComputeDim int
-
-const (
-	// DimN: each core holds one mc×kc A sub-block stationary and sweeps the
-	// block's N extent — the paper's primary formulation.
-	DimN ComputeDim = iota
-	// DimM: the mirror image — each core holds one kc×mc B sub-block and
-	// sweeps the block's M extent.
-	DimM
-	// DimK: cores partition the block's reduction depth, each producing a
-	// private partial-C surface that is then summed in local memory.
-	DimK
-)
-
-func (d ComputeDim) String() string {
-	switch d {
-	case DimN:
-		return "N"
-	case DimM:
-		return "M"
-	default:
-		return "K"
-	}
-}
-
 // OrderAuto lets the driver pick the schedule order from the matrix shape
 // (reuse the larger input surface first, Section 2.2).
 const OrderAuto schedule.Order = -1
 
 // Config fully determines a CAKE execution.
 type Config struct {
-	Cores int     // p: worker count, one per simulated core
-	MC    int     // per-core A block rows (square block: kc defaults to mc)
-	KC    int     // reduction depth per CB block
-	Alpha float64 // CB aspect factor α ≥ 1
-	MR    int     // register tile rows
-	NR    int     // register tile cols
-	Dim   ComputeDim
+	Cores int            // p: worker count, one per simulated core
+	MC    int            // per-core A block rows (square block: kc defaults to mc)
+	KC    int            // reduction depth per CB block
+	Alpha float64        // CB aspect factor α ≥ 1
+	MR    int            // register tile rows
+	NR    int            // register tile cols
 	Order schedule.Order // OrderAuto, schedule.OuterN or schedule.OuterM
 }
 
@@ -75,16 +48,12 @@ func (c Config) Validate() error {
 		return fmt.Errorf("core: mc=%d smaller than mr=%d", c.MC, c.MR)
 	case c.MC%c.MR != 0:
 		return fmt.Errorf("core: mc=%d not a multiple of mr=%d", c.MC, c.MR)
-	case c.Dim == DimM && c.MC%c.NR != 0:
-		return fmt.Errorf("core: mc=%d not a multiple of nr=%d (required for M-dimension compute)", c.MC, c.NR)
 	case c.KC < 1:
 		return fmt.Errorf("core: kc=%d", c.KC)
 	case c.Alpha < 1:
 		return fmt.Errorf("core: alpha=%v < 1", c.Alpha)
 	case c.Order != OrderAuto && c.Order != schedule.OuterN && c.Order != schedule.OuterM:
 		return fmt.Errorf("core: invalid order %d", c.Order)
-	case c.Dim < DimN || c.Dim > DimK:
-		return fmt.Errorf("core: invalid compute dimension %d", c.Dim)
 	default:
 		return nil
 	}
@@ -95,23 +64,14 @@ func (c Config) Shape() cbtheory.Shape {
 	return cbtheory.Shape{P: c.Cores, MC: c.MC, KC: c.KC, Alpha: c.Alpha}
 }
 
-// BlockDims returns the block extents (blockM, blockK, blockN) in elements.
-// For the N and M compute dimensions these follow Section 4.2's
-// p·mc × kc × α·p·mc shape (mirrored for DimM); for DimK the reduction
-// depth carries the p factor instead.
+// BlockDims returns the block extents (blockM, blockK, blockN) in elements:
+// Section 4.2's p·mc × kc × α·p·mc shape.
 func (c Config) BlockDims() (bm, bk, bn int) {
 	s := c.Shape()
-	switch c.Dim {
-	case DimN:
-		return s.MDim(), s.KDim(), s.NDim()
-	case DimM:
-		return s.NDim(), s.KDim(), s.MDim()
-	default: // DimK
-		return c.MC, c.Cores * c.KC, int(c.Alpha * float64(c.MC))
-	}
+	return s.MDim(), s.KDim(), s.NDim()
 }
 
-// stripRows is the height of each DimN core strip of an mEff-row block:
+// stripRows is the height of each core strip of an mEff-row block:
 // the rows spread evenly over the config's cores, rounded up to whole mr
 // panels and capped at mc. A full block gets mc-row strips; a partial block
 // row gets balanced ones instead of leaving most cores idle (160 rows
@@ -134,8 +94,8 @@ func gridFor(m, k, n, bm, bk, bn int) schedule.Dims {
 }
 
 func (c Config) String() string {
-	return fmt.Sprintf("cake{p=%d mc=%d kc=%d α=%.3g tile=%dx%d dim=%s}",
-		c.Cores, c.MC, c.KC, c.Alpha, c.MR, c.NR, c.Dim)
+	return fmt.Sprintf("cake{p=%d mc=%d kc=%d α=%.3g tile=%dx%d}",
+		c.Cores, c.MC, c.KC, c.Alpha, c.MR, c.NR)
 }
 
 // MaxPlanAlpha caps the aspect factor the planner will select on bandwidth-
@@ -212,7 +172,7 @@ func Plan(pl *platform.Platform, m, k, n, elemBytes int) (Config, error) {
 	}
 	cfg := Config{
 		Cores: p, MC: mc, KC: kc, Alpha: alpha,
-		MR: mr, NR: nr, Dim: DimN, Order: OrderAuto,
+		MR: mr, NR: nr, Order: OrderAuto,
 	}
 	if err := cfg.Validate(); err != nil {
 		return Config{}, fmt.Errorf("core: planner produced invalid config: %w", err)

@@ -11,14 +11,14 @@ import (
 
 // BenchmarkForkIdleLargeTier measures how much of two cores' time a
 // pipelined call leaves idle between its forks: the large tier's geometry
-// (p = 2, mc = kc = 176, α = 1, 8×8 tile, DimN) on a two-worker pool at
+// (p = 2, mc = kc = 176, α = 1, 8×8 tile) on a two-worker pool at
 // 512³ f32, with a recorder attached. Per call, the span wall runs from the
 // first recorded span's start to the last one's end on the worker lanes,
 // and idle-% is the share of two lanes over that wall that no pack,
 // compute or unpack span covers (C zeroing records no span, so it counts
 // as idle). See EXPERIMENTS.md, "One fork per block".
 func BenchmarkForkIdleLargeTier(b *testing.B) {
-	cfg := Config{Cores: 2, MC: 176, KC: 176, Alpha: 1, MR: 8, NR: 8, Dim: DimN, Order: OrderAuto}
+	cfg := Config{Cores: 2, MC: 176, KC: 176, Alpha: 1, MR: 8, NR: 8, Order: OrderAuto}
 	const size = 512
 	p := pool.New(2)
 	defer p.Close()

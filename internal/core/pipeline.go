@@ -41,18 +41,16 @@ type panelKey struct {
 func aKeyFor(b *blockSpan) panelKey { return panelKey{b.m0, b.mEff, b.k0, b.kEff, true} }
 func bKeyFor(b *blockSpan) panelKey { return panelKey{b.k0, b.kEff, b.n0, b.nEff, true} }
 
-// unitPanels is how many register panels (mr rows under DimN, nr columns
-// under DimM) one compute unit spans. Units are what the granted workers
-// claim, so a smaller unit balances cores of unequal speed more finely and
-// costs one more claim per unit; at the 8×8 tile, 8- and 16-row units
-// measured alike and 32 rows was slower (EXPERIMENTS.md).
+// unitPanels is how many mr-row register panels one compute unit spans.
+// Units are what the granted workers claim, so a smaller unit balances
+// cores of unequal speed more finely and costs one more claim per unit; at
+// the 8×8 tile, 8- and 16-row units measured alike and 32 rows was slower
+// (EXPERIMENTS.md).
 const unitPanels = 2
 
 // blockSpan is one scheduled CB block resolved to element coordinates, its
-// per-core pack strips (strips strips of extent strip along the config's
-// compute dimension: DimN rows, DimM columns, DimK depth) and its compute
-// units (units units of extent unit along the same dimension: unitPanels
-// register panels under DimN and DimM, one kc-deep strip under DimK).
+// per-core pack strips (strips strips of strip rows) and its compute units
+// (units units of unit rows: unitPanels register panels).
 type blockSpan struct {
 	m0, mEff, k0, kEff, n0, nEff int
 	strip, strips                int
@@ -67,22 +65,10 @@ func (e *Executor[T]) spanFor(b *blockSpan, seq []schedule.Coord, i, m, k, n int
 	b.m0, b.mEff = span(cur.M, e.bm, m)
 	b.k0, b.kEff = span(cur.K, e.bk, k)
 	b.n0, b.nEff = span(cur.N, e.bn, n)
-	switch e.cfg.Dim {
-	case DimN:
-		b.strip = e.cfg.stripRows(b.mEff)
-		b.strips = ceilDiv(b.mEff, b.strip)
-		b.unit = unitPanels * e.cfg.MR
-		b.units = ceilDiv(b.mEff, b.unit)
-	case DimM:
-		b.strip = e.cfg.MC // square per-core block: nc = mc
-		b.strips = ceilDiv(b.nEff, b.strip)
-		b.unit = unitPanels * e.cfg.NR
-		b.units = ceilDiv(b.nEff, b.unit)
-	default: // DimK
-		b.strip = e.cfg.KC
-		b.strips = ceilDiv(b.kEff, b.strip)
-		b.unit, b.units = b.strip, b.strips // partials[si] belongs to slice si
-	}
+	b.strip = e.cfg.stripRows(b.mEff)
+	b.strips = ceilDiv(b.mEff, b.strip)
+	b.unit = unitPanels * e.cfg.MR
+	b.units = ceilDiv(b.mEff, b.unit)
 	b.runStart = i == 0 || seq[i-1].M != cur.M || seq[i-1].N != cur.N
 	b.runEnd = i == len(seq)-1 || seq[i+1].M != cur.M || seq[i+1].N != cur.N
 	b.coord = obs.Block{M: int32(cur.M), K: int32(cur.K), N: int32(cur.N)}
@@ -176,7 +162,7 @@ func (e *Executor[T]) claimPanels(s *pipeStage, busyA, busyB int) {
 
 	s.aUnits = 0
 	if s.packedA {
-		s.aUnits = e.packAUnits(blk)
+		s.aUnits = blk.strips // one pack unit per core strip
 	}
 	s.units = s.aUnits
 	if s.packedB {
@@ -201,82 +187,39 @@ func (e *Executor[T]) packItem(worker, u int) {
 	e.span(worker, obs.PhasePack, s.blk.coord, u0, elems*e.elemBytes)
 }
 
-// packAUnits returns how many parallel units pack the block's A panel.
-func (e *Executor[T]) packAUnits(blk *blockSpan) int {
-	if e.cfg.Dim == DimM {
-		return min(e.cfg.Cores, ceilDiv(blk.mEff, e.cfg.MR)) // shared panel, chunked
-	}
-	return blk.strips // one unit per core strip (DimN) or kc-deep slice (DimK)
-}
-
-// packAUnit packs unit u of the block's A panel into dst at the offsets
-// computeStage reads, so units may run in any order on any worker. Returns
-// the elements moved, for span accounting.
+// packAUnit packs core strip u of the block's A panel into dst at the
+// offsets computeStage reads, so units may run in any order on any worker.
+// Returns the elements moved, for span accounting.
 func (e *Executor[T]) packAUnit(dst []T, a *matrix.Matrix[T], blk *blockSpan, u int) int64 {
-	switch e.cfg.Dim {
-	case DimN:
-		r0 := u * blk.strip
-		rows := min(blk.strip, blk.mEff-r0)
-		e.packASlice(dst[r0*blk.kEff:], a, blk.m0+r0, rows, blk.k0, blk.kEff)
-		return int64(rows) * int64(blk.kEff)
-	case DimM:
-		mr := e.cfg.MR
-		panels := ceilDiv(blk.mEff, mr)
-		perChunk := ceilDiv(panels, min(e.cfg.Cores, panels))
-		p0 := u * perChunk
-		pn := min(perChunk, panels-p0)
-		if pn <= 0 {
-			return 0
-		}
-		r0 := p0 * mr
-		rows := min(pn*mr, blk.mEff-r0)
-		e.packASlice(dst[r0*blk.kEff:], a, blk.m0+r0, rows, blk.k0, blk.kEff)
-		return int64(rows) * int64(blk.kEff)
-	default: // DimK
-		kc := e.cfg.KC
-		aSlice := packing.PackedASize(blk.mEff, kc, e.cfg.MR)
-		kk0 := u * kc
-		depth := min(kc, blk.kEff-kk0)
-		e.packASlice(dst[u*aSlice:], a, blk.m0, blk.mEff, blk.k0+kk0, depth)
-		return int64(blk.mEff) * int64(depth)
-	}
+	r0 := u * blk.strip
+	rows := min(blk.strip, blk.mEff-r0)
+	e.packASlice(dst[r0*blk.kEff:], a, blk.m0+r0, rows, blk.k0, blk.kEff)
+	return int64(rows) * int64(blk.kEff)
 }
 
-// packBUnits returns how many parallel units pack the block's B panel.
+// packBUnits returns how many parallel units pack the block's B panel: the
+// shared panel, chunked by columns.
 func (e *Executor[T]) packBUnits(blk *blockSpan) int {
-	if e.cfg.Dim == DimN {
-		return min(e.cfg.Cores, ceilDiv(blk.nEff, e.cfg.NR)) // shared panel, chunked
-	}
-	return blk.strips // one unit per core strip (DimM, nc = mc) or kc-deep slice (DimK)
+	return min(e.cfg.Cores, ceilDiv(blk.nEff, e.cfg.NR))
 }
 
-// packBUnit packs unit u of the block's B panel into dst — a column chunk
-// (DimN), a core strip (DimM) or a kc-deep slice (DimK) — at the offset
-// bPanels reads it from. Returns the elements moved, for span accounting.
+// packBUnit packs column chunk u of the block's B panel into dst at the
+// offset bPanels reads it from. Returns the elements moved, for span
+// accounting.
 func (e *Executor[T]) packBUnit(dst []T, b *matrix.Matrix[T], blk *blockSpan, u int) int64 {
-	kk, c0, cols := 0, 0, blk.nEff
-	switch e.cfg.Dim {
-	case DimN:
-		nr := e.cfg.NR
-		panels := ceilDiv(blk.nEff, nr)
-		perChunk := ceilDiv(panels, min(e.cfg.Cores, panels))
-		p0 := u * perChunk
-		pn := min(perChunk, panels-p0)
-		if pn <= 0 {
-			return 0
-		}
-		c0 = p0 * nr
-		cols = min(pn*nr, blk.nEff-c0)
-	case DimM:
-		c0 = u * e.cfg.MC
-		cols = min(e.cfg.MC, blk.nEff-c0)
-	default: // DimK
-		kk = u * e.cfg.KC
+	nr := e.cfg.NR
+	panels := ceilDiv(blk.nEff, nr)
+	perChunk := ceilDiv(panels, min(e.cfg.Cores, panels))
+	p0 := u * perChunk
+	pn := min(perChunk, panels-p0)
+	if pn <= 0 {
+		return 0
 	}
-	depth := min(e.cfg.KC, blk.kEff-kk)
-	off, end := e.blockSlabs(blk).Span(kk, c0, cols)
-	e.packBSlice(dst[off:end], b, blk.k0+kk, depth, blk.n0+c0, cols)
-	return int64(depth) * int64(cols)
+	c0 := p0 * nr
+	cols := min(pn*nr, blk.nEff-c0)
+	off, end := e.blockSlabs(blk).Span(0, c0, cols)
+	e.packBSlice(dst[off:end], b, blk.k0, blk.kEff, blk.n0+c0, cols)
+	return int64(blk.kEff) * int64(cols)
 }
 
 // computeStage runs the block's macro-kernels out of the stage's packed
@@ -286,11 +229,11 @@ func (e *Executor[T]) packBUnit(dst []T, b *matrix.Matrix[T], blk *blockSpan, u 
 // items one at a time, so a core that runs faster takes more compute units
 // instead of idling at the block's barrier behind a slower one (Section 4
 // gives each core one strip, which balances only cores of equal speed), and
-// a core that runs out of compute units packs the next block. Each C tile is one kernel call over the
-// block's full depth, added once into the C buffer, and DimK's slices keep
-// their own partials, so the accumulation order depends only on the config
-// — never on the mode, the width, which worker claims a unit or which slot
-// (or resident cell) holds a panel — and every mode's results are
+// a core that runs out of compute units packs the next block. Each C tile
+// is one kernel call over the block's full depth, added once into the C
+// buffer, so the accumulation order depends only on the config — never on
+// the mode, the width, which worker claims a unit or which slot (or
+// resident image) holds a panel — and every mode's results are
 // bit-identical.
 func (e *Executor[T]) computeStage(s, ahead *pipeStage) {
 	e.cur, e.packing = s, ahead
@@ -299,11 +242,6 @@ func (e *Executor[T]) computeStage(s, ahead *pipeStage) {
 	} else {
 		e.computing.Store(int32(s.blk.units))
 		e.fork(e.computeCtx, s.blk.units+ahead.units, e.blockJob)
-	}
-	if e.cfg.Dim == DimK {
-		// Reduce private partials into the resident C block in slice order
-		// (partials[si] holds slice si, whichever worker computed it).
-		e.fork(nil, e.rowChunks(s.blk.mEff), e.reduceJob)
 	}
 }
 
@@ -334,8 +272,7 @@ func (e *Executor[T]) blockItem(worker, u int) {
 }
 
 // computeItem runs compute unit ui of the computing block (e.cur) on
-// worker: unitPanels row panels (DimN) or column panels (DimM) against the
-// whole packed panel of the other operand, or kc-deep slice ui (DimK).
+// worker: unitPanels row panels of A against the whole packed B panel.
 func (e *Executor[T]) computeItem(worker, ui int) {
 	u0 := e.now()
 	s := e.cur
@@ -345,48 +282,11 @@ func (e *Executor[T]) computeItem(worker, ui int) {
 	// out panel after panel (pack strips are mr-aligned), so a unit's A
 	// panels begin at its first row times the depth; bPanels does the same
 	// for B, from the pack slot or the resident image.
-	switch e.cfg.Dim {
-	case DimN:
-		r0 := ui * blk.unit
-		rows := min(blk.unit, blk.mEff-r0)
-		ap := aBuf[r0*blk.kEff : r0*blk.kEff+packing.PackedASize(rows, blk.kEff, e.cfg.MR)]
-		bp := e.bPanels(s, 0, 0, blk.nEff)
-		packing.Macro(e.kern, blk.kEff, ap, bp, e.blockRows(r0, rows), e.scratch[worker])
-	case DimM:
-		c0 := ui * blk.unit
-		cols := min(blk.unit, blk.nEff-c0)
-		ap := aBuf[:packing.PackedASize(blk.mEff, blk.kEff, e.cfg.MR)]
-		bp := e.bPanels(s, 0, c0, cols)
-		packing.Macro(e.kern, blk.kEff, ap, bp, e.cBlock.View(0, c0, blk.mEff, cols), e.scratch[worker])
-	default: // DimK
-		aSlice := packing.PackedASize(blk.mEff, blk.unit, e.cfg.MR)
-		depth := min(blk.unit, blk.kEff-ui*blk.unit)
-		ap := aBuf[ui*aSlice : ui*aSlice+packing.PackedASize(blk.mEff, depth, e.cfg.MR)]
-		bp := e.bPanels(s, ui*blk.unit, 0, blk.nEff)
-		part := e.partial(ui, 0, blk.mEff)
-		part.Zero()
-		packing.Macro(e.kern, depth, ap, bp, part, e.scratch[worker])
-	}
+	r0 := ui * blk.unit
+	rows := min(blk.unit, blk.mEff-r0)
+	ap := aBuf[r0*blk.kEff : r0*blk.kEff+packing.PackedASize(rows, blk.kEff, e.cfg.MR)]
+	packing.Macro(e.kern, blk.kEff, ap, e.bPanels(s), e.blockRows(r0, rows), e.scratch[worker])
 	e.span(worker, obs.PhaseCompute, blk.coord, u0, 0)
-}
-
-// reduceItem adds every DimK partial, in slice order, into row chunk ch of
-// the computing block's C buffer.
-func (e *Executor[T]) reduceItem(_, ch int) {
-	blk := &e.cur.blk
-	r0, rows := chunkSpan(ch, e.rowChunks(blk.mEff), blk.mEff)
-	dst := e.blockRows(r0, rows)
-	for si := 0; si < blk.strips; si++ {
-		packing.AddInto(dst, e.partial(si, r0, rows))
-	}
-}
-
-// partial returns rows [r0, r0+rows) of DimK slice si's partial-C surface
-// for the computing block. Like the C buffer it is compact, so the band is
-// one contiguous run (see blockRows).
-func (e *Executor[T]) partial(si, r0, rows int) *matrix.Matrix[T] {
-	cols := e.cur.blk.nEff
-	return &matrix.Matrix[T]{Rows: rows, Cols: cols, Stride: cols, Data: e.partials[si][r0*cols : (r0+rows)*cols]}
 }
 
 // finishPack accounts a packed stage's pack/reuse/overlap statistics. A

@@ -52,7 +52,7 @@ const (
 func skewedConfig() Config {
 	// A deliberately pack-heavy geometry: narrow mc keeps the compute per
 	// block small relative to the panel area the block must pack.
-	return Config{Cores: 1, MC: 8, KC: 512, Alpha: 1, MR: 8, NR: 8, Dim: DimN, Order: OrderAuto}
+	return Config{Cores: 1, MC: 8, KC: 512, Alpha: 1, MR: 8, NR: 8, Order: OrderAuto}
 }
 
 func BenchmarkGemmSyncSkewedSmallM(b *testing.B) {
@@ -71,7 +71,7 @@ func BenchmarkGemmPipelinedCacheSkewedSmallM(b *testing.B) {
 // within noise of each other on a single-core host (the pipeline must not
 // cost throughput where it cannot win any).
 func squareConfig() Config {
-	return Config{Cores: 1, MC: 64, KC: 128, Alpha: 1, MR: 8, NR: 8, Dim: DimN, Order: OrderAuto}
+	return Config{Cores: 1, MC: 64, KC: 128, Alpha: 1, MR: 8, NR: 8, Order: OrderAuto}
 }
 
 func BenchmarkGemmSyncSquare(b *testing.B) {

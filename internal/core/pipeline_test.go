@@ -11,9 +11,9 @@ import (
 	"repro/internal/schedule"
 )
 
-// TestPipelinedBitExactVsSync is the pipeline's oracle: for every compute
-// dimension, schedule order, transpose combination and a table of odd edge
-// shapes, the pipelined executor must produce results bit-identical to the
+// TestPipelinedBitExactVsSync is the pipeline's oracle: for every schedule
+// order, transpose combination and a table of odd edge shapes, the
+// pipelined executor must produce results bit-identical to the
 // synchronous executor (the strip decomposition and accumulation order are
 // the same, so there is no floating-point excuse for any difference), and
 // both must agree with the naive reference within accumulation tolerance.
@@ -38,113 +38,111 @@ func TestPipelinedBitExactVsSync(t *testing.T) {
 	seed := int64(1000)
 	shared := pool.New(3)
 	defer shared.Close()
-	for _, dim := range []ComputeDim{DimN, DimM, DimK} {
-		for _, order := range []schedule.Order{OrderAuto, schedule.OuterN, schedule.OuterM} {
-			cfg := smallConfig(3, dim)
-			cfg.Order = order
-			sync, err := NewExecutor[float64](cfg, nil, WithPipeline(false))
-			if err != nil {
-				t.Fatal(err)
-			}
-			pipe, err := NewExecutor[float64](cfg, nil)
-			if err != nil {
-				t.Fatal(err)
-			}
-			syncW1, err := NewExecutor[float64](cfg, shared, WithPipeline(false))
-			if err != nil {
-				t.Fatal(err)
-			}
-			cfg1 := smallConfig(1, dim)
-			cfg1.Order = order
-			jit, err := NewExecutor[float64](cfg1, nil)
-			if err != nil {
-				t.Fatal(err)
-			}
-			ahead, err := NewExecutor[float64](cfg1, shared)
-			if err != nil {
-				t.Fatal(err)
-			}
-			for _, sh := range shapes {
-				for _, tc := range trans {
-					sc := scales[int(seed)%len(scales)]
-					seed++
-					rng := rand.New(rand.NewSource(seed))
-					la := matrix.New[float64](sh.m, sh.k)
-					lb := matrix.New[float64](sh.k, sh.n)
-					la.Randomize(rng)
-					lb.Randomize(rng)
-					a, b := la, lb
-					if tc.ta {
-						a = la.Transpose()
-					}
-					if tc.tb {
-						b = lb.Transpose()
-					}
-					c0 := matrix.New[float64](sh.m, sh.n)
-					c0.Randomize(rng)
-					cSync, cPipe := c0.Clone(), c0.Clone()
+	for _, order := range []schedule.Order{OrderAuto, schedule.OuterN, schedule.OuterM} {
+		cfg := smallConfig(3)
+		cfg.Order = order
+		sync, err := NewExecutor[float64](cfg, nil, WithPipeline(false))
+		if err != nil {
+			t.Fatal(err)
+		}
+		pipe, err := NewExecutor[float64](cfg, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		syncW1, err := NewExecutor[float64](cfg, shared, WithPipeline(false))
+		if err != nil {
+			t.Fatal(err)
+		}
+		cfg1 := smallConfig(1)
+		cfg1.Order = order
+		jit, err := NewExecutor[float64](cfg1, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ahead, err := NewExecutor[float64](cfg1, shared)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, sh := range shapes {
+			for _, tc := range trans {
+				sc := scales[int(seed)%len(scales)]
+				seed++
+				rng := rand.New(rand.NewSource(seed))
+				la := matrix.New[float64](sh.m, sh.k)
+				lb := matrix.New[float64](sh.k, sh.n)
+				la.Randomize(rng)
+				lb.Randomize(rng)
+				a, b := la, lb
+				if tc.ta {
+					a = la.Transpose()
+				}
+				if tc.tb {
+					b = lb.Transpose()
+				}
+				c0 := matrix.New[float64](sh.m, sh.n)
+				c0.Randomize(rng)
+				cSync, cPipe := c0.Clone(), c0.Clone()
 
-					if _, err := sync.GemmScaled(cSync, a, b, tc.ta, tc.tb, sc.alpha, sc.beta); err != nil {
-						t.Fatalf("sync dim=%v order=%v %+v: %v", dim, order, sh, err)
-					}
-					stp, err := pipe.GemmScaled(cPipe, a, b, tc.ta, tc.tb, sc.alpha, sc.beta)
-					if err != nil {
-						t.Fatalf("pipe dim=%v order=%v %+v: %v", dim, order, sh, err)
-					}
-					if !stp.Pipelined {
-						t.Fatal("pipelined executor reported Pipelined=false")
-					}
-					if !cPipe.Equal(cSync) {
-						t.Fatalf("dim=%v order=%v shape=%+v ta=%v tb=%v α=%v β=%v: pipelined differs from sync by %g",
-							dim, order, sh, tc.ta, tc.tb, sc.alpha, sc.beta, cPipe.MaxAbsDiff(cSync))
-					}
-					do := func(e *Executor[float64], c *matrix.Matrix[float64], width int) {
-						t.Helper()
-						bt := Batch[float64]{C: mats(c), A: mats(a), B: mats(b), TransA: tc.ta, TransB: tc.tb,
-							Alpha: sc.alpha, Beta: sc.beta, Width: width}
-						if _, err := e.Do(bt, nil); err != nil {
-							t.Fatalf("dim=%v order=%v %+v: %v", dim, order, sh, err)
-						}
-					}
-					cW1, cJit, cAhead, cPipeW1 := c0.Clone(), c0.Clone(), c0.Clone(), c0.Clone()
-					do(pipe, cPipeW1, 1)
-					if !cPipeW1.Equal(cPipe) {
-						t.Fatalf("dim=%v order=%v shape=%+v ta=%v tb=%v: just-in-time packing at width 1 differs from lookahead by %g",
-							dim, order, sh, tc.ta, tc.tb, cPipeW1.MaxAbsDiff(cPipe))
-					}
-					do(syncW1, cW1, 1)
-					if !cW1.Equal(cSync) {
-						t.Fatalf("dim=%v order=%v shape=%+v ta=%v tb=%v: sync at width 1 differs by %g",
-							dim, order, sh, tc.ta, tc.tb, cW1.MaxAbsDiff(cSync))
-					}
-					do(jit, cJit, 0)
-					do(ahead, cAhead, 0)
-					if !cJit.Equal(cAhead) {
-						t.Fatalf("dim=%v order=%v shape=%+v ta=%v tb=%v: 1-core on its own pool differs from the shared pool by %g",
-							dim, order, sh, tc.ta, tc.tb, cJit.MaxAbsDiff(cAhead))
-					}
-					// And both match the reference semantics C = αAB + βC₀.
-					want := c0.Clone()
-					want.Scale(sc.beta)
-					prod := matrix.New[float64](sh.m, sh.n)
-					matrix.NaiveGemm(prod, la, lb)
-					for i := 0; i < sh.m; i++ {
-						for j := 0; j < sh.n; j++ {
-							want.Add(i, j, sc.alpha*prod.At(i, j))
-						}
-					}
-					if !cPipe.AlmostEqual(want, sh.k, 1e-11) {
-						t.Fatalf("dim=%v order=%v shape=%+v ta=%v tb=%v: pipelined vs naive diff %g",
-							dim, order, sh, tc.ta, tc.tb, cPipe.MaxAbsDiff(want))
+				if _, err := sync.GemmScaled(cSync, a, b, tc.ta, tc.tb, sc.alpha, sc.beta); err != nil {
+					t.Fatalf("sync order=%v %+v: %v", order, sh, err)
+				}
+				stp, err := pipe.GemmScaled(cPipe, a, b, tc.ta, tc.tb, sc.alpha, sc.beta)
+				if err != nil {
+					t.Fatalf("pipe order=%v %+v: %v", order, sh, err)
+				}
+				if !stp.Pipelined {
+					t.Fatal("pipelined executor reported Pipelined=false")
+				}
+				if !cPipe.Equal(cSync) {
+					t.Fatalf("order=%v shape=%+v ta=%v tb=%v α=%v β=%v: pipelined differs from sync by %g",
+						order, sh, tc.ta, tc.tb, sc.alpha, sc.beta, cPipe.MaxAbsDiff(cSync))
+				}
+				do := func(e *Executor[float64], c *matrix.Matrix[float64], width int) {
+					t.Helper()
+					bt := Batch[float64]{C: mats(c), A: mats(a), B: mats(b), TransA: tc.ta, TransB: tc.tb,
+						Alpha: sc.alpha, Beta: sc.beta, Width: width}
+					if _, err := e.Do(bt, nil); err != nil {
+						t.Fatalf("order=%v %+v: %v", order, sh, err)
 					}
 				}
+				cW1, cJit, cAhead, cPipeW1 := c0.Clone(), c0.Clone(), c0.Clone(), c0.Clone()
+				do(pipe, cPipeW1, 1)
+				if !cPipeW1.Equal(cPipe) {
+					t.Fatalf("order=%v shape=%+v ta=%v tb=%v: just-in-time packing at width 1 differs from lookahead by %g",
+						order, sh, tc.ta, tc.tb, cPipeW1.MaxAbsDiff(cPipe))
+				}
+				do(syncW1, cW1, 1)
+				if !cW1.Equal(cSync) {
+					t.Fatalf("order=%v shape=%+v ta=%v tb=%v: sync at width 1 differs by %g",
+						order, sh, tc.ta, tc.tb, cW1.MaxAbsDiff(cSync))
+				}
+				do(jit, cJit, 0)
+				do(ahead, cAhead, 0)
+				if !cJit.Equal(cAhead) {
+					t.Fatalf("order=%v shape=%+v ta=%v tb=%v: 1-core on its own pool differs from the shared pool by %g",
+						order, sh, tc.ta, tc.tb, cJit.MaxAbsDiff(cAhead))
+				}
+				// And both match the reference semantics C = αAB + βC₀.
+				want := c0.Clone()
+				want.Scale(sc.beta)
+				prod := matrix.New[float64](sh.m, sh.n)
+				matrix.NaiveGemm(prod, la, lb)
+				for i := 0; i < sh.m; i++ {
+					for j := 0; j < sh.n; j++ {
+						want.Add(i, j, sc.alpha*prod.At(i, j))
+					}
+				}
+				if !cPipe.AlmostEqual(want, sh.k, 1e-11) {
+					t.Fatalf("order=%v shape=%+v ta=%v tb=%v: pipelined vs naive diff %g",
+						order, sh, tc.ta, tc.tb, cPipe.MaxAbsDiff(want))
+				}
 			}
-			sync.Close()
-			pipe.Close()
-			syncW1.Close()
-			jit.Close()
-			ahead.Close()
 		}
+		sync.Close()
+		pipe.Close()
+		syncW1.Close()
+		jit.Close()
+		ahead.Close()
 	}
 }
 
@@ -153,21 +151,19 @@ func TestPipelinedBitExactVsSync(t *testing.T) {
 // OuterN, A panels at N steps under OuterM, and that reused panels are
 // counted instead of repacked.
 func TestPipelinedReuseCounters(t *testing.T) {
-	for _, dim := range []ComputeDim{DimN, DimM, DimK} {
-		cfg := smallConfig(2, dim)
-		cfg.Order = schedule.OuterN
-		st := checkGemm[float64](t, cfg, 100, 70, 100, 91, 1e-12)
-		if st.Grid.Blocks() < 4 {
-			t.Fatalf("dim=%v grid too small to exercise reuse: %+v", dim, st.Grid)
-		}
-		if st.ReusedBElems == 0 {
-			t.Errorf("dim=%v OuterN: no B reuse at M steps (packed=%d)", dim, st.PackedBElems)
-		}
-		cfg.Order = schedule.OuterM
-		st = checkGemm[float64](t, cfg, 100, 70, 100, 92, 1e-12)
-		if st.ReusedAElems == 0 {
-			t.Errorf("dim=%v OuterM: no A reuse at N steps (packed=%d)", dim, st.PackedAElems)
-		}
+	cfg := smallConfig(2)
+	cfg.Order = schedule.OuterN
+	st := checkGemm[float64](t, cfg, 100, 70, 100, 91, 1e-12)
+	if st.Grid.Blocks() < 4 {
+		t.Fatalf("grid too small to exercise reuse: %+v", st.Grid)
+	}
+	if st.ReusedBElems == 0 {
+		t.Errorf("OuterN: no B reuse at M steps (packed=%d)", st.PackedBElems)
+	}
+	cfg.Order = schedule.OuterM
+	st = checkGemm[float64](t, cfg, 100, 70, 100, 92, 1e-12)
+	if st.ReusedAElems == 0 {
+		t.Errorf("OuterM: no A reuse at N steps (packed=%d)", st.PackedAElems)
 	}
 }
 
@@ -176,7 +172,7 @@ func TestPipelinedReuseCounters(t *testing.T) {
 // than repacks — strictly more reuse than the 2-slot ring on the same
 // problem.
 func TestPipelinedPanelCache(t *testing.T) {
-	cfg := smallConfig(2, DimN)
+	cfg := smallConfig(2)
 	run := func(opts ...Option) Stats {
 		e, err := NewExecutor[float64](cfg, nil, opts...)
 		if err != nil {
@@ -208,9 +204,9 @@ func TestPipelinedPanelCache(t *testing.T) {
 	}
 }
 
-// TestConcurrentExecutorsSharedPool is the race-detector stress test: two
+// TestConcurrentExecutorsSharedPool is the race-detector stress test: six
 // executors driving one shared pool from separate goroutines, mixing
-// pipelined and synchronous execution across all compute dimensions. Run
+// pipelined and synchronous execution. Run
 // under -race this exercises the one-fork-per-block slot rings and job
 // multiplexing for data races.
 func TestConcurrentExecutorsSharedPool(t *testing.T) {
@@ -220,8 +216,8 @@ func TestConcurrentExecutorsSharedPool(t *testing.T) {
 	var wg sync.WaitGroup
 	errs := make(chan error, 2*3*iters)
 	for g := 0; g < 2; g++ {
-		for _, dim := range []ComputeDim{DimN, DimM, DimK} {
-			e, err := NewExecutor[float64](smallConfig(2, dim), p, WithPipeline(g == 0))
+		for r := 0; r < 3; r++ {
+			e, err := NewExecutor[float64](smallConfig(2), p, WithPipeline(g == 0))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -248,7 +244,7 @@ func TestConcurrentExecutorsSharedPool(t *testing.T) {
 						return
 					}
 				}
-			}(e, int64(100*g)+int64(dim))
+			}(e, int64(100*g)+int64(r))
 		}
 	}
 	wg.Wait()
@@ -262,7 +258,7 @@ func TestConcurrentExecutorsSharedPool(t *testing.T) {
 // invalidation: the same executor run on different operands of identical
 // shape must not serve stale panels from the previous call.
 func TestPipelinedExecutorReusesBuffersAcrossCalls(t *testing.T) {
-	e, err := NewExecutor[float64](smallConfig(2, DimN), nil)
+	e, err := NewExecutor[float64](smallConfig(2), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -290,7 +286,7 @@ func TestPipelinedExecutorReusesBuffersAcrossCalls(t *testing.T) {
 // to the seed behaviour: no reuse, every element packed once per touching
 // block.
 func TestSyncStatsUnchanged(t *testing.T) {
-	cfg := smallConfig(2, DimN) // block 32x16x32 over 64x32x64: 2x2x2 grid
+	cfg := smallConfig(2) // block 32x16x32 over 64x32x64: 2x2x2 grid
 	rng := rand.New(rand.NewSource(5))
 	a := matrix.New[float64](64, 32)
 	b := matrix.New[float64](32, 64)
@@ -334,7 +330,7 @@ func TestWidthOneKeepsPacksOnCaller(t *testing.T) {
 	}()
 	held.Wait()
 
-	e, err := NewExecutor[float64](smallConfig(2, DimN), p)
+	e, err := NewExecutor[float64](smallConfig(2), p)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,10 +1,10 @@
 // Resident-operand execution: the pack bypass behind the engine's
 // cross-request weight store (internal/engine/resident). A ResidentB is the
 // B operand packed once — at registration — into KC-deep slabs whose
-// panels every CB block, DimM sub-strip and DimK reduction strip of a
-// config reads in place, so every subsequent GEMM against it skips
-// PackB/PackBT outright and feeds compute straight from the image. Configs
-// with the same slab layout (same KC, NR and slab width) share one image.
+// panels every CB block of a config reads in place, so every subsequent
+// GEMM against it skips PackB/PackBT outright and feeds compute straight
+// from the image. Configs with the same slab layout (same KC, NR and slab
+// width) share one image.
 // The paper's §4.4 accounting treats the skipped pack as avoided DRAM
 // traffic; Stats.ResidentBElems carries it and the executor emits reuse
 // spans so traces attribute it per block.
@@ -28,10 +28,10 @@ type ResidentB[T matrix.Scalar] struct {
 }
 
 // slabLayout derives the slab geometry cfg's executors read for a K×N
-// operand. Every block, unit and strip start of cfg lies on a KC band, and
-// on an NR column of the operand when the block width is NR-aligned; the
-// slabs then span the whole width. Otherwise (α ≠ 1 can make the block
-// width ragged) each block column gets slabs of its own.
+// operand. Every block of cfg starts on a KC band, and on an NR column of
+// the operand when the block width is NR-aligned; the slabs then span the
+// whole width. Otherwise (α ≠ 1 can make the block width ragged) each block
+// column gets slabs of its own.
 func slabLayout(cfg Config, k, n int) packing.SlabLayout {
 	_, _, bn := cfg.BlockDims()
 	w := n
@@ -90,17 +90,15 @@ func (rb *ResidentB[T]) CompatibleWith(cfg Config) error {
 	return nil
 }
 
-// bPanels returns the packed B panels of the band kk rows into stage s's
-// block (0, or a DimK strip's offset) × the block's columns [c0, c0+cols):
-// from the resident image when the call has one, else from the stage's
-// packing slot.
-func (e *Executor[T]) bPanels(s *pipeStage, kk, c0, cols int) []T {
+// bPanels returns the packed B panels of stage s's whole block: from the
+// resident image when the call has one, else from the stage's packing slot.
+func (e *Executor[T]) bPanels(s *pipeStage) []T {
 	blk := &s.blk
 	if e.resB != nil {
-		off, end := e.resB.layout.Span(blk.k0+kk, blk.n0+c0, cols)
+		off, end := e.resB.layout.Span(blk.k0, blk.n0, blk.nEff)
 		return e.resB.data[off:end]
 	}
-	off, end := e.blockSlabs(blk).Span(kk, c0, cols)
+	off, end := e.blockSlabs(blk).Span(0, 0, blk.nEff)
 	return e.packB[s.bSlot][off:end]
 }
 

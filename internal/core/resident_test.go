@@ -106,56 +106,45 @@ func TestGemmResidentBitExactAllDims(t *testing.T) {
 		{10, 5, 12},  // smaller than one block
 	}
 	seed := int64(100)
-	for _, dim := range []ComputeDim{DimN, DimM, DimK} {
-		cfg := smallConfig(2, dim)
-		for _, sh := range shapes {
-			for _, pipelined := range []bool{false, true} {
-				seed++
-				checkResidentBitExact[float64](t, cfg, sh[0], sh[1], sh[2], false, false, pipelined, 1, 1, seed)
-			}
+	cfg := smallConfig(2)
+	for _, sh := range shapes {
+		for _, pipelined := range []bool{false, true} {
+			seed++
+			checkResidentBitExact[float64](t, cfg, sh[0], sh[1], sh[2], false, false, pipelined, 1, 1, seed)
 		}
 	}
 }
 
 func TestGemmResidentTransposesAndScaling(t *testing.T) {
 	seed := int64(200)
-	for _, dim := range []ComputeDim{DimN, DimM, DimK} {
-		cfg := smallConfig(2, dim)
-		for _, transA := range []bool{false, true} {
-			for _, transB := range []bool{false, true} {
-				seed++
-				checkResidentBitExact[float64](t, cfg, 24, 40, 56, transA, transB, true, 2.5, -1, seed)
-			}
+	cfg := smallConfig(2)
+	for _, transA := range []bool{false, true} {
+		for _, transB := range []bool{false, true} {
+			seed++
+			checkResidentBitExact[float64](t, cfg, 24, 40, 56, transA, transB, true, 2.5, -1, seed)
 		}
 	}
 	// β = 0 clears C without reading it; α = 0 leaves only the β scaling.
-	cfg := smallConfig(2, DimN)
 	checkResidentBitExact[float64](t, cfg, 20, 30, 40, false, false, true, 1, 0, seed+1)
 	checkResidentBitExact[float64](t, cfg, 20, 30, 40, false, false, true, 0, 2, seed+2)
 }
 
 func TestGemmResidentFloat32(t *testing.T) {
-	seed := int64(300)
-	for _, dim := range []ComputeDim{DimN, DimM, DimK} {
-		cfg := smallConfig(3, dim)
-		seed++
-		checkResidentBitExact[float32](t, cfg, 8, 64, 80, false, true, true, 1, 1, seed)
-	}
+	checkResidentBitExact[float32](t, smallConfig(3), 8, 64, 80, false, true, true, 1, 1, 301)
 }
 
 func TestGemmResidentRejectsMismatches(t *testing.T) {
-	// A DimK config with the same KC and NR reads the DimN image as is (see
-	// TestResidentImageSharedAcrossConfigs); a shallower KC bands B
-	// differently, so its executor must refuse the image.
-	cfgN := smallConfig(2, DimN)
-	cfgK := smallConfig(2, DimK)
-	cfgK.KC = 8
+	// A config with a shallower KC bands B differently, so its executor
+	// must refuse the image.
+	cfgN := smallConfig(2)
+	cfg8 := smallConfig(2)
+	cfg8.KC = 8
 	b := matrix.New[float64](32, 32)
 	rb, err := PackResidentB(cfgN, b, false)
 	if err != nil {
 		t.Fatal(err)
 	}
-	e, err := NewExecutor[float64](cfgK, nil)
+	e, err := NewExecutor[float64](cfg8, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -190,7 +179,7 @@ func TestGemmResidentRejectsMismatches(t *testing.T) {
 }
 
 func TestGemmResidentSingleFlight(t *testing.T) {
-	cfg := smallConfig(1, DimN)
+	cfg := smallConfig(1)
 	e, err := NewExecutor[float64](cfg, nil)
 	if err != nil {
 		t.Fatal(err)
@@ -217,7 +206,7 @@ func TestGemmResidentSingleFlight(t *testing.T) {
 // resets: a fresh-pack call immediately after a resident call must re-grow
 // its B buffers and produce correct results.
 func TestGemmResidentThenFresh(t *testing.T) {
-	cfg := smallConfig(2, DimN)
+	cfg := smallConfig(2)
 	e, err := NewExecutor[float64](cfg, nil)
 	if err != nil {
 		t.Fatal(err)
@@ -248,15 +237,15 @@ func TestGemmResidentThenFresh(t *testing.T) {
 
 // TestResidentImageSharedAcrossConfigs packs B once and serves it from
 // every config of a group whose slab layout matches, bit-identical to each
-// config's fresh pack: full-width KC = 16 slabs read by DimN at two widths,
-// DimM and DimK, and 42-wide slabs read by an α ≠ 1 DimN and DimK config
-// whose block width is not NR-aligned. K is not a multiple of KC and N not
-// of NR, and B is registered both ways round.
+// config's fresh pack: full-width KC = 16 slabs read at three core counts,
+// and 42-wide slabs read by two α ≠ 1 configs whose block width is not
+// NR-aligned. K is not a multiple of KC and N not of NR, and B is
+// registered both ways round.
 func TestResidentImageSharedAcrossConfigs(t *testing.T) {
-	ragged := Config{Cores: 2, MC: 16, KC: 16, Alpha: 1.3, MR: 8, NR: 8, Dim: DimN} // bn = 42
+	ragged := Config{Cores: 2, MC: 16, KC: 16, Alpha: 1.3, MR: 8, NR: 8} // bn = 42
 	groups := [][]Config{
-		{smallConfig(1, DimN), smallConfig(2, DimN), smallConfig(2, DimM), smallConfig(3, DimK)},
-		{ragged, {Cores: 3, MC: 16, KC: 16, Alpha: 2.625, MR: 8, NR: 8, Dim: DimK}},
+		{smallConfig(1), smallConfig(2), smallConfig(3)},
+		{ragged, {Cores: 1, MC: 16, KC: 16, Alpha: 2.625, MR: 8, NR: 8}},
 	}
 	const m, k, n = 20, 40, 101
 	rng := rand.New(rand.NewSource(400))
@@ -307,20 +296,20 @@ func TestResidentImageSharedAcrossConfigs(t *testing.T) {
 }
 
 // FuzzResidentLayout draws an operand and a config and checks that every B
-// panel run the executor would read from a resident image — each block
-// cell, DimM compute unit and DimK reduction strip, resolved through the
-// executor's own block spans and bPanels — is PackB (or PackBT) of that
-// sub-block, and that a resident GEMM equals the fresh one bit for bit.
+// panel run the executor would read from a resident image — each block's,
+// resolved through the executor's own block spans and bPanels — is PackB
+// (or PackBT) of that sub-block, and that a resident GEMM equals the fresh
+// one bit for bit.
 func FuzzResidentLayout(f *testing.F) {
-	f.Add(uint8(40), uint8(101), uint8(15), uint8(1), uint8(3), uint8(0), uint8(1), false, int64(1))
-	f.Add(uint8(70), uint8(50), uint8(7), uint8(0), uint8(0), uint8(1), uint8(2), true, int64(2))
-	f.Add(uint8(33), uint8(90), uint8(10), uint8(1), uint8(13), uint8(2), uint8(0), true, int64(3))
-	f.Fuzz(func(t *testing.T, kk, nn, kc, nrSel, alpha8, dim, mc8 uint8, transB bool, seed int64) {
+	f.Add(uint8(40), uint8(101), uint8(15), uint8(1), uint8(3), uint8(1), false, int64(1))
+	f.Add(uint8(70), uint8(50), uint8(7), uint8(0), uint8(0), uint8(2), true, int64(2))
+	f.Add(uint8(33), uint8(90), uint8(10), uint8(1), uint8(13), uint8(0), true, int64(3))
+	f.Fuzz(func(t *testing.T, kk, nn, kc, nrSel, alpha8, mc8 uint8, transB bool, seed int64) {
 		k, n := int(kk)%80+1, int(nn)%120+1
 		cfg := Config{
 			Cores: int(seed&3) + 1, MC: 8 * (int(mc8)%3 + 1), KC: int(kc)%40 + 1,
 			Alpha: 1 + float64(alpha8%24)/8, MR: 8, NR: []int{4, 8}[nrSel%2],
-			Dim: ComputeDim(dim % 3), Order: OrderAuto,
+			Order: OrderAuto,
 		}
 		rng := rand.New(rand.NewSource(seed))
 		b := matrix.New[float64](k, n)
@@ -346,30 +335,15 @@ func FuzzResidentLayout(f *testing.F) {
 		for i := range seq {
 			e.spanFor(&s.blk, seq, i, m, k, n)
 			blk := &s.blk
-			check := func(kk, c0, cols int) {
-				depth := min(cfg.KC, blk.kEff-kk)
-				want := packing.PackB(make([]float64, packing.PackedBSize(depth, cols, cfg.NR)),
-					b.View(blk.k0+kk, blk.n0+c0, depth, cols), cfg.NR)
-				got := e.bPanels(s, kk, c0, cols)
-				if len(got) != len(want) {
-					t.Fatalf("%v block %+v rows +%d cols +%d: %d panel elements, want %d", cfg, *blk, kk, c0, len(got), len(want))
-				}
-				for j := range want {
-					if got[j] != want[j] {
-						t.Fatalf("%v block %+v rows +%d cols +%d: element %d = %v, want %v", cfg, *blk, kk, c0, j, got[j], want[j])
-					}
-				}
+			want := packing.PackB(make([]float64, packing.PackedBSize(blk.kEff, blk.nEff, cfg.NR)),
+				b.View(blk.k0, blk.n0, blk.kEff, blk.nEff), cfg.NR)
+			got := e.bPanels(s)
+			if len(got) != len(want) {
+				t.Fatalf("%v block %+v: %d panel elements, want %d", cfg, *blk, len(got), len(want))
 			}
-			switch cfg.Dim {
-			case DimN:
-				check(0, 0, blk.nEff)
-			case DimM:
-				for c0 := 0; c0 < blk.nEff; c0 += blk.unit {
-					check(0, c0, min(blk.unit, blk.nEff-c0))
-				}
-			default:
-				for kk := 0; kk < blk.kEff; kk += cfg.KC {
-					check(kk, 0, blk.nEff)
+			for j := range want {
+				if got[j] != want[j] {
+					t.Fatalf("%v block %+v: element %d = %v, want %v", cfg, *blk, j, got[j], want[j])
 				}
 			}
 		}

@@ -111,15 +111,7 @@ func TestGemmConcurrentCallsGuarded(t *testing.T) {
 func packNeeds(e *Executor[float32], m, k, n int) (needA, needB, needC int) {
 	bm, bk, bn := e.cfg.BlockDims()
 	bm, bk, bn = min(bm, roundUpMultiple(m, e.cfg.MR)), min(bk, k), min(bn, roundUpMultiple(n, e.cfg.NR))
-	if e.cfg.Dim == DimK {
-		strips := ceilDiv(bk, e.cfg.KC)
-		needA = strips * packing.PackedASize(bm, e.cfg.KC, e.cfg.MR)
-		needB = strips * packing.PackedBSize(e.cfg.KC, bn, e.cfg.NR)
-	} else {
-		needA = packing.PackedASize(bm, bk, e.cfg.MR)
-		needB = packing.PackedBSize(bk, bn, e.cfg.NR)
-	}
-	return needA, needB, bm * bn
+	return packing.PackedASize(bm, bk, e.cfg.MR), packing.PackedBSize(bk, bn, e.cfg.NR), bm * bn
 }
 
 // TestGrowShrinksLogicalLengths is the regression test for the buffer
@@ -128,58 +120,49 @@ func packNeeds(e *Executor[float32], m, k, n int) (needA, needB, needC int) {
 // at the huge call's length or at capacity — while keeping the underlying
 // capacity so nothing reallocates, and the small result must stay exact.
 func TestGrowShrinksLogicalLengths(t *testing.T) {
-	for _, dim := range []ComputeDim{DimN, DimM, DimK} {
-		// KC=32 puts the small problem's k below one KC slice, so even the
-		// DimK strip count (and with it needA/needB) shrinks after the big run.
-		cfg := Config{Cores: 2, MC: 16, KC: 32, Alpha: 1, MR: 8, NR: 8, Dim: dim, Order: OrderAuto}
-		e, err := NewExecutor[float32](cfg, nil)
-		if err != nil {
-			t.Fatalf("%v: %v", dim, err)
-		}
-		rng := rand.New(rand.NewSource(3))
-
-		const big, s = 160, 24
-		bigA, bigB := matrix.New[float32](big, big), matrix.New[float32](big, big)
-		bigA.Randomize(rng)
-		bigB.Randomize(rng)
-		bigC := matrix.New[float32](big, big)
-		if _, err := e.Gemm(bigC, bigA, bigB); err != nil {
-			t.Fatalf("%v big: %v", dim, err)
-		}
-		capA, capB, capC := cap(e.packA[0]), cap(e.packB[0]), cap(e.bufC)
-
-		a, b := matrix.New[float32](s, s), matrix.New[float32](s, s)
-		a.Randomize(rng)
-		b.Randomize(rng)
-		c := matrix.New[float32](s, s)
-		if _, err := e.Gemm(c, a, b); err != nil {
-			t.Fatalf("%v small: %v", dim, err)
-		}
-		needA, needB, needC := packNeeds(e, s, s, s)
-		if len(e.packA[0]) != needA || len(e.packB[0]) != needB || len(e.bufC) != needC {
-			t.Fatalf("%v: lengths (A=%d B=%d C=%d) != small needs (A=%d B=%d C=%d)",
-				dim, len(e.packA[0]), len(e.packB[0]), len(e.bufC), needA, needB, needC)
-		}
-		bigNA, bigNB, bigNC := packNeeds(e, big, big, big)
-		if needA >= bigNA && needB >= bigNB && needC >= bigNC {
-			t.Fatalf("%v: small needs not smaller than big needs — test shapes give no coverage", dim)
-		}
-		if cap(e.packA[0]) != capA || cap(e.packB[0]) != capB || cap(e.bufC) != capC {
-			t.Fatalf("%v: capacities changed (A %d→%d, B %d→%d, C %d→%d) — buffers reallocated",
-				dim, capA, cap(e.packA[0]), capB, cap(e.packB[0]), capC, cap(e.bufC))
-		}
-		if e.cfg.Dim == DimK {
-			for i := range e.partials {
-				if len(e.partials[i]) != needC {
-					t.Fatalf("%v: partials[%d] len %d != need %d", dim, i, len(e.partials[i]), needC)
-				}
-			}
-		}
-		want := matrix.New[float32](s, s)
-		matrix.NaiveGemm(want, a, b)
-		if !c.AlmostEqual(want, s, 1e-4) {
-			t.Fatalf("%v: small result wrong after shrink", dim)
-		}
-		e.Close()
+	// KC=32 puts the small problem's k below one KC slice, so the block
+	// depth (and with it needA/needB) shrinks after the big run.
+	cfg := Config{Cores: 2, MC: 16, KC: 32, Alpha: 1, MR: 8, NR: 8, Order: OrderAuto}
+	e, err := NewExecutor[float32](cfg, nil)
+	if err != nil {
+		t.Fatal(err)
 	}
+	rng := rand.New(rand.NewSource(3))
+
+	const big, s = 160, 24
+	bigA, bigB := matrix.New[float32](big, big), matrix.New[float32](big, big)
+	bigA.Randomize(rng)
+	bigB.Randomize(rng)
+	bigC := matrix.New[float32](big, big)
+	if _, err := e.Gemm(bigC, bigA, bigB); err != nil {
+		t.Fatalf("big: %v", err)
+	}
+	capA, capB, capC := cap(e.packA[0]), cap(e.packB[0]), cap(e.bufC)
+
+	a, b := matrix.New[float32](s, s), matrix.New[float32](s, s)
+	a.Randomize(rng)
+	b.Randomize(rng)
+	c := matrix.New[float32](s, s)
+	if _, err := e.Gemm(c, a, b); err != nil {
+		t.Fatalf("small: %v", err)
+	}
+	needA, needB, needC := packNeeds(e, s, s, s)
+	if len(e.packA[0]) != needA || len(e.packB[0]) != needB || len(e.bufC) != needC {
+		t.Fatalf("lengths (A=%d B=%d C=%d) != small needs (A=%d B=%d C=%d)",
+			len(e.packA[0]), len(e.packB[0]), len(e.bufC), needA, needB, needC)
+	}
+	bigNA, bigNB, bigNC := packNeeds(e, big, big, big)
+	if needA >= bigNA && needB >= bigNB && needC >= bigNC {
+		t.Fatal("small needs not smaller than big needs — test shapes give no coverage")
+	}
+	if cap(e.packA[0]) != capA || cap(e.packB[0]) != capB || cap(e.bufC) != capC {
+		t.Fatalf("capacities changed (A %d→%d, B %d→%d, C %d→%d) — buffers reallocated",
+			capA, cap(e.packA[0]), capB, cap(e.packB[0]), capC, cap(e.bufC))
+	}
+	want := matrix.New[float32](s, s)
+	matrix.NaiveGemm(want, a, b)
+	if !c.AlmostEqual(want, s, 1e-4) {
+		t.Fatal("small result wrong after shrink")
+	}
+	e.Close()
 }

@@ -15,16 +15,16 @@ import (
 // TestSkewedClaimBitExact: the granted workers claim a block's compute
 // units dynamically, so a slow worker takes fewer of them. The extreme skew
 // is one worker held busy for the whole request while the other claims
-// every unit; then the roles swap. Either way, for every compute dimension,
-// synchronous and pipelined, on the fresh, shared-B batch and resident
-// paths, C equals the width-1 result bit for bit, and the recorder holds
-// exactly one compute span per unit, every one on the free worker.
+// every unit; then the roles swap. Either way, synchronous and pipelined,
+// on the fresh, shared-B batch and resident paths, C equals the width-1
+// result bit for bit, and the recorder holds exactly one compute span per
+// unit, every one on the free worker.
 func TestSkewedClaimBitExact(t *testing.T) {
 	p := pool.New(2)
 	defer p.Close()
 	rng := rand.New(rand.NewSource(2101))
-	// Every block has at least two units (DimK: K is a whole number of
-	// two-slice blocks), so no compute fork runs inline on the caller.
+	// Every block has at least two units, so no compute fork runs inline on
+	// the caller.
 	const m, k, n = 100, 160, 90
 	a1, a2 := matrix.New[float64](m, k), matrix.New[float64](m, k)
 	b := matrix.New[float64](k, n)
@@ -32,69 +32,67 @@ func TestSkewedClaimBitExact(t *testing.T) {
 	for _, x := range []*matrix.Matrix[float64]{a1, a2, b, c0} {
 		x.Randomize(rng)
 	}
-	for _, dim := range []ComputeDim{DimN, DimM, DimK} {
-		cfg := Config{Cores: 2, MC: 32, KC: 16, Alpha: 1, MR: 8, NR: 8, Dim: dim, Order: OrderAuto}
-		rb, err := PackResidentB(cfg, b, false)
+	cfg := Config{Cores: 2, MC: 32, KC: 16, Alpha: 1, MR: 8, NR: 8, Order: OrderAuto}
+	rb, err := PackResidentB(cfg, b, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Two calls per batch request, one call per resident request.
+	wantUnits := 2*2*unitsFor(cfg, m, k, n) + unitsFor(cfg, m, k, n)
+	for _, pipeline := range []bool{false, true} {
+		rec := obs.NewRecorder(2, 0)
+		ex, err := NewExecutor[float64](cfg, p, WithPipeline(pipeline), WithTrace(rec))
 		if err != nil {
 			t.Fatal(err)
 		}
-		// Two calls per batch request, one call per resident request.
-		wantUnits := 2*2*unitsFor(cfg, m, k, n) + unitsFor(cfg, m, k, n)
-		for _, pipeline := range []bool{false, true} {
-			rec := obs.NewRecorder(2, 0)
-			ex, err := NewExecutor[float64](cfg, p, WithPipeline(pipeline), WithTrace(rec))
-			if err != nil {
-				t.Fatal(err)
+		run := func(w int) []*matrix.Matrix[float64] {
+			cs := []*matrix.Matrix[float64]{c0.Clone(), c0.Clone(), c0.Clone(), c0.Clone(), c0.Clone()}
+			reqs := []struct {
+				b  Batch[float64]
+				rb *ResidentB[float64]
+			}{
+				{b: Batch[float64]{C: cs[:2], A: mats(a1, a2), B: mats(b, b.Clone())}},
+				{b: Batch[float64]{C: cs[2:4], A: mats(a1, a2), B: mats(b, b)}},
+				{b: Batch[float64]{C: cs[4:], A: mats(a2)}, rb: rb},
 			}
-			run := func(w int) []*matrix.Matrix[float64] {
-				cs := []*matrix.Matrix[float64]{c0.Clone(), c0.Clone(), c0.Clone(), c0.Clone(), c0.Clone()}
-				reqs := []struct {
-					b  Batch[float64]
-					rb *ResidentB[float64]
-				}{
-					{b: Batch[float64]{C: cs[:2], A: mats(a1, a2), B: mats(b, b.Clone())}},
-					{b: Batch[float64]{C: cs[2:4], A: mats(a1, a2), B: mats(b, b)}},
-					{b: Batch[float64]{C: cs[4:], A: mats(a2)}, rb: rb},
-				}
-				for _, r := range reqs {
-					r.b.Alpha, r.b.Beta, r.b.Width = 1.5, 0.5, w
-					if _, err := ex.Do(r.b, r.rb); err != nil {
-						t.Fatalf("dim %v pipeline %v width %d: %v", dim, pipeline, w, err)
-					}
-				}
-				return cs
-			}
-			want := run(1)
-			for held := 0; held < 2; held++ {
-				free := 1 - held
-				rec.Reset()
-				release := holdWorker(p, held)
-				got := run(2)
-				release()
-				for i := range got {
-					if !bitEqual(got[i], want[i]) {
-						t.Fatalf("dim %v pipeline %v worker %d held: result %d differs from width 1 (max diff %g)",
-							dim, pipeline, held, i, got[i].MaxAbsDiff(want[i]))
-					}
-				}
-				units := 0
-				for _, s := range rec.Spans() {
-					if s.Phase != obs.PhaseCompute {
-						continue
-					}
-					units++
-					if int(s.Worker) != free {
-						t.Fatalf("dim %v pipeline %v: compute span on worker %d while worker %d was held",
-							dim, pipeline, s.Worker, held)
-					}
-				}
-				if units != wantUnits || rec.Dropped() != 0 {
-					t.Fatalf("dim %v pipeline %v worker %d held: %d compute spans (%d dropped), want one per unit: %d",
-						dim, pipeline, held, units, rec.Dropped(), wantUnits)
+			for _, r := range reqs {
+				r.b.Alpha, r.b.Beta, r.b.Width = 1.5, 0.5, w
+				if _, err := ex.Do(r.b, r.rb); err != nil {
+					t.Fatalf("pipeline %v width %d: %v", pipeline, w, err)
 				}
 			}
-			ex.Close()
+			return cs
 		}
+		want := run(1)
+		for held := 0; held < 2; held++ {
+			free := 1 - held
+			rec.Reset()
+			release := holdWorker(p, held)
+			got := run(2)
+			release()
+			for i := range got {
+				if !bitEqual(got[i], want[i]) {
+					t.Fatalf("pipeline %v worker %d held: result %d differs from width 1 (max diff %g)",
+						pipeline, held, i, got[i].MaxAbsDiff(want[i]))
+				}
+			}
+			units := 0
+			for _, s := range rec.Spans() {
+				if s.Phase != obs.PhaseCompute {
+					continue
+				}
+				units++
+				if int(s.Worker) != free {
+					t.Fatalf("pipeline %v: compute span on worker %d while worker %d was held",
+						pipeline, s.Worker, held)
+				}
+			}
+			if units != wantUnits || rec.Dropped() != 0 {
+				t.Fatalf("pipeline %v worker %d held: %d compute spans (%d dropped), want one per unit: %d",
+					pipeline, held, units, rec.Dropped(), wantUnits)
+			}
+		}
+		ex.Close()
 	}
 }
 
@@ -103,8 +101,8 @@ func TestSkewedClaimBitExact(t *testing.T) {
 // ahead only once every compute unit of the block is claimed. With one
 // worker held, the free worker claims every item in list order: each pack
 // span of block i+1 starts no earlier than the last compute span of block i
-// ends, for every compute dimension, with fresh and resident B, and C
-// equals the width-1 result bit for bit.
+// ends, with fresh and resident B, and C equals the width-1 result bit for
+// bit.
 func TestClaimOrderPacksAfterCompute(t *testing.T) {
 	p := pool.New(2)
 	defer p.Close()
@@ -117,69 +115,67 @@ func TestClaimOrderPacksAfterCompute(t *testing.T) {
 	for _, x := range []*matrix.Matrix[float64]{a, b, c0} {
 		x.Randomize(rng)
 	}
-	for _, dim := range []ComputeDim{DimN, DimM, DimK} {
-		cfg := Config{Cores: 2, MC: 32, KC: 16, Alpha: 1, MR: 8, NR: 8, Dim: dim, Order: OrderAuto}
-		rb, err := PackResidentB(cfg, b, false)
+	cfg := Config{Cores: 2, MC: 32, KC: 16, Alpha: 1, MR: 8, NR: 8, Order: OrderAuto}
+	rb, err := PackResidentB(cfg, b, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, resident := range []bool{false, true} {
+		rec := obs.NewRecorder(2, 0)
+		ex, err := NewExecutor[float64](cfg, p, WithTrace(rec))
 		if err != nil {
 			t.Fatal(err)
 		}
-		for _, resident := range []bool{false, true} {
-			rec := obs.NewRecorder(2, 0)
-			ex, err := NewExecutor[float64](cfg, p, WithTrace(rec))
-			if err != nil {
-				t.Fatal(err)
+		run := func(w int) *matrix.Matrix[float64] {
+			c := c0.Clone()
+			req, res := Batch[float64]{C: mats(c), A: mats(a), B: mats(b), Alpha: 1, Beta: 1, Width: w}, (*ResidentB[float64])(nil)
+			if resident {
+				req.B, res = nil, rb
 			}
-			run := func(w int) *matrix.Matrix[float64] {
-				c := c0.Clone()
-				req, res := Batch[float64]{C: mats(c), A: mats(a), B: mats(b), Alpha: 1, Beta: 1, Width: w}, (*ResidentB[float64])(nil)
-				if resident {
-					req.B, res = nil, rb
-				}
-				if _, err := ex.Do(req, res); err != nil {
-					t.Fatalf("dim %v resident %v width %d: %v", dim, resident, w, err)
-				}
-				return c
+			if _, err := ex.Do(req, res); err != nil {
+				t.Fatalf("resident %v width %d: %v", resident, w, err)
 			}
-			want := run(1)
-			for held := 0; held < 2; held++ {
-				rec.Reset()
-				release := holdWorker(p, held)
-				got := run(2)
-				release()
-				if !bitEqual(got, want) {
-					t.Fatalf("dim %v resident %v worker %d held: C differs from width 1 (max diff %g)",
-						dim, resident, held, got.MaxAbsDiff(want))
-				}
-				packStart, computeEnd := map[obs.Block]int64{}, map[obs.Block]int64{}
-				for _, s := range rec.Spans() {
-					switch s.Phase {
-					case obs.PhasePack:
-						if t0, ok := packStart[s.Block]; !ok || s.StartNs < t0 {
-							packStart[s.Block] = s.StartNs
-						}
-					case obs.PhaseCompute:
-						computeEnd[s.Block] = max(computeEnd[s.Block], s.StartNs+s.DurNs)
-					}
-				}
-				checked := 0
-				for i := 1; i < len(ex.seq); i++ {
-					prev, cur := blockOf(ex.seq[i-1]), blockOf(ex.seq[i])
-					start, packed := packStart[cur]
-					if !packed {
-						continue // every panel reused: nothing packed ahead
-					}
-					checked++
-					if end := computeEnd[prev]; start < end {
-						t.Fatalf("dim %v resident %v worker %d held: block %d's pack started %d ns before block %d's compute ended",
-							dim, resident, held, i, end-start, i-1)
-					}
-				}
-				if checked == 0 || rec.Dropped() != 0 {
-					t.Fatalf("dim %v resident %v: %d blocks packed ahead (%d spans dropped)", dim, resident, checked, rec.Dropped())
-				}
-			}
-			ex.Close()
+			return c
 		}
+		want := run(1)
+		for held := 0; held < 2; held++ {
+			rec.Reset()
+			release := holdWorker(p, held)
+			got := run(2)
+			release()
+			if !bitEqual(got, want) {
+				t.Fatalf("resident %v worker %d held: C differs from width 1 (max diff %g)",
+					resident, held, got.MaxAbsDiff(want))
+			}
+			packStart, computeEnd := map[obs.Block]int64{}, map[obs.Block]int64{}
+			for _, s := range rec.Spans() {
+				switch s.Phase {
+				case obs.PhasePack:
+					if t0, ok := packStart[s.Block]; !ok || s.StartNs < t0 {
+						packStart[s.Block] = s.StartNs
+					}
+				case obs.PhaseCompute:
+					computeEnd[s.Block] = max(computeEnd[s.Block], s.StartNs+s.DurNs)
+				}
+			}
+			checked := 0
+			for i := 1; i < len(ex.seq); i++ {
+				prev, cur := blockOf(ex.seq[i-1]), blockOf(ex.seq[i])
+				start, packed := packStart[cur]
+				if !packed {
+					continue // every panel reused: nothing packed ahead
+				}
+				checked++
+				if end := computeEnd[prev]; start < end {
+					t.Fatalf("resident %v worker %d held: block %d's pack started %d ns before block %d's compute ended",
+						resident, held, i, end-start, i-1)
+				}
+			}
+			if checked == 0 || rec.Dropped() != 0 {
+				t.Fatalf("resident %v: %d blocks packed ahead (%d spans dropped)", resident, checked, rec.Dropped())
+			}
+		}
+		ex.Close()
 	}
 }
 
@@ -225,14 +221,7 @@ func unitsFor(cfg Config, m, k, n int) int {
 	for m0 := 0; m0 < m; m0 += bm {
 		for k0 := 0; k0 < k; k0 += bk {
 			for n0 := 0; n0 < n; n0 += bn {
-				switch cfg.Dim {
-				case DimN:
-					units += ceilDiv(min(bm, m-m0), unitPanels*cfg.MR)
-				case DimM:
-					units += ceilDiv(min(bn, n-n0), unitPanels*cfg.NR)
-				default:
-					units += ceilDiv(min(bk, k-k0), cfg.KC)
-				}
+				units += ceilDiv(min(bm, m-m0), unitPanels*cfg.MR)
 			}
 		}
 	}

@@ -48,7 +48,7 @@ func byPhase(spans []obs.Span) (bytes map[obs.Phase]int64, count map[obs.Phase]i
 
 func TestTraceSyncExecutorByteAccounting(t *testing.T) {
 	const elem = 4 // float32
-	cfg := smallConfig(2, DimN)
+	cfg := smallConfig(2)
 	st, rec := tracedGemm(t, cfg, 50, 23, 70, WithPipeline(false))
 	spans := rec.Spans()
 	if len(spans) == 0 {
@@ -94,7 +94,7 @@ func TestTraceSyncExecutorByteAccounting(t *testing.T) {
 // lanes: with either worker held, every one lands on the free worker's.
 func TestTracePipelinedExecutorReuseEvents(t *testing.T) {
 	const elem = 4
-	cfg := smallConfig(2, DimN)
+	cfg := smallConfig(2)
 	cfg.Order = schedule.OuterN // forces B reuse at M steps (see pipeline_test)
 	// Every M block is at least 17 rows, so every fork has two or more
 	// items and none runs inline on the caller as worker 0.
@@ -148,7 +148,7 @@ func TestTracePipelinedExecutorReuseEvents(t *testing.T) {
 }
 
 func TestTraceUntracedExecutorRecordsNothing(t *testing.T) {
-	cfg := smallConfig(2, DimN)
+	cfg := smallConfig(2)
 	e, err := NewExecutor[float32](cfg, nil)
 	if err != nil {
 		t.Fatalf("NewExecutor: %v", err)
@@ -207,7 +207,7 @@ func TestStatsOverlapShareClamps(t *testing.T) {
 // and compared against the untraced wall time: the projected overhead must
 // stay under 2%.
 func TestNilRecorderOverheadGuard(t *testing.T) {
-	cfg := smallConfig(2, DimN)
+	cfg := smallConfig(2)
 	const m, k, n = 100, 70, 100
 
 	// Count instrumentation points from a traced run of the same shape.
@@ -268,10 +268,10 @@ func TestNilRecorderOverheadGuard(t *testing.T) {
 // Benchmarks for the same guard in steady state: compare ns/op with and
 // without a recorder attached (benchGemm lives in pipeline_bench_test.go).
 func BenchmarkGemmUntraced(b *testing.B) {
-	benchGemm(b, smallConfig(2, DimN), 100, 70, 100)
+	benchGemm(b, smallConfig(2), 100, 70, 100)
 }
 
 func BenchmarkGemmTraced(b *testing.B) {
 	rec := obs.NewRecorder(2, 0)
-	benchGemm(b, smallConfig(2, DimN), 100, 70, 100, WithTrace(rec))
+	benchGemm(b, smallConfig(2), 100, 70, 100, WithTrace(rec))
 }

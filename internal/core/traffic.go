@@ -31,10 +31,3 @@ func (c Config) PredictTraffic(m, k, n, elemBytes int) obs.Traffic {
 	}
 	return t
 }
-
-// PredictBlocks returns how many CB blocks the configuration's grid holds
-// for an M×K×N problem — the denominator for per-block traffic rates.
-func (c Config) PredictBlocks(m, k, n int) int {
-	g := c.GridFor(m, k, n)
-	return g.Mb * g.Kb * g.Nb
-}

@@ -24,7 +24,7 @@ func TestPredictTrafficMatchesTracedRun(t *testing.T) {
 		{"pipelined ragged", true, 50, 100, 70},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			cfg := Config{Cores: 2, MC: 16, KC: 32, Alpha: 1, MR: 8, NR: 8, Dim: DimN, Order: OrderAuto}
+			cfg := Config{Cores: 2, MC: 16, KC: 32, Alpha: 1, MR: 8, NR: 8, Order: OrderAuto}
 			rec := obs.NewRecorder(cfg.Cores, 4096)
 			e, err := NewExecutor[float32](cfg, nil, WithPipeline(tc.pipeline), WithTrace(rec))
 			if err != nil {
@@ -66,13 +66,13 @@ func TestPredictTrafficHandValues(t *testing.T) {
 	// One exact block: 16×32 × 32×16 on a p=1 mc=16 kc=32 α=1 config.
 	// Block dims 16×32×16, grid 1×1×1: pack (16+16)·32·4 = 4096 bytes,
 	// unpack 2·16·16·4 = 2048 bytes.
-	cfg := Config{Cores: 1, MC: 16, KC: 32, Alpha: 1, MR: 8, NR: 8, Dim: DimN, Order: OrderAuto}
+	cfg := Config{Cores: 1, MC: 16, KC: 32, Alpha: 1, MR: 8, NR: 8, Order: OrderAuto}
 	tr := cfg.PredictTraffic(16, 32, 16, 4)
 	if tr.PackBytes != 4096 || tr.ComputeBytes != 0 || tr.UnpackBytes != 2048 {
 		t.Fatalf("single-block traffic = %+v", tr)
 	}
-	if cfg.PredictBlocks(16, 32, 16) != 1 {
-		t.Fatalf("blocks = %d, want 1", cfg.PredictBlocks(16, 32, 16))
+	if g := cfg.GridFor(16, 32, 16); g.Blocks() != 1 {
+		t.Fatalf("blocks = %d, want 1", g.Blocks())
 	}
 	// Doubling K doubles pack traffic but leaves unpack (per (M,N) run)
 	// unchanged — the K-first schedule's point.

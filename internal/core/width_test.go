@@ -9,10 +9,9 @@ import (
 )
 
 // TestWidthBitIdentical: Batch.Width only decides which worker runs a
-// strip, so a p=4 config gives bit-identical C at every width, for every
-// compute dimension, synchronous and pipelined, on the fresh, shared-B
-// batch and resident paths. DimK pins that partial-C surfaces belong to
-// strips, not workers: at width 1 one worker computes all four strips.
+// strip, so a p=4 config gives bit-identical C at every width,
+// synchronous and pipelined, on the fresh, shared-B batch and resident
+// paths: at width 1 one worker computes all four strips.
 func TestWidthBitIdentical(t *testing.T) {
 	p := pool.New(4)
 	defer p.Close()
@@ -24,66 +23,64 @@ func TestWidthBitIdentical(t *testing.T) {
 	for _, x := range []*matrix.Matrix[float64]{a1, a2, b, c0} {
 		x.Randomize(rng)
 	}
-	for _, dim := range []ComputeDim{DimN, DimM, DimK} {
-		cfg := smallConfig(4, dim)
-		rb, err := PackResidentB(cfg, b, false)
+	cfg := smallConfig(4)
+	rb, err := PackResidentB(cfg, b, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, pipeline := range []bool{false, true} {
+		ex, err := NewExecutor[float64](cfg, p, WithPipeline(pipeline))
 		if err != nil {
 			t.Fatal(err)
 		}
-		for _, pipeline := range []bool{false, true} {
-			ex, err := NewExecutor[float64](cfg, p, WithPipeline(pipeline))
-			if err != nil {
-				t.Fatal(err)
+		// run serves the three request shapes at width w and returns
+		// the three C results: call 0 of a fresh pair with distinct
+		// B, both calls of a shared-B pair, and one resident call.
+		run := func(w int) []*matrix.Matrix[float64] {
+			cs := []*matrix.Matrix[float64]{c0.Clone(), c0.Clone(), c0.Clone(), c0.Clone()}
+			reqs := []struct {
+				b  Batch[float64]
+				rb *ResidentB[float64]
+			}{
+				{b: Batch[float64]{C: cs[:1], A: mats(a1), B: mats(b)}},
+				{b: Batch[float64]{C: cs[1:3], A: mats(a1, a2), B: mats(b, b)}},
+				{b: Batch[float64]{C: cs[3:], A: mats(a2)}, rb: rb},
 			}
-			// run serves the three request shapes at width w and returns
-			// the three C results: call 0 of a fresh pair with distinct
-			// B, both calls of a shared-B pair, and one resident call.
-			run := func(w int) []*matrix.Matrix[float64] {
-				cs := []*matrix.Matrix[float64]{c0.Clone(), c0.Clone(), c0.Clone(), c0.Clone()}
-				reqs := []struct {
-					b  Batch[float64]
-					rb *ResidentB[float64]
-				}{
-					{b: Batch[float64]{C: cs[:1], A: mats(a1), B: mats(b)}},
-					{b: Batch[float64]{C: cs[1:3], A: mats(a1, a2), B: mats(b, b)}},
-					{b: Batch[float64]{C: cs[3:], A: mats(a2)}, rb: rb},
-				}
-				for _, r := range reqs {
-					r.b.Alpha, r.b.Beta, r.b.Width = 1.5, 0.5, w
-					if _, err := ex.Do(r.b, r.rb); err != nil {
-						t.Fatalf("dim %v pipeline %v width %d: %v", dim, pipeline, w, err)
-					}
-				}
-				return cs
-			}
-			want := run(0) // 0 means cfg.Cores
-			for _, w := range []int{1, 2, 3, 4, 9} {
-				for i, c := range run(w) {
-					if !c.Equal(want[i]) {
-						t.Fatalf("dim %v pipeline %v: result %d at width %d differs from width %d (max diff %g)",
-							dim, pipeline, i, w, cfg.Cores, c.MaxAbsDiff(want[i]))
-					}
+			for _, r := range reqs {
+				r.b.Alpha, r.b.Beta, r.b.Width = 1.5, 0.5, w
+				if _, err := ex.Do(r.b, r.rb); err != nil {
+					t.Fatalf("pipeline %v width %d: %v", pipeline, w, err)
 				}
 			}
-			// The shared-B and resident results equal the fresh one for
-			// the same A, and the fresh one is right.
-			if !want[1].Equal(want[0]) || !want[3].Equal(want[2]) {
-				t.Fatalf("dim %v pipeline %v: B source changed the result", dim, pipeline)
-			}
-			ref := c0.Clone()
-			ref.Scale(0.5)
-			scaled := a1.Clone()
-			scaled.Scale(1.5)
-			matrix.NaiveGemm(ref, scaled, b)
-			if !want[0].AlmostEqual(ref, k, 1e-12) {
-				t.Fatalf("dim %v pipeline %v: max diff %g vs naive", dim, pipeline, want[0].MaxAbsDiff(ref))
-			}
-			ex.Close()
+			return cs
 		}
+		want := run(0) // 0 means cfg.Cores
+		for _, w := range []int{1, 2, 3, 4, 9} {
+			for i, c := range run(w) {
+				if !c.Equal(want[i]) {
+					t.Fatalf("pipeline %v: result %d at width %d differs from width %d (max diff %g)",
+						pipeline, i, w, cfg.Cores, c.MaxAbsDiff(want[i]))
+				}
+			}
+		}
+		// The shared-B and resident results equal the fresh one for
+		// the same A, and the fresh one is right.
+		if !want[1].Equal(want[0]) || !want[3].Equal(want[2]) {
+			t.Fatalf("pipeline %v: B source changed the result", pipeline)
+		}
+		ref := c0.Clone()
+		ref.Scale(0.5)
+		scaled := a1.Clone()
+		scaled.Scale(1.5)
+		matrix.NaiveGemm(ref, scaled, b)
+		if !want[0].AlmostEqual(ref, k, 1e-12) {
+			t.Fatalf("pipeline %v: max diff %g vs naive", pipeline, want[0].MaxAbsDiff(ref))
+		}
+		ex.Close()
 	}
 }
 
-// TestStripRowsBalanced: a DimN block's rows spread evenly over the cores
+// TestStripRowsBalanced: a block's rows spread evenly over the cores
 // in whole mr panels, capped at mc — a partial block row no longer leaves
 // its last strip (and core) holding most of the rows.
 func TestStripRowsBalanced(t *testing.T) {

@@ -142,7 +142,7 @@ func TestEngineAdmissionElasticQueue(t *testing.T) {
 // config bit for bit.
 func TestLargeWidthBitIdentical(t *testing.T) {
 	e := newTestEngine(t, 2, Options{})
-	if lo, hi := e.TierCores(TierLarge), e.tiers[TierLarge].maxCores; lo != 1 || hi != 2 {
+	if lo, hi := e.tiers[TierLarge].cores, e.tiers[TierLarge].maxCores; lo != 1 || hi != 2 {
 		t.Fatalf("large tier admitted with %d..%d cores, want 1..2", lo, hi)
 	}
 	if cfg := e.TierConfig(TierLarge, 4); cfg.Cores != 2 {

@@ -274,7 +274,7 @@ func (e *Engine) Tracer() *reqtrace.Tracer { return e.trace }
 func tinyConfig(pl *platform.Platform, elemBytes int) core.Config {
 	const tile = 8
 	edge := max(tile, (int(pl.L1Bytes)/elemBytes+tile-1)/tile*tile)
-	return core.Config{Cores: 1, MC: edge, KC: edge, Alpha: 1, MR: tile, NR: tile, Dim: core.DimN, Order: core.OrderAuto}
+	return core.Config{Cores: 1, MC: edge, KC: edge, Alpha: 1, MR: tile, NR: tile, Order: core.OrderAuto}
 }
 
 // tierPlanShape picks the representative problem each planned tier's config
@@ -321,10 +321,6 @@ func (e *Engine) TierConfig(t Tier, elemBytes int) core.Config {
 	}
 	return e.tiers[t].cfg32
 }
-
-// TierCores returns a tier's §4.3 core slice: the fewest cores its requests
-// are admitted with (a large-tier request takes more when they are free).
-func (e *Engine) TierCores(t Tier) int { return e.tiers[t].cores }
 
 // Counters snapshots the engine's serving counters: the admission gauges,
 // and the tally of finished requests by outcome, tier and lease.

@@ -102,8 +102,7 @@ func findCheck(t *testing.T, r *Report, name string) Check {
 // (0, MaxAttainment] — while a deliberately mis-tuned configuration with kc
 // far below the Section 4.4 sizing fails its report.
 func TestAcceptanceCakeVersusGoto(t *testing.T) {
-	cake := core.Config{Cores: 2, MC: 8, KC: 256, Alpha: 1, MR: 8, NR: 8,
-		Dim: core.DimN, Order: core.OrderAuto}
+	cake := core.Config{Cores: 2, MC: 8, KC: 256, Alpha: 1, MR: 8, NR: 8, Order: core.OrderAuto}
 	spans := tracedCake(t, cake)
 
 	// A failed assertion logs every check of every report, so a run that
@@ -173,8 +172,7 @@ func TestAcceptanceCakeVersusGoto(t *testing.T) {
 	// Mis-tuned CAKE: kc = 8, 32× below the optimal 256. Total traffic and
 	// AI are kc-independent, but the per-block bandwidth requirement scales
 	// as 1/kc — the bandwidth-band check catches it deterministically.
-	bad := core.Config{Cores: 2, MC: 8, KC: 8, Alpha: 1, MR: 8, NR: 8,
-		Dim: core.DimN, Order: core.OrderAuto}
+	bad := core.Config{Cores: 2, MC: 8, KC: 8, Alpha: 1, MR: 8, NR: 8, Order: core.OrderAuto}
 	brep, err := Evaluate(Input{
 		Executor: "cake-mistuned", M: tM, K: tK, N: tN, ElemBytes: 4,
 		Cake:  &bad,
@@ -223,8 +221,7 @@ func logChecks(t *testing.T, r *Report) {
 
 // Synthetic spans pin down the check logic without timing noise.
 func TestEvaluateSyntheticTrafficMismatch(t *testing.T) {
-	cfg := core.Config{Cores: 1, MC: 16, KC: 32, Alpha: 1, MR: 8, NR: 8,
-		Dim: core.DimN, Order: core.OrderAuto}
+	cfg := core.Config{Cores: 1, MC: 16, KC: 32, Alpha: 1, MR: 8, NR: 8, Order: core.OrderAuto}
 	pred := cfg.PredictTraffic(16, 32, 16, 4) // pack 4096, unpack 2048
 
 	mkInput := func(spans []obs.Span) Input {
@@ -293,8 +290,7 @@ func TestEvaluateSyntheticTrafficMismatch(t *testing.T) {
 }
 
 func TestEvaluateInputValidation(t *testing.T) {
-	cfg := core.Config{Cores: 1, MC: 16, KC: 32, Alpha: 1, MR: 8, NR: 8,
-		Dim: core.DimN, Order: core.OrderAuto}
+	cfg := core.Config{Cores: 1, MC: 16, KC: 32, Alpha: 1, MR: 8, NR: 8, Order: core.OrderAuto}
 	gcfg := gotoalg.Config{Cores: 1, MC: 16, KC: 16, NC: 16, MR: 8, NR: 8}
 	spans := []obs.Span{{DurNs: 1, Bytes: 1, Phase: obs.PhasePack}}
 	base := Input{
@@ -329,8 +325,7 @@ func TestTracedRunFeedsLatencyHistograms(t *testing.T) {
 	packBase := obs.MetricsFor("cake").PackDur.Count()
 	compBase := obs.MetricsFor("cake").ComputeDur.Count()
 
-	cfg := core.Config{Cores: 2, MC: 8, KC: 64, Alpha: 1, MR: 8, NR: 8,
-		Dim: core.DimN, Order: core.OrderAuto}
+	cfg := core.Config{Cores: 2, MC: 8, KC: 64, Alpha: 1, MR: 8, NR: 8, Order: core.OrderAuto}
 	tracedCake(t, cfg)
 
 	m := obs.MetricsFor("cake")

@@ -65,9 +65,6 @@ func (h *Histogram) Observe(durNs int64) {
 // Count returns how many durations have been observed.
 func (h *Histogram) Count() int64 { return h.observed.Load() }
 
-// SumNanos returns the total of all observed durations.
-func (h *Histogram) SumNanos() int64 { return h.sumNs.Load() }
-
 // Quantile returns an upper bound (ns) on the q-quantile (0 < q ≤ 1) of the
 // observed durations: the upper bound of the bucket holding the ⌈q·count⌉-th
 // observation. Returns 0 with no observations and +Inf when the quantile

@@ -43,8 +43,8 @@ func TestHistBucketBounds(t *testing.T) {
 
 func TestHistogramZeroValue(t *testing.T) {
 	var h Histogram
-	if h.Count() != 0 || h.SumNanos() != 0 {
-		t.Fatalf("zero histogram count/sum = %d/%d", h.Count(), h.SumNanos())
+	if h.Count() != 0 || h.sumNs.Load() != 0 {
+		t.Fatalf("zero histogram count/sum = %d/%d", h.Count(), h.sumNs.Load())
 	}
 	if q := h.Quantile(0.5); q != 0 {
 		t.Fatalf("empty quantile = %g, want 0", q)
@@ -69,8 +69,8 @@ func TestHistogramObserveAndQuantiles(t *testing.T) {
 	if h.Count() != 100 {
 		t.Fatalf("count = %d, want 100", h.Count())
 	}
-	if want := int64(90*100 + 9*1000 + 1_000_000); h.SumNanos() != want {
-		t.Fatalf("sum = %d, want %d", h.SumNanos(), want)
+	if want := int64(90*100 + 9*1000 + 1_000_000); h.sumNs.Load() != want {
+		t.Fatalf("sum = %d, want %d", h.sumNs.Load(), want)
 	}
 	// p50 lands in the fast bucket, p95 in the 1µs bucket (bound 1024),
 	// p99 still in the 1µs bucket (99th of 100 is the 99th obs), and the
@@ -227,7 +227,7 @@ func TestObservePhaseRouting(t *testing.T) {
 	if m.PackDur.Count() != 1 || m.ComputeDur.Count() != 2 {
 		t.Fatalf("pack/compute counts = %d/%d", m.PackDur.Count(), m.ComputeDur.Count())
 	}
-	if m.ComputeDur.SumNanos() != 500 {
-		t.Fatalf("compute sum = %d", m.ComputeDur.SumNanos())
+	if m.ComputeDur.sumNs.Load() != 500 {
+		t.Fatalf("compute sum = %d", m.ComputeDur.sumNs.Load())
 	}
 }

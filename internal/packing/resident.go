@@ -19,9 +19,8 @@ import (
 // sub-block, and the slabs lie band after band in one buffer. Because a
 // PackB image stores panel after panel, the columns [c, c+cols) of a slab,
 // c a multiple of NR, are the PackB image of that sub-block in place,
-// starting c·depth into the slab: a CB block, a DimM sub-strip or a DimK
-// reduction strip that starts on a band and on such a column reads its
-// panels straight out of the image (see Span).
+// starting c·depth into the slab: a CB block that starts on a band and on
+// such a column reads its panels straight out of the image (see Span).
 //
 // The fields are the image's key: two configs whose layouts are equal for
 // the same operand read identical bytes and can share one image.

@@ -63,6 +63,23 @@ go test -race ./internal/pool ./internal/core ./internal/obs ./internal/engine .
 echo "== go test -race -count=5 -run 'Skew|ClaimOrder|Pipelined|Width' ./internal/core"
 go test -race -count=5 -run 'Skew|ClaimOrder|Pipelined|Width' ./internal/core
 
+# The two slow simulator figures, regenerated at full size, must equal the
+# committed CSVs byte for byte (fig4, fig7, fig8, fig9 and fig11 are checked
+# the same way by cmd/cake-bench's TestRunFiguresMatchResults).
+echo "== cake-bench fig10 fig12 vs results/ (byte-identical CSVs)"
+FIG_TMP=$(mktemp -d)
+for FIG in fig10 fig12; do
+	go run ./cmd/cake-bench -csv "$FIG_TMP" "$FIG" >/dev/null
+done
+for CSV in fig10a fig10b fig10c fig12a fig12b fig12c; do
+	if ! cmp -s "$FIG_TMP/$CSV.csv" "results/$CSV.csv"; then
+		echo "verify: regenerated $CSV.csv differs from results/$CSV.csv" >&2
+		rm -rf "$FIG_TMP"
+		exit 1
+	fi
+done
+rm -rf "$FIG_TMP"
+
 # Corpus micro run and the one benchmark gate: the 4-cell, 2-contrast micro
 # grid must run end to end into a throwaway store (the committed
 # results/corpus trajectory is never touched here), and `check` over that
