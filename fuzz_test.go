@@ -91,6 +91,10 @@ func FuzzKFirstScheduleInvariants(f *testing.F) {
 func FuzzPackRoundTrip(f *testing.F) {
 	f.Add(uint8(13), uint8(9), int64(1))
 	f.Add(uint8(1), uint8(1), int64(2))
+	// B packs of Aᵀ: 21 columns (two full 8-wide panels and a ragged one)
+	// at odd depth 7, and 16 columns at depth 1.
+	f.Add(uint8(20), uint8(6), int64(3))
+	f.Add(uint8(15), uint8(0), int64(4))
 	f.Fuzz(func(t *testing.T, rr, cc uint8, seed int64) {
 		r, c := int(rr)%40+1, int(cc)%40+1
 		rng := rand.New(rand.NewSource(seed))

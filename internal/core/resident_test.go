@@ -304,6 +304,10 @@ func FuzzResidentLayout(f *testing.F) {
 	f.Add(uint8(40), uint8(101), uint8(15), uint8(1), uint8(3), uint8(1), false, int64(1))
 	f.Add(uint8(70), uint8(50), uint8(7), uint8(0), uint8(0), uint8(2), true, int64(2))
 	f.Add(uint8(33), uint8(90), uint8(10), uint8(1), uint8(13), uint8(0), true, int64(3))
+	// 8-wide panels of a ragged 61-column operand in 16-deep bands that
+	// end on a band of depth 1, and of a ragged 23-column one at KC 1.
+	f.Add(uint8(32), uint8(60), uint8(15), uint8(1), uint8(0), uint8(0), false, int64(4))
+	f.Add(uint8(6), uint8(22), uint8(0), uint8(1), uint8(5), uint8(1), true, int64(5))
 	f.Fuzz(func(t *testing.T, kk, nn, kc, nrSel, alpha8, mc8 uint8, transB bool, seed int64) {
 		k, n := int(kk)%80+1, int(nn)%120+1
 		cfg := Config{

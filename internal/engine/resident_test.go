@@ -357,3 +357,30 @@ func TestEngineResidentBudgetChargesOneImage(t *testing.T) {
 		t.Fatalf("resident stats %+v, want %d entries of %d bytes and no evictions", st, ops, image)
 	}
 }
+
+// BenchmarkRegisterB registers and then releases one 256×256 f32 weight
+// per op, on a 2-core platform model with a 32 KiB L1, a 256 KiB L2 and a
+// 2 MiB LLC — the platform model of the serving benchmark. An op packs B
+// once per distinct slab layout among the tiers the weight may land on
+// (here one image, which the small and large tiers share), as a serving
+// cold start does for each weight.
+func BenchmarkRegisterB(b *testing.B) {
+	pl := testPlatform(2)
+	pl.L1Bytes, pl.L2Bytes, pl.LLCBytes = 32<<10, 256<<10, 2<<20
+	e, err := NewEngine(Options{Platform: pl, Name: "bench-register"})
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer e.Close()
+	w := matrix.New[float32](256, 256)
+	w.Randomize(rand.New(rand.NewSource(1)))
+	b.SetBytes(int64(len(w.Data)) * 4)
+	for b.Loop() {
+		if err := RegisterB(e, "w", w); err != nil {
+			b.Fatal(err)
+		}
+		if err := e.ReleaseB("w"); err != nil {
+			b.Fatal(err)
+		}
+	}
+}

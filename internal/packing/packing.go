@@ -110,7 +110,7 @@ func PackB[T matrix.Scalar](dst []T, b *matrix.Matrix[T], nr int) []T {
 // PackAT packs the transpose of the dense block at (a kc×r view, holding
 // Aᵀ) into dst using the PackA layout: logical element A(i, k) = at(k, i),
 // scaled by scale on the way through. That is PackB's layout of at with
-// mr-column panels, so PackB's loop (and its 8-wide fast path) does the
+// mr-column panels, so PackB's loop (and its 8-wide row walk) does the
 // work. Used for GEMM with a transposed left operand — the packed form is
 // identical, so microkernels are oblivious to storage order.
 func PackAT[T matrix.Scalar](dst []T, at *matrix.Matrix[T], mr int, scale T) []T {
@@ -126,25 +126,24 @@ func packB[T matrix.Scalar](dst []T, b *matrix.Matrix[T], nr int, scale T, name 
 		panic(fmt.Sprintf("packing: %s dst %d < %d", name, len(dst), n))
 	}
 	dst = dst[:n]
-	for q := 0; q < ceilDiv(c, nr); q++ {
+	// Full 8-column panels take the row walk; scaling is a second pass
+	// over them, as in packPanelA8. The ragged last panel, and every panel
+	// of another width, are copied one row run at a time below, padded
+	// with zeros.
+	full := 0
+	if nr == 8 && c >= 8 {
+		full = c / 8
+		panels := dst[:full*8*kc]
+		packPanelsB8(panels, b, full)
+		if scale != 1 {
+			for i := range panels {
+				panels[i] *= scale
+			}
+		}
+	}
+	for q := full; q < ceilDiv(c, nr); q++ {
 		panel := dst[q*nr*kc : (q+1)*nr*kc]
 		cols := min(nr, c-q*nr)
-		if cols == 8 && nr == 8 {
-			// Eight element moves per k: copy would call memmove for
-			// every 8-element row. Scaling is a second pass over the
-			// full panel, as in packPanelA8.
-			src, stride := b.Data[q*8:], b.Stride
-			for k := 0; k < kc; k++ {
-				d, s := (*[8]T)(panel[k*8:]), (*[8]T)(src[k*stride:])
-				d[0], d[1], d[2], d[3], d[4], d[5], d[6], d[7] = s[0], s[1], s[2], s[3], s[4], s[5], s[6], s[7]
-			}
-			if scale != 1 {
-				for i := range panel {
-					panel[i] *= scale
-				}
-			}
-			continue
-		}
 		for k := 0; k < kc; k++ {
 			row := panel[k*nr : k*nr+nr]
 			brow := b.Row(k)[q*nr : q*nr+cols]
@@ -161,6 +160,35 @@ func packB[T matrix.Scalar](dst []T, b *matrix.Matrix[T], nr int, scale T, name 
 		}
 	}
 	return dst
+}
+
+// packPanelsB8 packs the first full·8 columns of b into full 8-column
+// panels (dst holds exactly those panels). It walks b row-major, two rows
+// at a time, so each source row is read once, in order: walking a panel at
+// a time reads 8 elements per row at a stride of b.Stride, fetches every
+// source cache line twice and defeats the prefetcher. Rows k and k+1 land
+// in each panel as one contiguous 16-element group at q·8·kc + k·8 (one
+// 64-byte line in f32); an odd depth ends with a one-row tail. The moves
+// are element by element: a copy would call memmove for every 8-element
+// group.
+func packPanelsB8[T matrix.Scalar](dst []T, b *matrix.Matrix[T], full int) {
+	kc, w, step := b.Rows, full*8, 8*b.Rows
+	k := 0
+	for ; k+1 < kc; k += 2 {
+		s0, s1 := b.Row(k)[:w], b.Row(k + 1)[:w]
+		for j, o := 0, k*8; j < w; j, o = j+8, o+step {
+			d, r0, r1 := (*[16]T)(dst[o:]), (*[8]T)(s0[j:]), (*[8]T)(s1[j:])
+			d[0], d[1], d[2], d[3], d[4], d[5], d[6], d[7] = r0[0], r0[1], r0[2], r0[3], r0[4], r0[5], r0[6], r0[7]
+			d[8], d[9], d[10], d[11], d[12], d[13], d[14], d[15] = r1[0], r1[1], r1[2], r1[3], r1[4], r1[5], r1[6], r1[7]
+		}
+	}
+	if k < kc {
+		s0 := b.Row(k)[:w]
+		for j, o := 0, k*8; j < w; j, o = j+8, o+step {
+			d, r0 := (*[8]T)(dst[o:]), (*[8]T)(s0[j:])
+			d[0], d[1], d[2], d[3], d[4], d[5], d[6], d[7] = r0[0], r0[1], r0[2], r0[3], r0[4], r0[5], r0[6], r0[7]
+		}
+	}
 }
 
 // PackBT packs the transpose of the dense block bt (a c×kc view, holding

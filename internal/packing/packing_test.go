@@ -1,6 +1,7 @@
 package packing
 
 import (
+	"math"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -400,6 +401,90 @@ func TestPackEightWidePanels(t *testing.T) {
 					}
 					if got := bp[q*8*19+k*8+j]; got != want {
 						t.Fatalf("B (transposed %v) panel %d k=%d j=%d: got %v want %v", trans, q, k, j, got, want)
+					}
+				}
+			}
+		}
+	}
+}
+
+// panelWalkPackB is the reference B pack: one panel at a time, each full
+// 8-column panel walked down k eight elements per row, scaling a second
+// pass, the ragged panel and other widths one copied run per row.
+func panelWalkPackB[T matrix.Scalar](dst []T, b *matrix.Matrix[T], nr int, scale T) []T {
+	kc, c := b.Rows, b.Cols
+	dst = dst[:PackedBSize(kc, c, nr)]
+	for q := 0; q < ceilDiv(c, nr); q++ {
+		panel := dst[q*nr*kc : (q+1)*nr*kc]
+		cols := min(nr, c-q*nr)
+		if cols == 8 && nr == 8 {
+			src, stride := b.Data[q*8:], b.Stride
+			for k := 0; k < kc; k++ {
+				d, s := (*[8]T)(panel[k*8:]), (*[8]T)(src[k*stride:])
+				d[0], d[1], d[2], d[3], d[4], d[5], d[6], d[7] = s[0], s[1], s[2], s[3], s[4], s[5], s[6], s[7]
+			}
+			if scale != 1 {
+				for i := range panel {
+					panel[i] *= scale
+				}
+			}
+			continue
+		}
+		for k := 0; k < kc; k++ {
+			row := panel[k*nr : k*nr+nr]
+			brow := b.Row(k)[q*nr : q*nr+cols]
+			if scale == 1 {
+				copy(row, brow)
+			} else {
+				for j, v := range brow {
+					row[j] = v * scale
+				}
+			}
+			for j := cols; j < nr; j++ {
+				row[j] = 0
+			}
+		}
+	}
+	return dst
+}
+
+// TestPackBMatchesPanelWalk: PackB and PackAT, which walk B row by row,
+// write the same bits as the panel-at-a-time reference, from strided views
+// into stale buffers, over random depths (odd, even and 1) and widths
+// (ragged and whole panels), at scale 1 and not, for 8- and 4-wide panels.
+func TestPackBMatchesPanelWalk(t *testing.T) {
+	packBMatchesPanelWalk[float32](t)
+	packBMatchesPanelWalk[float64](t)
+}
+
+func packBMatchesPanelWalk[T matrix.Scalar](t *testing.T) {
+	rng := rand.New(rand.NewSource(27))
+	big := matrix.New[T](80, 90)
+	big.Randomize(rng)
+	for i := 0; i < 200; i++ {
+		kc := 1 + rng.Intn(40)
+		if i%4 == 0 {
+			kc = 1
+		}
+		c := 1 + rng.Intn(70)
+		i0, j0 := rng.Intn(80-kc+1), rng.Intn(90-c+1)
+		b := big.View(i0, j0, kc, c) // stride 90, wider than any c
+		for _, nr := range []int{8, 4} {
+			for _, scale := range []T{1, -0.37} {
+				want := panelWalkPackB(make([]T, PackedBSize(kc, c, nr)), b, nr, scale)
+				got := make([]T, len(want))
+				for j := range got {
+					got[j] = 9
+				}
+				if scale == 1 {
+					PackB(got, b, nr)
+				} else {
+					PackAT(got, b, nr, scale)
+				}
+				for j := range want {
+					if math.Float64bits(float64(got[j])) != math.Float64bits(float64(want[j])) {
+						t.Fatalf("%T %dx%d view at (%d,%d) nr=%d scale %v: element %d = %v, want %v",
+							got[j], kc, c, i0, j0, nr, scale, j, got[j], want[j])
 					}
 				}
 			}

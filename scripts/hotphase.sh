@@ -1,11 +1,12 @@
 #!/usr/bin/env bash
 # Prints the 64-byte phase (address mod 64) of the hot generic shape
 # instantiations in a Go binary: the 8×8 micro-kernel, the macro-kernel,
-# the A packers (packB runs PackAT's and PackB's loop) and the C
-# accumulate. The linker places generic code after
-# all non-generic code, so a size change anywhere else can move these loops
-# to another phase and change their speed. Compare the phases of two builds
-# before reading a benchmark gap between them as a gain of the code.
+# the A packers, the B packers (packB runs PackAT's and PackB's loop,
+# packPanelsB8 its 8-wide row walk) and the C accumulate. The linker
+# places generic code after all non-generic code, so a size change
+# anywhere else can move these loops to another phase and change their
+# speed. Compare the phases of two builds before reading a benchmark gap
+# between them as a gain of the code.
 #
 #   bash scripts/hotphase.sh <binary>
 #
@@ -19,7 +20,7 @@ if [[ $# -ne 1 ]]; then
   echo "usage: $0 <binary>" >&2
   exit 2
 fi
-hot='(kernel\.kernel8x8|packing\.(Macro|PackA|packPanelA8|packB|AddInto))\[go\.shape\.'
+hot='(kernel\.kernel8x8|packing\.(Macro|PackA|packPanelA8|packB|packPanelsB8|AddInto))\[go\.shape\.'
 syms="$(go tool nm "$1")"
 found=0
 while read -r addr kind name; do

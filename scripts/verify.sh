@@ -48,6 +48,12 @@ for WL in gemm-large serve-resident; do
 	esac
 done
 
+# Informational, never fails: the 64-byte phases of the hot loops in the
+# benchmark binary the smoke just built. A phase move changes kernel speed
+# on its own, so every verify log records them beside the code change.
+echo "== hotphase: perfbench binary (informational)"
+bash scripts/hotphase.sh .bench_build/perfbench/perfbench || true
+
 # Race gate, two layers: every package runs under -race in -short mode
 # (wall-clock-sensitive tests skip themselves there rather than being
 # silently omitted), then the concurrency-critical packages run their full
