@@ -147,7 +147,6 @@ type Engine struct {
 	resident   *resident.Store // cross-request pre-packed operands (RegisterB)
 	trace      *reqtrace.Tracer
 	tally      *reqtrace.Tally // finished requests by tier, lease and outcome: the tracer's, or the engine's own without one
-	labels     labels          // request labels the records keep
 
 	mu       sync.Mutex
 	free     int
@@ -470,9 +469,8 @@ func (e *Engine) finishRecord(rec *reqtrace.Record, start time.Time, st core.Sta
 	rec.DurNs = time.Since(start).Nanoseconds()
 	rec.PackNs = st.PackNanos
 	rec.ComputeNs = st.ComputeNanos
-	if st.BatchCalls > 1 {
-		rec.BatchCalls = int32(st.BatchCalls)
-		rec.AmortNs = rec.DurNs / int64(st.BatchCalls)
+	if rec.BatchCalls > 0 {
+		rec.AmortNs = rec.DurNs / int64(rec.BatchCalls)
 	}
 	rec.Outcome = outcomeOf(err)
 	if err != nil {

@@ -341,3 +341,60 @@ func TestEngineTraceDisabled(t *testing.T) {
 		t.Fatalf("nil tracer produced records: %v", got)
 	}
 }
+
+// TestLabelChurn registers and serves more distinct weights, under more
+// distinct tenants, than the tracer's label table holds (1024), the way a
+// server whose weight versions keep minting IDs does. Warm requests on the
+// newest labels must still allocate nothing, and the flight recorder must
+// render each record's own labels or reqtrace.ReplacedLabel, never another
+// request's.
+func TestLabelChurn(t *testing.T) {
+	const distinct = 1100
+	e := newTestEngine(t, 2, Options{Trace: reqtrace.Options{Ring: 2 * distinct}})
+	b := matrix.New[float32](8, 8)
+	c, a := matrix.New[float32](8, 8), matrix.New[float32](8, 8)
+	serve := func(tenant, id string) {
+		if _, err := Do(e, Request[float32]{Tenant: tenant, C: []*matrix.Matrix[float32]{c},
+			A: []*matrix.Matrix[float32]{a}, Resident: id, Alpha: 1}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	var tenant, id string
+	for i := range distinct {
+		tenant, id = fmt.Sprintf("t%d", i), fmt.Sprintf("w%d.v1", i)
+		if err := RegisterB(e, id, b); err != nil {
+			t.Fatal(err)
+		}
+		serve(tenant, id)
+		if i < distinct-1 {
+			if err := e.ReleaseB(id); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	if !raceEnabled { // sync.Pool drops leases at random under -race
+		if got := testing.AllocsPerRun(50, func() { serve(tenant, id) }); got != 0 {
+			t.Errorf("warm request on label #%d: %.1f allocations, want 0", distinct, got)
+		}
+	}
+
+	recs := e.Tracer().Recent()
+	replaced := 0
+	for i, r := range recs[:distinct] {
+		for _, f := range [][2]string{{r.Tenant, fmt.Sprintf("t%d", i)}, {r.ResidentID, fmt.Sprintf("w%d.v1", i)}} {
+			switch f[0] {
+			case f[1]:
+			case reqtrace.ReplacedLabel:
+				replaced++
+			default:
+				t.Fatalf("record %d renders label %q, want %q or the placeholder", r.ID, f[0], f[1])
+			}
+		}
+	}
+	if replaced == 0 {
+		t.Fatalf("no label of %d records was replaced: the table did not churn", distinct)
+	}
+	if last := recs[len(recs)-1]; last.Tenant != tenant || last.ResidentID != id {
+		t.Fatalf("newest record renders %q/%q, want %q/%q", last.Tenant, last.ResidentID, tenant, id)
+	}
+}

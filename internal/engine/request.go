@@ -11,8 +11,6 @@ package engine
 
 import (
 	"fmt"
-	"strings"
-	"sync"
 	"time"
 	"unsafe"
 
@@ -76,8 +74,8 @@ func Do[T matrix.Scalar](e *Engine, r Request[T]) (st core.Stats, err error) {
 	rec := reqtrace.Record{
 		ID:         e.trace.NextID(),
 		StartNs:    start.UnixNano(),
-		Tenant:     e.labels.own(r.Tenant),
-		ResidentID: e.labels.own(r.Resident),
+		Tenant:     r.Tenant,
+		ResidentID: r.Resident,
 		Outcome:    reqtrace.OutcomeUnset,
 	}
 	defer func() {
@@ -107,7 +105,7 @@ func do[T matrix.Scalar](e *Engine, rec *reqtrace.Record, r *Request[T]) (core.S
 	if r.Resident == "" {
 		return dispatch(e, rec, r, nil)
 	}
-	h, err := acquireOperand[T](e, rec.ResidentID)
+	h, err := acquireOperand[T](e, r.Resident)
 	if err != nil {
 		rec.Resident = reqtrace.ResidentMiss
 		return core.Stats{}, err
@@ -157,38 +155,4 @@ func dispatch[T matrix.Scalar](e *Engine, rec *reqtrace.Record, r *Request[T], o
 		e.resident.AccountAvoided(st.ResidentBElems * int64(elemBytes))
 	}
 	return st, nil
-}
-
-// labels holds the engine's own copies of the labels requests carry (tenant,
-// resident id). Records keep these copies, never the caller's strings: a
-// label shares its Request with the operand slices, escape analysis treats
-// a struct as one value, and a label kept on the heap would drag a
-// single-call request's slice literals there with it. Distinct labels are
-// few (they name tenants and registered weights); past maxLabels, new ones
-// are copied per request instead of kept.
-type labels struct {
-	mu sync.Mutex
-	m  map[string]string
-}
-
-const maxLabels = 1024
-
-// own returns the engine's copy of s.
-func (l *labels) own(s string) string {
-	if s == "" {
-		return ""
-	}
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	if v, ok := l.m[s]; ok {
-		return v
-	}
-	v := strings.Clone(s)
-	if l.m == nil {
-		l.m = make(map[string]string)
-	}
-	if len(l.m) < maxLabels {
-		l.m[v] = v
-	}
-	return v
 }

@@ -24,6 +24,7 @@ import (
 	"container/list"
 	"errors"
 	"fmt"
+	"strings"
 	"sync"
 )
 
@@ -197,7 +198,9 @@ func (h *Handle) Release() {
 }
 
 // Acquire pins id's payload and marks it most recently used. Counted as a
-// hit; a lookup that fails — evicted or never registered — is a miss.
+// hit; a lookup that fails — evicted or never registered — is a miss. It
+// keeps no reference to id: its errors quote a copy, so an id that shares
+// a struct with a caller's slices does not move them to the heap.
 func (s *Store) Acquire(id string) (Handle, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -208,9 +211,9 @@ func (s *Store) Acquire(id string) (Handle, error) {
 	if !ok {
 		s.misses++
 		if s.evicted[id] {
-			return Handle{}, fmt.Errorf("%w: %q", ErrOperandEvicted, id)
+			return Handle{}, fmt.Errorf("%w: %q", ErrOperandEvicted, strings.Clone(id))
 		}
-		return Handle{}, fmt.Errorf("%w: %q", ErrNotRegistered, id)
+		return Handle{}, fmt.Errorf("%w: %q", ErrNotRegistered, strings.Clone(id))
 	}
 	e.refs++
 	s.lru.MoveToFront(e.elem)

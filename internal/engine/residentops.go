@@ -13,6 +13,7 @@ package engine
 import (
 	"errors"
 	"fmt"
+	"strings"
 	"unsafe"
 
 	"repro/internal/core"
@@ -134,7 +135,9 @@ func (h *residentHandle[T]) Release() { h.h.Release() }
 
 // acquireOperand pins id's packed panels and types them. The caller owns the
 // pin and must Release it on every path — the GEMM body can panic (packing
-// layout guards panic by design), so release in a defer.
+// layout guards panic by design), so release in a defer. Like
+// resident.Store.Acquire it keeps no reference to id: id is a field of the
+// caller's Request.
 func acquireOperand[T matrix.Scalar](e *Engine, id string) (residentHandle[T], error) {
 	h, err := e.resident.Acquire(id)
 	if err != nil {
@@ -143,7 +146,7 @@ func acquireOperand[T matrix.Scalar](e *Engine, id string) (residentHandle[T], e
 	op, ok := h.Payload().(*residentOperand[T])
 	if !ok {
 		h.Release()
-		return residentHandle[T]{}, fmt.Errorf("%w: %q", ErrOperandType, id)
+		return residentHandle[T]{}, fmt.Errorf("%w: %q", ErrOperandType, strings.Clone(id))
 	}
 	return residentHandle[T]{h: h, op: op}, nil
 }

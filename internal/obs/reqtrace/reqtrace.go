@@ -17,7 +17,9 @@
 //     engine (same atomic-cursor discipline as the obs span recorder, plus a
 //     per-slot lock held only for the record copy, so a reader never sees a
 //     torn record; the engine's allocation tests run the record path on
-//     every request and read zero heap allocations).
+//     every request and read zero heap allocations). The ring holds each
+//     record as a pointer-free entry whose labels are handles into one
+//     bounded label table, and expands it back into a Record on read.
 //   - Anomaly-triggered snapshots: on saturation, a conformance failure, or
 //     a request slower than a configurable multiple of its tier's rolling
 //     p99, the ring is frozen into an immutable JSON-servable snapshot —
@@ -158,15 +160,15 @@ func unmarshalEnum[E ~uint8](names []string, kind string, b []byte, v *E) error 
 
 // Record is one completed engine request — the unit of the flight recorder.
 // Producers must set Outcome explicitly; every other field defaults to a
-// meaningful zero. Records are committed by value into a preallocated
-// ring, so the struct must stay free of pointers to producer-owned mutable
-// state (strings are fine: committing copies only the header).
+// meaningful zero. Finish stores a record as a compact entry and keeps none
+// of its strings; readers get the record back expanded, with the tracer's
+// own copies of its labels (see ReplacedLabel for a label since replaced).
 type Record struct {
 	ID      uint64 `json:"id"`
 	StartNs int64  `json:"start_ns"` // UnixNano at engine entry
 	DurNs   int64  `json:"dur_ns"`   // entry to completion, queueing included
 
-	Tier   string `json:"tier"`             // "tiny" | "small" | "large"; "" when dispatch never happened
+	Tier   string `json:"tier"`             // "tiny" | "small" | "large"; "" when dispatch never happened; any other label reads back "other"
 	Tenant string `json:"tenant,omitempty"` // caller-supplied serving label
 
 	AdmitWaitNs int64 `json:"admit_wait_ns"`   // time from entry to holding cores
@@ -188,7 +190,8 @@ type Record struct {
 	// the whole batch (one admission, one lease), with BatchCalls carrying
 	// how many GEMMs it folded and AmortNs the amortized per-call latency
 	// DurNs/BatchCalls. Both are zero for single-call requests, keeping
-	// their records byte-compatible with pre-batch history.
+	// their records byte-compatible with pre-batch history. The ring does
+	// not store AmortNs: a read derives it from DurNs and BatchCalls.
 	BatchCalls int32 `json:"batch_calls,omitempty"`
 	AmortNs    int64 `json:"amort_ns,omitempty"`
 
@@ -225,7 +228,8 @@ type Options struct {
 }
 
 const (
-	// DefaultRing retains the most recent 4096 completed requests, ~1 MiB.
+	// DefaultRing retains the most recent 4096 completed requests in
+	// 4096 × 104 B = 425,984 B of ring slots.
 	DefaultRing = 4096
 	// DefaultAnomalyMultiple: a request 8× slower than its tier's rolling
 	// p99 is an anomaly worth freezing evidence for.
@@ -279,16 +283,65 @@ func (lt *latTrack) refresh() {
 	lt.p99.Store(int64(p))
 }
 
-// ringSlot is one flight-recorder slot. Its lock is held only while a record
+// tierCode is a record's tier as an entry stores it: 0 for "", otherwise
+// tierIndex + 1, so a label outside the three tiers reads back "other".
+func tierCode(tier string) uint8 {
+	if tier == "" {
+		return 0
+	}
+	return uint8(tierIndex(tier)) + 1
+}
+
+// tierLabel is tierCode's inverse.
+func tierLabel(c uint8) string {
+	if c == 0 {
+		return ""
+	}
+	return tierNames[c-1]
+}
+
+// entry is a Record as the ring stores it: fixed-size and free of pointers,
+// so the ring is one block the garbage collector never scans. Extents,
+// counts and widths fit int32 as they do in Record; the enums are bytes and
+// the three strings are handles into the tracer's label table.
+type entry struct {
+	id          uint64
+	startNs     int64
+	durNs       int64
+	admitWaitNs int64
+	packNs      int64
+	computeNs   int64
+
+	m, k, n    int32
+	queueDepth int32
+	cores      int32
+	batchCalls int32
+
+	tenant, residentID, err label
+
+	tier     uint8
+	lease    Lease
+	resident Residency
+	outcome  Outcome
+}
+
+// ringSlot is one flight-recorder slot. Its lock is held only while an entry
 // is copied in or out, so Finish contends only with a reader of the same
 // slot or with a writer whose request landed on it one ring lap later. seq
-// is the commit index + 1 of the record the slot holds (0 when empty): a
-// writer never replaces a newer record with an older one, and a reader takes
-// only the records of the lap it asked for.
+// is the commit index + 1 of the entry the slot holds (0 when empty): a
+// writer never replaces a newer entry with an older one, and a reader takes
+// only the entries of the lap it asked for.
 type ringSlot struct {
 	mu  sync.Mutex
 	seq int64
-	rec Record
+	e   entry
+}
+
+// read copies the slot's entry if it holds commit index i.
+func (s *ringSlot) read(i int64) (entry, bool) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.e, s.seq == i+1
 }
 
 // Tracer is one engine's request-lifecycle recorder: ID source, flight
@@ -298,6 +351,7 @@ type ringSlot struct {
 type Tracer struct {
 	name    string
 	ring    []ringSlot
+	labels  labelTable
 	cursor  atomic.Int64
 	nextID  atomic.Uint64
 	tiers   [tierSlots]latTrack
@@ -376,11 +430,12 @@ func (t *Tracer) Finish(rec Record) {
 	if t == nil {
 		return
 	}
+	en := t.compact(&rec)
 	i := t.cursor.Add(1) - 1
 	slot := &t.ring[i%int64(len(t.ring))]
 	slot.mu.Lock()
 	if slot.seq <= i {
-		slot.seq, slot.rec = i+1, rec
+		slot.seq, slot.e = i+1, en
 	}
 	slot.mu.Unlock()
 
@@ -399,14 +454,53 @@ func (t *Tracer) Finish(rec Record) {
 	}
 
 	if rec.Outcome == OutcomeSaturated {
-		t.trip(ReasonSaturation, rec, "")
+		t.trip(ReasonSaturation, &en, "")
 		return
 	}
 	if t.anomaly > 0 && n >= t.minSamp {
 		if p99 := lt.p99.Load(); p99 > 0 && p99 < math.MaxInt64 && rec.DurNs > p99*t.anomaly/1000 {
-			t.trip(ReasonLatency, rec, "")
+			t.trip(ReasonLatency, &en, "")
 		}
 	}
+}
+
+// compact turns a record into its ring entry, interning its labels.
+func (t *Tracer) compact(r *Record) entry {
+	en := entry{
+		id: r.ID, startNs: r.StartNs, durNs: r.DurNs, admitWaitNs: r.AdmitWaitNs,
+		packNs: r.PackNs, computeNs: r.ComputeNs,
+		m: r.M, k: r.K, n: r.N, queueDepth: r.QueueDepth, cores: r.Cores, batchCalls: r.BatchCalls,
+		tier: tierCode(r.Tier), lease: r.Lease, resident: r.Resident, outcome: r.Outcome,
+	}
+	if r.Tenant != "" || r.ResidentID != "" || r.Err != "" {
+		t.labels.mu.Lock()
+		en.tenant = t.labels.intern(r.Tenant)
+		en.residentID = t.labels.intern(r.ResidentID)
+		en.err = t.labels.intern(r.Err)
+		t.labels.mu.Unlock()
+	}
+	return en
+}
+
+// expand turns a ring entry back into its record.
+func (t *Tracer) expand(en *entry) Record {
+	r := Record{
+		ID: en.id, StartNs: en.startNs, DurNs: en.durNs, AdmitWaitNs: en.admitWaitNs,
+		PackNs: en.packNs, ComputeNs: en.computeNs,
+		M: en.m, K: en.k, N: en.n, QueueDepth: en.queueDepth, Cores: en.cores, BatchCalls: en.batchCalls,
+		Tier: tierLabel(en.tier), Lease: en.lease, Resident: en.resident, Outcome: en.outcome,
+	}
+	if en.batchCalls > 0 {
+		r.AmortNs = en.durNs / int64(en.batchCalls)
+	}
+	if en.tenant != 0 || en.residentID != 0 || en.err != 0 {
+		t.labels.mu.Lock()
+		r.Tenant = t.labels.name(en.tenant)
+		r.ResidentID = t.labels.name(en.residentID)
+		r.Err = t.labels.name(en.err)
+		t.labels.mu.Unlock()
+	}
+	return r
 }
 
 // Committed returns how many records have ever been committed.
@@ -422,10 +516,14 @@ func (t *Tracer) Dropped() int64 {
 	if t == nil {
 		return 0
 	}
-	if n := t.cursor.Load(); n > int64(len(t.ring)) {
-		return n - int64(len(t.ring))
-	}
-	return 0
+	lo, _ := t.retained()
+	return lo
+}
+
+// retained returns the commit indexes [lo, n) the ring still holds.
+func (t *Tracer) retained() (lo, n int64) {
+	n = t.cursor.Load()
+	return max(0, n-int64(len(t.ring))), n
 }
 
 // Recent returns a copy of the retained records, oldest first. A record
@@ -434,29 +532,28 @@ func (t *Tracer) Recent() []Record {
 	if t == nil {
 		return nil
 	}
-	n := t.cursor.Load()
+	lo, n := t.retained()
 	if n == 0 {
 		return nil
 	}
-	cap64 := int64(len(t.ring))
-	lo := max(0, n-cap64)
 	out := make([]Record, 0, n-lo)
 	for i := lo; i < n; i++ {
-		slot := &t.ring[i%cap64]
-		slot.mu.Lock()
-		if slot.seq == i+1 {
-			out = append(out, slot.rec)
+		if en, ok := t.ring[i%int64(len(t.ring))].read(i); ok {
+			out = append(out, t.expand(&en))
 		}
-		slot.mu.Unlock()
 	}
 	return out
 }
 
-// LookupRecord finds a retained record by request ID.
+// LookupRecord finds a retained record by request ID. It reads the slots in
+// place and expands only the match, so a lookup allocates nothing.
 func (t *Tracer) LookupRecord(id uint64) (Record, bool) {
-	for _, r := range t.Recent() {
-		if r.ID == id {
-			return r, true
+	if t != nil {
+		lo, n := t.retained()
+		for i := lo; i < n; i++ {
+			if en, ok := t.ring[i%int64(len(t.ring))].read(i); ok && en.id == id {
+				return t.expand(&en), true
+			}
 		}
 	}
 	return Record{Outcome: OutcomeUnset}, false

@@ -52,8 +52,10 @@ const tripQuietNs = int64(time.Second)
 // allocation here is the cost of capturing evidence exactly when the
 // anomaly happened. Back-to-back trips for the same reason within
 // tripQuietNs collapse into the first one's snapshot, so a saturation burst
-// yields one frozen ring, not hundreds of copies of the same window.
-func (t *Tracer) trip(why Reason, trigger Record, detail string) {
+// yields one frozen ring, not hundreds of copies of the same window. The
+// trigger is the offending request's ring entry, nil for a conformance
+// trip; the snapshot holds it expanded.
+func (t *Tracer) trip(why Reason, trigger *entry, detail string) {
 	t.trips[why].Add(1)
 	now := time.Now().UnixNano()
 	t.snapMu.Lock()
@@ -68,8 +70,11 @@ func (t *Tracer) trip(why Reason, trigger Record, detail string) {
 		Reason:  why,
 		AtNs:    now,
 		Detail:  detail,
-		Trigger: trigger,
+		Trigger: Record{Outcome: OutcomeUnset},
 		Records: t.Recent(),
+	}
+	if trigger != nil {
+		snap.Trigger = t.expand(trigger)
 	}
 	t.snaps = append(t.snaps, snap)
 	if len(t.snaps) > t.maxSnaps {
@@ -78,7 +83,7 @@ func (t *Tracer) trip(why Reason, trigger Record, detail string) {
 	t.snapMu.Unlock()
 	L().Warn("flight recorder snapshot frozen",
 		"engine", t.name, "reason", why.String(), "detail", detail,
-		"trigger_id", trigger.ID, "trigger_outcome", trigger.Outcome.String(),
+		"trigger_id", snap.Trigger.ID, "trigger_outcome", snap.Trigger.Outcome.String(),
 		"records", len(snap.Records))
 }
 
@@ -109,6 +114,6 @@ func (t *Tracer) TripCount(why Reason) int64 {
 // failed checks).
 func NotifyConformanceFailure(detail string) {
 	for _, t := range Published() {
-		t.trip(ReasonConformance, Record{Outcome: OutcomeUnset}, detail)
+		t.trip(ReasonConformance, nil, detail)
 	}
 }

@@ -38,8 +38,8 @@ func PackedBSize(kc, c, nr int) int {
 
 // PackA packs the dense block a (any r×kc view) into dst using mr-row
 // panels, zero-padding the final partial panel, multiplying every element by
-// scale on the way through (BLAS α folded into the single packing pass —
-// scale 1 takes a multiply-free path). dst must have at least
+// scale as it moves (BLAS α folded into the one packing pass — scale 1 takes
+// a multiply-free path). dst must have at least
 // PackedASize(a.Rows, a.Cols, mr) elements; the used prefix is returned.
 func PackA[T matrix.Scalar](dst []T, a *matrix.Matrix[T], mr int, scale T) []T {
 	r, kc := a.Rows, a.Cols
@@ -80,23 +80,26 @@ func PackA[T matrix.Scalar](dst []T, a *matrix.Matrix[T], mr int, scale T) []T {
 
 // packPanelA8 packs rows [r0, r0+8) of a into one full 8-row panel. It
 // walks the eight rows together, so each k writes its eight lanes as one
-// contiguous group and the loads run bounds-check free; scaling is a second
-// pass over the panel, one multiply per element as in PackA's general loop.
+// contiguous group and the loads run bounds-check free; scale ≠ 1 multiplies
+// each element once as it moves, as in PackA's general loop.
 func packPanelA8[T matrix.Scalar](panel []T, a *matrix.Matrix[T], r0 int, scale T) {
 	s0 := a.Row(r0)
 	kc := len(s0)
 	s1, s2, s3 := a.Row(r0 + 1)[:kc], a.Row(r0 + 2)[:kc], a.Row(r0 + 3)[:kc]
 	s4, s5, s6, s7 := a.Row(r0 + 4)[:kc], a.Row(r0 + 5)[:kc], a.Row(r0 + 6)[:kc], a.Row(r0 + 7)[:kc]
 	panel = panel[:8*kc]
+	if scale != 1 {
+		for k := range s0 {
+			d := (*[8]T)(panel[k*8:])
+			d[0], d[1], d[2], d[3] = s0[k]*scale, s1[k]*scale, s2[k]*scale, s3[k]*scale
+			d[4], d[5], d[6], d[7] = s4[k]*scale, s5[k]*scale, s6[k]*scale, s7[k]*scale
+		}
+		return
+	}
 	for k := range s0 {
 		d := (*[8]T)(panel[k*8:])
 		d[0], d[1], d[2], d[3] = s0[k], s1[k], s2[k], s3[k]
 		d[4], d[5], d[6], d[7] = s4[k], s5[k], s6[k], s7[k]
-	}
-	if scale != 1 {
-		for i := range panel {
-			panel[i] *= scale
-		}
 	}
 }
 
@@ -126,20 +129,13 @@ func packB[T matrix.Scalar](dst []T, b *matrix.Matrix[T], nr int, scale T, name 
 		panic(fmt.Sprintf("packing: %s dst %d < %d", name, len(dst), n))
 	}
 	dst = dst[:n]
-	// Full 8-column panels take the row walk; scaling is a second pass
-	// over them, as in packPanelA8. The ragged last panel, and every panel
-	// of another width, are copied one row run at a time below, padded
-	// with zeros.
+	// Full 8-column panels take the row walk. The ragged last panel, and
+	// every panel of another width, are copied one row run at a time below,
+	// padded with zeros.
 	full := 0
 	if nr == 8 && c >= 8 {
 		full = c / 8
-		panels := dst[:full*8*kc]
-		packPanelsB8(panels, b, full)
-		if scale != 1 {
-			for i := range panels {
-				panels[i] *= scale
-			}
-		}
+		packPanelsB8(dst[:full*8*kc], b, full, scale)
 	}
 	for q := full; q < ceilDiv(c, nr); q++ {
 		panel := dst[q*nr*kc : (q+1)*nr*kc]
@@ -170,9 +166,21 @@ func packB[T matrix.Scalar](dst []T, b *matrix.Matrix[T], nr int, scale T, name 
 // in each panel as one contiguous 16-element group at q·8·kc + k·8 (one
 // 64-byte line in f32); an odd depth ends with a one-row tail. The moves
 // are element by element: a copy would call memmove for every 8-element
-// group.
-func packPanelsB8[T matrix.Scalar](dst []T, b *matrix.Matrix[T], full int) {
+// group. scale ≠ 1 takes a one-row walk that multiplies each element once
+// as it moves.
+func packPanelsB8[T matrix.Scalar](dst []T, b *matrix.Matrix[T], full int, scale T) {
 	kc, w, step := b.Rows, full*8, 8*b.Rows
+	if scale != 1 {
+		for k := range kc {
+			s0 := b.Row(k)[:w]
+			for j, o := 0, k*8; j < w; j, o = j+8, o+step {
+				d, r0 := (*[8]T)(dst[o:]), (*[8]T)(s0[j:])
+				d[0], d[1], d[2], d[3] = r0[0]*scale, r0[1]*scale, r0[2]*scale, r0[3]*scale
+				d[4], d[5], d[6], d[7] = r0[4]*scale, r0[5]*scale, r0[6]*scale, r0[7]*scale
+			}
+		}
+		return
+	}
 	k := 0
 	for ; k+1 < kc; k += 2 {
 		s0, s1 := b.Row(k)[:w], b.Row(k + 1)[:w]

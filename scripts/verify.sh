@@ -69,6 +69,11 @@ go test -race ./internal/pool ./internal/core ./internal/obs ./internal/engine .
 echo "== go test -race -count=5 -run 'Skew|ClaimOrder|Pipelined|Width' ./internal/core"
 go test -race -count=5 -run 'Skew|ClaimOrder|Pipelined|Width' ./internal/core
 
+# The flight recorder's ring and label table: concurrent Finish, Recent,
+# LookupRecord and snapshot trips while every record mints a new label.
+echo "== go test -race -count=5 -run 'Ring|Label|Lookup|Snapshot' ./internal/obs/reqtrace"
+go test -race -count=5 -run 'Ring|Label|Lookup|Snapshot' ./internal/obs/reqtrace
+
 # The two slow simulator figures, regenerated at full size, must equal the
 # committed CSVs byte for byte (fig4, fig7, fig8, fig9 and fig11 are checked
 # the same way by cmd/cake-bench's TestRunFiguresMatchResults).
