@@ -12,6 +12,7 @@ import (
 	"testing"
 
 	"repro/internal/cachesim"
+	"repro/internal/core"
 	"repro/internal/experiments"
 	"repro/internal/gotoalg"
 	"repro/internal/gridsim"
@@ -328,8 +329,8 @@ func BenchmarkAblationAlpha(b *testing.B) {
 		// shrink mc to stay LRU-safe in the 512 KiB LLC — exactly the trade
 		// the planner makes.
 		run := func(alpha float64, mc int) sim.Metrics {
-			w := sim.CakeWorkload{P: 4, MC: mc, KC: mc, Alpha: alpha, MR: 8, NR: 8, ElemBytes: 4}
-			ops, err := sim.CakeOps(w, 1500, 1500, 1500)
+			cfg := core.Config{Cores: 4, MC: mc, KC: mc, Alpha: alpha, MR: 8, NR: 8, Order: core.OrderAuto}
+			ops, err := sim.CakeOps(cfg, 4, 1500, 1500, 1500)
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -350,10 +351,10 @@ func BenchmarkAblationAlpha(b *testing.B) {
 // the Section 4.4 difference, isolated on otherwise identical blocks.
 func BenchmarkAblationPartialCResidency(b *testing.B) {
 	pl := platform.ARMCortexA53()
-	w := sim.CakeWorkload{P: 4, MC: 40, KC: 40, Alpha: 1, MR: 8, NR: 8, ElemBytes: 4}
+	cake := core.Config{Cores: 4, MC: 40, KC: 40, Alpha: 1, MR: 8, NR: 8, Order: core.OrderAuto}
 	var resident, streaming sim.Metrics
 	for i := 0; i < b.N; i++ {
-		ops, err := sim.CakeOps(w, 1500, 1500, 1500)
+		ops, err := sim.CakeOps(cake, 4, 1500, 1500, 1500)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -366,7 +367,7 @@ func BenchmarkAblationPartialCResidency(b *testing.B) {
 		// as demand traffic (what GOTO does).
 		stream := make([]sim.BlockOp, len(ops))
 		for j, op := range ops {
-			cBytes := 4 * op.MACs / int64(w.KC) // ≈ m·n elements per block
+			cBytes := 4 * op.MACs / int64(cake.KC) // ≈ m·n elements per block
 			op.WriteC = 0
 			op.DemandWrite = cBytes
 			op.DemandRead = cBytes
@@ -390,7 +391,7 @@ func BenchmarkAblationLRUSizing(b *testing.B) {
 		llc := int64(512 << 10)
 		h := cachesim.NewHierarchy[memtrace.Key]([]string{"LLC"}, []int64{llc})
 		res, err := memtrace.Run(func(e memtrace.Emit) error {
-			return memtrace.Cake(size, size, size, memtrace.CakeParams{P: 4, MC: mc, Alpha: 1}, 8, 4, e)
+			return memtrace.Cake(size, size, size, core.Config{Cores: 4, MC: mc, KC: mc, Alpha: 1, MR: 8, NR: 8, Order: core.OrderAuto}, 8, 4, e)
 		}, h)
 		if err != nil {
 			b.Fatal(err)
@@ -464,7 +465,7 @@ func BenchmarkFig4GridMachine(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		for gi, p := range []int{1, 2, 4} {
 			cfg := gridsim.Config{P: p, K: 4, Alpha: 1}
-			bm, bk, bn := cfg.BlockDims()
+			bm, bk, bn := cfg.CB().BlockDims()
 			a := matrix.New[float64](bm, bk)
 			bb := matrix.New[float64](bk, bn)
 			a.Fill(1)

@@ -2,8 +2,10 @@ package main
 
 import (
 	"bytes"
+	"fmt"
 	"os"
 	"path/filepath"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -57,8 +59,37 @@ func TestRunFiguresMatchResults(t *testing.T) {
 				t.Fatal(err)
 			}
 			if !bytes.Equal(got, want) {
-				t.Errorf("%s: %s differs from results/%s", fig.target, name, name)
+				t.Errorf("%s: %s differs from results/%s at %s", fig.target, name, name, firstDiffRow(got, want))
 			}
+		}
+	}
+}
+
+// firstDiffRow names the first row at which a regenerated CSV differs from
+// the committed one, with both versions of that row.
+func firstDiffRow(got, want []byte) string {
+	g, w := strings.Split(string(got), "\n"), strings.Split(string(want), "\n")
+	row := func(lines []string, i int) string {
+		if i < len(lines) {
+			return strconv.Quote(lines[i])
+		}
+		return "end of file"
+	}
+	i := 0
+	for i < len(g) && i < len(w) && g[i] == w[i] {
+		i++
+	}
+	return fmt.Sprintf("row %d: got %s, want %s", i+1, row(g, i), row(w, i))
+}
+
+func TestFirstDiffRow(t *testing.T) {
+	for _, tc := range []struct{ got, want, msg string }{
+		{"h\n1,2\n3,4\n", "h\n1,2\n3,5\n", `row 3: got "3,4", want "3,5"`},
+		{"h\n1,2\n", "h\n1,2\n3,5\n", `row 3: got "", want "3,5"`},
+		{"h\n1,2", "h\n1,2\n", `row 3: got end of file, want ""`},
+	} {
+		if msg := firstDiffRow([]byte(tc.got), []byte(tc.want)); msg != tc.msg {
+			t.Errorf("firstDiffRow(%q, %q) = %s, want %s", tc.got, tc.want, msg, tc.msg)
 		}
 	}
 }

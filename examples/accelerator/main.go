@@ -29,7 +29,7 @@ func main() {
 	rng := rand.New(rand.NewSource(1))
 	for _, p := range []int{1, 2, 4} {
 		cfg := gridsim.Config{P: p, K: k, Alpha: 1}
-		bm, bk, bn := cfg.BlockDims()
+		bm, bk, bn := cfg.CB().BlockDims()
 		// One exact block so the closed forms hold with equality.
 		a := matrix.New[float64](bm, bk)
 		b := matrix.New[float64](bk, bn)

@@ -27,6 +27,7 @@ import (
 	"repro/internal/cbtheory"
 	"repro/internal/core"
 	"repro/internal/engine"
+	"repro/internal/gotoalg"
 	"repro/internal/matrix"
 	"repro/internal/obs"
 	"repro/internal/obs/conformance"
@@ -68,8 +69,8 @@ func main() {
 	// Contrast: GOTO tenants under the same fair-share bandwidth partition.
 	fmt.Printf("\nGOTO tenants with fair DRAM shares (%.1f GB/s each):\n", pl.DRAMBW/3/1e9)
 	for i, as := range plan.Assignments {
-		w := sim.GotoWorkload{P: as.Cores, MC: 176, KC: 176, NC: 8192, MR: 8, NR: 8, ElemBytes: 4}
-		ops, err := sim.GotoOps(w, jobs[i].M, jobs[i].K, jobs[i].N)
+		gcfg := gotoalg.Config{Cores: as.Cores, MC: 176, KC: 176, NC: 8192, MR: 8, NR: 8}
+		ops, err := sim.GotoOps(gcfg, 4, jobs[i].M, jobs[i].K, jobs[i].N)
 		if err != nil {
 			log.Fatal(err)
 		}

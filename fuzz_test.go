@@ -14,15 +14,18 @@ import (
 )
 
 func FuzzGemmAgainstNaive(f *testing.F) {
-	f.Add(int64(1), uint8(33), uint8(17), uint8(25), uint8(2))
-	f.Add(int64(2), uint8(1), uint8(1), uint8(1), uint8(1))
-	f.Add(int64(3), uint8(64), uint8(64), uint8(64), uint8(4))
-	f.Add(int64(4), uint8(80), uint8(3), uint8(90), uint8(3))
-	f.Fuzz(func(t *testing.T, seed int64, mm, kk, nn, cores uint8) {
+	f.Add(int64(1), uint8(33), uint8(17), uint8(25), uint8(2), uint8(1), uint8(15), uint8(0))
+	f.Add(int64(2), uint8(1), uint8(1), uint8(1), uint8(1), uint8(1), uint8(15), uint8(0))
+	f.Add(int64(3), uint8(64), uint8(64), uint8(64), uint8(4), uint8(1), uint8(15), uint8(0))
+	f.Add(int64(4), uint8(80), uint8(3), uint8(90), uint8(3), uint8(1), uint8(15), uint8(0))
+	// Two cores, mc 8, kc 24, α 1.03125 on 40×50×34: 17-column blocks.
+	f.Add(int64(5), uint8(40), uint8(50), uint8(34), uint8(2), uint8(0), uint8(23), uint8(1))
+	f.Fuzz(func(t *testing.T, seed int64, mm, kk, nn, cores, mc, kc, alpha uint8) {
 		m, k, n := int(mm)%96+1, int(kk)%96+1, int(nn)%96+1
 		p := int(cores)%4 + 1
 		cfg := core.Config{
-			Cores: p, MC: 16, KC: 16, Alpha: 1, MR: 8, NR: 8,
+			Cores: p, MC: 8 * (int(mc)%4 + 1), KC: int(kc)%40 + 1,
+			Alpha: 1 + float64(alpha%64)/32, MR: 8, NR: 8,
 			Order: core.OrderAuto,
 		}
 		rng := rand.New(rand.NewSource(seed))
@@ -33,11 +36,30 @@ func FuzzGemmAgainstNaive(f *testing.F) {
 		c := matrix.New[float64](m, n)
 		want := matrix.New[float64](m, n)
 		matrix.NaiveGemm(want, a, b)
-		if _, err := core.Gemm(c, a, b, cfg); err != nil {
+		st, err := core.Gemm(c, a, b, cfg)
+		if err != nil {
 			t.Fatalf("cfg %v dims %d,%d,%d: %v", cfg, m, k, n, err)
 		}
 		if !c.AlmostEqual(want, k, 1e-11) {
 			t.Fatalf("cfg %v dims %d,%d,%d: diff %g", cfg, m, k, n, c.MaxAbsDiff(want))
+		}
+		// The executor ran the config's block program: its block count, the
+		// A and B elements its blocks cover (packed or kept) and the C
+		// elements it folded back are the program's and PredictTraffic's.
+		var progAB, progC int64
+		prog := cfg.Program(m, k, n)
+		for _, blk := range prog.Blocks {
+			progAB += int64(blk.KEff) * int64(blk.MEff+blk.NEff)
+			if blk.RunEnd {
+				progC += int64(blk.MEff) * int64(blk.NEff)
+			}
+		}
+		ab := st.PackedAElems + st.ReusedAElems + st.PackedBElems + st.ReusedBElems
+		pred := cfg.PredictTraffic(m, k, n, 8)
+		if st.Blocks != len(prog.Blocks) || ab != progAB || st.UnpackCElems != progC ||
+			pred.PackBytes != 8*ab || pred.UnpackBytes != 16*st.UnpackCElems {
+			t.Fatalf("cfg %v dims %d,%d,%d: executor %d blocks, A+B %d, C %d; program %d, %d, %d; predicted %+v",
+				cfg, m, k, n, st.Blocks, ab, st.UnpackCElems, len(prog.Blocks), progAB, progC, pred)
 		}
 		// Sync mode runs the same block loop without lookahead or panel
 		// reuse; its C must match the pipelined one bit for bit.

@@ -13,6 +13,7 @@ import (
 	"repro/internal/experiments"
 	"repro/internal/gotoalg"
 	"repro/internal/matrix"
+	"repro/internal/memtrace"
 	"repro/internal/sim"
 	"repro/internal/tuner"
 )
@@ -196,32 +197,89 @@ func TestSearchConsistentWithFigures(t *testing.T) {
 	}
 }
 
-// TestWorkloadAgainstRealStats: the simulator's CAKE workload compiler and
-// the real executor must agree on schedule-level accounting (grid and
-// total packed elements) since both derive from the same Config geometry.
+// TestWorkloadAgainstRealStats: the executor, the simulator's CAKE workload
+// compiler, PredictTraffic and the LLC trace model all walk the same block
+// program, so they must agree on the block count, on the A and B elements
+// the blocks cover (packed or served from a kept panel) and on the C
+// elements folded back — also at a non-integer α, where the block width
+// rounds (16·1.03125 → 17 columns), and with MC ≠ KC.
 func TestWorkloadAgainstRealStats(t *testing.T) {
-	cfg := core.Config{Cores: 2, MC: 16, KC: 16, Alpha: 1, MR: 8, NR: 8, Order: core.OrderAuto}
-	const m, k, n = 70, 50, 90
-	a := matrix.New[float64](m, k)
-	b := matrix.New[float64](k, n)
-	c := matrix.New[float64](m, n)
-	st, err := core.Gemm(c, a, b, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	w := sim.CakeWorkload{P: 2, MC: 16, KC: 16, Alpha: 1, MR: 8, NR: 8, ElemBytes: 8}
-	ops, err := sim.CakeOps(w, m, k, n)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(ops) != st.Blocks {
-		t.Fatalf("block counts differ: sim %d vs real %d", len(ops), st.Blocks)
-	}
-	var macs int64
-	for _, op := range ops {
-		macs += op.MACs
-	}
-	if macs != int64(m)*int64(k)*int64(n) {
-		t.Fatalf("sim MACs %d", macs)
+	for _, tc := range []struct {
+		cfg     core.Config
+		m, k, n int
+	}{
+		{core.Config{Cores: 2, MC: 16, KC: 16, Alpha: 1, MR: 8, NR: 8, Order: core.OrderAuto}, 70, 50, 90},
+		{core.Config{Cores: 2, MC: 8, KC: 24, Alpha: 1.03125, MR: 8, NR: 8, Order: core.OrderAuto}, 40, 50, 34},
+	} {
+		const eb = 8
+		cfg, m, k, n := tc.cfg, tc.m, tc.k, tc.n
+		a := matrix.New[float64](m, k)
+		b := matrix.New[float64](k, n)
+		c := matrix.New[float64](m, n)
+		st, err := core.Gemm(c, a, b, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ab := st.PackedAElems + st.ReusedAElems + st.PackedBElems + st.ReusedBElems
+
+		pred := cfg.PredictTraffic(m, k, n, eb)
+		if pred.PackBytes != ab*eb || pred.UnpackBytes != 2*st.UnpackCElems*eb {
+			t.Fatalf("%v: PredictTraffic pack %d unpack %d, executor A+B %d C %d elements",
+				cfg, pred.PackBytes, pred.UnpackBytes, ab, st.UnpackCElems)
+		}
+
+		ops, err := sim.CakeOps(cfg, eb, m, k, n)
+		if err != nil {
+			t.Fatal(err)
+		}
+		// A block's footprint is its C surface plus two generations of its A
+		// and B surfaces; every block of a K run shares the C surface that
+		// the run's last block writes back.
+		var macs, simAB, simC int64
+		run := 0
+		for i, op := range ops {
+			macs += op.MACs
+			if op.WriteC == 0 {
+				continue
+			}
+			simC += op.WriteC / eb
+			for _, r := range ops[run : i+1] {
+				simAB += (r.Footprint - op.WriteC) / 2 / eb
+			}
+			run = i + 1
+		}
+		if len(ops) != st.Blocks || simAB != ab || simC != st.UnpackCElems || macs != int64(m)*int64(k)*int64(n) {
+			t.Fatalf("%v: sim %d blocks, A+B %d, C %d, %d MACs; executor %d blocks, A+B %d, C %d",
+				cfg, len(ops), simAB, simC, macs, st.Blocks, ab, st.UnpackCElems)
+		}
+
+		// At unit granularity every trace access is one element. A block
+		// starts with its A sub-blocks, and each C element is written back
+		// once however many blocks accumulate into it.
+		var traceBlocks int
+		var traceAB int64
+		cKeys := map[memtrace.Key]bool{}
+		prev := memtrace.SurfC
+		err = memtrace.Cake(m, k, n, cfg, 1, eb, func(acc memtrace.Access) {
+			switch acc.Key.Surf {
+			case memtrace.SurfA:
+				if prev != memtrace.SurfA {
+					traceBlocks++
+				}
+				traceAB += acc.Bytes / eb
+			case memtrace.SurfB:
+				traceAB += acc.Bytes / eb
+			case memtrace.SurfC:
+				cKeys[acc.Key] = true
+			}
+			prev = acc.Key.Surf
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if traceBlocks != st.Blocks || traceAB != ab || int64(len(cKeys)) != st.UnpackCElems {
+			t.Fatalf("%v: trace %d blocks, A+B %d, C %d; executor %d blocks, A+B %d, C %d",
+				cfg, traceBlocks, traceAB, len(cKeys), st.Blocks, ab, st.UnpackCElems)
+		}
 	}
 }

@@ -134,14 +134,13 @@ func WithTrace(rec *obs.Recorder) Option { return func(o *execOptions) { o.rec =
 // pool and packing buffers across calls (the drop-in-library usage of
 // Section 5: one executor per process, many multiplications).
 type Executor[T matrix.Scalar] struct {
-	cfg        Config
-	bm, bk, bn int // cfg.BlockDims(), fixed with the config
-	kern       kernel.Kernel[T]
-	pool       *pool.Pool
-	ownPool    bool
-	pipeline   bool
-	slots      int // packing-buffer slots per operand (1 in sync mode, ≥2 pipelined)
-	scratch    []*kernel.Scratch[T]
+	cfg      Config
+	kern     kernel.Kernel[T]
+	pool     *pool.Pool
+	ownPool  bool
+	pipeline bool
+	slots    int // packing-buffer slots per operand (1 in sync mode, ≥2 pipelined)
+	scratch  []*kernel.Scratch[T]
 
 	// Packing buffers, one ring of slots per operand. Sync mode repacks its
 	// one slot every block; the pipeline ping-pongs across slots and tracks
@@ -192,13 +191,13 @@ type Executor[T matrix.Scalar] struct {
 	sharedB ResidentB[T]
 
 	// The block loop's reusable state, so a call allocates nothing per
-	// block: the schedule buffer, the two-stage ring the pipeline alternates
-	// between, and the jobs, built once in NewExecutor, which read
+	// block: the call's block program, the two-stage ring the pipeline
+	// alternates between, and the jobs, built once in NewExecutor, which read
 	// the in-flight call's operands (c, a, b, beta), its computing block
 	// (cur, cBlock) and the block its fork packs (packing) from these
 	// fields. computing counts the computing block's unfinished compute
 	// units; the last one to finish stamps computedNs (see finishPack).
-	seq        []schedule.Coord
+	prog       Program
 	stages     [2]pipeStage
 	c, a, b    *matrix.Matrix[T]
 	beta       T
@@ -231,7 +230,6 @@ func NewExecutor[T matrix.Scalar](cfg Config, p *pool.Pool, opts ...Option) (*Ex
 		opt(&o)
 	}
 	e := &Executor[T]{cfg: cfg, kern: kernel.Best[T](cfg.MR, cfg.NR), pipeline: o.pipeline}
-	e.bm, e.bk, e.bn = cfg.BlockDims()
 	e.epoch = time.Now()
 	var zero T
 	e.elemBytes = int64(unsafe.Sizeof(zero))
@@ -350,16 +348,11 @@ func (e *Executor[T]) run(c, a, b *matrix.Matrix[T], m, k, n int, alpha, beta T)
 		return Stats{}, nil
 	}
 
-	order := e.cfg.Order
-	if order == OrderAuto {
-		order = schedule.OrderFor(m, n)
-	}
-	grid := gridFor(m, k, n, e.bm, e.bk, e.bn)
-	e.seq = schedule.AppendKFirst(e.seq[:0], grid, order)
+	e.prog.resolve(e.cfg, m, k, n)
 	e.grow(m, k, n)
 
-	st := Stats{Grid: grid, Order: order, Blocks: len(e.seq), Pipelined: e.pipeline}
-	e.runBlocks(&st, m, k, n)
+	st := Stats{Grid: e.prog.Grid, Order: e.prog.Order, Blocks: len(e.prog.Blocks), Pipelined: e.pipeline}
+	e.runBlocks(&st)
 	e.accountGemm(&st)
 	return st, nil
 }
@@ -385,21 +378,12 @@ func (e *Executor[T]) accountGemm(st *Stats) {
 		st.PackNanos, st.ComputeNanos, st.OverlapNanos)
 }
 
-// span returns the offset and clipped extent of block index idx.
-func span(idx, blockDim, total int) (off, eff int) {
-	off = idx * blockDim
-	eff = blockDim
-	if off+eff > total {
-		eff = total - off
-	}
-	return
-}
-
 // grow (re)allocates packing buffers for the worst-case block of an M×K×N
 // problem. Capacities are kept across calls; only growth reallocates.
 func (e *Executor[T]) grow(m, k, n int) {
 	// The packed sizes round bm and bn up to whole register panels.
-	bm, bk, bn := min(e.bm, m), min(e.bk, k), min(e.bn, n)
+	bm, bk, bn := e.cfg.BlockDims()
+	bm, bk, bn = min(bm, m), min(bk, k), min(bn, n)
 	needA := packing.PackedASize(bm, bk, e.cfg.MR)
 	needB := packing.PackedBSize(bk, bn, e.cfg.NR)
 	if e.resB != nil {

@@ -26,7 +26,6 @@ import (
 	"repro/internal/matrix"
 	"repro/internal/obs"
 	"repro/internal/packing"
-	"repro/internal/schedule"
 )
 
 // panelKey identifies the logical sub-panel a packing-buffer slot holds
@@ -38,8 +37,8 @@ type panelKey struct {
 	valid              bool
 }
 
-func aKeyFor(b *blockSpan) panelKey { return panelKey{b.m0, b.mEff, b.k0, b.kEff, true} }
-func bKeyFor(b *blockSpan) panelKey { return panelKey{b.k0, b.kEff, b.n0, b.nEff, true} }
+func aKeyFor(b *Block) panelKey { return panelKey{b.M0, b.MEff, b.K0, b.KEff, true} }
+func bKeyFor(b *Block) panelKey { return panelKey{b.K0, b.KEff, b.N0, b.NEff, true} }
 
 // unitPanels is how many mr-row register panels one compute unit spans.
 // Units are what the granted workers claim, so a smaller unit balances
@@ -48,39 +47,13 @@ func bKeyFor(b *blockSpan) panelKey { return panelKey{b.k0, b.kEff, b.n0, b.nEff
 // (EXPERIMENTS.md).
 const unitPanels = 2
 
-// blockSpan is one scheduled CB block resolved to element coordinates, its
-// per-core pack strips (strips strips of strip rows) and its compute units
-// (units units of unit rows: unitPanels register panels).
-type blockSpan struct {
-	m0, mEff, k0, kEff, n0, nEff int
-	strip, strips                int
-	unit, units                  int
-	runStart, runEnd             bool
-	coord                        obs.Block // grid coordinates, for span recording
-}
-
-// spanFor resolves block i of seq for an m×k×n call into b.
-func (e *Executor[T]) spanFor(b *blockSpan, seq []schedule.Coord, i, m, k, n int) {
-	cur := seq[i]
-	b.m0, b.mEff = span(cur.M, e.bm, m)
-	b.k0, b.kEff = span(cur.K, e.bk, k)
-	b.n0, b.nEff = span(cur.N, e.bn, n)
-	b.strip = e.cfg.stripRows(b.mEff)
-	b.strips = ceilDiv(b.mEff, b.strip)
-	b.unit = unitPanels * e.cfg.MR
-	b.units = ceilDiv(b.mEff, b.unit)
-	b.runStart = i == 0 || seq[i-1].M != cur.M || seq[i-1].N != cur.N
-	b.runEnd = i == len(seq)-1 || seq[i+1].M != cur.M || seq[i+1].N != cur.N
-	b.coord = obs.Block{M: int32(cur.M), K: int32(cur.K), N: int32(cur.N)}
-}
-
 // pipeStage is one block in flight through the pipeline: which slots hold
 // its packed panels, whether each panel was freshly packed or reused, its
 // pack units, and timestamps for the overlap accounting. The executor keeps
 // a ring of two — the block computing and the block packing behind it in
 // the same fork — so a call allocates no stages.
 type pipeStage struct {
-	blk              blockSpan
+	blk              *Block // the block of the call's program
 	aSlot, bSlot     int
 	packedA, packedB bool // false → panel reused, no pack ran
 	aUnits, units    int  // pack units: [0, aUnits) pack A, [aUnits, units) B
@@ -143,7 +116,7 @@ func claimSlot(keys []panelKey, ticks []int64, clock *int64, key panelKey, busy 
 // when none is). Sync mode claims with the invalid key, which never matches
 // a slot, so it packs every panel of every block.
 func (e *Executor[T]) claimPanels(s *pipeStage, busyA, busyB int) {
-	blk := &s.blk
+	blk := s.blk
 	aKey, bKey := aKeyFor(blk), bKeyFor(blk)
 	if !e.pipeline {
 		aKey, bKey = panelKey{}, panelKey{}
@@ -180,35 +153,35 @@ func (e *Executor[T]) packItem(worker, u int) {
 	u0 := e.now()
 	var elems int64
 	if u < s.aUnits {
-		elems = e.packAUnit(e.packA[s.aSlot], e.a, &s.blk, u)
+		elems = e.packAUnit(e.packA[s.aSlot], e.a, s.blk, u)
 	} else {
-		elems = e.packBUnit(e.packB[s.bSlot], e.b, &s.blk, u-s.aUnits)
+		elems = e.packBUnit(e.packB[s.bSlot], e.b, s.blk, u-s.aUnits)
 	}
-	e.span(worker, obs.PhasePack, s.blk.coord, u0, elems*e.elemBytes)
+	e.span(worker, obs.PhasePack, s.blk.span(), u0, elems*e.elemBytes)
 }
 
 // packAUnit packs core strip u of the block's A panel into dst at the
 // offsets computeStage reads, so units may run in any order on any worker.
 // Returns the elements moved, for span accounting.
-func (e *Executor[T]) packAUnit(dst []T, a *matrix.Matrix[T], blk *blockSpan, u int) int64 {
+func (e *Executor[T]) packAUnit(dst []T, a *matrix.Matrix[T], blk *Block, u int) int64 {
 	r0 := u * blk.strip
-	rows := min(blk.strip, blk.mEff-r0)
-	e.packASlice(dst[r0*blk.kEff:], a, blk.m0+r0, rows, blk.k0, blk.kEff)
-	return int64(rows) * int64(blk.kEff)
+	rows := min(blk.strip, blk.MEff-r0)
+	e.packASlice(dst[r0*blk.KEff:], a, blk.M0+r0, rows, blk.K0, blk.KEff)
+	return int64(rows) * int64(blk.KEff)
 }
 
 // packBUnits returns how many parallel units pack the block's B panel: the
 // shared panel, chunked by columns.
-func (e *Executor[T]) packBUnits(blk *blockSpan) int {
-	return min(e.cfg.Cores, ceilDiv(blk.nEff, e.cfg.NR))
+func (e *Executor[T]) packBUnits(blk *Block) int {
+	return min(e.cfg.Cores, ceilDiv(blk.NEff, e.cfg.NR))
 }
 
 // packBUnit packs column chunk u of the block's B panel into dst at the
 // offset bPanels reads it from. Returns the elements moved, for span
 // accounting.
-func (e *Executor[T]) packBUnit(dst []T, b *matrix.Matrix[T], blk *blockSpan, u int) int64 {
+func (e *Executor[T]) packBUnit(dst []T, b *matrix.Matrix[T], blk *Block, u int) int64 {
 	nr := e.cfg.NR
-	panels := ceilDiv(blk.nEff, nr)
+	panels := ceilDiv(blk.NEff, nr)
 	perChunk := ceilDiv(panels, min(e.cfg.Cores, panels))
 	p0 := u * perChunk
 	pn := min(perChunk, panels-p0)
@@ -216,10 +189,10 @@ func (e *Executor[T]) packBUnit(dst []T, b *matrix.Matrix[T], blk *blockSpan, u 
 		return 0
 	}
 	c0 := p0 * nr
-	cols := min(pn*nr, blk.nEff-c0)
+	cols := min(pn*nr, blk.NEff-c0)
 	off, end := e.blockSlabs(blk).Span(0, c0, cols)
-	e.packBSlice(dst[off:end], b, blk.k0, blk.kEff, blk.n0+c0, cols)
-	return int64(blk.kEff) * int64(cols)
+	e.packBSlice(dst[off:end], b, blk.K0, blk.KEff, blk.N0+c0, cols)
+	return int64(blk.KEff) * int64(cols)
 }
 
 // computeStage runs the block's macro-kernels out of the stage's packed
@@ -276,17 +249,18 @@ func (e *Executor[T]) blockItem(worker, u int) {
 func (e *Executor[T]) computeItem(worker, ui int) {
 	u0 := e.now()
 	s := e.cur
-	blk := &s.blk
+	blk := s.blk
 	aBuf := e.packA[s.aSlot]
 	// Units start on register-panel boundaries, and the packed A panels lay
 	// out panel after panel (pack strips are mr-aligned), so a unit's A
 	// panels begin at its first row times the depth; bPanels does the same
 	// for B, from the pack slot or the resident image.
-	r0 := ui * blk.unit
-	rows := min(blk.unit, blk.mEff-r0)
-	ap := aBuf[r0*blk.kEff : r0*blk.kEff+packing.PackedASize(rows, blk.kEff, e.cfg.MR)]
-	packing.Macro(e.kern, blk.kEff, ap, e.bPanels(s), e.blockRows(r0, rows), e.scratch[worker])
-	e.span(worker, obs.PhaseCompute, blk.coord, u0, 0)
+	unit := unitPanels * e.cfg.MR
+	r0 := ui * unit
+	rows := min(unit, blk.MEff-r0)
+	ap := aBuf[r0*blk.KEff : r0*blk.KEff+packing.PackedASize(rows, blk.KEff, e.cfg.MR)]
+	packing.Macro(e.kern, blk.KEff, ap, e.bPanels(s), e.blockRows(r0, rows), e.scratch[worker])
+	e.span(worker, obs.PhaseCompute, blk.span(), u0, 0)
 }
 
 // finishPack accounts a packed stage's pack/reuse/overlap statistics. A
@@ -296,23 +270,23 @@ func (e *Executor[T]) computeItem(worker, ui int) {
 // computeEnd moves from the fork's ComputeNanos to PackNanos. A pack on the
 // caller's own fork (computeEnd 0) is timed by the caller's block clock.
 func (e *Executor[T]) finishPack(s *pipeStage, st *Stats, computeStart, computeEnd int64) {
-	aElems := int64(s.blk.mEff) * int64(s.blk.kEff)
-	bElems := int64(s.blk.kEff) * int64(s.blk.nEff)
+	aElems := int64(s.blk.MEff) * int64(s.blk.KEff)
+	bElems := int64(s.blk.KEff) * int64(s.blk.NEff)
 	if s.packedA {
 		st.PackedAElems += aElems
 	} else {
 		st.ReusedAElems += aElems
-		e.reuseEvent(s.blk.coord, aElems)
+		e.reuseEvent(s.blk.span(), aElems)
 	}
 	switch {
 	case s.packedB:
 		st.PackedBElems += bElems
 	case e.resB != nil:
 		st.ResidentBElems += bElems
-		e.reuseEvent(s.blk.coord, bElems)
+		e.reuseEvent(s.blk.span(), bElems)
 	default:
 		st.ReusedBElems += bElems
-		e.reuseEvent(s.blk.coord, bElems)
+		e.reuseEvent(s.blk.span(), bElems)
 	}
 	start, done := s.startNs.Load(), s.doneNs.Load()
 	if computeEnd == 0 || start == 0 || done <= start {
@@ -335,7 +309,7 @@ func (e *Executor[T]) reuseEvent(blk obs.Block, elems int64) {
 	})
 }
 
-// runBlocks executes the call's block schedule, e.seq, the one block loop
+// runBlocks executes the call's block program, e.prog, the one block loop
 // of both modes. Pipelined it is a software pipeline: the prologue packs
 // block 0 on its own fork, then block i's compute fork also packs block
 // i+1 (see computeStage). Sync mode packs each block on its own fork just
@@ -343,33 +317,33 @@ func (e *Executor[T]) reuseEvent(blk obs.Block, elems int64) {
 // run end) runs on forks of its own either way — it is cheap, and the
 // resident partial-C buffer is shared by every block of a K run so it
 // cannot ping-pong.
-func (e *Executor[T]) runBlocks(st *Stats, m, k, n int) {
-	seq := e.seq
+func (e *Executor[T]) runBlocks(st *Stats) {
+	blocks := e.prog.Blocks
 	e.invalidateSlots()
 	// One monotonic clock read per phase boundary (see sinceEpoch). Pack
 	// time on the caller runs from the block's start — its slot claims and
 	// any pack fork of its own — to the compute start, so it holds that
 	// pack and the C zeroing; the unpack adds its own window.
-	for i := range seq {
+	for i := range blocks {
 		cur := &e.stages[i%2]
 		t0 := e.sinceEpoch()
 		if i == 0 || !e.pipeline {
-			e.spanFor(&cur.blk, seq, i, m, k, n)
+			cur.blk = &blocks[i]
 			e.claimPanels(cur, -1, -1)
 			e.packing = cur
 			e.fork(e.packCtx, cur.units, e.packJob)
 			e.finishPack(cur, st, 0, 0)
 		}
-		blk := &cur.blk
+		blk := cur.blk
 		var next *pipeStage
-		if e.pipeline && i+1 < len(seq) {
+		if e.pipeline && i+1 < len(blocks) {
 			next = &e.stages[(i+1)%2]
-			e.spanFor(&next.blk, seq, i+1, m, k, n)
+			next.blk = &blocks[i+1]
 			e.claimPanels(next, cur.aSlot, cur.bSlot)
 		}
-		e.cBlock = matrix.Matrix[T]{Rows: blk.mEff, Cols: blk.nEff, Stride: blk.nEff, Data: e.bufC[:blk.mEff*blk.nEff]}
-		if blk.runStart {
-			e.fork(e.moveCtx, e.rowChunks(blk.mEff), e.zeroJob)
+		e.cBlock = matrix.Matrix[T]{Rows: blk.MEff, Cols: blk.NEff, Stride: blk.NEff, Data: e.bufC[:blk.MEff*blk.NEff]}
+		if blk.RunStart {
+			e.fork(e.moveCtx, e.rowChunks(blk.MEff), e.zeroJob)
 		}
 		c0 := e.sinceEpoch()
 		st.PackNanos += c0 - t0
@@ -379,10 +353,10 @@ func (e *Executor[T]) runBlocks(st *Stats, m, k, n int) {
 		if next != nil {
 			e.finishPack(next, st, c0, e.computedNs.Load())
 		}
-		if blk.runEnd {
-			e.fork(e.moveCtx, e.rowChunks(blk.mEff), e.unpackJob)
+		if blk.RunEnd {
+			e.fork(e.moveCtx, e.rowChunks(blk.MEff), e.unpackJob)
 			st.PackNanos += e.sinceEpoch() - cEnd
-			st.UnpackCElems += int64(blk.mEff) * int64(blk.nEff)
+			st.UnpackCElems += int64(blk.MEff) * int64(blk.NEff)
 		}
 	}
 }
@@ -408,8 +382,8 @@ func (e *Executor[T]) blockRows(r0, rows int) *matrix.Matrix[T] {
 // recorded as an unpack span carrying 2× the chunk's bytes.
 func (e *Executor[T]) unpackItem(worker, ch int) {
 	u0 := e.now()
-	blk := &e.cur.blk
-	r0, rows := chunkSpan(ch, e.rowChunks(blk.mEff), blk.mEff)
-	packing.AddInto(e.c.View(blk.m0+r0, blk.n0, rows, blk.nEff), e.blockRows(r0, rows))
-	e.span(worker, obs.PhaseUnpack, blk.coord, u0, 2*int64(rows)*int64(blk.nEff)*e.elemBytes)
+	blk := e.cur.blk
+	r0, rows := chunkSpan(ch, e.rowChunks(blk.MEff), blk.MEff)
+	packing.AddInto(e.c.View(blk.M0+r0, blk.N0, rows, blk.NEff), e.blockRows(r0, rows))
+	e.span(worker, obs.PhaseUnpack, blk.span(), u0, 2*int64(rows)*int64(blk.NEff)*e.elemBytes)
 }

@@ -93,12 +93,12 @@ func (rb *ResidentB[T]) CompatibleWith(cfg Config) error {
 // bPanels returns the packed B panels of stage s's whole block: from the
 // resident image when the call has one, else from the stage's packing slot.
 func (e *Executor[T]) bPanels(s *pipeStage) []T {
-	blk := &s.blk
+	blk := s.blk
 	if e.resB != nil {
-		off, end := e.resB.layout.Span(blk.k0, blk.n0, blk.nEff)
+		off, end := e.resB.layout.Span(blk.K0, blk.N0, blk.NEff)
 		return e.resB.data[off:end]
 	}
-	off, end := e.blockSlabs(blk).Span(0, 0, blk.nEff)
+	off, end := e.blockSlabs(blk).Span(0, 0, blk.NEff)
 	return e.packB[s.bSlot][off:end]
 }
 
@@ -106,6 +106,6 @@ func (e *Executor[T]) bPanels(s *pipeStage) []T {
 // as an operand of its own, in one slab as wide as the block, so the
 // packers (packBUnit) and compute (bPanels) share the resident image's
 // arithmetic.
-func (e *Executor[T]) blockSlabs(blk *blockSpan) packing.SlabLayout {
-	return packing.SlabLayout{K: blk.kEff, N: blk.nEff, Depth: e.cfg.KC, Width: blk.nEff, NR: e.cfg.NR}
+func (e *Executor[T]) blockSlabs(blk *Block) packing.SlabLayout {
+	return packing.SlabLayout{K: blk.KEff, N: blk.NEff, Depth: e.cfg.KC, Width: blk.NEff, NR: e.cfg.NR}
 }

@@ -7,7 +7,6 @@ import (
 
 	"repro/internal/matrix"
 	"repro/internal/packing"
-	"repro/internal/schedule"
 )
 
 // transpose returns a new matrix holding mᵀ.
@@ -332,15 +331,14 @@ func FuzzResidentLayout(f *testing.F) {
 		}
 		defer e.Close()
 		const m = 9
-		grid := cfg.GridFor(m, k, n)
-		seq := schedule.AppendKFirst(nil, grid, schedule.OuterN)
+		prog := cfg.Program(m, k, n)
 		e.resB = rb
 		s := &e.stages[0]
-		for i := range seq {
-			e.spanFor(&s.blk, seq, i, m, k, n)
-			blk := &s.blk
-			want := packing.PackB(make([]float64, packing.PackedBSize(blk.kEff, blk.nEff, cfg.NR)),
-				b.View(blk.k0, blk.n0, blk.kEff, blk.nEff), cfg.NR)
+		for i := range prog.Blocks {
+			blk := &prog.Blocks[i]
+			s.blk = blk
+			want := packing.PackB(make([]float64, packing.PackedBSize(blk.KEff, blk.NEff, cfg.NR)),
+				b.View(blk.K0, blk.N0, blk.KEff, blk.NEff), cfg.NR)
 			got := e.bPanels(s)
 			if len(got) != len(want) {
 				t.Fatalf("%v block %+v: %d panel elements, want %d", cfg, *blk, len(got), len(want))

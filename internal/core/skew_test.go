@@ -9,7 +9,6 @@ import (
 	"repro/internal/matrix"
 	"repro/internal/obs"
 	"repro/internal/pool"
-	"repro/internal/schedule"
 )
 
 // TestSkewedClaimBitExact: the granted workers claim a block's compute
@@ -159,8 +158,9 @@ func TestClaimOrderPacksAfterCompute(t *testing.T) {
 				}
 			}
 			checked := 0
-			for i := 1; i < len(ex.seq); i++ {
-				prev, cur := blockOf(ex.seq[i-1]), blockOf(ex.seq[i])
+			blocks := ex.prog.Blocks
+			for i := 1; i < len(blocks); i++ {
+				prev, cur := blocks[i-1].span(), blocks[i].span()
 				start, packed := packStart[cur]
 				if !packed {
 					continue // every panel reused: nothing packed ahead
@@ -177,11 +177,6 @@ func TestClaimOrderPacksAfterCompute(t *testing.T) {
 		}
 		ex.Close()
 	}
-}
-
-// blockOf returns the span coordinates of schedule entry c.
-func blockOf(c schedule.Coord) obs.Block {
-	return obs.Block{M: int32(c.M), K: int32(c.K), N: int32(c.N)}
 }
 
 // holdWorker parks pool worker target in a blocking fork, run from a side

@@ -165,11 +165,7 @@ func SimCake(pl *platform.Platform, p, m, k, n int) (sim.Metrics, core.Config, e
 	if err != nil {
 		return sim.Metrics{}, core.Config{}, err
 	}
-	w := sim.CakeWorkload{
-		P: p, MC: cfg.MC, KC: cfg.KC, Alpha: cfg.Alpha,
-		MR: cfg.MR, NR: cfg.NR, ElemBytes: elemBytes,
-	}
-	ops, err := sim.CakeOps(w, m, k, n)
+	ops, err := sim.CakeOps(cfg, elemBytes, m, k, n)
 	if err != nil {
 		return sim.Metrics{}, core.Config{}, err
 	}
@@ -183,11 +179,7 @@ func SimGoto(pl *platform.Platform, p, m, k, n int) (sim.Metrics, gotoalg.Config
 	if err != nil {
 		return sim.Metrics{}, gotoalg.Config{}, err
 	}
-	w := sim.GotoWorkload{
-		P: p, MC: cfg.MC, KC: cfg.KC, NC: cfg.NC,
-		MR: cfg.MR, NR: cfg.NR, ElemBytes: elemBytes,
-	}
-	ops, err := sim.GotoOps(w, m, k, n)
+	ops, err := sim.GotoOps(cfg, elemBytes, m, k, n)
 	if err != nil {
 		return sim.Metrics{}, gotoalg.Config{}, err
 	}

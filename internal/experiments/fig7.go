@@ -6,6 +6,8 @@ import (
 	"strings"
 
 	"repro/internal/cachesim"
+	"repro/internal/core"
+	"repro/internal/gotoalg"
 	"repro/internal/memtrace"
 	"repro/internal/platform"
 )
@@ -121,7 +123,7 @@ func Fig7b(pl *platform.Platform, size int) (*Bars, error) {
 	gotoDRAM := float64(gm.DRAMReadBytes+gm.DRAMWriteBytes) / lineBytes
 
 	// Cross-check the simulator's DRAM traffic with the exact-LRU trace.
-	if err := crossCheckLRU(pl, size, ccfg.Cores, ccfg.MC, ccfg.Alpha, gcfg.MC, gcfg.NC); err != nil {
+	if err := crossCheckLRU(pl, size, ccfg, gcfg); err != nil {
 		return nil, err
 	}
 
@@ -149,20 +151,20 @@ func Fig7b(pl *platform.Platform, size int) (*Bars, error) {
 // crossCheckLRU validates the block-level simulator's DRAM accounting
 // against the exact LRU cache model driven by the schedules' tile traces:
 // the CAKE-vs-GOTO traffic ratio must agree in direction (GOTO ≥ CAKE).
-func crossCheckLRU(pl *platform.Platform, size, p, cakeMC int, alpha float64, gotoMC, gotoNC int) error {
+func crossCheckLRU(pl *platform.Platform, size int, ccfg core.Config, gcfg gotoalg.Config) error {
 	// Sub-tile granularity must divide the block sides so chunks align with
 	// block boundaries; both planners emit multiples of the register tile.
 	gran := 8
 	hc := cachesim.NewHierarchy[memtrace.Key]([]string{"LLC"}, []int64{pl.LLCBytes})
 	rc, err := memtrace.Run(func(e memtrace.Emit) error {
-		return memtrace.Cake(size, size, size, memtrace.CakeParams{P: p, MC: cakeMC, Alpha: alpha}, gran, elemBytes, e)
+		return memtrace.Cake(size, size, size, ccfg, gran, elemBytes, e)
 	}, hc)
 	if err != nil {
 		return err
 	}
 	hg := cachesim.NewHierarchy[memtrace.Key]([]string{"LLC"}, []int64{pl.LLCBytes})
 	rg, err := memtrace.Run(func(e memtrace.Emit) error {
-		return memtrace.Goto(size, size, size, memtrace.GotoParams{MC: gotoMC, NC: gotoNC}, gran, elemBytes, e)
+		return memtrace.Goto(size, size, size, gcfg, gran, elemBytes, e)
 	}, hg)
 	if err != nil {
 		return err

@@ -16,8 +16,8 @@ package gridsim
 import (
 	"fmt"
 
+	"repro/internal/core"
 	"repro/internal/matrix"
-	"repro/internal/schedule"
 )
 
 // Config shapes the grid and its CB blocks: the grid has p·k × k cores
@@ -45,12 +45,11 @@ func (c Config) Validate() error {
 // the number of cores").
 func (c Config) Cores() int { return c.P * c.K * c.K }
 
-// BlockDims returns the CB block extents in tiles.
-func (c Config) BlockDims() (m, k, n int) {
-	m = c.P * c.K
-	k = c.K
-	n = int(c.Alpha * float64(m))
-	return
+// CB returns the CB block configuration the grid runs: one tile per
+// register tile, p cores of k-row strips, so its blocks are
+// p·k × k × α·p·k tiles (Config.BlockDims of the result).
+func (c Config) CB() core.Config {
+	return core.Config{Cores: c.P, MC: c.K, KC: c.K, Alpha: c.Alpha, MR: 1, NR: 1, Order: core.OrderAuto}
 }
 
 // Metrics meters a run in the paper's tile units.
@@ -92,11 +91,8 @@ func Multiply(cfg Config, a, b *matrix.Matrix[float64]) (*matrix.Matrix[float64]
 		return nil, Metrics{}, fmt.Errorf("gridsim: inner dims %d vs %d", a.Cols, b.Rows)
 	}
 	mDim, kDim, nDim := a.Rows, a.Cols, b.Cols
-	bm, bk, bn := cfg.BlockDims()
-	grid := schedule.Dims{
-		Mb: ceilDiv(mDim, bm), Nb: ceilDiv(nDim, bn), Kb: ceilDiv(kDim, bk),
-	}
-	seq := schedule.KFirst(grid, schedule.OrderFor(mDim, nDim))
+	cb := cfg.CB()
+	bm, bk, bn := cb.BlockDims()
 
 	c := matrix.New[float64](mDim, nDim)
 	// The grid's stationary A register file and the local (resident) C
@@ -105,28 +101,22 @@ func Multiply(cfg Config, a, b *matrix.Matrix[float64]) (*matrix.Matrix[float64]
 	cLocal := matrix.New[float64](bm, bn)
 
 	var met Metrics
-	for i, cur := range seq {
-		m0, mEff := clip(cur.M, bm, mDim)
-		k0, kEff := clip(cur.K, bk, kDim)
-		n0, nEff := clip(cur.N, bn, nDim)
-		aShared, bShared := false, false
-		if i > 0 {
-			aShared, bShared, _ = schedule.Shared(seq[i-1], cur)
-		}
-		runStart := i == 0 || seq[i-1].M != cur.M || seq[i-1].N != cur.N
-		runEnd := i == len(seq)-1 || seq[i+1].M != cur.M || seq[i+1].N != cur.N
+	for _, blk := range cb.Program(mDim, kDim, nDim).Blocks {
+		m0, mEff := blk.M0, blk.MEff
+		k0, kEff := blk.K0, blk.KEff
+		n0, nEff := blk.N0, blk.NEff
 
 		// Load phase: each core receives its stationary A tile (reused
 		// across the N step when the schedule preserves the surface).
-		if !aShared {
+		if !blk.SharesA {
 			aTiles.Zero()
 			aTiles.View(0, 0, mEff, kEff).CopyFrom(a.View(m0, k0, mEff, kEff))
 			met.ExtInTiles += int64(mEff) * int64(kEff)
 		}
-		if !bShared {
+		if !blk.SharesB {
 			met.ExtInTiles += int64(kEff) * int64(nEff)
 		}
-		if runStart {
+		if blk.RunStart {
 			cLocal.Zero()
 		}
 
@@ -155,7 +145,7 @@ func Multiply(cfg Config, a, b *matrix.Matrix[float64]) (*matrix.Matrix[float64]
 
 		// Retire phase: completed results leave for external memory once
 		// per C surface (partials never travel, Section 2.2).
-		if runEnd {
+		if blk.RunEnd {
 			cv := c.View(m0, n0, mEff, nEff)
 			for i2 := 0; i2 < mEff; i2++ {
 				crow := cv.Row(i2)
@@ -166,12 +156,4 @@ func Multiply(cfg Config, a, b *matrix.Matrix[float64]) (*matrix.Matrix[float64]
 		}
 	}
 	return c, met, nil
-}
-
-func ceilDiv(a, b int) int { return (a + b - 1) / b }
-
-func clip(idx, block, total int) (off, eff int) {
-	off = idx * block
-	eff = min(block, total-off)
-	return
 }

@@ -26,7 +26,7 @@ func TestConfigGeometry(t *testing.T) {
 	if c.Cores() != 32 {
 		t.Fatalf("cores %d want p·k² = 32", c.Cores())
 	}
-	m, k, n := c.BlockDims()
+	m, k, n := c.CB().BlockDims()
 	if m != 8 || k != 4 || n != 16 {
 		t.Fatalf("block %dx%dx%d", m, k, n)
 	}
@@ -88,7 +88,7 @@ func TestMultiplyRejectsBadInput(t *testing.T) {
 // exactProblem builds a problem that tiles the CB grid exactly so the
 // metered bandwidths hit the closed forms with no edge effects.
 func exactProblem(cfg Config, mb, nb, kb int) (a, b *matrix.Matrix[float64]) {
-	bm, bk, bn := cfg.BlockDims()
+	bm, bk, bn := cfg.CB().BlockDims()
 	rng := rand.New(rand.NewSource(7))
 	a = matrix.New[float64](mb*bm, kb*bk)
 	b = matrix.New[float64](kb*bk, nb*bn)

@@ -229,20 +229,6 @@ func (m *Matrix[T]) AlmostEqual(o *Matrix[T], k int, tol float64) bool {
 	return m.MaxAbsDiff(o) <= tol*float64(k)
 }
 
-// FrobeniusNorm returns sqrt(sum m[i,j]^2).
-func (m *Matrix[T]) FrobeniusNorm() float64 {
-	var s float64
-	for i := 0; i < m.Rows; i++ {
-		for _, v := range m.Row(i) {
-			s += float64(v) * float64(v)
-		}
-	}
-	return math.Sqrt(s)
-}
-
-// IsCompact reports whether m occupies contiguous storage.
-func (m *Matrix[T]) IsCompact() bool { return m.Stride == m.Cols || m.Rows <= 1 }
-
 // String renders small matrices for debugging; large ones are summarised.
 func (m *Matrix[T]) String() string {
 	if m.Rows*m.Cols > 64 {

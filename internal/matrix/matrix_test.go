@@ -121,8 +121,8 @@ func TestCloneOfViewIsCompact(t *testing.T) {
 	m.FillFunc(func(i, j int) float64 { return float64(i*10 + j) })
 	v := m.View(1, 2, 2, 3)
 	c := v.Clone()
-	if !c.IsCompact() {
-		t.Fatal("clone of view should be compact")
+	if c.Stride != c.Cols {
+		t.Fatalf("clone of view has stride %d, want its %d columns", c.Stride, c.Cols)
 	}
 	if c.At(1, 2) != m.At(2, 4) {
 		t.Fatal("clone of view has wrong content")
@@ -207,13 +207,6 @@ func TestMaxAbsDiff(t *testing.T) {
 	}
 }
 
-func TestFrobeniusNorm(t *testing.T) {
-	m := FromSlice(1, 2, []float64{3, 4})
-	if n := m.FrobeniusNorm(); n != 5 {
-		t.Fatalf("norm=%v want 5", n)
-	}
-}
-
 func TestStringSmallAndLarge(t *testing.T) {
 	small := New[float32](2, 2)
 	if !strings.Contains(small.String(), "Matrix[2x2]") {
@@ -234,19 +227,6 @@ func TestRowAliases(t *testing.T) {
 	}
 	if len(r) != 4 {
 		t.Fatalf("Row length %d want 4", len(r))
-	}
-}
-
-func TestIsCompact(t *testing.T) {
-	m := New[float32](3, 4)
-	if !m.IsCompact() {
-		t.Fatal("fresh matrix should be compact")
-	}
-	if m.View(0, 0, 3, 2).IsCompact() {
-		t.Fatal("interior view should not be compact")
-	}
-	if !m.View(1, 0, 1, 2).IsCompact() {
-		t.Fatal("single-row view counts as compact")
 	}
 }
 

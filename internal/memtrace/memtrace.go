@@ -14,7 +14,8 @@ import (
 	"fmt"
 
 	"repro/internal/cachesim"
-	"repro/internal/schedule"
+	"repro/internal/core"
+	"repro/internal/gotoalg"
 )
 
 // Surface identifies an operand surface.
@@ -52,19 +53,6 @@ type Access struct {
 
 // Emit receives trace events in execution order.
 type Emit func(Access)
-
-// CakeParams describes the CAKE execution whose trace is generated.
-type CakeParams struct {
-	P     int     // cores
-	MC    int     // per-core block side (mc = kc)
-	Alpha float64 // CB aspect factor
-}
-
-// GotoParams describes the GOTO execution whose trace is generated.
-type GotoParams struct {
-	MC int // = kc, square A block
-	NC int // B panel width
-}
 
 // Trace geometry shared by both generators.
 type geom struct {
@@ -104,27 +92,22 @@ func (g geom) forChunks(surf Surface, r0, r1, c0, c1, rows, cols int, write bool
 	}
 }
 
-// Cake streams the LLC-level access trace of a CAKE GEMM: K-first block
-// schedule, per block one pass over the A and B surfaces and a
-// read-modify-write pass over the resident C surface (Figure 6b).
-func Cake(m, k, n int, p CakeParams, gran, elemBytes int, emit Emit) error {
+// Cake streams the LLC-level access trace of a CAKE GEMM under cfg: its
+// block program (the blocks the executor runs, in K-first order), per block
+// one pass over the A and B surfaces and a read-modify-write pass over the
+// resident C surface (Figure 6b).
+func Cake(m, k, n int, cfg core.Config, gran, elemBytes int, emit Emit) error {
 	g := geom{m: m, k: k, n: n, gran: gran, elemBytes: elemBytes}
 	if err := g.check(); err != nil {
 		return err
 	}
-	if p.P < 1 || p.MC < 1 || p.Alpha < 1 {
-		return fmt.Errorf("memtrace: invalid CAKE params %+v", p)
+	if err := cfg.Validate(); err != nil {
+		return fmt.Errorf("memtrace: %w", err)
 	}
-	bm := p.P * p.MC
-	bk := p.MC
-	bn := int(p.Alpha * float64(bm))
-	grid := schedule.Dims{
-		Mb: ceilDiv(m, bm), Nb: ceilDiv(n, bn), Kb: ceilDiv(k, bk),
-	}
-	schedule.Walk(grid, schedule.OrderFor(m, n), func(c schedule.Coord) {
-		m0, m1 := clip(c.M, bm, m)
-		k0, k1 := clip(c.K, bk, k)
-		n0, n1 := clip(c.N, bn, n)
+	for _, b := range cfg.Program(m, k, n).Blocks {
+		m0, m1 := b.M0, b.M0+b.MEff
+		k0, k1 := b.K0, b.K0+b.KEff
+		n0, n1 := b.N0, b.N0+b.NEff
 		// A sub-blocks loaded onto the cores.
 		g.forChunks(SurfA, m0, m1, k0, k1, m, k, false, emit)
 		// B panel broadcast, interleaved with C accumulate traffic: the
@@ -138,30 +121,29 @@ func Cake(m, k, n int, p CakeParams, gran, elemBytes int, emit Emit) error {
 				emit(Access{Key: Key{SurfC, ri, ci}, Bytes: g.chunkBytes(ri, ci, m, n), Write: true})
 			}
 		}
-	})
+	}
 	return nil
 }
 
-// Goto streams the LLC-level access trace of a GOTO GEMM: the five-loop
-// schedule of Figure 5 — B panel per (jc, pc), per-core A blocks, and the
-// defining partial-result streaming of C once per pc iteration.
-func Goto(m, k, n int, p GotoParams, gran, elemBytes int, emit Emit) error {
+// Goto streams the LLC-level access trace of a GOTO GEMM under cfg: the
+// five-loop schedule of Figure 5 — B panel per (jc, pc), per-core A blocks,
+// and the defining partial-result streaming of C once per pc iteration.
+func Goto(m, k, n int, cfg gotoalg.Config, gran, elemBytes int, emit Emit) error {
 	g := geom{m: m, k: k, n: n, gran: gran, elemBytes: elemBytes}
 	if err := g.check(); err != nil {
 		return err
 	}
-	if p.MC < 1 || p.NC < 1 {
-		return fmt.Errorf("memtrace: invalid GOTO params %+v", p)
+	if err := cfg.Validate(); err != nil {
+		return fmt.Errorf("memtrace: %w", err)
 	}
-	kc := p.MC
-	for jc := 0; jc < n; jc += p.NC {
-		n1 := min(jc+p.NC, n)
-		for pc := 0; pc < k; pc += kc {
-			k1 := min(pc+kc, k)
+	for jc := 0; jc < n; jc += cfg.NC {
+		n1 := min(jc+cfg.NC, n)
+		for pc := 0; pc < k; pc += cfg.KC {
+			k1 := min(pc+cfg.KC, k)
 			// B panel into the LLC.
 			g.forChunks(SurfB, pc, k1, jc, n1, k, n, false, emit)
-			for ic := 0; ic < m; ic += p.MC {
-				m1 := min(ic+p.MC, m)
+			for ic := 0; ic < m; ic += cfg.MC {
+				m1 := min(ic+cfg.MC, m)
 				// Core's A block.
 				g.forChunks(SurfA, ic, m1, pc, k1, m, k, false, emit)
 				// Partial C slab streamed (read-modify-write).
@@ -261,9 +243,3 @@ func ProfileKernel(m, k, n, mr, nr, kc int) KernelProfile {
 }
 
 func ceilDiv(a, b int) int { return (a + b - 1) / b }
-
-func clip(idx, block, total int) (lo, hi int) {
-	lo = idx * block
-	hi = min(lo+block, total)
-	return
-}

@@ -4,6 +4,8 @@ import (
 	"testing"
 
 	"repro/internal/cachesim"
+	"repro/internal/core"
+	"repro/internal/gotoalg"
 )
 
 func collect(t *testing.T, trace func(Emit) error) []Access {
@@ -15,12 +17,22 @@ func collect(t *testing.T, trace func(Emit) error) []Access {
 	return out
 }
 
-func cakeTrace(m, k, n int, p CakeParams, gran int) func(Emit) error {
-	return func(e Emit) error { return Cake(m, k, n, p, gran, 4, e) }
+func cakeTrace(m, k, n int, cfg core.Config, gran int) func(Emit) error {
+	return func(e Emit) error { return Cake(m, k, n, cfg, gran, 4, e) }
 }
 
-func gotoTrace(m, k, n int, p GotoParams, gran int) func(Emit) error {
-	return func(e Emit) error { return Goto(m, k, n, p, gran, 4, e) }
+func gotoTrace(m, k, n int, cfg gotoalg.Config, gran int) func(Emit) error {
+	return func(e Emit) error { return Goto(m, k, n, cfg, gran, 4, e) }
+}
+
+// cakeCfg is a square-block CAKE config: p cores, mc = kc, α = 1.
+func cakeCfg(p, mc int) core.Config {
+	return core.Config{Cores: p, MC: mc, KC: mc, Alpha: 1, MR: 8, NR: 8, Order: core.OrderAuto}
+}
+
+// gotoCfg is a one-core GOTO config with a square mc×mc A block.
+func gotoCfg(mc, nc int) gotoalg.Config {
+	return gotoalg.Config{Cores: 1, MC: mc, KC: mc, NC: nc, MR: 8, NR: 8}
 }
 
 func sumBySurface(acc []Access) map[Surface]int64 {
@@ -34,7 +46,7 @@ func sumBySurface(acc []Access) map[Surface]int64 {
 func TestCakeTraceCoversAllSurfacesOnce(t *testing.T) {
 	// One CB block covering the whole problem: every chunk of A, B touched
 	// once; C chunks touched once per (block, column sweep).
-	acc := collect(t, cakeTrace(32, 16, 32, CakeParams{P: 2, MC: 16, Alpha: 1}, 16))
+	acc := collect(t, cakeTrace(32, 16, 32, cakeCfg(2, 16), 16))
 	bytes := sumBySurface(acc)
 	if bytes[SurfA] != 32*16*4 {
 		t.Fatalf("A bytes %d", bytes[SurfA])
@@ -54,7 +66,7 @@ func TestCakeTraceCoversAllSurfacesOnce(t *testing.T) {
 
 func TestCakeTraceEdgeChunks(t *testing.T) {
 	// Non-multiple dims: total bytes still exactly cover each surface pass.
-	acc := collect(t, cakeTrace(33, 17, 35, CakeParams{P: 2, MC: 16, Alpha: 1}, 16))
+	acc := collect(t, cakeTrace(33, 17, 35, cakeCfg(2, 16), 16))
 	bytes := sumBySurface(acc)
 	// Grid: Mb=ceil(33/32)=2, Kb=ceil(17/16)=2, Nb=ceil(35/32)=2.
 	// A read once per N block: 2 passes over 33*17 elements.
@@ -75,7 +87,7 @@ func TestGotoTraceSurfaceTotals(t *testing.T) {
 	// GOTO with mc=kc=16, nc=32 on 32×32×32: jc loops 1, pc loops 2,
 	// ic loops 2. B read once per (jc,pc); A once per (jc,pc,ic);
 	// C streamed once per (pc, ic slab).
-	acc := collect(t, gotoTrace(32, 32, 32, GotoParams{MC: 16, NC: 32}, 16))
+	acc := collect(t, gotoTrace(32, 32, 32, gotoCfg(16, 32), 16))
 	bytes := sumBySurface(acc)
 	if bytes[SurfB] != 32*32*4 {
 		t.Fatalf("B bytes %d", bytes[SurfB])
@@ -90,25 +102,48 @@ func TestGotoTraceSurfaceTotals(t *testing.T) {
 }
 
 func TestGotoCStreamingGrowsWithK(t *testing.T) {
-	shallow := sumBySurface(collect(t, gotoTrace(32, 32, 32, GotoParams{MC: 16, NC: 32}, 16)))
-	deep := sumBySurface(collect(t, gotoTrace(32, 128, 32, GotoParams{MC: 16, NC: 32}, 16)))
+	shallow := sumBySurface(collect(t, gotoTrace(32, 32, 32, gotoCfg(16, 32), 16)))
+	deep := sumBySurface(collect(t, gotoTrace(32, 128, 32, gotoCfg(16, 32), 16)))
 	if deep[SurfC] != 4*shallow[SurfC] {
 		t.Fatalf("C traffic should scale with K/kc: %d vs %d", deep[SurfC], shallow[SurfC])
 	}
 }
 
 func TestInvalidParams(t *testing.T) {
-	if err := Cake(0, 1, 1, CakeParams{P: 1, MC: 1, Alpha: 1}, 1, 4, func(Access) {}); err == nil {
+	if err := Cake(0, 1, 1, cakeCfg(1, 8), 1, 4, func(Access) {}); err == nil {
 		t.Fatal("dims 0 accepted")
 	}
-	if err := Cake(1, 1, 1, CakeParams{P: 0, MC: 1, Alpha: 1}, 1, 4, func(Access) {}); err == nil {
+	if err := Cake(1, 1, 1, cakeCfg(0, 8), 1, 4, func(Access) {}); err == nil {
 		t.Fatal("p=0 accepted")
 	}
-	if err := Goto(1, 1, 1, GotoParams{MC: 0, NC: 1}, 1, 4, func(Access) {}); err == nil {
+	if err := Goto(1, 1, 1, gotoCfg(0, 8), 1, 4, func(Access) {}); err == nil {
 		t.Fatal("mc=0 accepted")
 	}
-	if err := Goto(1, 1, 1, GotoParams{MC: 1, NC: 1}, 0, 4, func(Access) {}); err == nil {
+	if err := Goto(1, 1, 1, gotoCfg(8, 8), 0, 4, func(Access) {}); err == nil {
 		t.Fatal("gran=0 accepted")
+	}
+}
+
+// TestTraceDepthFromKC: both generators take their reduction depth from
+// the config's KC, not from MC. Halving KC at a fixed MC doubles the K
+// blocks (CAKE) or pc iterations (GOTO), and with them the C passes.
+func TestTraceDepthFromKC(t *testing.T) {
+	const m, k, n = 32, 32, 32
+	deepCake, shallowCake := cakeCfg(2, 16), cakeCfg(2, 16)
+	deepCake.KC, shallowCake.KC = 32, 16
+	deep := sumBySurface(collect(t, cakeTrace(m, k, n, deepCake, 8)))
+	shallow := sumBySurface(collect(t, cakeTrace(m, k, n, shallowCake, 8)))
+	if shallow[SurfC] != 2*deep[SurfC] || shallow[SurfA] != deep[SurfA] {
+		t.Fatalf("CAKE kc 16 vs 32: C bytes %d vs %d, A bytes %d vs %d",
+			shallow[SurfC], deep[SurfC], shallow[SurfA], deep[SurfA])
+	}
+	deepGoto, shallowGoto := gotoCfg(16, 32), gotoCfg(16, 32)
+	deepGoto.KC, shallowGoto.KC = 32, 8
+	deep = sumBySurface(collect(t, gotoTrace(m, k, n, deepGoto, 8)))
+	shallow = sumBySurface(collect(t, gotoTrace(m, k, n, shallowGoto, 8)))
+	if shallow[SurfC] != 4*deep[SurfC] || shallow[SurfB] != deep[SurfB] {
+		t.Fatalf("GOTO kc 8 vs 32: C bytes %d vs %d, B bytes %d vs %d",
+			shallow[SurfC], deep[SurfC], shallow[SurfB], deep[SurfB])
 	}
 }
 
@@ -116,7 +151,7 @@ func TestRunThroughLLC(t *testing.T) {
 	// An LLC big enough for one CB block: CAKE's C chunks hit after first
 	// touch; DRAM traffic is A+B streams plus one C fill+writeback.
 	m, k, n := 64, 32, 64
-	p := CakeParams{P: 2, MC: 16, Alpha: 1} // block 32x16x32
+	p := cakeCfg(2, 16) // block 32x16x32
 	llc := int64((32*16 + 16*32 + 32*32) * 3 * 4)
 	h := cachesim.NewHierarchy[Key]([]string{"LLC"}, []int64{llc})
 	res, err := Run(cakeTrace(m, k, n, p, 16), h)
@@ -145,14 +180,14 @@ func TestCakeBeatsGotoOnDRAMTraffic(t *testing.T) {
 	m, k, n := 256, 768, 256 // C = 256 KiB against a 48 KiB LLC
 	llc := int64(48 << 10)
 	hc := cachesim.NewHierarchy[Key]([]string{"LLC"}, []int64{llc})
-	rc, err := Run(cakeTrace(m, k, n, CakeParams{P: 2, MC: 32, Alpha: 1}, 32), hc)
+	rc, err := Run(cakeTrace(m, k, n, cakeCfg(2, 32), 32), hc)
 	if err != nil {
 		t.Fatal(err)
 	}
 	hg := cachesim.NewHierarchy[Key]([]string{"LLC"}, []int64{llc})
 	// kc = 16: the L2-bound blocking (a 16×16 float32 block is a 1 KiB L2
 	// working set in this scaled-down scenario).
-	rg, err := Run(gotoTrace(m, k, n, GotoParams{MC: 16, NC: 192}, 16), hg)
+	rg, err := Run(gotoTrace(m, k, n, gotoCfg(16, 192), 16), hg)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -70,22 +70,12 @@ func OrderFor(m, n int) Order {
 // outer dimensions are (M, N) for OuterN or (N, M) for OuterM. Inner
 // traversal directions flip after every completed run.
 func KFirst(d Dims, o Order) []Coord {
-	if err := d.Validate(); err != nil {
-		panic(err)
-	}
 	return AppendKFirst(make([]Coord, 0, d.Blocks()), d, o)
 }
 
 // AppendKFirst appends KFirst's sequence to dst and returns the extended
 // slice, so a caller that runs many schedules can reuse one buffer.
 func AppendKFirst(dst []Coord, d Dims, o Order) []Coord {
-	Walk(d, o, func(c Coord) { dst = append(dst, c) })
-	return dst
-}
-
-// Walk streams Algorithm 2's sequence to fn without materialising it,
-// for grids too large to hold (the simulator walks 10⁵+ block grids).
-func Walk(d Dims, o Order, fn func(Coord)) {
 	if err := d.Validate(); err != nil {
 		panic(err)
 	}
@@ -106,15 +96,16 @@ func Walk(d Dims, o Order, fn func(Coord)) {
 					ki = d.Kb - 1 - kj
 				}
 				if o == OuterN {
-					fn(Coord{M: mi, N: oi, K: ki})
+					dst = append(dst, Coord{M: mi, N: oi, K: ki})
 				} else {
-					fn(Coord{M: oi, N: mi, K: ki})
+					dst = append(dst, Coord{M: oi, N: mi, K: ki})
 				}
 			}
 			kDir = -kDir
 		}
 		midDir = -midDir
 	}
+	return dst
 }
 
 // Naive generates the restart-at-zero schedule of the paper's

@@ -104,19 +104,25 @@ func TestNaiveLosesAdjacencyAtBoundaries(t *testing.T) {
 	}
 }
 
-func TestWalkMatchesKFirst(t *testing.T) {
+// TestAppendKFirstExtendsBuffer: AppendKFirst keeps what dst holds and
+// appends KFirst's sequence after it, so a reused buffer sliced to zero
+// length yields exactly KFirst.
+func TestAppendKFirstExtendsBuffer(t *testing.T) {
 	d := Dims{3, 4, 5}
+	head := Coord{M: 9, N: 9, K: 9}
 	for _, o := range []Order{OuterN, OuterM} {
-		var walked []Coord
-		Walk(d, o, func(c Coord) { walked = append(walked, c) })
+		got := AppendKFirst([]Coord{head}, d, o)
 		gen := KFirst(d, o)
-		if len(walked) != len(gen) {
-			t.Fatal("length mismatch")
+		if len(got) != 1+len(gen) || got[0] != head {
+			t.Fatalf("order %v: %d coords (head %v), want %v then %d", o, len(got), got[0], head, len(gen))
 		}
 		for i := range gen {
-			if walked[i] != gen[i] {
-				t.Fatalf("order %v step %d: %v vs %v", o, i, walked[i], gen[i])
+			if got[1+i] != gen[i] {
+				t.Fatalf("order %v step %d: %v vs %v", o, i, got[1+i], gen[i])
 			}
+		}
+		if again := AppendKFirst(got[:0], d, o); len(again) != len(gen) || again[0] != gen[0] {
+			t.Fatalf("order %v: reused buffer gave %d coords", o, len(again))
 		}
 	}
 }
@@ -148,9 +154,9 @@ func TestKFirstKRunsAreContiguous(t *testing.T) {
 
 func TestInvalidDimsPanic(t *testing.T) {
 	for name, fn := range map[string]func(){
-		"KFirst": func() { KFirst(Dims{0, 1, 1}, OuterN) },
-		"Naive":  func() { Naive(Dims{1, 0, 1}, OuterN) },
-		"Walk":   func() { Walk(Dims{1, 1, 0}, OuterN, func(Coord) {}) },
+		"KFirst":       func() { KFirst(Dims{0, 1, 1}, OuterN) },
+		"Naive":        func() { Naive(Dims{1, 0, 1}, OuterN) },
+		"AppendKFirst": func() { AppendKFirst(nil, Dims{1, 1, 0}, OuterN) },
 	} {
 		func() {
 			defer func() {

@@ -3,79 +3,47 @@ package sim
 import (
 	"fmt"
 
-	"repro/internal/schedule"
+	"repro/internal/core"
+	"repro/internal/gotoalg"
 )
 
-// CakeWorkload describes a CAKE execution to be simulated.
-type CakeWorkload struct {
-	P         int     // cores
-	MC        int     // per-core block side (kc = KC below)
-	KC        int     // reduction depth per block
-	Alpha     float64 // CB aspect factor
-	MR, NR    int     // register tile
-	ElemBytes int
-}
-
-// CakeOps compiles an M×K×N CAKE GEMM into the simulator's block program:
-// the K-first schedule of Algorithm 2 with per-transition surface reuse
-// (inputs reused across adjacent blocks, partial C resident until its
-// reduction completes, completed C written back exactly once).
-func CakeOps(w CakeWorkload, m, k, n int) ([]BlockOp, error) {
-	if w.P < 1 || w.MC < 1 || w.KC < 1 || w.Alpha < 1 || w.MR < 1 || w.NR < 1 || w.ElemBytes < 1 {
-		return nil, fmt.Errorf("sim: invalid CAKE workload %+v", w)
+// CakeOps compiles an M×K×N CAKE GEMM under cfg into the simulator's block
+// program: cfg's own block program (the blocks the executor runs, in
+// Algorithm 2's K-first order) with per-transition surface reuse (inputs
+// reused across adjacent blocks, partial C resident until its reduction
+// completes, completed C written back exactly once).
+func CakeOps(cfg core.Config, elemBytes, m, k, n int) ([]BlockOp, error) {
+	if err := cfg.Validate(); err != nil {
+		return nil, fmt.Errorf("sim: %w", err)
 	}
-	if m < 1 || k < 1 || n < 1 {
-		return nil, fmt.Errorf("sim: invalid dims %dx%dx%d", m, k, n)
+	if elemBytes < 1 || m < 1 || k < 1 || n < 1 {
+		return nil, fmt.Errorf("sim: invalid dims %dx%dx%d or element size %d", m, k, n, elemBytes)
 	}
-	bm := w.P * w.MC
-	bk := w.KC
-	bn := int(w.Alpha * float64(bm))
-	grid := schedule.Dims{Mb: ceilDiv(m, bm), Nb: ceilDiv(n, bn), Kb: ceilDiv(k, bk)}
-	seq := schedule.KFirst(grid, schedule.OrderFor(m, n))
-
-	e := int64(w.ElemBytes)
-	ops := make([]BlockOp, 0, len(seq))
-	for i, cur := range seq {
-		mEff := clipExtent(cur.M, bm, m)
-		kEff := clipExtent(cur.K, bk, k)
-		nEff := clipExtent(cur.N, bn, n)
-
-		aShared, bShared := false, false
-		if i > 0 {
-			aShared, bShared, _ = schedule.Shared(seq[i-1], cur)
-		}
-		runEnd := i == len(seq)-1 || seq[i+1].M != cur.M || seq[i+1].N != cur.N
-
+	e := int64(elemBytes)
+	blocks := cfg.Program(m, k, n).Blocks
+	ops := make([]BlockOp, 0, len(blocks))
+	for _, b := range blocks {
+		mk, kn, mn := int64(b.MEff)*int64(b.KEff), int64(b.KEff)*int64(b.NEff), int64(b.MEff)*int64(b.NEff)
 		op := BlockOp{
-			MACs:   int64(mEff) * int64(kEff) * int64(nEff),
-			Active: min(w.P, ceilDiv(mEff, w.MC)),
+			MACs:   mk * int64(b.NEff),
+			Active: b.Active,
 			// Section 4.3 residency demand: this block's C surface plus two
 			// generations of A and B inputs (double buffering).
-			Footprint: (int64(mEff)*int64(nEff) + 2*(int64(mEff)*int64(kEff)+int64(kEff)*int64(nEff))) * e,
+			Footprint: (mn + 2*(mk+kn)) * e,
+			Internal:  kernelLLCBytes(b.MEff, b.KEff, b.NEff, cfg.MR, e),
 		}
-		if !aShared {
-			op.FetchA = int64(mEff) * int64(kEff) * e
+		if !b.SharesA {
+			op.FetchA = mk * e
 		}
-		if !bShared {
-			op.FetchB = int64(kEff) * int64(nEff) * e
+		if !b.SharesB {
+			op.FetchB = kn * e
 		}
-		if runEnd {
-			op.WriteC = int64(mEff) * int64(nEff) * e
+		if b.RunEnd {
+			op.WriteC = mn * e
 		}
-		op.Internal = kernelLLCBytes(mEff, kEff, nEff, w.MR, e)
 		ops = append(ops, op)
 	}
 	return ops, nil
-}
-
-// GotoWorkload describes a GOTO execution to be simulated.
-type GotoWorkload struct {
-	P         int // cores parallelising the ic loop
-	MC        int // = kc, square per-core A block (L2-sized)
-	KC        int
-	NC        int // B panel width (LLC-sized)
-	MR, NR    int
-	ElemBytes int
 }
 
 // GotoOps compiles an M×K×N GOTO GEMM into a block program following the
@@ -85,23 +53,23 @@ type GotoWorkload struct {
 // (jc, pc), A blocks once per (jc, pc, ic), and the partial C slab streams
 // to DRAM every round — and back in again on every pc iteration after the
 // first.
-func GotoOps(w GotoWorkload, m, k, n int) ([]BlockOp, error) {
-	if w.P < 1 || w.MC < 1 || w.KC < 1 || w.NC < 1 || w.MR < 1 || w.NR < 1 || w.ElemBytes < 1 {
-		return nil, fmt.Errorf("sim: invalid GOTO workload %+v", w)
+func GotoOps(cfg gotoalg.Config, elemBytes, m, k, n int) ([]BlockOp, error) {
+	if err := cfg.Validate(); err != nil {
+		return nil, fmt.Errorf("sim: %w", err)
 	}
-	if m < 1 || k < 1 || n < 1 {
-		return nil, fmt.Errorf("sim: invalid dims %dx%dx%d", m, k, n)
+	if elemBytes < 1 || m < 1 || k < 1 || n < 1 {
+		return nil, fmt.Errorf("sim: invalid dims %dx%dx%d or element size %d", m, k, n, elemBytes)
 	}
-	e := int64(w.ElemBytes)
+	e := int64(elemBytes)
 	var ops []BlockOp
-	for jc := 0; jc < n; jc += w.NC {
-		ncEff := min(w.NC, n-jc)
-		for pc := 0; pc < k; pc += w.KC {
-			kcEff := min(w.KC, k-pc)
+	for jc := 0; jc < n; jc += cfg.NC {
+		ncEff := min(cfg.NC, n-jc)
+		for pc := 0; pc < k; pc += cfg.KC {
+			kcEff := min(cfg.KC, k-pc)
 			first := true
-			for ic := 0; ic < m; ic += w.P * w.MC {
-				rows := min(w.P*w.MC, m-ic)
-				active := ceilDiv(rows, w.MC)
+			for ic := 0; ic < m; ic += cfg.Cores * cfg.MC {
+				rows := min(cfg.Cores*cfg.MC, m-ic)
+				active := ceilDiv(rows, cfg.MC)
 				op := BlockOp{
 					MACs:   int64(rows) * int64(kcEff) * int64(ncEff),
 					Active: active,
@@ -119,7 +87,7 @@ func GotoOps(w GotoWorkload, m, k, n int) ([]BlockOp, error) {
 				if pc > 0 {
 					op.DemandRead = int64(rows) * int64(ncEff) * e
 				}
-				op.Internal = kernelLLCBytes(rows, kcEff, ncEff, w.MR, e)
+				op.Internal = kernelLLCBytes(rows, kcEff, ncEff, cfg.MR, e)
 				ops = append(ops, op)
 			}
 		}
@@ -141,8 +109,3 @@ func kernelLLCBytes(mEff, kEff, nEff, mr int, elemBytes int64) int64 {
 }
 
 func ceilDiv(a, b int) int { return (a + b - 1) / b }
-
-// clipExtent returns the extent of block idx after clipping to the problem.
-func clipExtent(idx, block, total int) int {
-	return min(block, total-idx*block)
-}

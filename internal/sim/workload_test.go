@@ -3,6 +3,8 @@ package sim
 import (
 	"testing"
 
+	"repro/internal/core"
+	"repro/internal/gotoalg"
 	"repro/internal/platform"
 	"repro/internal/schedule"
 )
@@ -18,19 +20,19 @@ func sumOps(ops []BlockOp) (macs, reads, writes, demand int64) {
 }
 
 func TestCakeOpsValidation(t *testing.T) {
-	if _, err := CakeOps(CakeWorkload{}, 10, 10, 10); err == nil {
+	if _, err := CakeOps(core.Config{}, 4, 10, 10, 10); err == nil {
 		t.Fatal("zero workload accepted")
 	}
-	w := CakeWorkload{P: 2, MC: 8, KC: 8, Alpha: 1, MR: 8, NR: 8, ElemBytes: 4}
-	if _, err := CakeOps(w, 0, 10, 10); err == nil {
+	w := core.Config{Cores: 2, MC: 8, KC: 8, Alpha: 1, MR: 8, NR: 8, Order: core.OrderAuto}
+	if _, err := CakeOps(w, 4, 0, 10, 10); err == nil {
 		t.Fatal("zero dims accepted")
 	}
 }
 
 func TestCakeOpsConservation(t *testing.T) {
-	w := CakeWorkload{P: 2, MC: 8, KC: 8, Alpha: 1, MR: 8, NR: 8, ElemBytes: 4}
+	w := core.Config{Cores: 2, MC: 8, KC: 8, Alpha: 1, MR: 8, NR: 8, Order: core.OrderAuto}
 	m, k, n := 40, 30, 50
-	ops, err := CakeOps(w, m, k, n)
+	ops, err := CakeOps(w, 4, m, k, n)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -50,9 +52,9 @@ func TestCakeOpsConservation(t *testing.T) {
 func TestCakeOpsReuseMatchesSchedule(t *testing.T) {
 	// 2×2×2 block grid with exact tiling: the K-first snake reuses A at the
 	// single N step and B at the two M steps.
-	w := CakeWorkload{P: 2, MC: 8, KC: 16, Alpha: 1, MR: 8, NR: 8, ElemBytes: 1}
+	w := core.Config{Cores: 2, MC: 8, KC: 16, Alpha: 1, MR: 8, NR: 8, Order: core.OrderAuto}
 	m, k, n := 32, 32, 32 // block 16×16×16 → grid 2×2×2
-	ops, err := CakeOps(w, m, k, n)
+	ops, err := CakeOps(w, 1, m, k, n)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -77,23 +79,25 @@ func TestCakeOpsReuseMatchesSchedule(t *testing.T) {
 }
 
 func TestCakeOpsActiveCores(t *testing.T) {
-	// M smaller than one block row: only some cores active.
-	w := CakeWorkload{P: 4, MC: 8, KC: 8, Alpha: 1, MR: 8, NR: 8, ElemBytes: 4}
-	ops, err := CakeOps(w, 17, 8, 32) // 3 strips of mc=8
+	// M smaller than one block row: only some cores active. The executor
+	// hands a block's rows out in compute units of two 8-row register
+	// panels, so 17 rows keep two of the four cores busy.
+	w := core.Config{Cores: 4, MC: 8, KC: 8, Alpha: 1, MR: 8, NR: 8, Order: core.OrderAuto}
+	ops, err := CakeOps(w, 4, 17, 8, 32)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, op := range ops {
-		if op.Active != 3 {
-			t.Fatalf("active %d want 3", op.Active)
+		if op.Active != 2 {
+			t.Fatalf("active %d want 2", op.Active)
 		}
 	}
 }
 
 func TestGotoOpsConservation(t *testing.T) {
-	w := GotoWorkload{P: 2, MC: 8, KC: 8, NC: 16, MR: 8, NR: 8, ElemBytes: 4}
+	w := gotoalg.Config{Cores: 2, MC: 8, KC: 8, NC: 16, MR: 8, NR: 8}
 	m, k, n := 40, 24, 33
-	ops, err := GotoOps(w, m, k, n)
+	ops, err := GotoOps(w, 4, m, k, n)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -108,8 +112,8 @@ func TestGotoOpsConservation(t *testing.T) {
 }
 
 func TestGotoOpsDemandReadsAfterFirstPc(t *testing.T) {
-	w := GotoWorkload{P: 2, MC: 8, KC: 8, NC: 64, MR: 8, NR: 8, ElemBytes: 4}
-	ops, err := GotoOps(w, 16, 24, 64) // 3 pc iterations, 1 ic round each
+	w := gotoalg.Config{Cores: 2, MC: 8, KC: 8, NC: 64, MR: 8, NR: 8}
+	ops, err := GotoOps(w, 4, 16, 24, 64) // 3 pc iterations, 1 ic round each
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -124,11 +128,11 @@ func TestGotoOpsDemandReadsAfterFirstPc(t *testing.T) {
 }
 
 func TestGotoOpsValidation(t *testing.T) {
-	if _, err := GotoOps(GotoWorkload{}, 1, 1, 1); err == nil {
+	if _, err := GotoOps(gotoalg.Config{}, 4, 1, 1, 1); err == nil {
 		t.Fatal("zero workload accepted")
 	}
-	w := GotoWorkload{P: 1, MC: 8, KC: 8, NC: 8, MR: 8, NR: 8, ElemBytes: 4}
-	if _, err := GotoOps(w, 1, 0, 1); err == nil {
+	w := gotoalg.Config{Cores: 1, MC: 8, KC: 8, NC: 8, MR: 8, NR: 8}
+	if _, err := GotoOps(w, 4, 1, 0, 1); err == nil {
 		t.Fatal("zero dims accepted")
 	}
 }
@@ -138,13 +142,13 @@ func TestGotoOpsValidation(t *testing.T) {
 func simulateBoth(t *testing.T, pl *platform.Platform, p, s int) (cake, gt Metrics) {
 	t.Helper()
 	mc := 64 // modest block; LLC-safe for every Table 2 platform at small p
-	cw := CakeWorkload{P: p, MC: mc, KC: mc, Alpha: 1, MR: 8, NR: 8, ElemBytes: 4}
-	cakeOps, err := CakeOps(cw, s, s, s)
+	cw := core.Config{Cores: p, MC: mc, KC: mc, Alpha: 1, MR: 8, NR: 8, Order: core.OrderAuto}
+	cakeOps, err := CakeOps(cw, 4, s, s, s)
 	if err != nil {
 		t.Fatal(err)
 	}
-	gw := GotoWorkload{P: p, MC: 48, KC: 48, NC: 1024, MR: 8, NR: 8, ElemBytes: 4}
-	gotoOps, err := GotoOps(gw, s, s, s)
+	gw := gotoalg.Config{Cores: p, MC: 48, KC: 48, NC: 1024, MR: 8, NR: 8}
+	gotoOps, err := GotoOps(gw, 4, s, s, s)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -229,8 +233,8 @@ func TestRunEnforcesFootprint(t *testing.T) {
 }
 
 func TestCakeOpsFootprintMatchesLRURule(t *testing.T) {
-	w := CakeWorkload{P: 2, MC: 8, KC: 8, Alpha: 1, MR: 8, NR: 8, ElemBytes: 4}
-	ops, err := CakeOps(w, 32, 32, 32) // exact blocks of 16×8×16
+	w := core.Config{Cores: 2, MC: 8, KC: 8, Alpha: 1, MR: 8, NR: 8, Order: core.OrderAuto}
+	ops, err := CakeOps(w, 4, 32, 32, 32) // exact blocks of 16×8×16
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -246,9 +250,9 @@ func TestCakeOpsMatchesScheduleEvalIO(t *testing.T) {
 	// Two independent implementations of the same reuse accounting — the
 	// schedule-level cost model and the workload compiler — must agree
 	// exactly on external traffic for exact tilings.
-	w := CakeWorkload{P: 2, MC: 16, KC: 16, Alpha: 1, MR: 8, NR: 8, ElemBytes: 4}
+	w := core.Config{Cores: 2, MC: 16, KC: 16, Alpha: 1, MR: 8, NR: 8, Order: core.OrderAuto}
 	m, k, n := 96, 64, 128 // blocks 32×16×32 → grid 3×4×4
-	ops, err := CakeOps(w, m, k, n)
+	ops, err := CakeOps(w, 4, m, k, n)
 	if err != nil {
 		t.Fatal(err)
 	}

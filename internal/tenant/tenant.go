@@ -192,11 +192,7 @@ func Simulate(plan Plan) ([]TenantResult, error) {
 	pl := plan.Platform
 	out := make([]TenantResult, 0, len(plan.Assignments))
 	for _, as := range plan.Assignments {
-		w := sim.CakeWorkload{
-			P: as.Cores, MC: as.Config.MC, KC: as.Config.KC, Alpha: as.Config.Alpha,
-			MR: as.Config.MR, NR: as.Config.NR, ElemBytes: 4,
-		}
-		ops, err := sim.CakeOps(w, as.Job.M, as.Job.K, as.Job.N)
+		ops, err := sim.CakeOps(as.Config, 4, as.Job.M, as.Job.K, as.Job.N)
 		if err != nil {
 			return nil, err
 		}

@@ -41,9 +41,12 @@ func (r Result) AnalyticShare() float64 {
 	return r.Analytic.GFLOPS / r.Best.GFLOPS
 }
 
+// tile is the register tile the candidates run (the planner's 8×8).
+const tile = 8
+
 // Options bounds the search space.
 type Options struct {
-	MCStep   int       // mc stride (defaults to 16)
+	MCStep   int       // mc stride, a multiple of the 8-row register tile (defaults to 16)
 	MCMax    int       // largest mc considered (defaults to 512)
 	Alphas   []float64 // aspect factors to try (defaults to 1, 2, 4, 8)
 	ElemSize int       // bytes per element (defaults to 4)
@@ -74,6 +77,9 @@ func Search(pl *platform.Platform, p, m, k, n int, opts Options) (Result, error)
 	if p < 1 {
 		return Result{}, fmt.Errorf("tuner: %d cores", p)
 	}
+	if opts.MCStep < 1 || opts.MCStep%tile != 0 {
+		return Result{}, fmt.Errorf("tuner: mc step %d is not a multiple of the %d-row register tile", opts.MCStep, tile)
+	}
 	mcfg := sim.FromPlatform(pl, p)
 	llcElems := float64(pl.LLCBytes) / float64(opts.ElemSize)
 
@@ -86,7 +92,8 @@ func Search(pl *platform.Platform, p, m, k, n int, opts Options) (Result, error)
 			if c+2*ab > llcElems {
 				continue
 			}
-			cand, err := evaluate(mcfg, pl, p, m, k, n, mc, alpha, opts.ElemSize)
+			cfg := core.Config{Cores: p, MC: mc, KC: mc, Alpha: alpha, MR: tile, NR: tile, Order: core.OrderAuto}
+			cand, err := evaluate(mcfg, pl, cfg, m, k, n, opts.ElemSize)
 			if err != nil {
 				return Result{}, err
 			}
@@ -107,16 +114,16 @@ func Search(pl *platform.Platform, p, m, k, n int, opts Options) (Result, error)
 	if err != nil {
 		return Result{}, err
 	}
-	out.Analytic, err = evaluate(mcfg, pl, p, m, k, n, cfg.MC, cfg.Alpha, opts.ElemSize)
+	out.Analytic, err = evaluate(mcfg, pl, cfg, m, k, n, opts.ElemSize)
 	if err != nil {
 		return Result{}, err
 	}
 	return out, nil
 }
 
-func evaluate(mcfg sim.MachineConfig, pl *platform.Platform, p, m, k, n, mc int, alpha float64, elemSize int) (Candidate, error) {
-	w := sim.CakeWorkload{P: p, MC: mc, KC: mc, Alpha: alpha, MR: 8, NR: 8, ElemBytes: elemSize}
-	ops, err := sim.CakeOps(w, m, k, n)
+// evaluate scores one CAKE config by simulated throughput.
+func evaluate(mcfg sim.MachineConfig, pl *platform.Platform, cfg core.Config, m, k, n, elemSize int) (Candidate, error) {
+	ops, err := sim.CakeOps(cfg, elemSize, m, k, n)
 	if err != nil {
 		return Candidate{}, err
 	}
@@ -125,7 +132,7 @@ func evaluate(mcfg sim.MachineConfig, pl *platform.Platform, p, m, k, n, mc int,
 		return Candidate{}, err
 	}
 	return Candidate{
-		MC: mc, Alpha: alpha,
+		MC: cfg.MC, Alpha: cfg.Alpha,
 		Cycles: met.Cycles,
 		GFLOPS: met.ThroughputGFLOPS(pl.ClockHz),
 		DRAMGB: met.AvgDRAMBW(pl.ClockHz) / 1e9,

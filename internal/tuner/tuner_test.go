@@ -67,6 +67,14 @@ func TestSearchRejectsBadCores(t *testing.T) {
 	}
 }
 
+// TestSearchRejectsUnalignedMCStep: candidates are executor configs, which
+// need mc to be a whole number of 8-row register panels.
+func TestSearchRejectsUnalignedMCStep(t *testing.T) {
+	if _, err := Search(platform.IntelI9(), 2, 64, 64, 64, Options{MCStep: 12}); err == nil {
+		t.Fatal("mc step 12 accepted")
+	}
+}
+
 func TestAnalyticShareZeroSafe(t *testing.T) {
 	var r Result
 	if r.AnalyticShare() != 0 {

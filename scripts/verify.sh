@@ -78,13 +78,20 @@ go test -race -count=5 -run 'Ring|Label|Lookup|Snapshot' ./internal/obs/reqtrace
 # committed CSVs byte for byte (fig4, fig7, fig8, fig9 and fig11 are checked
 # the same way by cmd/cake-bench's TestRunFiguresMatchResults).
 echo "== cake-bench fig10 fig12 vs results/ (byte-identical CSVs)"
+# first_row_diff prints the first row at which regenerated CSV $1 differs
+# from committed CSV $2, with both versions of that row.
+first_row_diff() {
+	awk 'FILENAME == ARGV[1] { got[FNR] = $0; n = FNR; next }
+		FNR > n || got[FNR] != $0 { printf "row %d: got %s, want \"%s\"\n", FNR, (FNR > n ? "end of file" : "\"" got[FNR] "\""), $0; d = 1; exit }
+		END { if (!d) printf "row %d: got \"%s\", want end of file\n", FNR + 1, got[FNR + 1] }' "$1" "$2"
+}
 FIG_TMP=$(mktemp -d)
 for FIG in fig10 fig12; do
 	go run ./cmd/cake-bench -csv "$FIG_TMP" "$FIG" >/dev/null
 done
 for CSV in fig10a fig10b fig10c fig12a fig12b fig12c; do
 	if ! cmp -s "$FIG_TMP/$CSV.csv" "results/$CSV.csv"; then
-		echo "verify: regenerated $CSV.csv differs from results/$CSV.csv" >&2
+		echo "verify: regenerated $CSV.csv differs from results/$CSV.csv at $(first_row_diff "$FIG_TMP/$CSV.csv" "results/$CSV.csv")" >&2
 		rm -rf "$FIG_TMP"
 		exit 1
 	fi
